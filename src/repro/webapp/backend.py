@@ -21,63 +21,35 @@ Endpoints:
   default, ``?format=text`` for the Prometheus-style form); see
   ``docs/OBSERVABILITY.md``.
 
-Every decoding knob in a generation payload is validated server-side
-(:meth:`~repro.models.GenerationConfig.validate` plus a
-``max_new_tokens`` cap) and rejected with HTTP 400 before any model
-work happens.
+The three generation endpoints are transports over one
+:class:`~repro.webapp.service.GenerationService`; this module builds
+the serving topology and maps the service's results and errors onto
+JSON, job and SSE envelopes (``docs/ARCHITECTURE.md``).
 """
 
 from __future__ import annotations
 
 import threading
 import uuid
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
-from ..cluster import ClusterConfig, NoReplicaAvailableError, Router
+from ..cluster import ClusterConfig, Router
 from ..core.pipeline import Ratatouille
-from ..decoding import (MIN_BUDGET, apply_constraints_to_prompt,
-                        build_constrained_processors, parse_constraints,
-                        run_constrained_generation, violations)
 from ..durability import (CacheSpill, FleetCacheSpill, JobJournal,
                           JournalError)
-from ..models import GenerationConfig
 from ..obs import (MetricsRegistry, Tracer, get_registry, get_tracer,
                    render_json, render_text)
 from ..recipedb import IngredientCatalog, PairingGraph, default_catalog
 from ..resilience import (AdmissionController, OverloadShedError,
                           ResilienceConfig)
 from ..retrieval import query_from_ingredients
-from ..resilience.supervisor import (EngineSupervisor, EngineUnavailableError,
-                                     sequential_fallback)
-from ..serving import (DeadlineExceededError, EngineCrashedError,
-                       EngineQueueFullError, EngineStoppedError,
-                       InferenceEngine)
-from .framework import App, Request, Response
+from ..resilience.supervisor import EngineSupervisor, sequential_fallback
+from ..serving import InferenceEngine
+from .framework import App, Handler, Request, Response
 from .jobs import JobQueue, QueueFullError
-
-MAX_INGREDIENTS = 20
-
-#: Server-side ceiling on requested generation length.  Client-supplied
-#: ``max_new_tokens`` beyond this is a 400, not a silent clamp.
-MAX_NEW_TOKENS_CAP = 512
-
-#: Server-side ceiling on per-request ``speculative_k`` (draft tokens
-#: per verify step).  Beyond ~16 the acceptance tail is empty and the
-#: verify chunk just wastes work, so larger asks are a 400.
-MAX_SPECULATIVE_K = 16
-
-#: Server-side ceiling on per-request ``retrieve_k`` (RAG exemplars
-#: prepended to the prompt).  Each exemplar is a full tagged recipe
-#: (~100 tokens), so beyond a handful the prefix crowds out the decode
-#: budget; larger asks are a 400.
-MAX_RETRIEVE_K = 8
-
-#: Server-side ceiling on per-request ``mcts_rollouts``.  Each rollout
-#: is a full decode, so admission charges MCTS requests
-#: ``max_new_tokens * (1 + mcts_rollouts)`` token-equivalents; the cap
-#: bounds what one request may ask the gate for.  ``repro serve
-#: --max-mcts-rollouts`` tunes it per deployment.
-MAX_MCTS_ROLLOUTS = 64
+from .service import (ERROR_STATUS, MAX_INGREDIENTS, MAX_MCTS_ROLLOUTS,
+                      MAX_NEW_TOKENS_CAP, MAX_RETRIEVE_K, MAX_SPECULATIVE_K,
+                      GenerationRequest, GenerationService, json_object)
 
 #: Server-side ceiling on ``/api/search`` result count.
 MAX_SEARCH_K = 50
@@ -90,161 +62,72 @@ MAX_QUERY_CHARS = 2000
 #: *something* so a saturated server sheds search load too.
 SEARCH_ADMISSION_COST = 16
 
-_CONFIG_FIELDS = (
-    ("max_new_tokens", int, 220),
-    ("strategy", str, "sample"),
-    ("temperature", float, 0.8),
-    ("top_k", int, 20),
-    ("top_p", float, 1.0),
-    ("beam_size", int, 4),
-    ("length_penalty", float, 0.7),
-    ("repetition_penalty", float, 1.0),
-    ("seed", int, 0),
-    ("speculative_k", int, 0),
-    ("mcts_rollouts", int, 12),
-    ("mcts_c_puct", float, 1.4),
-)
 
-
-def _parse_generation_request(payload: dict,
-                              max_new_tokens_cap: int = MAX_NEW_TOKENS_CAP,
-                              default_speculative_k: int = 0,
-                              catalog: Optional[IngredientCatalog] = None,
-                              max_mcts_rollouts: int = MAX_MCTS_ROLLOUTS
-                              ) -> tuple:
-    """Validate a generation payload; returns (names, config, checklist).
-
-    Raises :class:`ValueError` (→ HTTP 400) on anything malformed: a
-    non-coercible knob, a value :meth:`GenerationConfig.validate`
-    rejects, or a ``max_new_tokens`` beyond the server's cap.
-    Constraint errors carry named codes (``unknown_diet:``,
-    ``conflicting_constraints:``, ``diet_conflict:``,
-    ``calories_exceeded:``, ``unknown_constraint:``) so clients can
-    react without parsing prose.
-
-    ``default_speculative_k`` is the server's speculative-decoding
-    default (``repro serve --speculative``); a payload ``speculative_k``
-    overrides it per request (``0`` opts out explicitly).
-
-    A ``constraints`` object in the payload is parsed into
-    :class:`~repro.decoding.Constraints`, ``include_ingredients`` are
-    merged into the returned ``names`` (inclusion by construction), and
-    conflicts are pre-checked here so an unsatisfiable request is a 400
-    before any model work.
-    """
-    selected = payload.get("ingredients")
-    if not isinstance(selected, list) or not selected:
-        raise ValueError("'ingredients' must be a non-empty list")
-    if len(selected) > MAX_INGREDIENTS:
-        raise ValueError(f"at most {MAX_INGREDIENTS} ingredients supported")
-    names = [str(name) for name in selected]
-    values = {}
-    for name, cast, default in _CONFIG_FIELDS:
-        if name == "speculative_k":
-            default = default_speculative_k
-        raw = payload.get(name, default)
-        try:
-            values[name] = cast(raw)
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"'{name}' must be a {cast.__name__}, got {raw!r}") from None
-    config = GenerationConfig(**values)
-    config.validate()
-    if config.max_new_tokens > max_new_tokens_cap:
-        raise ValueError(
-            f"max_new_tokens is capped at {max_new_tokens_cap} "
-            f"(got {config.max_new_tokens})")
-    if config.speculative_k > MAX_SPECULATIVE_K:
-        raise ValueError(
-            f"speculative_k is capped at {MAX_SPECULATIVE_K} "
-            f"(got {config.speculative_k})")
-    raw_constraints = payload.get("constraints")
-    if raw_constraints is not None:
-        constraints = parse_constraints(raw_constraints)
-        if config.strategy == "beam":
-            raise ValueError(
-                "constrained decoding does not support beam search; "
-                "use greedy, sample, or mcts")
-        config.constraints = constraints
-        names = apply_constraints_to_prompt(names, constraints, catalog,
-                                            MAX_INGREDIENTS)
-    if config.constraints is not None or config.strategy == "mcts":
-        if config.max_new_tokens < MIN_BUDGET:
-            raise ValueError(
-                f"constrained decoding needs max_new_tokens >= "
-                f"{MIN_BUDGET} to close the recipe grammar "
-                f"(got {config.max_new_tokens})")
-    if config.strategy == "mcts" and config.mcts_rollouts > max_mcts_rollouts:
-        raise ValueError(
-            f"mcts_rollouts is capped at {max_mcts_rollouts} "
-            f"(got {config.mcts_rollouts})")
-    return names, config, bool(payload.get("checklist", False))
-
-
-def _admission_cost(config: GenerationConfig) -> int:
-    """Token-equivalents one request may cost the serving fleet.
-
-    MCTS decodes up to ``mcts_rollouts`` full rollouts plus the
-    degraded-fallback decode, so it is charged the whole tree, not one
-    decode — otherwise a saturated server would admit a request that
-    costs 13x what the gate thinks.
-    """
-    if config.strategy == "mcts":
-        return config.max_new_tokens * (1 + config.mcts_rollouts)
-    return config.max_new_tokens
-
-
-def _parse_retrieve_k(payload: dict, default_k: int,
-                      retrieval_enabled: bool) -> int:
-    """Validate ``retrieve_k``; raises ValueError (→ HTTP 400).
-
-    ``default_k`` is the server default (``repro serve --retrieve-k``);
-    the payload overrides per request, ``0`` opting out explicitly.
-    Asking for exemplars on a server with no index is a client error,
-    not a silent no-op.
-    """
-    raw = payload.get("retrieve_k")
-    if raw is None:
-        return default_k if retrieval_enabled else 0
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        raise ValueError(f"'retrieve_k' must be an integer, got {raw!r}")
-    if raw < 0 or raw > MAX_RETRIEVE_K:
-        raise ValueError(
-            f"'retrieve_k' must be in [0, {MAX_RETRIEVE_K}] (got {raw})")
-    if raw > 0 and not retrieval_enabled:
-        raise ValueError(
-            "retrieval is not enabled on this server "
-            "(start with repro serve --retrieval)")
-    return raw
-
-
-def _parse_deadline(payload: dict,
-                    default_ms: Optional[float]) -> Optional[float]:
-    """Per-request deadline: ``deadline_ms`` in the payload, else the
-    server default (``None`` disables).  Raises ValueError (→ 400) on a
-    non-positive or non-numeric value."""
-    raw = payload.get("deadline_ms")
-    if raw is None:
-        return default_ms
+def _parse_limit(raw) -> int:
+    """A result-count cap from a query string or payload (→ 400)."""
     try:
-        value = float(raw)
+        limit = int(raw)
     except (TypeError, ValueError):
-        raise ValueError(
-            f"'deadline_ms' must be a number, got {raw!r}") from None
-    if value <= 0:
-        raise ValueError("'deadline_ms' must be > 0")
-    return value
+        raise ValueError(f"'limit' must be an integer, got {raw!r}") from None
+    if limit < 0:
+        raise ValueError(f"'limit' must be >= 0 (got {limit})")
+    return limit
 
 
-def _recipe_payload(recipe) -> dict:
-    return {
-        "title": recipe.title,
-        "ingredients": recipe.ingredients,
-        "instructions": recipe.instructions,
-        "is_valid": recipe.is_valid,
-        "ingredient_coverage": recipe.ingredient_coverage,
-        "generation_seconds": recipe.generation_seconds,
-    }
+def _service_errors(handler: Handler) -> Handler:
+    """Answer the exceptions in ``ERROR_STATUS`` with their status."""
+    def guarded(request: Request) -> Response:
+        try:
+            return handler(request)
+        except tuple(ERROR_STATUS) as exc:
+            status = next(code for kind, code in ERROR_STATUS.items()
+                          if isinstance(exc, kind))
+            headers = None
+            if isinstance(exc, OverloadShedError):
+                headers = {"Retry-After": str(exc.retry_after)}
+            return Response.error(str(exc), status=status, headers=headers)
+    return guarded
+
+
+def _build_engine(pipeline: Ratatouille, registry: MetricsRegistry,
+                  tracer: Tracer, draft, knobs: ResilienceConfig,
+                  replicas: int, affinity_tokens: int, fleet_cache: bool,
+                  publish_tokens: int, spill):
+    """The serving topology the arguments ask for: a router fleet
+    (``replicas > 1``), a supervised engine (``knobs.supervise``) or a
+    bare engine."""
+    def factory(name: Optional[str] = None) -> InferenceEngine:
+        return InferenceEngine(pipeline.model, registry=registry,
+                               tracer=tracer, draft=draft, name=name)
+    if replicas > 1:
+        cluster_config = ClusterConfig(
+            replicas=replicas,
+            affinity_tokens=affinity_tokens,
+            fleet_cache=fleet_cache,
+            publish_tokens=publish_tokens,
+            watermark_tokens=knobs.shed_watermark_tokens or None,
+            tokens_per_second_hint=knobs.tokens_per_second_hint,
+            max_restarts=knobs.max_restarts,
+            restart_backoff_seconds=knobs.restart_backoff_seconds)
+        return Router(factory, cluster_config, registry=registry,
+                      tracer=tracer, spill=spill)
+    if knobs.supervise:
+        fallback = (sequential_fallback(pipeline.model)
+                    if knobs.degraded_fallback else None)
+        return EngineSupervisor(
+            factory,
+            max_restarts=knobs.max_restarts,
+            backoff_seconds=knobs.restart_backoff_seconds,
+            fallback=fallback,
+            registry=registry,
+            spill=spill)
+    engine = factory()
+    if spill is not None:
+        try:
+            spill.load_into(engine.prefix_cache)
+        except Exception:  # noqa: BLE001 - corrupt spill => cold
+            pass
+    return engine
 
 
 def create_backend(pipeline: Ratatouille,
@@ -253,8 +136,7 @@ def create_backend(pipeline: Ratatouille,
                    job_queue: Optional[JobQueue] = None,
                    registry: Optional[MetricsRegistry] = None,
                    tracer: Optional[Tracer] = None,
-                   use_engine: bool = True,
-                   engine: Optional[InferenceEngine] = None,
+                   engine=None,
                    max_new_tokens_cap: int = MAX_NEW_TOKENS_CAP,
                    resilience: Optional[ResilienceConfig] = None,
                    draft=None,
@@ -271,97 +153,32 @@ def create_backend(pipeline: Ratatouille,
                    max_mcts_rollouts: int = MAX_MCTS_ROLLOUTS) -> App:
     """Build the backend :class:`~repro.webapp.framework.App`.
 
-    ``registry``/``tracer`` are what ``GET /api/metrics`` exposes and
-    what the job queue and serving engine report into; they default to
-    the process-wide instances.
+    Generation always decodes through a serving engine, stored as
+    ``app.engine``: a :class:`~repro.cluster.Router` fleet when
+    ``replicas > 1`` (``affinity_tokens``, ``fleet_cache``,
+    ``publish_tokens``: ``docs/CLUSTER.md``; also ``app.router``), a
+    restarting :class:`~repro.resilience.EngineSupervisor` when
+    ``resilience.supervise``, else a bare
+    :class:`~repro.serving.InferenceEngine`.  Pass ``engine`` (any of
+    the three) to share one across apps.
 
-    By default generation routes through a
-    :class:`~repro.serving.InferenceEngine` (continuous batching +
-    prefix KV-cache reuse); the engine's outputs are bit-identical to
-    the in-process decoder, so this is purely a throughput change.
-    Pass ``use_engine=False`` for the plain in-process path, or an
-    ``engine`` to share one across apps.  The engine is stored as
-    ``app.engine`` so embedding code can stop it.
-
-    ``resilience`` (see ``docs/RESILIENCE.md``) adds the failure
-    envelope: request deadlines (``deadline_ms`` in payloads, plus a
-    server default → partial result or 504), admission control (503 +
-    ``Retry-After`` past the watermark) and engine supervision
-    (watchdog restarts; degraded sequential fallback marked
-    ``"degraded": true``).  ``None`` — the default — changes nothing.
-
-    ``draft``/``speculative_k`` enable speculative decoding (see
-    ``docs/SERVING.md``): ``draft`` is a
-    :class:`~repro.models.DraftModel` or a spec string like
-    ``"ngram:3"`` (fitted on the pipeline's training corpus via
-    :meth:`Ratatouille.build_draft`); ``speculative_k`` is the server
-    default draft length per verify step (payload ``speculative_k``
-    overrides per request, ``0`` opts out).  Greedy requests stay
-    bit-identical to the sequential decoder; sampled requests keep the
-    model's distribution via rejection sampling.
-
-    ``replicas > 1`` serves through a :class:`~repro.cluster.Router`
-    fleet instead of a single engine (see ``docs/CLUSTER.md``): N
-    supervised engine replicas with isolated prefix caches,
-    prefix-affinity placement over the first ``affinity_tokens``
-    prompt ids, transparent bit-identical failover, and rolling
-    drain/swap/readmit via ``app.router``.  The resilience knobs that
-    applied to the single supervised engine (restart budget, shed
-    watermark) apply per replica; fleet admission sheds only when
-    every replica is past watermark.  A pre-built router can also be
-    passed as ``engine=``.
-
-    ``fleet_cache`` (default on, with ``replicas > 1``) adds the
-    fleet-wide prefix-cache tier: each replica publishes its cached
-    prefixes — capped at ``publish_tokens`` deep — into a shared
-    :class:`~repro.cluster.FleetCacheIndex`, placement prefers the
-    replica holding the longest published match, and diverted requests
-    borrow the owner's frozen KV snapshot instead of recomputing
-    prefill.  ``GET /api/cluster`` exposes the tier under
-    ``cache_tier`` and placement-reason counters under ``placement``.
-
-    ``kernels`` (``"fp32"`` or ``"int8"``, see ``docs/KERNELS.md``)
-    routes decoding through the allocation-free inference kernels.
-    The weights are frozen read-only and — because every replica
-    serves the same model object — the whole fleet shares one weight
-    copy.  ``"fp32"`` is bit-identical to the Tensor path; ``"int8"``
-    trades a small perplexity delta for a smaller working set.
-
-    ``retrieval_index`` (a :class:`~repro.retrieval.RecipeIndex`, see
-    ``docs/RETRIEVAL.md``) enables the retrieval surface:
-    ``POST /api/search``, retrieval-conditioned generation
-    (``retrieve_k`` exemplars prepended to the prompt; ``retrieve_k``
-    here is the server default, payloads override per request), and a
-    nearest-corpus-neighbour ``novelty`` score attached to every
-    generation response.  A faulted retrieval lookup *degrades* the
-    request — un-conditioned generation plus
-    ``"retrieval_degraded": true`` — it never fails it.  With
-    ``retrieve_k=0`` (the default) generation output is bit-identical
-    to a backend built without an index.
-
-    ``journal_dir`` enables the write-ahead job journal (see
-    ``docs/DURABILITY.md``): every ``POST /api/generate_async`` is
-    fsync'd to disk *before* the 202 is returned, incomplete jobs are
-    replayed through the engine on the next start, and completed
-    results stay fetchable via ``GET /api/job`` across restarts.  The
-    journal also backs ``Idempotency-Key`` deduplication: a retried
-    submit with the same key maps to the already-journaled job instead
-    of executing twice.
-
-    ``spill_dir`` enables prefix-cache spill: the engine's (or each
-    replica's) KV prefix cache is snapshotted on clean stop and
-    mmap-reloaded on the next start, so restarts and rolling swaps
-    serve warm instead of re-prefilling every prompt.
-
-    Both feed ``app.shutdown_gracefully(deadline_seconds)`` — stop
-    admission (503 + ``Retry-After``), drain in-flight jobs under the
-    deadline, flush journal and spill, stop the engine — which
-    ``repro serve`` runs on SIGTERM/SIGINT.
-
-    ``max_mcts_rollouts`` caps the per-request ``mcts_rollouts`` knob
-    (``repro serve --max-mcts-rollouts``); see ``docs/DECODING.md`` for
-    the constrained/search-guided decoding surface
-    (``constraints`` / ``strategy: "mcts"`` in generation payloads).
+    ``registry``/``tracer`` back ``GET /api/metrics`` and default to the
+    process-wide instances.  ``resilience`` (``docs/RESILIENCE.md``)
+    adds request deadlines, admission control (``app.admission``) and
+    supervision; with a fleet its knobs apply per replica.  ``draft`` (a
+    :class:`~repro.models.DraftModel` or a spec like ``"ngram:3"``) and
+    ``speculative_k`` enable speculative decoding (``docs/SERVING.md``);
+    ``kernels`` (``"fp32"`` / ``"int8"``, ``docs/KERNELS.md``) freezes
+    the weights and decodes through the inference kernels.
+    ``retrieval_index`` (``docs/RETRIEVAL.md``) enables
+    ``POST /api/search``, ``retrieve_k`` exemplars per prompt and a
+    ``novelty`` score on every generation.  ``journal_dir`` /
+    ``spill_dir`` (``docs/DURABILITY.md``) enable the write-ahead job
+    journal (replayed before the app is returned) and the prefix-cache
+    spill; ``app.shutdown_gracefully`` flushes both.
+    ``speculative_k`` and ``retrieve_k`` are server defaults payloads
+    override; ``max_new_tokens_cap`` and ``max_mcts_rollouts``
+    (``docs/DECODING.md``) cap the payload knobs of the same name.
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
@@ -374,105 +191,56 @@ def create_backend(pipeline: Ratatouille,
     tracer = tracer if tracer is not None else get_tracer()
     jobs = job_queue or JobQueue(workers=1, max_pending=16, registry=registry)
     if isinstance(draft, str):
-        spec = draft
-        order = 3
-        if ":" in spec:
-            kind, _, suffix = spec.partition(":")
-            order = int(suffix)
-        else:
-            kind = spec
+        kind, colon, order = draft.partition(":")
         if kind != "ngram":
             raise ValueError(f"unknown draft spec {draft!r}")
-        draft = pipeline.build_draft(order=order)
+        draft = pipeline.build_draft(order=int(order) if colon else 3)
     if speculative_k < 0 or speculative_k > MAX_SPECULATIVE_K:
         raise ValueError(
             f"speculative_k must be in [0, {MAX_SPECULATIVE_K}]")
-    journal = JobJournal(journal_dir) if journal_dir is not None else None
-    spill = None
-    if spill_dir is not None:
-        if replicas > 1:
-            spill = FleetCacheSpill(spill_dir, model=pipeline.model)
-        else:
-            spill = CacheSpill(spill_dir, model=pipeline.model)
-    if engine is None and use_engine:
-        if replicas > 1:
-            def _engine_factory(name: str) -> InferenceEngine:
-                return InferenceEngine(pipeline.model, registry=registry,
-                                       tracer=tracer, draft=draft, name=name)
-            cluster_config = ClusterConfig(
-                replicas=replicas,
-                affinity_tokens=affinity_tokens,
-                fleet_cache=fleet_cache,
-                publish_tokens=publish_tokens,
-                watermark_tokens=(resilience.shed_watermark_tokens or None
-                                  if resilience is not None else None),
-                tokens_per_second_hint=(
-                    resilience.tokens_per_second_hint
-                    if resilience is not None
-                    else ClusterConfig.tokens_per_second_hint),
-                max_restarts=(resilience.max_restarts
-                              if resilience is not None
-                              else ClusterConfig.max_restarts),
-                restart_backoff_seconds=(
-                    resilience.restart_backoff_seconds
-                    if resilience is not None
-                    else ClusterConfig.restart_backoff_seconds))
-            engine = Router(_engine_factory, cluster_config,
-                            registry=registry, tracer=tracer, spill=spill)
-        elif resilience is not None and resilience.supervise:
-            def _factory() -> InferenceEngine:
-                return InferenceEngine(pipeline.model, registry=registry,
-                                       tracer=tracer, draft=draft)
-            fallback = (sequential_fallback(pipeline.model)
-                        if resilience.degraded_fallback else None)
-            engine = EngineSupervisor(
-                _factory,
-                max_restarts=resilience.max_restarts,
-                backoff_seconds=resilience.restart_backoff_seconds,
-                fallback=fallback,
-                registry=registry,
-                spill=spill)
-        else:
-            engine = InferenceEngine(pipeline.model, registry=registry,
-                                     tracer=tracer, draft=draft)
-            if spill is not None:
-                try:
-                    spill.load_into(engine.prefix_cache)
-                except Exception:  # noqa: BLE001 - corrupt spill => cold
-                    pass
-    supervisor = engine if isinstance(engine, EngineSupervisor) else None
-    router = engine if isinstance(engine, Router) else None
-    default_deadline_ms = (resilience.default_deadline_ms
-                           if resilience is not None else None)
-    # With no draft fitted, a server-level speculative_k would silently
-    # decode sequentially; zero it so /api/health tells the truth.
-    default_speculative_k = speculative_k if draft is not None else 0
     if retrieve_k < 0 or retrieve_k > MAX_RETRIEVE_K:
         raise ValueError(f"retrieve_k must be in [0, {MAX_RETRIEVE_K}]")
     if retrieve_k > 0 and retrieval_index is None:
         raise ValueError("retrieve_k > 0 requires a retrieval_index")
-    default_retrieve_k = retrieve_k if retrieval_index is not None else 0
+    journal = JobJournal(journal_dir) if journal_dir is not None else None
+    spill = None
+    if spill_dir is not None:
+        spill_type = FleetCacheSpill if replicas > 1 else CacheSpill
+        spill = spill_type(spill_dir, model=pipeline.model)
+    # A default-constructed config is inert, so "no resilience" and
+    # "resilience with nothing set" build the same backend.
+    knobs = resilience or ResilienceConfig()
+    engine = engine or _build_engine(
+        pipeline, registry, tracer, draft, knobs, replicas, affinity_tokens,
+        fleet_cache, publish_tokens, spill)
+    supervisor = engine if isinstance(engine, EngineSupervisor) else None
+    router = engine if isinstance(engine, Router) else None
     retrieval_shed = None
-    retrieval_degradations = None
     if retrieval_index is not None:
         retrieval_index.set_registry(registry)
         retrieval_shed = registry.counter(
             "retrieval_shed_total",
             help="Search requests shed by admission control")
-        retrieval_degradations = registry.counter(
-            "retrieval_degraded_total",
-            help="Generations that degraded to un-conditioned output "
-                 "because a retrieval lookup failed")
     # The router does its own fleet-level admission (shed only when
     # every replica is past watermark) — a single-queue gate in front
     # of it would shed spillable load.
     admission: Optional[AdmissionController] = None
-    if (router is None and resilience is not None
-            and resilience.shed_watermark_tokens):
+    if router is None and knobs.shed_watermark_tokens:
         admission = AdmissionController(
-            resilience.shed_watermark_tokens,
-            tokens_per_second_hint=resilience.tokens_per_second_hint,
+            knobs.shed_watermark_tokens,
+            tokens_per_second_hint=knobs.tokens_per_second_hint,
             registry=registry)
+    service = GenerationService(
+        pipeline, engine, catalog=catalog, registry=registry,
+        admission=admission, retrieval_index=retrieval_index,
+        default_retrieve_k=retrieve_k,
+        default_deadline_ms=knobs.default_deadline_ms,
+        # With no draft fitted, a server-level speculative_k would
+        # silently decode sequentially; zero it so /api/health tells
+        # the truth.
+        default_speculative_k=speculative_k if draft is not None else 0,
+        max_new_tokens_cap=max_new_tokens_cap,
+        max_mcts_rollouts=max_mcts_rollouts)
     app = App(name="ratatouille-backend")
     app.engine = engine
     app.router = router
@@ -494,201 +262,12 @@ def create_backend(pipeline: Ratatouille,
     #: finished in a *previous* process but whose results must stay
     #: fetchable via ``GET /api/job``.
     restored: Dict[str, dict] = {}
-    lifecycle = {"draining": False, "shutdown": None}
-
-    def _admit(cost: int) -> Optional[Response]:
-        """Acquire admission; a Response means "shed, answer with this".
-
-        With a router the fleet-level gate runs inside dispatch; here
-        we only *probe* it, so an async job that would queue behind a
-        saturated fleet sheds at submit time (503 + Retry-After)
-        instead of failing later inside the job worker.
-
-        A draining server (graceful shutdown in progress) refuses all
-        new work the same way — 503 + ``Retry-After`` — so clients
-        with the standard retry policy land on the replacement process.
-        """
-        if lifecycle["draining"]:
-            return Response.error(
-                "server is draining for shutdown", status=503,
-                headers={"Retry-After": "1"})
-        if router is not None:
-            try:
-                router.check_admission(cost)
-            except OverloadShedError as exc:
-                return Response.error(
-                    str(exc), status=503,
-                    headers={"Retry-After": str(exc.retry_after)})
-            return None
-        if admission is None:
-            return None
-        try:
-            admission.try_acquire(cost)
-        except OverloadShedError as exc:
-            return Response.error(
-                str(exc), status=503,
-                headers={"Retry-After": str(exc.retry_after)})
-        return None
-
-    def _release(cost: int) -> None:
-        if admission is not None:
-            admission.release(cost)
-
-    def _fetch_exemplars(names, count: int):
-        """Retrieve RAG exemplar texts; returns ``(texts, degraded)``.
-
-        Any retrieval failure — an injected fault included — degrades
-        to un-conditioned generation (``(None, True)``); it never
-        propagates, so a broken index cannot fail a generation request.
-        """
-        if count <= 0 or retrieval_index is None:
-            return None, False
-        try:
-            hits = retrieval_index.search_ingredients(names, k=count)
-            return [hit.text for hit in hits], False
-        except Exception:  # noqa: BLE001 - degrade, never fail the request
-            retrieval_degradations.inc()
-            return None, True
-
-    def _generation_payload(recipe, exemplars, retrieval_degraded: bool
-                            ) -> dict:
-        """Recipe payload plus the retrieval surface (payload-only:
-        the novelty score and flags never alter the generation)."""
-        payload = _recipe_payload(recipe)
-        if retrieval_index is None:
-            return payload
-        try:
-            payload["novelty"] = retrieval_index.novelty(
-                recipe.raw_text).to_dict()
-        except Exception:  # noqa: BLE001 - degrade, never fail the request
-            retrieval_degradations.inc()
-            retrieval_degraded = True
-        payload["retrieved_k"] = len(exemplars) if exemplars else 0
-        if retrieval_degraded:
-            payload["retrieval_degraded"] = True
-        return payload
-
-    def _engine_submit(state: dict):
-        """The decode callable constrained generation rolls out through.
-
-        ``None`` when the backend has no engine (the driver falls back
-        to the in-process sequential decoder).  ``state["degraded"]``
-        records a supervisor fallback so the payload can surface it.
-        """
-        if engine is None:
-            return None
-
-        def submit(prompt_ids, cfg, processors, submit_deadline_ms):
-            if supervisor is not None:
-                new_ids, deg = supervisor.generate_ex(
-                    prompt_ids, cfg, processors,
-                    deadline_ms=submit_deadline_ms)
-                if deg:
-                    state["degraded"] = True
-                return new_ids
-            return engine.generate(prompt_ids, cfg, processors,
-                                   deadline_ms=submit_deadline_ms)
-        return submit
-
-    def _run_constrained(names, config, checklist, deadline_ms,
-                         allow_partial: bool, exemplars,
-                         retrieval_degraded: bool) -> dict:
-        """Grammar/constraint/MCTS decoding through the shared driver."""
-        clock = registry.clock
-        start = clock.now()
-        state = {"degraded": False}
-        try:
-            prompt_text, new_ids, config, info = run_constrained_generation(
-                pipeline, names, config, checklist=checklist,
-                exemplars=exemplars, submit=_engine_submit(state),
-                catalog=catalog, retrieval_index=retrieval_index,
-                registry=registry, deadline_ms=deadline_ms)
-        except DeadlineExceededError as exc:
-            if not (allow_partial and exc.tokens):
-                raise
-            # The driver raised before returning the prompt; re-derive
-            # it (prepare_prompt is deterministic given the exemplars).
-            prompt_text = pipeline.prepare_prompt(
-                names, generation=config, checklist=checklist,
-                exemplars=exemplars)[0]
-            recipe = pipeline.finish_recipe(prompt_text, exc.tokens, names,
-                                            elapsed=clock.now() - start)
-            payload = _generation_payload(recipe, exemplars,
-                                          retrieval_degraded)
-            problems = violations(config.constraints, recipe.raw_text,
-                                  catalog)
-            payload["constraints_satisfied"] = not problems
-            payload["partial"] = True
-            payload["deadline_ms"] = exc.deadline_ms
-            return payload
-        recipe = pipeline.finish_recipe(prompt_text, new_ids, names,
-                                        elapsed=clock.now() - start)
-        payload = _generation_payload(recipe, exemplars, retrieval_degraded)
-        payload.update(info)
-        if state["degraded"]:
-            payload["degraded"] = True
-        return payload
-
-    def _run_generation(names, config, checklist, deadline_ms,
-                        allow_partial: bool, retrieve_count: int = 0) -> dict:
-        """Generate through whatever decode path is configured.
-
-        Returns the JSON payload; deadline expiry becomes either a
-        partial recipe (``"partial": true``, when the client opted in
-        and tokens exist) or re-raises for the 504 path.
-        """
-        exemplars, retrieval_degraded = _fetch_exemplars(names,
-                                                         retrieve_count)
-        if config.constraints is not None or config.strategy == "mcts":
-            return _run_constrained(names, config, checklist, deadline_ms,
-                                    allow_partial, exemplars,
-                                    retrieval_degraded)
-        if engine is None:
-            if config.speculative_k > 0 and config.draft is None:
-                config.draft = draft
-            recipe = pipeline.generate(names, generation=config,
-                                       checklist=checklist,
-                                       exemplars=exemplars)
-            return _generation_payload(recipe, exemplars,
-                                       retrieval_degraded)
-        prompt_text, prompt_ids, config, processors = pipeline.prepare_prompt(
-            names, generation=config, checklist=checklist,
-            exemplars=exemplars)
-        clock = registry.clock
-        start = clock.now()
-        degraded = False
-        try:
-            if supervisor is not None:
-                new_ids, degraded = supervisor.generate_ex(
-                    prompt_ids, config, processors, deadline_ms=deadline_ms)
-            else:
-                new_ids = engine.generate(prompt_ids, config, processors,
-                                          deadline_ms=deadline_ms)
-        except DeadlineExceededError as exc:
-            if not (allow_partial and exc.tokens):
-                raise
-            recipe = pipeline.finish_recipe(prompt_text, exc.tokens, names,
-                                            elapsed=clock.now() - start)
-            payload = _generation_payload(recipe, exemplars,
-                                          retrieval_degraded)
-            payload["partial"] = True
-            payload["deadline_ms"] = exc.deadline_ms
-            return payload
-        recipe = pipeline.finish_recipe(prompt_text, new_ids, names,
-                                        elapsed=clock.now() - start)
-        payload = _generation_payload(recipe, exemplars, retrieval_degraded)
-        if degraded:
-            payload["degraded"] = True
-        return payload
+    shutdown_summary: Optional[dict] = None
 
     def _fleet_health() -> dict:
         """Aggregate fleet state; a single engine is a fleet of one."""
         if router is not None:
             return router.fleet_health()
-        if engine is None:
-            # In-process decoding has no serving thread to die.
-            return {"replicas": 1, "healthy": 1, "draining": 0,
-                    "status": "ok"}
         if supervisor is not None:
             state = supervisor.state
             status = {"serving": "ok", "restarting": "degraded"}.get(
@@ -704,10 +283,8 @@ def create_backend(pipeline: Ratatouille,
     def health(request: Request) -> Response:
         fleet = _fleet_health()
         return Response.json({
-            "status": ("draining" if lifecycle["draining"]
-                       else fleet["status"]),
-            "lifecycle": ("draining" if lifecycle["draining"]
-                          else "serving"),
+            "status": "draining" if service.draining else fleet["status"],
+            "lifecycle": "draining" if service.draining else "serving",
             "replicas": fleet["replicas"],
             "healthy": fleet["healthy"],
             "draining": fleet["draining"],
@@ -716,13 +293,13 @@ def create_backend(pipeline: Ratatouille,
             "vocab_size": pipeline.tokenizer.vocab_size,
             "speculative": {
                 "draft": type(draft).__name__ if draft is not None else None,
-                "default_k": default_speculative_k,
+                "default_k": service.default_speculative_k,
             },
             "retrieval": {
                 "enabled": retrieval_index is not None,
                 "documents": (len(retrieval_index)
                               if retrieval_index is not None else 0),
-                "default_k": default_retrieve_k,
+                "default_k": retrieve_k,
             },
             "durability": {
                 "journal": journal is not None,
@@ -744,7 +321,7 @@ def create_backend(pipeline: Ratatouille,
             items = catalog.by_category(category)
         else:
             items = catalog.all()
-        limit = int(request.query.get("limit", ["100"])[0])
+        limit = _parse_limit(request.query.get("limit", ["100"])[0])
         return Response.json({
             "ingredients": [
                 {"name": item.name, "category": item.category}
@@ -754,42 +331,11 @@ def create_backend(pipeline: Ratatouille,
         })
 
     @app.route("/api/generate", methods=("POST",))
+    @_service_errors
     def generate_recipe(request: Request) -> Response:
-        payload = request.json()
-        names, config, checklist = _parse_generation_request(
-            payload, max_new_tokens_cap, default_speculative_k,
-            catalog=catalog, max_mcts_rollouts=max_mcts_rollouts)
-        deadline_ms = _parse_deadline(payload, default_deadline_ms)
-        retrieve_count = _parse_retrieve_k(payload, default_retrieve_k,
-                                           retrieval_index is not None)
-        allow_partial = bool(payload.get("partial", False))
-        cost = _admission_cost(config)
-        shed = _admit(cost)
-        if shed is not None:
-            return shed
-        try:
-            body = _run_generation(names, config, checklist, deadline_ms,
-                                   allow_partial, retrieve_count)
-        except DeadlineExceededError as exc:
-            return Response.error(str(exc), status=504)
-        except EngineQueueFullError as exc:
-            return Response.error(str(exc), status=429)
-        except OverloadShedError as exc:
-            return Response.error(
-                str(exc), status=503,
-                headers={"Retry-After": str(exc.retry_after)})
-        except EngineCrashedError as exc:
-            # The serving replica died mid-request.  502, not 503: the
-            # response is deterministic, so an idempotent resend (the
-            # client RetryPolicy does this) returns the identical
-            # recipe — usually from a healthy replica.
-            return Response.error(str(exc), status=502)
-        except (EngineStoppedError, EngineUnavailableError,
-                NoReplicaAvailableError) as exc:
-            return Response.error(str(exc), status=503)
-        finally:
-            _release(cost)
-        return Response.json(body)
+        generation = service.parse(request.json())
+        service.admit(generation.cost)
+        return Response.json(service.run(generation))
 
     def _forget_idempotency(key: Optional[str], job_id: str) -> None:
         """Undo a provisional key claim when the submit did not stick."""
@@ -829,47 +375,30 @@ def create_backend(pipeline: Ratatouille,
         except Exception:  # noqa: BLE001
             pass
 
-    def _make_work(job_id, names, config, checklist, deadline_ms,
-                   allow_partial, retrieve_count, cost, admitted):
-        """Build the queued callable for one async generation.
-
-        Shared by the live submit path (``admitted=True`` — the
-        admission cost is released when the job resolves, not when it
-        is queued: queued-but-unstarted jobs are exactly the backlog
-        admission control must count) and journal replay
-        (``admitted=False`` — the original process's admission died
-        with it).
-        """
+    def _make_work(job_id: str, generation: GenerationRequest):
+        """The queued callable for a live submit or a journal replay.
+        ``service.run`` releases the admission cost when the job
+        resolves, not when it is queued: queued-but-unstarted jobs are
+        exactly the backlog admission control must count."""
         def work():
             try:
-                result = _run_generation(names, config, checklist,
-                                         deadline_ms, allow_partial,
-                                         retrieve_count)
+                result = service.run(generation)
             except Exception as exc:
                 _journal_completion(job_id, "failed",
                                     error=f"{type(exc).__name__}: {exc}")
                 raise
-            finally:
-                if admitted:
-                    _release(cost)
             _journal_completion(job_id, "done", result=result)
             return result
         return work
 
     @app.route("/api/generate_async", methods=("POST",))
+    @_service_errors
     def generate_async(request: Request) -> Response:
         payload = request.json()
+        generation = service.parse(payload)
         idem_key = request.headers.get("idempotency-key")
         if idem_key is None and payload.get("idempotency_key") is not None:
             idem_key = str(payload["idempotency_key"])
-        names, config, checklist = _parse_generation_request(
-            payload, max_new_tokens_cap, default_speculative_k,
-            catalog=catalog, max_mcts_rollouts=max_mcts_rollouts)
-        deadline_ms = _parse_deadline(payload, default_deadline_ms)
-        retrieve_count = _parse_retrieve_k(payload, default_retrieve_k,
-                                           retrieval_index is not None)
-        allow_partial = bool(payload.get("partial", False))
-        cost = _admission_cost(config)
         # The job id is minted before the journal append so journal and
         # queue agree; the idempotency claim is provisional until the
         # submit sticks (journal failure / full queue releases it).
@@ -899,10 +428,11 @@ def create_backend(pipeline: Ratatouille,
                     {"job_id": existing,
                      "status": _job_status_of(existing),
                      "deduplicated": True}, status=202)
-        shed = _admit(cost)
-        if shed is not None:
+        try:
+            service.admit(generation.cost)
+        except OverloadShedError:
             _forget_idempotency(idem_key, job_id)
-            return shed
+            raise
         if journal is not None:
             try:
                 journal.append_accepted(job_id, payload,
@@ -910,17 +440,15 @@ def create_backend(pipeline: Ratatouille,
             except JournalError as exc:
                 # Cannot make the acknowledgement durable => refuse the
                 # work *before* the 202, never acknowledge-then-lose.
-                _release(cost)
+                service.release(generation.cost)
                 _forget_idempotency(idem_key, job_id)
                 return Response.error(
                     f"journal unavailable: {exc}", status=503,
                     headers={"Retry-After": "1"})
-        work = _make_work(job_id, names, config, checklist, deadline_ms,
-                          allow_partial, retrieve_count, cost, admitted=True)
         try:
-            jobs.submit(work, job_id=job_id)
+            jobs.submit(_make_work(job_id, generation), job_id=job_id)
         except (QueueFullError, RuntimeError, ValueError) as exc:
-            _release(cost)
+            service.release(generation.cost)
             _forget_idempotency(idem_key, job_id)
             # Journaled but never queued: a "rejected" completion stops
             # replay from resurrecting work the client was refused.
@@ -932,155 +460,22 @@ def create_backend(pipeline: Ratatouille,
                              status=202)
 
     @app.route("/api/generate_stream", methods=("POST",))
+    @_service_errors
     def generate_stream(request: Request) -> Response:
-        if engine is None:
-            return Response.error(
-                "streaming requires the serving engine "
-                "(backend started with use_engine=False)", status=503)
-        payload = request.json()
-        names, config, checklist = _parse_generation_request(
-            payload, max_new_tokens_cap, default_speculative_k,
-            catalog=catalog, max_mcts_rollouts=max_mcts_rollouts)
-        deadline_ms = _parse_deadline(payload, default_deadline_ms)
-        retrieve_count = _parse_retrieve_k(payload, default_retrieve_k,
-                                           retrieval_index is not None)
-        if config.strategy == "beam":
-            return Response.error(
-                "beam search cannot stream; use /api/generate")
-        exemplars, retrieval_degraded = _fetch_exemplars(names,
-                                                         retrieve_count)
-        clock = registry.clock
-        start = clock.now()
-        cost = _admission_cost(config)
-        if config.strategy == "mcts":
-            # A tree search has no token stream until the search picks a
-            # winner; run it to completion, then replay the winning
-            # tokens as events so SSE clients keep one wire format.
-            shed = _admit(cost)
-            if shed is not None:
-                return shed
-            state = {"degraded": False}
-
-            def mcts_events():
-                try:
-                    try:
-                        prompt_text, new_ids, cfg, info = (
-                            run_constrained_generation(
-                                pipeline, names, config,
-                                checklist=checklist, exemplars=exemplars,
-                                submit=_engine_submit(state),
-                                catalog=catalog,
-                                retrieval_index=retrieval_index,
-                                registry=registry,
-                                deadline_ms=deadline_ms))
-                        recipe = pipeline.finish_recipe(
-                            prompt_text, new_ids, names,
-                            elapsed=clock.now() - start)
-                    except DeadlineExceededError as exc:
-                        yield {"error": str(exc),
-                               "deadline_exceeded": True,
-                               "tokens_emitted": 0}
-                        return
-                    except Exception as exc:  # noqa: BLE001 - headers sent
-                        yield {"error": str(exc)}
-                        return
-                    for token in new_ids:
-                        yield {"token": int(token),
-                               "text": pipeline.tokenizer.decode(
-                                   [int(token)])}
-                    body = _generation_payload(recipe, exemplars,
-                                               retrieval_degraded)
-                    body.update(info)
-                    if state["degraded"]:
-                        body["degraded"] = True
-                    yield {"done": True, "recipe": body}
-                finally:
-                    _release(cost)
-
-            return Response.event_stream(mcts_events())
-        prompt_text, prompt_ids, config, processors = pipeline.prepare_prompt(
-            names, generation=config, checklist=checklist,
-            exemplars=exemplars)
-        if config.constraints is not None:
-            # Constraint decoding *can* stream: the grammar + phrase
-            # masks ride the engine's logits path token by token (the
-            # text-predicate retry of the non-streaming path is not
-            # available once tokens are on the wire, so the final event
-            # reports ``constraints_satisfied`` honestly instead).
-            processors = build_constrained_processors(
-                pipeline.tokenizer, config, config.constraints,
-                catalog=catalog, registry=registry,
-                user_processors=processors)
-        shed = _admit(cost)
-        if shed is not None:
-            return shed
-        try:
-            handle = engine.submit(prompt_ids, config, processors,
-                                   deadline_ms=deadline_ms)
-        except EngineQueueFullError as exc:
-            _release(cost)
-            return Response.error(str(exc), status=429)
-        except OverloadShedError as exc:
-            _release(cost)
-            return Response.error(
-                str(exc), status=503,
-                headers={"Retry-After": str(exc.retry_after)})
-        except EngineCrashedError as exc:
-            _release(cost)
-            return Response.error(str(exc), status=502)
-        except (EngineStoppedError, EngineUnavailableError,
-                NoReplicaAvailableError) as exc:
-            _release(cost)
-            return Response.error(str(exc), status=503)
-
-        def events():
-            emitted = 0
-            try:
-                try:
-                    for token in handle.tokens():
-                        emitted += 1
-                        yield {"token": int(token),
-                               "text": pipeline.tokenizer.decode([int(token)])}
-                    recipe = pipeline.finish_recipe(
-                        prompt_text, handle.result(), names,
-                        elapsed=clock.now() - start)
-                except DeadlineExceededError as exc:
-                    # headers already sent; the deadline becomes a
-                    # terminal event instead of a 504 status.
-                    yield {"error": str(exc), "deadline_exceeded": True,
-                           "tokens_emitted": emitted}
-                    return
-                except Exception as exc:  # noqa: BLE001 - headers already sent
-                    yield {"error": str(exc)}
-                    return
-                body = _generation_payload(recipe, exemplars,
-                                           retrieval_degraded)
-                if config.constraints is not None:
-                    problems = violations(config.constraints,
-                                          recipe.raw_text, catalog)
-                    body["constraints_satisfied"] = not problems
-                    if problems:
-                        body["constraint_violations"] = problems
-                yield {"done": True, "recipe": body}
-            finally:
-                # Runs on normal completion AND when the framework
-                # closes an abandoned stream (client disconnected):
-                # cancel so the engine does not keep decoding to
-                # max_new_tokens in a batch slot nobody is reading,
-                # and return the admitted work to the gate.
-                _release(cost)
-                if not handle.done:
-                    handle.cancel()
-
-        return Response.event_stream(events())
+        generation = service.parse(request.json())
+        if generation.config.strategy == "beam":
+            raise ValueError("beam search cannot stream; use /api/generate")
+        service.admit(generation.cost)
+        return Response.event_stream(service.stream(generation))
 
     @app.route("/api/search", methods=("POST",))
+    @_service_errors
     def search(request: Request) -> Response:
         if retrieval_index is None:
             return Response.error(
                 "retrieval is not enabled on this server "
                 "(start with repro serve --retrieval)", status=503)
-        payload = request.json()
+        payload = json_object(request.json())
         query = payload.get("query")
         selected = payload.get("ingredients")
         # Validation raises ValueError → the framework's 400 path, the
@@ -1110,10 +505,11 @@ def create_backend(pipeline: Ratatouille,
             raise ValueError(f"'k' must be in [1, {MAX_SEARCH_K}] (got {k})")
         exact = bool(payload.get("exact", False))
         include_text = bool(payload.get("include_text", False))
-        shed = _admit(SEARCH_ADMISSION_COST)
-        if shed is not None:
+        try:
+            service.admit(SEARCH_ADMISSION_COST)
+        except OverloadShedError:
             retrieval_shed.inc()
-            return shed
+            raise
         try:
             hits = retrieval_index.search(query, k=k, exact=exact)
         except Exception as exc:  # noqa: BLE001 - incl. injected faults
@@ -1122,7 +518,7 @@ def create_backend(pipeline: Ratatouille,
             return Response.error(
                 f"retrieval unavailable: {exc}", status=503)
         finally:
-            _release(SEARCH_ADMISSION_COST)
+            service.release(SEARCH_ADMISSION_COST)
         return Response.json({
             "hits": [hit.to_dict(include_text=include_text)
                      for hit in hits],
@@ -1137,14 +533,12 @@ def create_backend(pipeline: Ratatouille,
             return Response.json({"enabled": False})
         return Response.json({
             "enabled": True,
-            "default_retrieve_k": default_retrieve_k,
+            "default_retrieve_k": retrieve_k,
             **retrieval_index.stats(),
         })
 
     @app.route("/api/engine")
     def engine_stats(request: Request) -> Response:
-        if engine is None:
-            return Response.json({"enabled": False})
         return Response.json({"enabled": True, **engine.stats()})
 
     @app.route("/api/cluster")
@@ -1157,7 +551,7 @@ def create_backend(pipeline: Ratatouille,
     def resilience_stats(request: Request) -> Response:
         payload = {
             "enabled": resilience is not None,
-            "default_deadline_ms": default_deadline_ms,
+            "default_deadline_ms": knobs.default_deadline_ms,
             "admission": admission.stats() if admission is not None else None,
             "supervisor": (engine.stats()["supervisor"]
                            if supervisor is not None else None),
@@ -1195,14 +589,14 @@ def create_backend(pipeline: Ratatouille,
     @app.route("/api/suggest", methods=("POST",))
     def suggest(request: Request) -> Response:
         nonlocal pairing
-        payload = request.json()
+        payload = json_object(request.json())
         selected = payload.get("ingredients")
         if not isinstance(selected, list) or not selected:
             return Response.error("'ingredients' must be a non-empty list")
+        limit = _parse_limit(payload.get("limit", 5))
         if pairing is None:
             pairing = PairingGraph(catalog)
-        suggestions = pairing.suggest([str(s) for s in selected],
-                                      limit=int(payload.get("limit", 5)))
+        suggestions = pairing.suggest([str(s) for s in selected], limit=limit)
         return Response.json({
             "suggestions": [
                 {"name": name, "score": round(score, 4)}
@@ -1241,38 +635,32 @@ def create_backend(pipeline: Ratatouille,
                 snap["error"] = record["error"]
             restored[jid] = snap
         replayed = failed = 0
+
+        def fail(jid: str, error: str) -> None:
+            nonlocal failed
+            _journal_completion(jid, "failed", error=error)
+            restored[jid] = {"job_id": jid, "status": "failed",
+                             "error": error, "restored": True}
+            failed += 1
+
         for jid, record in state.incomplete():
-            payload = record.get("request") or {}
             try:
-                names, config, checklist = _parse_generation_request(
-                    payload, max_new_tokens_cap, default_speculative_k,
-                    catalog=catalog, max_mcts_rollouts=max_mcts_rollouts)
-                deadline_ms = _parse_deadline(payload, default_deadline_ms)
-                retrieve_count = _parse_retrieve_k(
-                    payload, default_retrieve_k, retrieval_index is not None)
+                generation = service.parse(record.get("request") or {})
             except ValueError as exc:
                 # Journaled under a different server config (cap,
                 # retrieval) — resolve it rather than crash-loop on it.
-                error = f"replay rejected: {exc}"
-                _journal_completion(jid, "failed", error=error)
-                restored[jid] = {"job_id": jid, "status": "failed",
-                                 "error": error, "restored": True}
-                failed += 1
+                fail(jid, f"replay rejected: {exc}")
                 continue
-            work = _make_work(jid, names, config, checklist, deadline_ms,
-                              bool(payload.get("partial", False)),
-                              retrieve_count, cost=0, admitted=False)
+            # The original process's admission died with it.
+            generation.cost = 0
             try:
                 # block=True: a backlog larger than max_pending must
                 # re-enqueue completely, not lose its tail to a 429.
-                jobs.submit(work, job_id=jid, block=True)
+                jobs.submit(_make_work(jid, generation), job_id=jid,
+                            block=True)
                 replayed += 1
             except Exception as exc:  # noqa: BLE001
-                error = f"replay submit failed: {type(exc).__name__}: {exc}"
-                _journal_completion(jid, "failed", error=error)
-                restored[jid] = {"job_id": jid, "status": "failed",
-                                 "error": error, "restored": True}
-                failed += 1
+                fail(jid, f"replay submit failed: {type(exc).__name__}: {exc}")
         return {"restored": len(restored), "replayed": replayed,
                 "replay_failed": failed,
                 "torn_records": state.torn_records}
@@ -1284,7 +672,7 @@ def create_backend(pipeline: Ratatouille,
     # ------------------------------------------------------------------
     def begin_drain() -> None:
         """Stop admitting new work; in-flight jobs keep running."""
-        lifecycle["draining"] = True
+        service.draining = True
 
     def shutdown_gracefully(deadline_seconds: float = 10.0) -> dict:
         """SIGTERM path: drain, flush durable state, stop the engine.
@@ -1301,29 +689,24 @@ def create_backend(pipeline: Ratatouille,
 
         Idempotent: a second call returns the first call's summary.
         """
-        if lifecycle["shutdown"] is not None:
-            return lifecycle["shutdown"]
-        lifecycle["draining"] = True
+        nonlocal shutdown_summary
+        if shutdown_summary is not None:
+            return shutdown_summary
+        service.draining = True
         drained = jobs.wait_idle(timeout=deadline_seconds)
         leftover = jobs.unfinished
         jobs.shutdown()
         spilled = False
-        if engine is not None:
-            if supervisor is None and router is None:
-                if spill is not None:
-                    try:
-                        spill.save(engine.prefix_cache)
-                        spilled = True
-                    except Exception:  # noqa: BLE001 - next start is cold
-                        pass
-                engine.stop()
-            else:
-                # Supervisor/router stop() spills each serving engine's
-                # cache itself (and skips crashed ones); it records the
-                # real outcome so the summary never claims a warm
-                # snapshot that was not actually written.
-                engine.stop()
-                spilled = getattr(engine, "last_spill_saved", None) is True
+        if spill is not None and supervisor is None and router is None:
+            try:
+                spill.save(engine.prefix_cache)
+                spilled = True
+            except Exception:  # noqa: BLE001 - next start is cold
+                pass
+        engine.stop()
+        # Supervisor/router stop() records the real spill outcome, so
+        # the summary never claims a snapshot that was not written.
+        spilled = spilled or getattr(engine, "last_spill_saved", None) is True
         journal_stats = None
         if journal is not None:
             try:
@@ -1332,10 +715,9 @@ def create_backend(pipeline: Ratatouille,
                 pass
             journal_stats = journal.stats()
             journal.close()
-        summary = {"drained": drained, "jobs_abandoned": leftover,
-                   "spilled": spilled, "journal": journal_stats}
-        lifecycle["shutdown"] = summary
-        return summary
+        shutdown_summary = {"drained": drained, "jobs_abandoned": leftover,
+                            "spilled": spilled, "journal": journal_stats}
+        return shutdown_summary
 
     app.begin_drain = begin_drain
     app.shutdown_gracefully = shutdown_gracefully

@@ -15,18 +15,14 @@ from typing import List, Optional
 from ..core import PipelineConfig, Ratatouille
 from ..resilience import ResilienceConfig
 from ..training import TrainingConfig
-from .backend import create_backend
-from .framework import Server
+from .backend import MAX_MCTS_ROLLOUTS, create_backend
+from .framework import App, Server
 from .frontend import create_frontend
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro.webapp.serve",
-        description="Run a Ratatouille microservice.")
-    sub = parser.add_subparsers(dest="service", required=True)
-
-    backend = sub.add_parser("backend", help="the JSON generation API")
+def add_backend_arguments(backend: argparse.ArgumentParser) -> None:
+    """The backend's flags, declared once for ``serve backend`` and
+    ``repro serve``."""
     backend.add_argument("--port", type=int, default=8000,
                          help="listen port (0 = pick a free one)")
     backend.add_argument("--host", default="127.0.0.1")
@@ -36,11 +32,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="corpus size when training on the fly")
     backend.add_argument("--train-steps", type=int, default=200,
                          help="training steps when no checkpoint is given")
-    backend.add_argument("--engine", action=argparse.BooleanOptionalAction,
-                         default=True,
-                         help="route generation through the continuous-"
-                              "batching serving engine (--no-engine for the "
-                              "in-process decoder)")
     backend.add_argument("--deadline-ms", type=float, default=None,
                          help="default per-request latency budget; expired "
                               "requests get a partial result or 504")
@@ -115,7 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="prefix-cache spill directory: the KV cache "
                               "is snapshotted on clean shutdown and "
                               "mmap-reloaded on the next start")
-    backend.add_argument("--max-mcts-rollouts", type=int, default=None,
+    backend.add_argument("--max-mcts-rollouts", type=int,
+                         default=MAX_MCTS_ROLLOUTS,
                          help="cap on per-request mcts_rollouts for "
                               "strategy=mcts search decoding; admission "
                               "charges max_new_tokens * (1 + rollouts) "
@@ -126,6 +118,14 @@ def build_parser() -> argparse.ArgumentParser:
                               "for in-flight jobs, then flushes journal "
                               "and cache spill and exits 0")
 
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro.webapp.serve",
+        description="Run a Ratatouille microservice.")
+    sub = parser.add_subparsers(dest="service", required=True)
+    add_backend_arguments(
+        sub.add_parser("backend", help="the JSON generation API"))
     frontend = sub.add_parser("frontend", help="the static picker UI")
     frontend.add_argument("--port", type=int, default=8080)
     frontend.add_argument("--host", default="127.0.0.1")
@@ -158,6 +158,57 @@ def _load_or_build_index(pipeline: Ratatouille,
     return index
 
 
+def build_backend(args: argparse.Namespace) -> App:
+    """The backend app for parsed :func:`add_backend_arguments` flags."""
+    if args.checkpoint:
+        pipeline = Ratatouille.load(args.checkpoint)
+    else:
+        print(f"no --checkpoint given; training a demo model "
+              f"({args.train_recipes} recipes, {args.train_steps} steps)",
+              file=sys.stderr)
+        config = PipelineConfig(
+            model_name="distilgpt2",
+            training=TrainingConfig(max_steps=args.train_steps,
+                                    batch_size=8, eval_every=10**9))
+        pipeline = Ratatouille.quickstart(
+            model_name="distilgpt2", num_recipes=args.train_recipes,
+            seed=0, config=config)
+    resilience = None
+    if (args.deadline_ms is not None or args.shed_watermark is not None
+            or args.supervise or args.degraded_fallback):
+        resilience = ResilienceConfig(
+            default_deadline_ms=args.deadline_ms,
+            shed_watermark_tokens=args.shed_watermark,
+            # any resilience flag supervises unless --no-supervise
+            supervise=args.supervise is not False,
+            max_restarts=args.max_restarts,
+            degraded_fallback=args.degraded_fallback)
+    draft = None
+    if args.speculative:
+        print(f"fitting ngram:{args.draft_order} speculative draft on "
+              f"the training corpus", file=sys.stderr)
+        draft = pipeline.build_draft(order=args.draft_order)
+    retrieval_index = None
+    if args.retrieval or args.retrieve_k > 0:
+        retrieval_index = _load_or_build_index(pipeline, args.index_dir)
+    app = create_backend(pipeline, resilience=resilience, draft=draft,
+                         speculative_k=(args.speculative_k
+                                        if args.speculative else 0),
+                         replicas=args.replicas,
+                         affinity_tokens=args.affinity_tokens,
+                         fleet_cache=args.fleet_cache,
+                         publish_tokens=args.publish_tokens,
+                         kernels=(None if args.kernels == "off"
+                                  else args.kernels),
+                         retrieval_index=retrieval_index,
+                         retrieve_k=args.retrieve_k,
+                         journal_dir=args.journal_dir,
+                         spill_dir=args.spill_dir,
+                         max_mcts_rollouts=args.max_mcts_rollouts)
+    app.drain_deadline = args.drain_deadline
+    return app
+
+
 def build_server(argv: List[str]) -> Server:
     """Construct (but do not block on) the requested service.
 
@@ -165,71 +216,12 @@ def build_server(argv: List[str]) -> Server:
     and stop the service programmatically.
     """
     args = build_parser().parse_args(argv)
-    if args.service == "backend":
-        if args.checkpoint:
-            pipeline = Ratatouille.load(args.checkpoint)
-        else:
-            print(f"no --checkpoint given; training a demo model "
-                  f"({args.train_recipes} recipes, {args.train_steps} steps)",
-                  file=sys.stderr)
-            config = PipelineConfig(
-                model_name="distilgpt2",
-                training=TrainingConfig(max_steps=args.train_steps,
-                                        batch_size=8, eval_every=10**9))
-            pipeline = Ratatouille.quickstart(
-                model_name="distilgpt2", num_recipes=args.train_recipes,
-                seed=0, config=config)
-        resilience = None
-        wants_resilience = (args.deadline_ms is not None
-                            or args.shed_watermark is not None
-                            or args.supervise
-                            or args.degraded_fallback)
-        if wants_resilience:
-            supervise = args.supervise
-            if supervise is None:
-                supervise = args.engine  # default on with the engine
-            resilience = ResilienceConfig(
-                default_deadline_ms=args.deadline_ms,
-                shed_watermark_tokens=args.shed_watermark,
-                supervise=bool(supervise and args.engine),
-                max_restarts=args.max_restarts,
-                degraded_fallback=args.degraded_fallback)
-        draft = None
-        speculative_k = 0
-        if args.speculative:
-            print(f"fitting ngram:{args.draft_order} speculative draft on "
-                  f"the training corpus", file=sys.stderr)
-            draft = pipeline.build_draft(order=args.draft_order)
-            speculative_k = args.speculative_k
-        if args.replicas > 1 and not args.engine:
-            raise SystemExit("--replicas requires the serving engine "
-                             "(drop --no-engine)")
-        retrieval_index = None
-        if args.retrieval or args.retrieve_k > 0:
-            retrieval_index = _load_or_build_index(pipeline, args.index_dir)
-        app = create_backend(pipeline, use_engine=args.engine,
-                             resilience=resilience, draft=draft,
-                             speculative_k=speculative_k,
-                             replicas=args.replicas,
-                             affinity_tokens=args.affinity_tokens,
-                             fleet_cache=args.fleet_cache,
-                             publish_tokens=args.publish_tokens,
-                             kernels=(None if args.kernels == "off"
-                                      else args.kernels),
-                             retrieval_index=retrieval_index,
-                             retrieve_k=args.retrieve_k,
-                             journal_dir=args.journal_dir,
-                             spill_dir=args.spill_dir,
-                             **({"max_mcts_rollouts": args.max_mcts_rollouts}
-                                if args.max_mcts_rollouts is not None
-                                else {}))
-        app.drain_deadline = args.drain_deadline
-    else:
-        app = create_frontend(args.backend_url)
+    app = (build_backend(args) if args.service == "backend"
+           else create_frontend(args.backend_url))
     return Server(app, host=args.host, port=args.port)
 
 
-def run_until_signalled(server: Server) -> int:
+def serve(server: Server) -> int:
     """Serve until SIGTERM/SIGINT, then shut down gracefully; returns 0.
 
     The graceful path (``docs/DURABILITY.md``): stop admission (new
@@ -242,6 +234,9 @@ def run_until_signalled(server: Server) -> int:
     import signal
     import threading
 
+    server.start()
+    print(f"serving on {server.url} — SIGTERM/Ctrl+C to stop",
+          file=sys.stderr)
     stop = threading.Event()
 
     def _on_signal(signum, frame):  # noqa: ARG001 - signal signature
@@ -271,11 +266,7 @@ def run_until_signalled(server: Server) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover
-    server = build_server(argv if argv is not None else sys.argv[1:])
-    server.start()
-    print(f"serving on {server.url} — SIGTERM/Ctrl+C to stop",
-          file=sys.stderr)
-    return run_until_signalled(server)
+    return serve(build_server(argv if argv is not None else sys.argv[1:]))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -137,7 +137,7 @@ class TestEveryNamedPoint:
         pipeline = _tiny_pipeline()
         registry = MetricsRegistry()
         index = pipeline.build_retrieval_index(registry=registry)
-        app = create_backend(pipeline, registry=registry, use_engine=False,
+        app = create_backend(pipeline, registry=registry,
                              retrieval_index=index, retrieve_k=2)
 
         def post(path, payload):
@@ -175,6 +175,7 @@ class TestEveryNamedPoint:
             assert response.status == 503
             response = post("/api/search", {"query": "garlic soup", "k": 2})
             assert response.status == 200
+        app.engine.stop()
 
     def test_journal_append_fault_refuses_durably(self, tmp_path):
         from repro.durability import JobJournal, JournalError
@@ -220,8 +221,7 @@ class TestEveryNamedPoint:
         from repro.webapp import Request, create_backend
 
         pipeline = _tiny_pipeline()
-        app = create_backend(pipeline, registry=MetricsRegistry(),
-                             use_engine=False)
+        app = create_backend(pipeline, registry=MetricsRegistry())
 
         def post(payload):
             return app.dispatch(Request(
@@ -248,6 +248,7 @@ class TestEveryNamedPoint:
             assert "search_degraded" not in body
             assert body["search"]["rollouts"] == 3
         assert injector.snapshot()["decoding.reward"]["faults"] == 1
+        app.engine.stop()
 
     def test_all_points_are_exercised_by_this_suite(self):
         # Guard: a new fault point must come with chaos coverage.

@@ -38,7 +38,7 @@ from repro.decoding import (Constraints, GrammarMask, MCTSDecoder, MIN_BUDGET,
 from repro.decoding.constraints import _surface_banned_ids
 from repro.decoding.grammar import CLOSE_COST, S_INSTR_EMPTY
 from repro.decoding.reward import RewardBreakdown
-from repro.webapp.backend import _admission_cost, _parse_generation_request
+from repro.webapp.service import _admission_cost, _parse_generation_request
 
 
 @pytest.fixture(scope="module")

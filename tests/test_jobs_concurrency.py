@@ -84,10 +84,10 @@ class TestBackpressure:
             queue.submit(gate)
             gate.entered.wait(timeout=5)
             queue.submit(lambda: 1)  # fills the only pending slot
-            # use_engine=False: FakePipeline's model cannot back a real
+            # A stub engine: FakePipeline's model cannot back a real
             # serving engine, and this test only exercises the job queue.
             app = create_backend(FakePipeline(), job_queue=queue,
-                                 registry=registry, use_engine=False)
+                                 registry=registry, engine=object())
             request = Request(method="POST", path="/api/generate_async",
                               query={}, headers={},
                               body=b'{"ingredients": ["salt"]}')

@@ -26,7 +26,7 @@ from repro.models.ngram import NGramLanguageModel
 from repro.obs import MetricsRegistry, NullRegistry, NullTracer, render_text
 from repro.serving import EngineConfig, InferenceEngine
 from repro.serving.engine import _state_nbytes
-from repro.webapp.backend import MAX_SPECULATIVE_K, _parse_generation_request
+from repro.webapp.service import MAX_SPECULATIVE_K, _parse_generation_request
 
 VOCAB = 32
 

@@ -158,11 +158,6 @@ class TestServeWiring:
         assert args.replicas == 3
         assert args.affinity_tokens == 16
 
-    def test_replicas_require_the_engine(self):
-        from repro.webapp.serve import build_server
-        with pytest.raises(SystemExit):
-            build_server(["backend", "--replicas", "2", "--no-engine"])
-
     def test_backend_rejects_zero_replicas(self, pipeline):
         with pytest.raises(ValueError):
             create_backend(pipeline, replicas=0)

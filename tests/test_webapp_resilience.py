@@ -47,9 +47,11 @@ def _body(response):
 class TestAdmissionAtHttpLayer:
     @pytest.fixture()
     def app(self, pipeline):
-        return create_backend(
-            pipeline, registry=MetricsRegistry(), use_engine=False,
+        app = create_backend(
+            pipeline, registry=MetricsRegistry(),
             resilience=ResilienceConfig(shed_watermark_tokens=64))
+        yield app
+        app.engine.stop()
 
     def test_generate_sheds_503_with_retry_after(self, app):
         app.admission.try_acquire(60)  # a big request already in flight
@@ -193,8 +195,8 @@ class TestDegradedMode:
 
 class TestResilienceEndpointDisabled:
     def test_defaults_report_disabled(self, pipeline):
-        app = create_backend(pipeline, registry=MetricsRegistry(),
-                             use_engine=False)
+        app = create_backend(pipeline, registry=MetricsRegistry())
         payload = _body(_get(app, "/api/resilience"))
+        app.engine.stop()
         assert payload == {"enabled": False, "default_deadline_ms": None,
                            "admission": None, "supervisor": None}

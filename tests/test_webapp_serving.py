@@ -16,7 +16,8 @@ from repro.preprocess import preprocess
 from repro.recipedb import generate_corpus
 from repro.training import TrainingConfig
 from repro.webapp import ApiError, RatatouilleClient, Server, create_backend
-from repro.webapp.backend import MAX_NEW_TOKENS_CAP, _parse_generation_request
+from repro.webapp.framework import Request
+from repro.webapp.service import MAX_NEW_TOKENS_CAP, _parse_generation_request
 
 
 @pytest.fixture(scope="module")
@@ -64,10 +65,38 @@ class TestValidation:
         {"ingredients": ["x"], "repetition_penalty": 0.5},
         {"ingredients": ["x"], "beam_size": 0},
         {"ingredients": ["x"] * 21},
+        [1],
+        "x",
     ])
     def test_bad_payloads_are_400(self, payload):
         with pytest.raises(ValueError):
             _parse_generation_request(payload)
+
+    @pytest.mark.parametrize("path", [
+        "/api/generate", "/api/generate_async", "/api/generate_stream",
+        "/api/suggest", "/api/search"])
+    @pytest.mark.parametrize("body", [b"[1]", b'"x"'])
+    def test_non_object_body_is_400_on_every_post(self, backend, path, body):
+        response = backend.app.dispatch(Request("POST", path, {}, {}, body))
+        if path == "/api/search":   # no index here: refused before parsing
+            assert response.status == 503
+        else:
+            assert response.status == 400
+            assert b"JSON object" in response.body
+
+    @pytest.mark.parametrize("limit", [None, "many", -1])
+    def test_bad_suggest_limit_is_400(self, backend, limit):
+        body = json.dumps({"ingredients": ["garlic"], "limit": limit})
+        response = backend.app.dispatch(Request(
+            "POST", "/api/suggest", {}, {}, body.encode("utf-8")))
+        assert response.status == 400
+        assert b"'limit'" in response.body
+
+    def test_negative_ingredients_limit_is_400(self, backend):
+        response = backend.app.dispatch(Request(
+            "GET", "/api/ingredients", {"limit": ["-1"]}, {}))
+        assert response.status == 400
+        assert b"'limit'" in response.body
 
     def test_http_status_is_400(self, client):
         with pytest.raises(ApiError) as excinfo:
@@ -193,38 +222,14 @@ class TestStreamCancellation:
 
 
 class TestEngineDisabled:
-    @pytest.fixture(scope="class")
-    def plain_backend(self, pipeline):
-        with Server(create_backend(pipeline, use_engine=False)) as server:
-            yield server
-
-    def test_generate_still_works(self, plain_backend):
-        client = RatatouilleClient(plain_backend.url)
-        recipe = client.generate(["garlic"], seed=1, max_new_tokens=15)
-        assert "instructions" in recipe
-
-    def test_engine_endpoint_reports_disabled(self, plain_backend):
-        assert RatatouilleClient(plain_backend.url).engine_stats() == {
-            "enabled": False}
-
-    def test_health_still_a_fleet_of_one(self, plain_backend):
-        # No serving thread exists to die, so the in-process decoder
-        # reports the same healthy fleet-of-one shape.
-        health = RatatouilleClient(plain_backend.url).health()
-        assert health["status"] == "ok"
-        assert (health["replicas"], health["healthy"],
-                health["draining"]) == (1, 1, 0)
-
-    def test_stream_unavailable_without_engine(self, plain_backend):
-        client = RatatouilleClient(plain_backend.url)
-        with pytest.raises(ApiError) as excinfo:
-            list(client.generate_stream(["garlic"]))
-        assert excinfo.value.status == 503
+    """There is no engine-less backend any more; the sequential decoder
+    survives as the oracle the served path is checked against (the
+    class keeps its name so the test id stays stable)."""
 
     def test_engine_and_plain_agree(self, pipeline, backend):
-        # Same seed through the engine-backed HTTP path and the direct
-        # in-process call: identical recipe (the bit-exactness contract
-        # surfaced at the API level).
+        # Same seed through the HTTP path and the sequential oracle
+        # (Ratatouille.generate): identical recipe — the bit-exactness
+        # contract surfaced at the API level.
         config = GenerationConfig(max_new_tokens=30, top_k=20,
                                   temperature=0.8, seed=33)
         direct = pipeline.generate(["garlic", "onion"], generation=config)
