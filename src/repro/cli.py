@@ -119,8 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated ingredient list (alternative "
                              "to --query)")
     search.add_argument("--k", type=int, default=5)
-    search.add_argument("--exact", action="store_true",
-                        help="brute-force oracle instead of the ANN")
     search.add_argument("--text", action="store_true",
                         help="print the matched recipe texts too")
 
@@ -300,9 +298,7 @@ def cmd_index(args: argparse.Namespace) -> int:
     index.save(args.out)
     stats = index.stats()
     print(f"indexed {stats['documents']} recipes from {source}")
-    print(f"  dim={stats['dim']}  ann: {stats['ann']['tables']} tables x "
-          f"{stats['ann']['bits']} bits, {stats['ann']['buckets']} buckets "
-          f"(max {stats['ann']['max_bucket']})")
+    print(f"  dim={stats['dim']}  vectors: {stats['vector_bytes']} bytes")
     print(f"saved to {args.out}")
     return 0
 
@@ -321,9 +317,8 @@ def cmd_search(args: argparse.Namespace) -> int:
             raise SystemExit("error: --ingredients parsed to an empty list")
         query = query_from_ingredients(names)
     index = RecipeIndex.load(args.index)
-    hits = index.search(query, k=args.k, exact=args.exact)
-    mode = "exact" if args.exact else "ann"
-    print(f"top {len(hits)} of {len(index)} recipes ({mode}):")
+    hits = index.search(query, k=args.k)
+    print(f"top {len(hits)} of {len(index)} recipes:")
     for hit in hits:
         print(f"  {hit.rank + 1:2d}. [{hit.score:.4f}] "
               f"#{hit.doc_id} {hit.title}")

@@ -895,8 +895,7 @@ class Router:
         reference the same ndarrays, so ``unique_bytes`` stays ~1x the
         model size regardless of replica count — the invariant the
         shared-weight kernels exist to provide.  Isolated per-replica
-        models show up as ~N x.  Quantized (int8) copies are counted
-        once per store alongside the fp32 arrays they derive from.
+        models show up as ~N x.
         """
         unique: Dict[int, int] = {}
         models: Dict[int, Any] = {}
@@ -908,7 +907,7 @@ class Router:
                 unique[id(param.data)] = param.data.nbytes
             kernels = getattr(model, "kernels", None)
             if kernels is not None:
-                for arr in kernels.store.all_arrays():
+                for arr in kernels.store.weight_arrays():
                     unique[id(arr)] = arr.nbytes
         return {
             "replicas": len(self._replicas),

@@ -128,7 +128,7 @@ class Ratatouille:
 
     def build_retrieval_index(self, num_recipes: Optional[int] = None,
                               seed: Optional[int] = None,
-                              embedding=None, lsh=None, registry=None):
+                              embedding=None, registry=None):
         """Build a :class:`~repro.retrieval.RecipeIndex` over the corpus.
 
         Like :meth:`build_draft`, regenerates the training corpus from
@@ -143,7 +143,7 @@ class Ratatouille:
             num_recipes if num_recipes is not None else self.config.num_recipes,
             seed=seed if seed is not None else self.config.corpus_seed)
         return RecipeIndex.from_recipes(recipes, embedding=embedding,
-                                        lsh=lsh, registry=registry)
+                                        registry=registry)
 
     # ------------------------------------------------------------------
     # Generation (the web app backend operation)

@@ -30,9 +30,9 @@ mmap'd snapshot therefore behaves exactly like the frozen in-memory
 snapshot it was spilled from, bit for bit.
 
 Snapshots are only valid for the weights that produced them, so
-``meta.json`` records a :func:`model_fingerprint`; a mismatch (new
-checkpoint, different quantization) turns the load into a clean cold
-start instead of serving stale KV state.
+``meta.json`` records a :func:`model_fingerprint` — a digest of the
+checkpoint's parameters; a mismatch (a different checkpoint) turns the
+load into a clean cold start instead of serving stale KV state.
 """
 
 from __future__ import annotations

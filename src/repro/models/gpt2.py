@@ -106,7 +106,7 @@ class GPT2Model(LanguageModel):
     # ------------------------------------------------------------------
     def enable_kernels(self, mode: str = "fp32", store: Optional[WeightStore]
                        = None, freeze: bool = False) -> InferenceKernels:
-        """Attach the buffer-reusing inference kernels (fp32 or int8).
+        """Attach the buffer-reusing inference kernels.
 
         ``store`` shares one weight copy across replicas: pass the
         store from another replica's kernels (or a

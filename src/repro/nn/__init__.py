@@ -10,8 +10,7 @@ attention (:mod:`repro.nn.attention`), optimizers
 
 from . import functional
 from .attention import CausalSelfAttention, KVCache, MLP, TransformerBlock
-from .kernels import (InferenceKernels, QuantizedTensor, WeightStore,
-                      quantize_per_channel)
+from .kernels import InferenceKernels, WeightStore
 from .layers import Dropout, Embedding, LayerNorm, Linear, Sequential
 from .module import Module, ModuleList, Parameter
 from .optim import Adam, AdamW, Optimizer, SGD, clip_grad_norm
@@ -24,8 +23,8 @@ __all__ = [
     "Adam", "AdamW", "CausalSelfAttention", "ConstantLR", "CosineWarmupLR",
     "Dropout", "Embedding", "InferenceKernels", "KVCache", "LayerNorm",
     "Linear", "LinearWarmupLR", "LRSchedule", "LSTM", "LSTMCell", "LSTMState",
-    "MLP", "Module", "ModuleList", "Optimizer", "Parameter", "QuantizedTensor",
-    "SGD", "Sequential", "Tensor", "TransformerBlock", "WeightStore",
+    "MLP", "Module", "ModuleList", "Optimizer", "Parameter", "SGD",
+    "Sequential", "Tensor", "TransformerBlock", "WeightStore",
     "clip_grad_norm", "functional", "is_grad_enabled", "no_grad", "ones",
-    "quantize_per_channel", "schedule_from_name", "tensor", "zeros",
+    "schedule_from_name", "tensor", "zeros",
 ]

@@ -9,22 +9,18 @@ hot-path replacement:
 
 ``WeightStore``
     One read-only copy of a model's inference weights, shareable by
-    reference across any number of replicas/engines.  Lazily builds
-    (and caches — one copy per store, not per replica) the int8
-    per-channel quantized variant.
+    reference across any number of replicas/engines.
 
 ``InferenceKernels``
     The forward pass re-implemented on raw ndarrays with ``out=``
     everywhere, drawing scratch buffers from per-thread workspace
     arenas so steady-state decode performs **zero Python-level array
-    allocation** after warmup.  The ``fp32`` mode is **bit-identical**
-    to the Tensor-graph inference path: it performs the exact same
-    numpy operations, in the same order, at the same shapes and
-    strides, so BLAS sees the same GEMM calls and every equality
-    contract in the serving stack (engine == sequential, speculative
-    verify, fleet failover) holds unchanged.  The ``int8`` mode
-    trades exactness for a ~4x smaller weight working set via
-    per-channel symmetric quantization with dequant-on-GEMM.
+    allocation** after warmup.  It is **bit-identical** to the
+    Tensor-graph inference path: it performs the exact same numpy
+    operations, in the same order, at the same shapes and strides, so
+    BLAS sees the same GEMM calls and every equality contract in the
+    serving stack (engine == sequential, speculative verify, fleet
+    failover) holds unchanged.
 
 Workspace lifecycle (see ``docs/KERNELS.md``): buffers live in two
 step-parity arenas per thread.  A managed caller — the serving
@@ -41,7 +37,6 @@ logits instead, so no lifetime contract leaks out of the engine.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,14 +46,14 @@ from .attention import KVCache, MASK_VALUE
 __all__ = [
     "InferenceKernels",
     "KERNEL_MODES",
-    "QuantizedTensor",
     "WeightStore",
-    "quantize_per_channel",
 ]
 
-KERNEL_MODES = ("fp32", "int8")
+# One mode.  The name survives because callers spell it
+# (``enable_kernels(mode="fp32")``, ``--kernels fp32``); it selects
+# nothing.
+KERNEL_MODES = ("fp32",)
 
-_QMAX = 127.0
 _LN_EPS = 1e-5
 _GELU_C = np.float32(np.sqrt(2.0 / np.pi))
 # Arena blocks are allocated in chunks of at least this many float32
@@ -67,50 +62,8 @@ _GELU_C = np.float32(np.sqrt(2.0 / np.pi))
 _ARENA_BLOCK = 1 << 18
 
 
-# ----------------------------------------------------------------------
-# int8 per-channel quantization
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class QuantizedTensor:
-    """Symmetric int8 weights plus per-channel float32 scales.
-
-    ``q * scale`` recovers the dequantized float32 weights; ``scale``
-    keeps a broadcastable ``keepdims`` shape so the product needs no
-    reshaping.
-    """
-
-    q: np.ndarray
-    scale: np.ndarray
-
-    @property
-    def nbytes(self) -> int:
-        return self.q.nbytes + self.scale.nbytes
-
-    def dequantize(self) -> np.ndarray:
-        return self.q * self.scale
-
-
-def quantize_per_channel(weight: np.ndarray, axis: int = -1) -> QuantizedTensor:
-    """Quantize ``weight`` to int8 with one scale per ``axis`` channel.
-
-    The scale is ``amax / 127`` per channel (symmetric, zero-point
-    free).  All-zero channels get scale 1.0 so they round-trip exactly
-    instead of dividing by zero, and a single-outlier channel only
-    coarsens its own scale — that is the point of per-channel over
-    per-tensor.
-    """
-    w = np.asarray(weight, dtype=np.float32)
-    axis = axis % w.ndim
-    reduce_axes = tuple(i for i in range(w.ndim) if i != axis)
-    amax = np.max(np.abs(w), axis=reduce_axes, keepdims=True)
-    scale = amax / _QMAX
-    scale[amax == 0.0] = 1.0
-    q = np.clip(np.rint(w / scale), -_QMAX, _QMAX).astype(np.int8)
-    return QuantizedTensor(q=q, scale=scale.astype(np.float32))
-
-
 class _BlockWeights:
-    """Per-transformer-block weight references (fp32 or quantized)."""
+    """Per-transformer-block weight references."""
 
     __slots__ = ("ln1_w", "ln1_b", "qkv_w", "qkv_b", "proj_w", "proj_b",
                  "ln2_w", "ln2_b", "fc_w", "fc_b", "out_w", "out_b")
@@ -118,9 +71,6 @@ class _BlockWeights:
     def __init__(self, **arrays: Any) -> None:
         for name in self.__slots__:
             setattr(self, name, arrays[name])
-
-    def gemm_weights(self) -> Tuple[str, ...]:
-        return ("qkv_w", "proj_w", "fc_w", "out_w")
 
 
 # ----------------------------------------------------------------------
@@ -136,10 +86,6 @@ class WeightStore:
     a crashing replica into an immediate error instead of silent
     fleet-wide corruption; :meth:`release` restores writability (for
     example, before resuming training).
-
-    The int8 variant is built lazily by :meth:`quantized` and cached
-    on the store — again one copy per store, shared by every attached
-    replica regardless of fleet size.
     """
 
     def __init__(self, meta: Dict[str, int], wte: np.ndarray, wpe: np.ndarray,
@@ -151,9 +97,6 @@ class WeightStore:
         self.blocks = list(blocks)
         self.ln_f_w = ln_f_w
         self.ln_f_b = ln_f_b
-        self._lock = threading.Lock()
-        self._quantized: Optional[Tuple[QuantizedTensor,
-                                        List[_BlockWeights]]] = None
         self._frozen: List[np.ndarray] = []
         if freeze:
             self.freeze()
@@ -205,47 +148,10 @@ class WeightStore:
     def frozen(self) -> bool:
         return bool(self._frozen)
 
-    # -- quantization ---------------------------------------------------
-    def quantized(self) -> Tuple[QuantizedTensor, List[_BlockWeights]]:
-        """The int8 variant: ``(wte_q, blocks_q)``, built once, cached.
-
-        GEMM weights (qkv/attn-proj/mlp) are quantized per output
-        channel; the token embedding per row (its output channels in
-        the weight-tied head are exactly the vocabulary rows).
-        LayerNorms, biases, and the small position table stay fp32 —
-        they are a rounding error of the weight bytes and quantizing
-        them buys nothing.
-        """
-        with self._lock:
-            if self._quantized is None:
-                wte_q = quantize_per_channel(self.wte, axis=0)
-                blocks_q: List[_BlockWeights] = []
-                for bw in self.blocks:
-                    fields = {name: getattr(bw, name)
-                              for name in bw.__slots__}
-                    for name in bw.gemm_weights():
-                        fields[name] = quantize_per_channel(fields[name],
-                                                            axis=1)
-                    blocks_q.append(_BlockWeights(**fields))
-                for arr in self._int8_arrays(wte_q, blocks_q):
-                    arr.flags.writeable = False
-                self._quantized = (wte_q, blocks_q)
-            return self._quantized
-
-    @staticmethod
-    def _int8_arrays(wte_q: QuantizedTensor,
-                     blocks_q: Sequence[_BlockWeights]) -> Iterator[np.ndarray]:
-        yield wte_q.q
-        yield wte_q.scale
-        for bw in blocks_q:
-            for name in bw.gemm_weights():
-                qt = getattr(bw, name)
-                yield qt.q
-                yield qt.scale
-
     # -- accounting -----------------------------------------------------
     def weight_arrays(self) -> Iterator[np.ndarray]:
-        """Every fp32 weight array the store references."""
+        """Every weight array the store references (for memory
+        accounting: unique ids across a fleet measure true footprint)."""
         yield self.wte
         yield self.wpe
         for bw in self.blocks:
@@ -254,22 +160,9 @@ class WeightStore:
         yield self.ln_f_w
         yield self.ln_f_b
 
-    def all_arrays(self) -> Iterator[np.ndarray]:
-        """fp32 arrays plus any materialized int8 variant (for memory
-        accounting: unique ids across a fleet measure true footprint)."""
-        yield from self.weight_arrays()
-        if self._quantized is not None:
-            yield from self._int8_arrays(*self._quantized)
-
     @property
     def fp32_nbytes(self) -> int:
         return sum(arr.nbytes for arr in self.weight_arrays())
-
-    @property
-    def int8_nbytes(self) -> Optional[int]:
-        if self._quantized is None:
-            return None
-        return sum(arr.nbytes for arr in self._int8_arrays(*self._quantized))
 
 
 # ----------------------------------------------------------------------
@@ -336,9 +229,8 @@ class InferenceKernels:
 
     One instance may be shared by many engines/replicas: weights are
     read-only and workspaces are per-thread, so concurrent engine
-    threads never contend or alias.  ``mode='fp32'`` is bit-identical
-    to the Tensor-graph path; ``mode='int8'`` dequantizes weights
-    per GEMM from the store's shared int8 copy.
+    threads never contend or alias.  Outputs are bit-identical to the
+    Tensor-graph path.
     """
 
     def __init__(self, store: WeightStore, mode: str = "fp32") -> None:
@@ -363,15 +255,8 @@ class InferenceKernels:
                               MASK_VALUE, 0.0).astype(np.float32)
         self._mask.flags.writeable = False
         self._wpe = store.wpe
-        if mode == "int8":
-            wte_q, blocks = store.quantized()
-            self._wte: Any = wte_q
-            self._wte_scale_flat = wte_q.scale.reshape(-1)
-            self._blocks = blocks
-        else:
-            self._wte = store.wte
-            self._wte_scale_flat = None
-            self._blocks = store.blocks
+        self._wte = store.wte
+        self._blocks = store.blocks
         self._ws = _Workspaces()
         self._alloc_lock = threading.Lock()
         self._alloc_count = 0
@@ -410,13 +295,10 @@ class InferenceKernels:
         """Upper bound on arena floats one forward call can consume."""
         d, h, ff, v = self.d_model, self.num_heads, self.d_ff, self.vocab_size
         total = self.context_length
-        per_call = (
+        return (
             batch * time * (3 * d + 2 * ff + 2 * d + v + 3)  # x/ln/qkv/ff/g/...
             + batch * h * time * (total + self.head_dim + 2)  # scores/ctx/stats
             + batch * time * d)  # merged
-        if self.mode == "int8":
-            per_call += (3 * d * d + d * d + 2 * d * ff + v * d)  # dequant
-        return per_call
 
     def _note_alloc(self, nbytes: int) -> None:
         with self._alloc_lock:
@@ -438,7 +320,6 @@ class InferenceKernels:
             "thread_arena_bytes": sum(a.nbytes for a in ws.arenas),
             "weights_frozen": self.store.frozen,
             "weight_fp32_bytes": self.store.fp32_nbytes,
-            "weight_int8_bytes": self.store.int8_nbytes,
         }
 
     # -- arena helpers ---------------------------------------------------
@@ -460,12 +341,8 @@ class InferenceKernels:
         return ws.arenas[ws.parity].take(self, count).reshape(shape)
 
     # -- fused ops (bit-identical to the Tensor-path op sequences) -------
-    def _linear(self, x: np.ndarray, w: Any, b: np.ndarray,
+    def _linear(self, x: np.ndarray, w: np.ndarray, b: np.ndarray,
                 out: np.ndarray) -> np.ndarray:
-        if type(w) is QuantizedTensor:
-            scratch = self._take(w.q.shape)
-            np.multiply(w.q, w.scale, out=scratch)
-            w = scratch
         np.matmul(x, w, out=out)
         np.add(out, b, out=out)
         return out
@@ -521,24 +398,13 @@ class InferenceKernels:
         self._check_ids(ids)
         batch, time = ids.shape
         x = self._take((batch, time, self.d_model))
-        if self._wte_scale_flat is not None:
-            x[...] = self._wte.q[ids]
-            np.multiply(x, np.take(self._wte_scale_flat, ids)[..., None],
-                        out=x)
-        else:
-            np.take(self._wte, ids, axis=0, out=x)
+        np.take(self._wte, ids, axis=0, out=x)
         np.add(x, self._wpe[position:position + time], out=x)
         return x
 
     def _project(self, hidden: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Weight-tied head: ``hidden @ wte.T`` (dequantized for int8)."""
-        if self._wte_scale_flat is not None:
-            scratch = self._take(self._wte.q.shape)
-            np.multiply(self._wte.q, self._wte.scale, out=scratch)
-            wte = scratch
-        else:
-            wte = self._wte
-        np.matmul(hidden, wte.swapaxes(0, 1), out=out)
+        """Weight-tied head: ``hidden @ wte.T``."""
+        np.matmul(hidden, self._wte.swapaxes(0, 1), out=out)
         return out
 
     # -- forward passes ---------------------------------------------------

@@ -1,4 +1,4 @@
-"""The semantic recipe index: embeddings + ANN + novelty + persistence.
+"""The semantic recipe index: embeddings + exact search + novelty.
 
 :class:`RecipeIndex` is the subsystem's facade.  It owns
 
@@ -6,18 +6,20 @@
   ``encode_numbers(format_recipe(...))`` serialization the models
   train on, so queries, corpus and generations share one space);
 * the L2-normalized embedding matrix (:mod:`.embedding`);
-* an ANN structure (:mod:`.ann` multi-probe LSH) **and** the exact
-  brute-force oracle — every search can be answered either way, and
-  ``exact=True`` is both the recall yardstick and the fallback;
+* exact cosine top-k over that matrix (:func:`exact_top_k`: one
+  mat-vec) — the single search path for ``search``,
+  ``search_ingredients`` and ``novelty``.  There is no approximate
+  structure: a memorization score is only as good as its recall, and at
+  every corpus size we serve the mat-vec is also the fastest answer
+  (``docs/LEDGER.md``);
 * the novelty scorer (:mod:`.novelty`): nearest-corpus-neighbour
-  distance of a generated recipe, always computed exactly.
+  distance of a generated recipe.
 
 Persistence is a directory of mmap-friendly flat files::
 
     index_dir/
       vectors.npy   float32 (n, dim) embedding matrix  (np.load mmap)
-      ann.npz       hyperplanes (tables, dim, bits) + codes (tables, n)
-      meta.json     configs, doc ids, titles, layout version
+      meta.json     embedding config, doc ids, titles, layout version
       texts.json    corpus texts (exemplar payload for RAG prompts)
 
 so ``repro serve --retrieval --index-dir d`` restarts warm: the
@@ -36,14 +38,13 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..obs import MetricsRegistry, get_registry
 from ..preprocess import encode_numbers, format_recipe, normalize_text
 from ..resilience.faults import fault_check
-from .ann import ANNResult, BruteForceIndex, LSHConfig, LSHIndex, recall_at_k
 from .embedding import EmbeddingConfig, TextEmbedder
 from .novelty import NoveltyReport
 
@@ -69,6 +70,28 @@ class SearchHit:
         return payload
 
 
+def exact_top_k(vectors: np.ndarray, query: np.ndarray,
+                k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact cosine top-``k``: ``(rows, scores)``, best first.
+
+    One mat-vec over the full L2-normalized matrix.  Ties are broken
+    toward the *lower* row index (argsort is stable on the negated
+    scores), so RecipeDB's near-duplicate synthetic recipes rank the
+    same way on every run and platform.
+    """
+    scores = vectors @ query.astype(np.float32)
+    negated = -scores
+    if 0 < k < scores.shape[0]:
+        # Every row tied with the k-th best stays a candidate, so the
+        # cut itself never chooses among equals — the stable sort does.
+        kth = np.partition(negated, k - 1)[k - 1]
+        part = np.flatnonzero(negated <= kth)
+    else:
+        part = np.arange(scores.shape[0])
+    rows = part[np.argsort(negated[part], kind="stable")][:k]
+    return rows, scores[rows]
+
+
 def recipe_document(recipe) -> str:
     """A recipe's retrieval text: the tagged training serialization."""
     return encode_numbers(format_recipe(recipe))
@@ -90,7 +113,7 @@ class RecipeIndex:
 
     def __init__(self, vectors: np.ndarray, doc_ids: Sequence[int],
                  titles: Sequence[str], texts: Sequence[str],
-                 embedder: TextEmbedder, ann: LSHIndex,
+                 embedder: TextEmbedder,
                  registry: Optional[MetricsRegistry] = None) -> None:
         if not (vectors.shape[0] == len(doc_ids) == len(titles)
                 == len(texts)):
@@ -101,8 +124,6 @@ class RecipeIndex:
         self.titles = list(titles)
         self.texts = list(texts)
         self.embedder = embedder
-        self.ann = ann
-        self.exact = BruteForceIndex(vectors)
         self.set_registry(registry if registry is not None else get_registry())
 
     def set_registry(self, registry: MetricsRegistry) -> None:
@@ -110,13 +131,10 @@ class RecipeIndex:
         self.registry = registry
         self._searches = registry.counter(
             "retrieval_searches_total",
-            help="Index searches by mode (ann or exact)")
+            help="Index lookups by op (search or novelty)")
         self._latency = registry.histogram(
             "retrieval_search_seconds",
-            help="Index search latency by mode")
-        self._candidate_fraction = registry.histogram(
-            "retrieval_candidate_fraction",
-            help="Candidates exact-ranked per ANN search / corpus size")
+            help="Index lookup latency by op")
         self._novelty = registry.histogram(
             "novelty_score",
             help="Novelty (1 - nearest corpus neighbour cosine) of "
@@ -130,23 +148,20 @@ class RecipeIndex:
               doc_ids: Optional[Sequence[int]] = None,
               titles: Optional[Sequence[str]] = None,
               embedding: Optional[EmbeddingConfig] = None,
-              lsh: Optional[LSHConfig] = None,
               registry: Optional[MetricsRegistry] = None) -> "RecipeIndex":
-        """Embed ``texts`` and build the ANN structure over them."""
+        """Embed ``texts`` into the searchable matrix."""
         if not texts:
             raise ValueError("cannot build an index over an empty corpus")
         embedder = TextEmbedder(embedding)
         vectors = embedder.embed_batch(texts)
-        ann = LSHIndex(vectors, lsh)
         doc_ids = list(doc_ids) if doc_ids is not None else list(range(len(texts)))
         titles = list(titles) if titles is not None else [""] * len(texts)
-        return cls(vectors, doc_ids, titles, list(texts), embedder, ann,
+        return cls(vectors, doc_ids, titles, list(texts), embedder,
                    registry=registry)
 
     @classmethod
     def from_recipes(cls, recipes: Sequence,
                      embedding: Optional[EmbeddingConfig] = None,
-                     lsh: Optional[LSHConfig] = None,
                      registry: Optional[MetricsRegistry] = None
                      ) -> "RecipeIndex":
         """Build from :class:`~repro.recipedb.Recipe` records."""
@@ -155,7 +170,7 @@ class RecipeIndex:
             texts,
             doc_ids=[recipe.recipe_id for recipe in recipes],
             titles=[recipe.title for recipe in recipes],
-            embedding=embedding, lsh=lsh, registry=registry)
+            embedding=embedding, registry=registry)
 
     # ------------------------------------------------------------------
     # Search
@@ -163,43 +178,30 @@ class RecipeIndex:
     def __len__(self) -> int:
         return len(self.texts)
 
-    def _query(self, vector: np.ndarray, k: int, exact: bool) -> ANNResult:
-        if exact:
-            return self.exact.query(vector, k)
-        return self.ann.query(vector, k)
+    def search(self, query: str, k: int = 5) -> List[SearchHit]:
+        """Top-``k`` corpus recipes for a free-text query (exact).
 
-    def search(self, query: str, k: int = 5,
-               exact: bool = False) -> List[SearchHit]:
-        """Top-``k`` corpus recipes for a free-text query.
-
-        ``exact=True`` routes through the brute-force oracle (exact
-        answer, O(n)); the default uses the ANN structure.  Raises
-        ``ValueError`` on an empty query or non-positive ``k``.
+        Raises ``ValueError`` on an empty query or non-positive ``k``.
         """
         if not query or not query.strip():
             raise ValueError("query must be a non-empty string")
         if k < 1:
             raise ValueError("k must be >= 1")
         fault_check("retrieval.search")
-        mode = "exact" if exact else "ann"
-        with self._latency.labels(mode=mode).time():
-            vector = self.embedder.embed(query)
-            result = self._query(vector, k, exact)
-        self._searches.labels(mode=mode).inc()
-        if not exact and len(self) > 0:
-            self._candidate_fraction.observe(
-                result.candidates_examined / len(self))
+        with self._latency.labels(op="search").time():
+            rows, scores = exact_top_k(self.vectors,
+                                       self.embedder.embed(query), k)
+        self._searches.labels(op="search").inc()
         return [SearchHit(rank=rank,
                           doc_id=self.doc_ids[row],
                           title=self.titles[row],
-                          score=float(result.scores[rank]),
+                          score=float(scores[rank]),
                           text=self.texts[row])
-                for rank, row in enumerate(result.indices.tolist())]
+                for rank, row in enumerate(rows.tolist())]
 
-    def search_ingredients(self, ingredients: Sequence[str], k: int = 5,
-                           exact: bool = False) -> List[SearchHit]:
-        return self.search(query_from_ingredients(ingredients), k=k,
-                           exact=exact)
+    def search_ingredients(self, ingredients: Sequence[str],
+                           k: int = 5) -> List[SearchHit]:
+        return self.search(query_from_ingredients(ingredients), k=k)
 
     # ------------------------------------------------------------------
     # Novelty
@@ -207,20 +209,21 @@ class RecipeIndex:
     def novelty(self, text: str) -> NoveltyReport:
         """Nearest-corpus-neighbour novelty of a generated recipe.
 
-        Always exact: an ANN miss would overstate novelty precisely for
-        the near-duplicates the score exists to catch.
+        Exact by construction: a missed neighbour would overstate
+        novelty precisely for the near-duplicates the score exists to
+        catch.
         """
         fault_check("retrieval.search")
-        with self._latency.labels(mode="novelty").time():
-            vector = self.embedder.embed(text)
-            result = self.exact.query(vector, 1)
-        self._searches.labels(mode="novelty").inc()
-        if result.indices.shape[0] == 0:
+        with self._latency.labels(op="novelty").time():
+            rows, scores = exact_top_k(self.vectors,
+                                       self.embedder.embed(text), 1)
+        self._searches.labels(op="novelty").inc()
+        if rows.shape[0] == 0:
             report = NoveltyReport(novelty=1.0, similarity=0.0,
                                    nearest_id=None, nearest_title=None)
         else:
-            row = int(result.indices[0])
-            similarity = float(result.scores[0])
+            row = int(rows[0])
+            similarity = float(scores[0])
             report = NoveltyReport(
                 novelty=float(1.0 - np.clip(similarity, 0.0, 1.0)),
                 similarity=similarity,
@@ -235,24 +238,12 @@ class RecipeIndex:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def measure_recall(self, queries: Sequence[str], k: int = 10) -> float:
-        """Mean ANN recall@k against the exact oracle over ``queries``."""
-        if not queries:
-            raise ValueError("at least one query is required")
-        total = 0.0
-        for query in queries:
-            vector = self.embedder.embed(query)
-            total += recall_at_k(self.ann.query(vector, k),
-                                 self.exact.query(vector, k))
-        return total / len(queries)
-
     def stats(self) -> dict:
         return {
             "documents": len(self),
             "dim": int(self.vectors.shape[1]),
             "vector_bytes": int(self.vectors.nbytes),
             "mmap": isinstance(self.vectors, np.memmap),
-            "ann": self.ann.stats(),
         }
 
     # ------------------------------------------------------------------
@@ -277,11 +268,6 @@ class RecipeIndex:
         np.save(tmp_vectors, np.ascontiguousarray(self.vectors))
         fsync_file(tmp_vectors)
         os.replace(tmp_vectors, directory / "vectors.npy")
-        tmp_ann = directory / f".ann.tmp-{os.getpid()}.npz"
-        np.savez(tmp_ann, planes=self.ann.planes,
-                 codes=self.ann.codes, center=self.ann.center)
-        fsync_file(tmp_ann)
-        os.replace(tmp_ann, directory / "ann.npz")
         atomic_write_bytes(
             directory / "texts.json",
             json.dumps(self.texts, ensure_ascii=False).encode("utf-8"))
@@ -289,8 +275,6 @@ class RecipeIndex:
             "version": LAYOUT_VERSION,
             "documents": len(self),
             "embedding": self.embedder.config.to_dict(),
-            "lsh": self.ann.config.to_dict(),
-            "bits": self.ann.bits,
             "doc_ids": self.doc_ids,
             "titles": self.titles,
         }
@@ -305,10 +289,11 @@ class RecipeIndex:
              registry: Optional[MetricsRegistry] = None) -> "RecipeIndex":
         """Load a saved index; ``mmap=True`` maps the vectors read-only.
 
-        The ANN bucket table is rebuilt from the persisted codes (an
-        O(n) dict fill — cheap); nothing is re-embedded, which is the
-        point: a warm restart costs milliseconds, not the corpus
-        embedding pass.
+        Nothing is re-embedded, which is the point: a warm restart
+        costs milliseconds, not the corpus embedding pass.  Only the
+        three files ``save`` writes are read: extra files and extra
+        ``meta.json`` keys (earlier writers of this layout version left
+        some) are ignored.
         """
         directory = Path(directory)
         meta = json.loads((directory / "meta.json").read_text("utf-8"))
@@ -318,25 +303,17 @@ class RecipeIndex:
                 f"supported (expected {LAYOUT_VERSION}); rebuild the index")
         vectors = np.load(directory / "vectors.npy",
                           mmap_mode="r" if mmap else None)
-        with np.load(directory / "ann.npz") as ann_file:
-            planes = ann_file["planes"]
-            codes = ann_file["codes"]
-            center = ann_file["center"]
         embedding = EmbeddingConfig.from_dict(meta["embedding"])
-        lsh_config = LSHConfig.from_dict(meta["lsh"])
         texts = json.loads((directory / "texts.json").read_text("utf-8"))
-        if vectors.shape[0] != len(texts) or codes.shape[1] != len(texts):
+        if vectors.shape[0] != len(texts):
             raise ValueError("index files disagree on corpus size; "
                              "the directory is corrupt — rebuild it")
-        ann = LSHIndex(vectors, lsh_config, planes=planes, codes=codes,
-                       center=center)
         return cls(vectors, meta["doc_ids"], meta["titles"], texts,
-                   TextEmbedder(embedding), ann, registry=registry)
+                   TextEmbedder(embedding), registry=registry)
 
 
 def exists_on_disk(directory) -> bool:
     """True when ``directory`` holds a complete persisted index."""
     directory = Path(directory)
     return all((directory / name).exists()
-               for name in ("vectors.npy", "ann.npz", "meta.json",
-                            "texts.json"))
+               for name in ("vectors.npy", "meta.json", "texts.json"))

@@ -10,9 +10,8 @@ copy, one far from everything is novel.  The score is::
 so ``0.0`` means "bit-for-bit memorized" and values near ``1.0`` mean
 "unlike anything in the corpus".  The same hashed-embedding space the
 search index uses (``docs/RETRIEVAL.md``) makes the score cheap — one
-mat-vec against the corpus matrix — and exact: novelty always uses the
-brute-force oracle, never the ANN approximation, because a missed
-neighbour would *overstate* novelty exactly when it matters most.
+mat-vec against the corpus matrix — and exact: a missed neighbour
+would *overstate* novelty exactly when it matters most.
 """
 
 from __future__ import annotations

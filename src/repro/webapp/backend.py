@@ -168,8 +168,8 @@ def create_backend(pipeline: Ratatouille,
     supervision; with a fleet its knobs apply per replica.  ``draft`` (a
     :class:`~repro.models.DraftModel` or a spec like ``"ngram:3"``) and
     ``speculative_k`` enable speculative decoding (``docs/SERVING.md``);
-    ``kernels`` (``"fp32"`` / ``"int8"``, ``docs/KERNELS.md``) freezes
-    the weights and decodes through the inference kernels.
+    ``kernels="fp32"`` (``docs/KERNELS.md``) freezes the weights and
+    decodes through the inference kernels.
     ``retrieval_index`` (``docs/RETRIEVAL.md``) enables
     ``POST /api/search``, ``retrieve_k`` exemplars per prompt and a
     ``novelty`` score on every generation.  ``journal_dir`` /
@@ -503,15 +503,17 @@ def create_backend(pipeline: Ratatouille,
             raise ValueError(f"'k' must be an integer, got {k!r}")
         if not 1 <= k <= MAX_SEARCH_K:
             raise ValueError(f"'k' must be in [1, {MAX_SEARCH_K}] (got {k})")
-        exact = bool(payload.get("exact", False))
-        include_text = bool(payload.get("include_text", False))
+        include_text = payload.get("include_text", False)
+        if not isinstance(include_text, bool):
+            raise ValueError(
+                f"'include_text' must be a boolean, got {include_text!r}")
         try:
             service.admit(SEARCH_ADMISSION_COST)
         except OverloadShedError:
             retrieval_shed.inc()
             raise
         try:
-            hits = retrieval_index.search(query, k=k, exact=exact)
+            hits = retrieval_index.search(query, k=k)
         except Exception as exc:  # noqa: BLE001 - incl. injected faults
             # A search has nothing to degrade *to* — unlike generation —
             # so a faulted lookup is an explicit 503, never a hang/500.
@@ -523,7 +525,6 @@ def create_backend(pipeline: Ratatouille,
             "hits": [hit.to_dict(include_text=include_text)
                      for hit in hits],
             "k": k,
-            "mode": "exact" if exact else "ann",
             "documents": len(retrieval_index),
         })
 

@@ -323,16 +323,14 @@ class RatatouilleClient:
 
     def search(self, query: Optional[str] = None,
                ingredients: Optional[List[str]] = None, k: int = 5,
-               exact: bool = False,
                include_text: bool = False) -> Dict[str, Any]:
         """Semantic corpus search (``POST /api/search``).
 
         Pass a free-text ``query`` or an ``ingredients`` list (exactly
-        one).  Returns the full response payload — ``hits``, ``mode``
-        and corpus ``documents`` count.
+        one).  Returns the full response payload — ``hits``, ``k`` and
+        the corpus ``documents`` count.
         """
-        payload: Dict[str, Any] = {"k": k, "exact": exact,
-                                   "include_text": include_text}
+        payload: Dict[str, Any] = {"k": k, "include_text": include_text}
         if query is not None:
             payload["query"] = query
         if ingredients is not None:

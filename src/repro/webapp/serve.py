@@ -60,12 +60,12 @@ def add_backend_arguments(backend: argparse.ArgumentParser) -> None:
                               "overrides per request)")
     backend.add_argument("--draft-order", type=int, default=3,
                          help="n-gram order of the speculative draft model")
-    backend.add_argument("--kernels", choices=["off", "fp32", "int8"],
+    backend.add_argument("--kernels", choices=["off", "fp32"],
                          default="off",
-                         help="inference kernel mode: preallocated "
-                              "buffer-reusing decode path with frozen "
-                              "shared weights (fp32 is bit-identical; "
-                              "int8 quantizes the GEMM weights)")
+                         help="fp32 decodes through the preallocated "
+                              "buffer-reusing inference kernels with "
+                              "frozen shared weights (bit-identical to "
+                              "off)")
     backend.add_argument("--replicas", type=int, default=1,
                          help="serve through a fleet of N supervised engine "
                               "replicas behind the prefix-affinity router "

@@ -1,12 +1,13 @@
-"""Chaos: supervisor restart with int8 kernels + retrieval together.
+"""Chaos: supervisor restart with kernels + retrieval together.
 
 The recovery path each subsystem tests alone composes: when the
-supervised engine crashes under a backend running ``--kernels int8``
+supervised engine crashes under a backend running ``--kernels fp32``
 AND ``--retrieval`` at once, the replacement engine must re-attach the
-frozen quantized weights (the fleet-shared model object), the retrieval
-surface must keep serving, and post-recovery generation must be
-bit-identical to pre-crash output — plus the warm spill/journal paths
-must still engage on the eventual clean stop.
+one frozen weight store (the fleet-shared model object), the retrieval
+surface must keep serving, and generation after the restart — and
+after a spill → warm reload — must be bit-identical to the sequential
+decoder (``models.generate``), plus the warm spill/journal paths must
+still engage on the eventual clean stop.
 """
 
 import json
@@ -15,7 +16,8 @@ import time
 import pytest
 
 from repro.core import PipelineConfig, Ratatouille
-from repro.obs import MetricsRegistry
+from repro.models import GenerationConfig, generate
+from repro.obs import MetricsRegistry, NullRegistry, NullTracer
 from repro.resilience import (FaultInjector, FaultSpec, ResilienceConfig,
                               inject_faults)
 from repro.training import TrainingConfig
@@ -24,7 +26,9 @@ from repro.webapp import Request, create_backend
 pytestmark = [pytest.mark.chaos, pytest.mark.durability]
 
 PAYLOAD = {"ingredients": ["garlic", "chicken"], "strategy": "greedy",
-           "max_new_tokens": 8, "seed": 0}
+           "max_new_tokens": 24, "seed": 0}
+RECIPE_FIELDS = ("title", "ingredients", "instructions", "is_valid",
+                 "ingredient_coverage")
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +41,30 @@ def pipeline():
                                 eval_every=10**9))
     return Ratatouille.quickstart(model_name="distilgpt2", num_recipes=30,
                                   seed=0, config=config)
+
+
+@pytest.fixture(scope="module")
+def oracle(pipeline):
+    """PAYLOAD through ``models.generate`` on the Tensor path — computed
+    before any backend attaches kernels to the shared model."""
+    assert pipeline.model.kernels is None
+    prompt_text, prompt_ids, config, processors = pipeline.prepare_prompt(
+        PAYLOAD["ingredients"],
+        generation=GenerationConfig(
+            **{knob: PAYLOAD[knob]
+               for knob in ("strategy", "max_new_tokens", "seed")}))
+    tokens = generate(pipeline.model, prompt_ids, config,
+                      processors=processors, registry=NullRegistry(),
+                      tracer=NullTracer())
+    recipe = pipeline.finish_recipe(prompt_text, tokens,
+                                    PAYLOAD["ingredients"])
+    return {"prompt_ids": prompt_ids, "config": config, "tokens": tokens,
+            "recipe": {name: getattr(recipe, name)
+                       for name in RECIPE_FIELDS}}
+
+
+def _recipe(body):
+    return {name: body[name] for name in RECIPE_FIELDS}
 
 
 def _post(app, path, payload):
@@ -58,19 +86,21 @@ def _wait_for(predicate, timeout=30.0):
     return predicate()
 
 
-def test_supervised_restart_with_kernels_and_retrieval(pipeline, tmp_path):
+def test_supervised_restart_with_kernels_and_retrieval(pipeline, oracle,
+                                                       tmp_path):
     registry = MetricsRegistry()
     index = pipeline.build_retrieval_index(registry=registry)
     app = create_backend(
         pipeline, registry=registry,
         resilience=ResilienceConfig(supervise=True, max_restarts=3,
                                     restart_backoff_seconds=0.01),
-        kernels="int8", retrieval_index=index,
+        kernels="fp32", retrieval_index=index,
         journal_dir=tmp_path / "journal", spill_dir=tmp_path / "spill")
     try:
-        assert pipeline.model.kernels is not None  # int8 path attached
+        assert pipeline.model.kernels is not None  # kernel path attached
 
         baseline = _body(_post(app, "/api/generate", PAYLOAD))
+        assert _recipe(baseline) == oracle["recipe"]
         search = _body(_post(app, "/api/search",
                              {"query": "garlic chicken", "k": 3}))
         assert len(search["hits"]) == 3
@@ -85,11 +115,10 @@ def test_supervised_restart_with_kernels_and_retrieval(pipeline, tmp_path):
         assert _wait_for(lambda: app.engine.state == "serving")
         assert app.engine.engine is not crashed_engine
 
-        # The replacement engine serves the same frozen int8 weights:
-        # recovered output is bit-identical to pre-crash output.
+        # The replacement engine serves the same frozen weights:
+        # recovered output is bit-identical to the sequential decoder.
         recovered = _body(_post(app, "/api/generate", PAYLOAD))
-        for field in ("title", "ingredients", "instructions"):
-            assert recovered[field] == baseline[field]
+        assert _recipe(recovered) == oracle["recipe"]
         assert pipeline.model.kernels is not None
 
         # The retrieval index survived the engine bounce.
@@ -117,13 +146,20 @@ def test_supervised_restart_with_kernels_and_retrieval(pipeline, tmp_path):
     assert summary["journal"]["rotations"] == 1
 
 
-def test_restart_preserves_quantized_weight_sharing(pipeline, tmp_path):
-    registry = MetricsRegistry()
-    app = create_backend(
-        pipeline, registry=registry,
-        resilience=ResilienceConfig(supervise=True, max_restarts=2,
-                                    restart_backoff_seconds=0.01),
-        kernels="int8", journal_dir=tmp_path / "journal")
+def test_restart_and_warm_reload_bit_identical_on_one_weight_store(
+        pipeline, oracle, tmp_path):
+    def backend():
+        return create_backend(
+            pipeline, registry=MetricsRegistry(),
+            resilience=ResilienceConfig(supervise=True, max_restarts=2,
+                                        restart_backoff_seconds=0.01),
+            kernels="fp32", journal_dir=tmp_path / "journal",
+            spill_dir=tmp_path / "spill")
+
+    def served_tokens(app):
+        return app.engine.generate(oracle["prompt_ids"], oracle["config"])
+
+    app = backend()
     try:
         store_before = pipeline.model.kernels.store
         injector = FaultInjector(
@@ -132,7 +168,26 @@ def test_restart_preserves_quantized_weight_sharing(pipeline, tmp_path):
             _post(app, "/api/generate", PAYLOAD)
             assert _wait_for(lambda: app.engine.restarts == 1)
         assert _wait_for(lambda: app.engine.state == "serving")
-        # The replacement did not re-quantize: one shared weight store.
-        assert pipeline.model.kernels.store is store_before
+        # The replacement built no second copy: one shared, still
+        # read-only weight store.
+        assert app.engine.engine.model.kernels.store is store_before
+        assert not any(arr.flags.writeable
+                       for arr in store_before.weight_arrays())
+        assert served_tokens(app) == oracle["tokens"]
+        assert (_recipe(_body(_post(app, "/api/generate", PAYLOAD)))
+                == oracle["recipe"])
     finally:
-        app.shutdown_gracefully()
+        assert app.shutdown_gracefully()["spilled"] is True
+
+    # Warm reload: KV state spilled by the stopped server is served by
+    # the next one, and what it decodes from is still the oracle's.
+    reborn = backend()
+    try:
+        cache = reborn.engine.prefix_cache
+        assert cache.stats.entries > 0
+        assert served_tokens(reborn) == oracle["tokens"]
+        assert cache.stats.hit_tokens > 0
+        assert (_recipe(_body(_post(reborn, "/api/generate", PAYLOAD)))
+                == oracle["recipe"])
+    finally:
+        reborn.shutdown_gracefully()

@@ -1,17 +1,16 @@
 """Unit battery for the inference kernels (``repro.nn.kernels``).
 
-Covers the pieces the property suite treats as a black box: int8
-per-channel quantization round-trips, :class:`WeightStore` sharing and
-freeze semantics, unmanaged copy-out safety, sliding-window equality,
-int8 determinism and quality (perplexity delta vs fp32 on a golden
-recipe corpus), and the zero-allocation workspace regression gate.
+Covers the pieces the property suite treats as a black box:
+:class:`WeightStore` sharing and freeze semantics, unmanaged copy-out
+safety, sliding-window equality, and the zero-allocation workspace
+regression gate.
 """
 
 import numpy as np
 import pytest
 
 from repro.models import GenerationConfig, distilgpt2, generate, word_lstm
-from repro.nn import WeightStore, quantize_per_channel
+from repro.nn import WeightStore
 from repro.obs import NullRegistry, NullTracer
 from repro.serving import EngineConfig, InferenceEngine
 
@@ -34,41 +33,6 @@ def _generate(model, prompt, max_new_tokens=24, **kwargs):
                     registry=NullRegistry(), tracer=NullTracer())
 
 
-class TestQuantizePerChannel:
-    def test_all_zero_channel_round_trips_exactly(self):
-        weight = np.zeros((6, 4), dtype=np.float32)
-        weight[:, 1] = np.linspace(-2.0, 2.0, 6, dtype=np.float32)
-        qt = quantize_per_channel(weight, axis=1)
-        back = qt.dequantize()
-        # Zero channels get scale 1.0, not 0/0: they reconstruct to
-        # exactly zero and the quantizer never divides by zero.
-        assert np.array_equal(back[:, 0], np.zeros(6, dtype=np.float32))
-        assert np.array_equal(back[:, 2:], np.zeros((6, 2), dtype=np.float32))
-        assert qt.q.dtype == np.int8
-
-    def test_single_outlier_channel_error_bounded(self):
-        rng = np.random.default_rng(0)
-        weight = rng.standard_normal((64, 8)).astype(np.float32) * 0.02
-        weight[17, 3] = 50.0  # one outlier stretches channel 3's scale
-        qt = quantize_per_channel(weight, axis=1)
-        back = qt.dequantize()
-        scale = np.abs(weight).max(axis=0) / 127.0
-        # Symmetric rounding: per-channel error is at most half a step.
-        error = np.abs(back - weight)
-        assert np.all(error <= scale[None, :] / 2 + 1e-7)
-        # The outlier itself sits exactly on the top code.
-        assert qt.q[17, 3] == 127
-        assert back[17, 3] == pytest.approx(50.0, rel=1e-6)
-
-    def test_round_trip_error_bounded_generally(self):
-        rng = np.random.default_rng(1)
-        weight = rng.standard_normal((32, 48)).astype(np.float32)
-        for axis in (0, 1):
-            qt = quantize_per_channel(weight, axis=axis)
-            step = qt.scale  # keepdims: broadcasts against weight
-            assert np.all(np.abs(qt.dequantize() - weight) <= step / 2 + 1e-7)
-
-
 class TestWeightStore:
     def test_store_references_model_arrays_without_copy(self):
         model = _model()
@@ -89,13 +53,6 @@ class TestWeightStore:
         assert not store.frozen
         assert model.wte.weight.data.flags.writeable
 
-    def test_quantized_weights_cached_and_read_only(self):
-        store = WeightStore.from_model(_model())
-        wte_q, blocks_q = store.quantized()
-        wte_q2, blocks_q2 = store.quantized()
-        assert wte_q is wte_q2 and blocks_q is blocks_q2
-        assert not wte_q.q.flags.writeable
-
     def test_two_models_can_share_one_store(self):
         owner = _model()
         store = WeightStore.from_model(owner, freeze=True)
@@ -103,7 +60,7 @@ class TestWeightStore:
         twin.enable_kernels("fp32", store=store)
         assert twin.kernels.store is store
         # Sharing a store must not have copied any weight bytes.
-        shared = {id(a) for a in store.all_arrays()}
+        shared = {id(a) for a in store.weight_arrays()}
         assert id(owner.wte.weight.data) in shared
         # disable_kernels on the borrower leaves the owner's freeze.
         twin.disable_kernels()
@@ -158,55 +115,6 @@ class TestKernelDispatch:
         prompt = [1, 2, 3, 4, 5]
         assert (_generate(kernel_model, prompt, max_new_tokens=60)
                 == _generate(tensor_model, prompt, max_new_tokens=60))
-
-
-class TestInt8Kernels:
-    def test_int8_decode_is_deterministic(self):
-        model = _model()
-        model.enable_kernels("int8")
-        prompt = [3, 1, 4, 1, 5]
-        assert (_generate(model, prompt) == _generate(model, prompt))
-
-    def test_int8_logits_close_to_fp32(self):
-        fp32 = _model()
-        fp32.eval()
-        int8 = _model()
-        int8.enable_kernels("int8")
-        ids = np.arange(12).reshape(1, 12) % VOCAB
-        ref = fp32(ids).data
-        quant = int8(ids).data
-        scale = np.abs(ref).max()
-        assert np.abs(quant - ref).max() <= 0.02 * scale
-
-    def test_int8_weight_bytes_smaller_than_fp32(self):
-        model = _model()
-        kernels = model.enable_kernels("int8")
-        stats = kernels.stats()
-        assert 0 < stats["weight_int8_bytes"] < stats["weight_fp32_bytes"]
-
-
-class TestInt8Perplexity:
-    def test_perplexity_delta_within_two_percent(self):
-        # Golden corpus: deterministic synthetic recipes through the
-        # real preprocessing + tokenizer stack.
-        from repro.evaluate import perplexity
-        from repro.preprocess import preprocess
-        from repro.recipedb import generate_corpus
-        from repro.tokenizers import WordTokenizer
-        from repro.training import LMDataset
-
-        texts, _ = preprocess(generate_corpus(12, seed=7))
-        tokenizer = WordTokenizer(texts)
-        dataset = LMDataset(texts, tokenizer, seq_len=64)
-
-        fp32 = distilgpt2(vocab_size=tokenizer.vocab_size, seed=0)
-        fp32.enable_kernels("fp32")
-        int8 = distilgpt2(vocab_size=tokenizer.vocab_size, seed=0)
-        int8.enable_kernels("int8")
-
-        ppl_fp32 = perplexity(fp32, dataset, max_batches=3)
-        ppl_int8 = perplexity(int8, dataset, max_batches=3)
-        assert abs(ppl_int8 - ppl_fp32) / ppl_fp32 <= 0.02
 
 
 class TestWorkspaceReuse:

@@ -1,12 +1,15 @@
 """Crash-atomic retrieval-index persistence (docs/DURABILITY.md).
 
-``RecipeIndex.save`` writes every file to a temp name, fsyncs, and
-``os.replace``s it into place with ``meta.json`` — the completeness
-marker ``exists_on_disk`` checks — landing last.  These tests kill the
-save at its worst moments and assert the invariant the warm-restart
-path relies on: the directory is either a complete loadable index or
-cleanly incomplete, never a torn mix.
+``RecipeIndex.save`` writes each of its three files to a temp name,
+fsyncs, and ``os.replace``s it into place — ``vectors.npy``, then
+``texts.json``, then ``meta.json``, the completeness marker
+``exists_on_disk`` checks, last.  These tests kill the save at its
+worst moments and assert the invariant the warm-restart path relies
+on: the directory is either a complete loadable index or cleanly
+incomplete, never a torn mix.
 """
+
+import os
 
 import pytest
 
@@ -89,7 +92,20 @@ class TestCleanSave:
                      if ".tmp" in path.name]
         assert leftovers == []
         assert sorted(path.name for path in target.iterdir()) == [
-            "ann.npz", "meta.json", "texts.json", "vectors.npy"]
+            "meta.json", "texts.json", "vectors.npy"]
+
+    def test_commit_order_is_vectors_texts_meta(self, index, tmp_path,
+                                                monkeypatch):
+        landed = []
+        real_replace = os.replace
+
+        def recording_replace(src, dst):
+            landed.append(os.path.basename(dst))
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", recording_replace)
+        index.save(tmp_path / "index")
+        assert landed == ["vectors.npy", "texts.json", "meta.json"]
 
     def test_resave_over_complete_index_stays_loadable(self, index,
                                                        tmp_path):
