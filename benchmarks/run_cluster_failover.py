@@ -1,32 +1,31 @@
 """Gate benchmark: the replica fleet loses nothing and wastes no cache.
 
-Two phases, both gated on *deterministic counts* rather than wall
+Three phases, all gated on *deterministic counts* rather than wall
 clock, so the gates are noise-robust by construction (timings are
 reported for context but never gated):
 
-* **affinity** — a prefix-heavy workload (families of requests sharing
+* **cache** — a prefix-heavy workload (families of requests sharing
   a chunk-aligned 32-token head) runs through a single engine and
-  through a 2-replica router.  The router's aggregate prefix-cache
-  hit-token rate must be within 10% of the single engine's: affinity
-  placement keeps each family's prefix warm on exactly one replica
-  instead of duplicating (or missing) it across the fleet.
+  through a 2-replica router.  The fleet's prefix-cache hit-token rate
+  must be within 10% of the single engine's: the replicas serve from
+  one shared cache, so a family's prefix is warm wherever its next
+  request lands.
 
-* **failover** — the same-prefix workload is pinned to its home
-  replica and a seeded :class:`FaultInjector` kills that replica's
-  engine thread mid-batch at concurrency 8.  The gate: **zero** failed
-  requests, and every result bit-identical to the sequential decoder —
-  the router's failover re-dispatches to the survivor and determinism
-  makes the replay invisible.
+* **failover** — the workload is queued on one replica (the other is
+  held out of rotation while it is submitted) and a seeded
+  :class:`FaultInjector` kills that replica's engine thread mid-batch
+  at concurrency 8.  The gate: **zero** failed requests, and every
+  result bit-identical to the sequential decoder — the router's
+  failover re-dispatches to the survivor and determinism makes the
+  replay invisible.
 
 * **rolling restart** — the warm fleet is put through a full
   ``drain → swap → readmit`` cycle on *every* replica, with a
-  :class:`~repro.durability.FleetCacheSpill` attached: each swap
-  spills the drained replica's prefix cache and the replacement
-  engine warm-loads it.  The gate: the post-restart workload's
-  hit-token rate stays ≥ 60% of the steady-state rate (a cold
-  restart sits near 53% on this workload — only the shared heads
-  re-hit; warm reload keeps the full-prompt entries and re-hits
-  everything).
+  :class:`~repro.durability.CacheSpill` attached.  The shared cache
+  outlives every engine swapped under it, so the gate — the
+  post-restart workload's hit-token rate stays ≥ 60% of the
+  steady-state rate — holds without a reload (a fleet restarted cold
+  sits near 53% on this workload: only the shared heads re-hit).
 
 Writes ``benchmarks/results/BENCH_cluster.json``.
 
@@ -48,15 +47,15 @@ import time
 import numpy as np
 
 from repro.cluster import ClusterConfig, Router
-from repro.durability import FleetCacheSpill
+from repro.durability import CacheSpill
 from repro.models import GenerationConfig, distilgpt2, generate
 from repro.obs import MetricsRegistry, NullRegistry, NullTracer
 from repro.resilience import FaultInjector, FaultSpec, inject_faults
 from repro.serving import EngineConfig, InferenceEngine
 
 VOCAB = 64
-AFFINITY_TOKENS = 32       # = the engine's prefill chunk: cacheable head
-FAMILIES = 8               # distinct shared prefixes in the affinity phase
+HEAD_TOKENS = 32           # = the engine's prefill chunk: cacheable head
+FAMILIES = 8               # distinct shared prefixes in the cache phase
 REQUESTS_PER_FAMILY = 3
 PROMPT_TOKENS = 40         # 32 shared + 8 unique per request
 MAX_NEW_TOKENS = 32
@@ -77,11 +76,11 @@ def _family_prompts():
     for family in range(FAMILIES):
         rng = np.random.default_rng(1000 + family)
         head = [int(t) for t in rng.integers(0, VOCAB,
-                                             size=AFFINITY_TOKENS)]
+                                             size=HEAD_TOKENS)]
         for request in range(REQUESTS_PER_FAMILY):
             tail_rng = np.random.default_rng(2000 + family * 100 + request)
             tail = [int(t) for t in tail_rng.integers(
-                0, VOCAB, size=PROMPT_TOKENS - AFFINITY_TOKENS)]
+                0, VOCAB, size=PROMPT_TOKENS - HEAD_TOKENS)]
             prompts.append(head + tail)
     return prompts
 
@@ -96,7 +95,7 @@ def _hit_tokens(stats_snapshot) -> int:
     return int(stats_snapshot["hit_tokens"])
 
 
-def _affinity_phase(model, threshold):
+def _cache_phase(model, threshold):
     """Returns (ok, payload): cluster hit-token rate vs single engine."""
     prompts = _family_prompts()
     prompt_tokens = sum(len(p) for p in prompts)
@@ -116,7 +115,7 @@ def _affinity_phase(model, threshold):
         single.stop()
     single_rate = single_hits / prompt_tokens
 
-    # --- 2-replica router: each family warm on exactly one home ------
+    # --- 2-replica router: one cache, every family warm everywhere ---
     registry = MetricsRegistry()
 
     def factory(name):
@@ -126,22 +125,18 @@ def _affinity_phase(model, threshold):
                                name=name)
 
     cluster_config = ClusterConfig(replicas=2,
-                                   affinity_tokens=AFFINITY_TOKENS,
-                                   saturation_tokens=10**6,
                                    restart_backoff_seconds=0.01,
                                    heartbeat_seconds=0.01)
     with Router(factory, cluster_config, registry=registry,
                 tracer=NullTracer()) as router:
         _run_all(router, prompts)  # warm
         def fleet_hits():
-            return sum(_hit_tokens(replica["prefix_cache"])
-                       for replica in router.stats()["replicas"].values())
+            return _hit_tokens(router.stats()["prefix_cache"])
         before = fleet_hits()
         start = time.perf_counter()
         _run_all(router, prompts)
         cluster_seconds = time.perf_counter() - start
         cluster_hits = fleet_hits() - before
-        affinity_hit_rate = router.stats()["affinity"]["hit_rate"]
         per_replica_dispatches = {
             name: replica["dispatches"]
             for name, replica in router.stats()["replicas"].items()}
@@ -155,7 +150,6 @@ def _affinity_phase(model, threshold):
         "single_engine_hit_token_rate": single_rate,
         "cluster_hit_token_rate": cluster_rate,
         "threshold_fraction_of_single": threshold,
-        "router_affinity_hit_rate": affinity_hit_rate,
         "per_replica_dispatches": per_replica_dispatches,
         "single_seconds": single_seconds,
         "cluster_seconds": cluster_seconds,
@@ -166,7 +160,7 @@ def _affinity_phase(model, threshold):
 def _failover_phase(model):
     """Returns (ok, payload): kill one of two replicas mid-batch."""
     rng = np.random.default_rng(42)
-    head = [int(t) for t in rng.integers(0, VOCAB, size=AFFINITY_TOKENS)]
+    head = [int(t) for t in rng.integers(0, VOCAB, size=HEAD_TOKENS)]
     prompts = [head + [int(t) for t in
                        np.random.default_rng(5000 + i).integers(0, VOCAB,
                                                                 size=4)]
@@ -184,24 +178,25 @@ def _failover_phase(model):
                                name=name)
 
     cluster_config = ClusterConfig(replicas=2,
-                                   affinity_tokens=AFFINITY_TOKENS,
-                                   saturation_tokens=10**6,
                                    restart_backoff_seconds=0.01,
                                    heartbeat_seconds=0.01)
-    # All requests share one head → one home replica serves every
-    # admission.  The CONCURRENCY-th admission's prefix_cache.get (call
-    # index 8 on the injector's deterministic stream) kills the home
-    # engine thread while a full batch is mid-decode.
+    # Every request queues on one replica (the other rejoins as the
+    # survivor once they are in).  The CONCURRENCY-th admission's
+    # prefix_cache.get (call index 8 on the injector's deterministic
+    # stream) kills that replica's engine thread while a full batch is
+    # mid-decode.
     injector = FaultInjector(
         {"prefix_cache.get": FaultSpec(schedule={CONCURRENCY})})
     failed = 0
     results = []
     with Router(factory, cluster_config, registry=registry,
                 tracer=NullTracer()) as router:
-        home = router.affinity_replica(prompts[0])
+        router.drain("r1", timeout=30.0)
         start = time.perf_counter()
         with inject_faults(injector):
             handles = [router.submit(prompt, config) for prompt in prompts]
+            home = handles[0].replica
+            router.readmit("r1")
             for handle in handles:
                 try:
                     results.append(handle.result(timeout=300))
@@ -210,8 +205,7 @@ def _failover_phase(model):
                     results.append(type(error).__name__)
         elapsed = time.perf_counter() - start
         failovers = sum(handle.failovers for handle in handles)
-        stats = router.stats()
-        home_failovers = stats["replicas"][home]["failovers"]
+        home_failovers = router.stats()["replicas"][home]["failovers"]
 
     bit_identical = results == expected
     ok = failed == 0 and bit_identical and failovers >= 1
@@ -229,13 +223,12 @@ def _failover_phase(model):
 
 
 def _rolling_restart_phase(model, threshold):
-    """Returns (ok, payload): spill keeps a rolling restart cache-warm.
+    """Returns (ok, payload): a rolling restart stays cache-warm.
 
     Every replica is drained, swapped (fresh engine) and readmitted.
-    Without the spill the replacement engines start cold and only the
-    shared family heads re-hit; with it, each swap snapshots the
-    drained cache and the replacement warm-loads it, so the
-    post-restart workload hits like steady state.
+    The replacement engines serve from the cache the fleet shares, as
+    the swaps left it, so the post-restart workload hits like steady
+    state; the spill only matters once the whole fleet stops.
     """
     prompts = _family_prompts()
     prompt_tokens = sum(len(p) for p in prompts)
@@ -248,19 +241,16 @@ def _rolling_restart_phase(model, threshold):
                                name=name)
 
     cluster_config = ClusterConfig(replicas=2,
-                                   affinity_tokens=AFFINITY_TOKENS,
-                                   saturation_tokens=10**6,
                                    restart_backoff_seconds=0.01,
                                    heartbeat_seconds=0.01)
     spill_dir = tempfile.mkdtemp(prefix="repro-bench-spill-")
-    spill = FleetCacheSpill(spill_dir, model=model)
+    spill = CacheSpill(spill_dir, model=model)
     try:
         with Router(factory, cluster_config, registry=registry,
                     tracer=NullTracer(), spill=spill) as router:
             def fleet_hits():
-                return sum(_hit_tokens(replica["prefix_cache"])
-                           for replica in router.stats()["replicas"].values())
-            _run_all(router, prompts)       # warm every home cache
+                return _hit_tokens(router.stats()["prefix_cache"])
+            _run_all(router, prompts)       # warm the cache
             before = fleet_hits()
             _run_all(router, prompts)       # steady-state measurement
             steady_hits = fleet_hits() - before
@@ -268,11 +258,11 @@ def _rolling_restart_phase(model, threshold):
             restart_start = time.perf_counter()
             for name in router.replica_names():
                 router.drain(name, timeout=30.0)
-                router.swap(name)           # spill -> fresh engine -> reload
+                router.swap(name)           # fresh engine, same cache
                 router.readmit(name)
             restart_seconds = time.perf_counter() - restart_start
 
-            before = fleet_hits()           # fresh engines: counters at 0
+            before = fleet_hits()
             start = time.perf_counter()
             _run_all(router, prompts)
             warm_seconds = time.perf_counter() - start
@@ -297,7 +287,7 @@ def _rolling_restart_phase(model, threshold):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--affinity-threshold", type=float, default=0.9,
+    parser.add_argument("--cache-threshold", type=float, default=0.9,
                         help="cluster hit-token rate must be at least this "
                              "fraction of the single engine's")
     parser.add_argument("--warm-threshold", type=float, default=0.6,
@@ -308,26 +298,24 @@ def main(argv=None) -> int:
     model = distilgpt2(vocab_size=VOCAB, context_length=256)
     model.eval()
 
-    affinity_ok, affinity = _affinity_phase(model, args.affinity_threshold)
+    cache_ok, cache = _cache_phase(model, args.cache_threshold)
     failover_ok, failover = _failover_phase(model)
     rolling_ok, rolling = _rolling_restart_phase(model, args.warm_threshold)
 
     result = {
-        "affinity": affinity,
+        "cache": cache,
         "failover": failover,
         "rolling_restart": rolling,
-        "pass": affinity_ok and failover_ok and rolling_ok,
+        "pass": cache_ok and failover_ok and rolling_ok,
     }
     RESULTS_PATH.parent.mkdir(exist_ok=True)
     RESULTS_PATH.write_text(json.dumps(result, indent=2) + "\n",
                             encoding="utf-8")
 
-    print(f"affinity: cluster hit-token rate "
-          f"{affinity['cluster_hit_token_rate']:.3f} vs single "
-          f"{affinity['single_engine_hit_token_rate']:.3f} "
-          f"(gate >= {args.affinity_threshold:.0%} of single); "
-          f"router affinity hit rate "
-          f"{affinity['router_affinity_hit_rate']:.0%}")
+    print(f"cache: cluster hit-token rate "
+          f"{cache['cluster_hit_token_rate']:.3f} vs single "
+          f"{cache['single_engine_hit_token_rate']:.3f} "
+          f"(gate >= {args.cache_threshold:.0%} of single)")
     print(f"failover: killed {failover['killed_replica']} mid-batch at "
           f"concurrency {CONCURRENCY}; {failover['failed_requests']} failed "
           f"of {FAILOVER_REQUESTS}, {failover['failovers']} failover(s), "
@@ -337,16 +325,16 @@ def main(argv=None) -> int:
           f"{rolling['steady_hit_token_rate']:.3f} "
           f"(gate >= {args.warm_threshold:.0%} of steady)")
     print(f"[written to {RESULTS_PATH}]")
-    if not affinity_ok:
+    if not cache_ok:
         print("FAIL: cluster prefix-cache hit-token rate below the "
-              "affinity gate", file=sys.stderr)
+              "single-engine gate", file=sys.stderr)
     if not failover_ok:
         print("FAIL: replica kill lost requests or diverged from "
               "sequential decoding", file=sys.stderr)
     if not rolling_ok:
         print("FAIL: rolling drain->swap->readmit came back cold; the "
-              "cache spill did not keep the fleet warm", file=sys.stderr)
-    if not (affinity_ok and failover_ok and rolling_ok):
+              "shared cache did not survive the swaps", file=sys.stderr)
+    if not (cache_ok and failover_ok and rolling_ok):
         return 1
     print("OK: fleet clears all cluster gates")
     return 0

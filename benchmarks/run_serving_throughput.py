@@ -150,7 +150,7 @@ def main(argv=None) -> int:
                 print("FAIL: diagnostic engine output diverged",
                       file=sys.stderr)
                 return 1
-        cache = diag.prefix_cache.stats.snapshot()
+        cache = diag.prefix_cache.stats_snapshot()
     occupancy = registry.histogram("engine_batch_occupancy").labels()
 
     seq_best, eng_best = min(sequential_times), min(engine_times)

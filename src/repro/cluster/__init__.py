@@ -1,17 +1,13 @@
 """``repro.cluster`` — a replicated serving fleet behind one router.
 
-N :class:`~repro.serving.InferenceEngine` replicas, each supervised
-and each with an isolated prefix cache, behind a :class:`Router` that
-does cache-aware prefix-affinity placement (a fleet-wide
-:class:`FleetCacheIndex` of published prefixes, falling back to
-consistent hashing over the prompt's leading chunk), balance-of-two
-spill under saturation, read-through cross-replica KV borrowing,
-fleet-level admission control, transparent bit-identical failover, and
-rolling drain → swap → readmit operations.  See ``docs/CLUSTER.md``.
+N supervised :class:`~repro.serving.InferenceEngine` replicas serving
+from one shared prefix cache, behind a :class:`Router` that places
+each request on the least-queued replica and provides fleet-level
+admission control, transparent bit-identical failover, and rolling
+drain → swap → readmit operations.  See ``docs/CLUSTER.md``.
 """
 
 from .admission import ClusterAdmissionController
-from .fleet_cache import FleetCacheIndex
 from .router import (ClusterConfig, ClusterRequest, NoReplicaAvailableError,
                      Router)
 
@@ -19,7 +15,6 @@ __all__ = [
     "ClusterAdmissionController",
     "ClusterConfig",
     "ClusterRequest",
-    "FleetCacheIndex",
     "NoReplicaAvailableError",
     "Router",
 ]

@@ -1,39 +1,23 @@
 """Replicated serving: N supervised engines behind one router.
 
 A single :class:`~repro.serving.InferenceEngine` is a single point of
-failure and a hard ceiling on concurrency, cache capacity and upgrade
-agility.  ``repro.cluster`` runs N replicas — each its own engine with
-an *isolated* prefix cache, wrapped in its own
-:class:`~repro.resilience.EngineSupervisor` — behind a :class:`Router`
-that mirrors the engine's ``submit`` / ``generate`` / ``stats`` /
-``stop`` surface, so the webapp backend can hold either without
-caring.
+failure and a hard ceiling on concurrency and upgrade agility.
+``repro.cluster`` runs N replicas — each its own engine thread wrapped
+in its own :class:`~repro.resilience.EngineSupervisor` — behind a
+:class:`Router` that mirrors the engine's ``submit`` / ``generate`` /
+``stats`` / ``stop`` surface, so the webapp backend can hold either
+without caring.
 
-Placement is **prefix-affine**: recipe prompts share long prefixes
-(every request starts with the same ``<RECIPE_START>`` /
-ingredient-list scaffold), and a prefix-cache hit is only possible on
-the replica whose trie already holds that path.  The router therefore
-consistent-hashes the first ``affinity_tokens`` prompt ids onto a ring
-of virtual nodes: requests sharing a leading chunk land on the same
-replica, keeping each cache's working set disjoint instead of
-duplicating every prefix N times.  When the affinity target is
-saturated the router spills balance-of-two style to the least-queued
-eligible replica — affinity is a heuristic for cache locality, never a
-correctness constraint, because engine output is bit-identical on
-every replica.
-
-The hash ring knows where a prefix *should* live; the **fleet cache
-tier** (on by default, ``ClusterConfig.fleet_cache``) knows where it
-actually *is*.  Every replica's prefix cache publishes its stored
-prefixes into a shared :class:`FleetCacheIndex`, and placement prefers
-the eligible replica holding the longest published match over the
-static ring — subject to the same saturation load guard, so a hot
-holder still spills balance-of-two.  When placement must divert off
-every holder (saturation, drain, death), the chosen replica *borrows*
-the owner's frozen KV snapshot read-through instead of recomputing
-prefill — safe because frozen :class:`~repro.nn.KVCache` snapshots are
-copy-on-append and weights are already fleet-shared.  See
-``docs/CLUSTER.md`` for tuning and semantics.
+Replicas are threads in one address space: they already share one set
+of weights, and they share **one prefix cache** the same way.  Every
+replica that runs the same model object serves from one
+:class:`~repro.serving.PrefixCache` whose byte budget is replicas x
+the per-engine budget, so a prefix prefilled through any replica is a
+hit on every other — there is nothing to place for, index or move.
+Placement is therefore plain load balancing: the **least-queued**
+admission-eligible live replica, name as tie-break.  Engine output is
+bit-identical on every replica, so where a request lands is never a
+correctness question.  See ``docs/CLUSTER.md``.
 
 That same determinism makes **failover transparent**: a request whose
 replica dies mid-decode is re-dispatched to a survivor and the retried
@@ -43,35 +27,37 @@ consumer side of :class:`ClusterRequest` — the first ``result()`` /
 ``tokens()`` caller to observe the replica's named crash error
 re-dispatches — so there is no extra watcher thread per request; a
 streaming consumer skips the tokens it already delivered, which is
-sound only because the replay emits the identical stream.
+sound only because the replay emits the identical stream.  A crashed
+engine's cache is purged before its replacement serves (the crash may
+have been a poisoned snapshot), shared or not.
 
 Rolling operations: :meth:`Router.drain` stops new admissions to one
 replica and waits for its in-flight work, :meth:`Router.swap` replaces
 the drained replica's engine (new weights, new config — anything the
 factory builds), :meth:`Router.readmit` returns it to rotation.  A
-drain → swap → readmit cycle drops zero requests by construction.
+drain → swap → readmit cycle drops zero requests by construction and
+leaves the shared cache alone; an engine swapped to a *different*
+model object gets a cache of its own, so KV computed by one set of
+weights is never served to another.
 """
 
 from __future__ import annotations
 
-import bisect
-import hashlib
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
                     Set, Tuple)
 
 from ..models import GenerationConfig, LogitsProcessor
 from ..obs import MetricsRegistry, Tracer, get_registry, get_tracer
 from ..resilience.admission import OverloadShedError
-from ..resilience.faults import InjectedFault, fault_check
 from ..resilience.supervisor import EngineSupervisor, EngineUnavailableError
 from ..serving.engine import (DeadlineExceededError, EngineCrashedError,
                               EngineQueueFullError, EngineRequest,
                               EngineStoppedError, InferenceEngine)
+from ..serving.prefix_cache import PrefixCacheStats
 from .admission import ClusterAdmissionController
-from .fleet_cache import FleetCacheIndex
 
 __all__ = ["ClusterConfig", "ClusterRequest", "NoReplicaAvailableError",
            "Router"]
@@ -97,13 +83,6 @@ class ClusterConfig:
     """Fleet knobs (independent of per-engine :class:`EngineConfig`)."""
 
     replicas: int = 2
-    #: Leading prompt ids hashed for placement.  One prefill chunk (32)
-    #: keys on exactly the prefix the cache can reuse; see
-    #: ``docs/CLUSTER.md`` for the tuning trade-off against load skew.
-    affinity_tokens: int = 32
-    #: Queued-token level past which the affinity target spills
-    #: balance-of-two to the least-queued eligible replica.
-    saturation_tokens: int = 1024
     #: Per-replica admission watermark; ``None`` disables shedding.
     watermark_tokens: Optional[int] = None
     tokens_per_second_hint: float = 200.0
@@ -112,34 +91,14 @@ class ClusterConfig:
     max_restarts: int = 3
     restart_backoff_seconds: float = 0.05
     heartbeat_seconds: float = 0.05
-    virtual_nodes: int = 64
-    #: Fleet cache tier: replicas publish cached prefixes into a shared
-    #: :class:`FleetCacheIndex` and placement prefers the replica
-    #: holding the longest published match over the static ring.
-    fleet_cache: bool = True
-    #: Depth cap on published prefixes; deeper entries are still served
-    #: by the owning replica's cache, just never advertised fleet-wide.
-    publish_tokens: int = 128
-    #: Read-through KV borrowing when placement diverts off every
-    #: holder (saturation, drain, death) — the chosen replica copies
-    #: the owner's frozen snapshot instead of recomputing prefill.
-    borrow: bool = True
 
     def validate(self) -> None:
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
-        if self.affinity_tokens < 1:
-            raise ValueError("affinity_tokens must be >= 1")
-        if self.saturation_tokens < 0:
-            raise ValueError("saturation_tokens must be >= 0")
         if self.max_failovers < 0:
             raise ValueError("max_failovers must be >= 0")
-        if self.virtual_nodes < 1:
-            raise ValueError("virtual_nodes must be >= 1")
         if self.heartbeat_seconds <= 0:
             raise ValueError("heartbeat_seconds must be > 0")
-        if self.publish_tokens < 1:
-            raise ValueError("publish_tokens must be >= 1")
 
 
 class _Attempt:
@@ -150,23 +109,6 @@ class _Attempt:
     def __init__(self, replica: "_Replica", handle: EngineRequest) -> None:
         self.replica = replica
         self.handle = handle
-
-
-@dataclass(frozen=True)
-class _Placement:
-    """Why a dispatch landed where it did (drives borrowing + metrics).
-
-    ``reason`` is one of ``affinity`` (landed on the ring home),
-    ``cache`` (diverted to a published-prefix holder), ``spill``
-    (load guard diverted off the preferred target), ``fallback``
-    (home unavailable, no usable holder).  ``depth``/``holders`` echo
-    the fleet index's longest published match for the prompt.
-    """
-
-    reason: str
-    home: str
-    depth: int
-    holders: Tuple[str, ...]
 
 
 class _Replica:
@@ -323,33 +265,6 @@ class _ClusterMetrics:
         self.failovers = registry.counter(
             "cluster_failovers_total",
             help="Re-dispatches after a replica failure, by failed replica")
-        self.affinity_hits = registry.counter(
-            "cluster_affinity_hits_total",
-            help="Dispatches that landed on the prefix-affinity target"
-        ).labels()
-        self.affinity_spills = registry.counter(
-            "cluster_affinity_spills_total",
-            help="Dispatches spilled off the affinity target (saturation, "
-                 "drain, death, or failover exclusion)").labels()
-        self.affinity_hit_rate = registry.gauge(
-            "cluster_affinity_hit_rate",
-            help="Lifetime fraction of dispatches on the affinity target"
-        ).labels()
-        self.placement = registry.counter(
-            "cluster_placement",
-            help="Placement decisions, by reason "
-                 "(affinity|cache|spill|fallback)")
-        self.spill_total = registry.counter(
-            "cluster_spill_total",
-            help="Dispatches diverted off the preferred target by the "
-                 "saturation load guard (balance of two)").labels()
-        self.borrows = registry.counter(
-            "cluster_kv_borrows_total",
-            help="Cross-replica KV snapshot borrows, by borrowing replica")
-        self.borrow_tokens = registry.counter(
-            "cluster_kv_borrow_tokens_total",
-            help="Prompt tokens whose prefill was skipped by borrowing "
-                 "another replica's frozen KV snapshot").labels()
         self.cache_hit_token_rate = registry.gauge(
             "cluster_cache_hit_token_rate",
             help="Fleet-aggregated fraction of looked-up prompt tokens "
@@ -372,7 +287,7 @@ class _ClusterMetrics:
 
 
 class Router:
-    """Prefix-affinity router over N supervised engine replicas.
+    """Least-queued router over N supervised engine replicas.
 
     Parameters
     ----------
@@ -381,15 +296,19 @@ class Router:
         each engine — and again on supervisor restarts and
         :meth:`swap`.  Pass the name through to
         ``InferenceEngine(name=...)`` so metric series carry the
-        per-replica ``engine=`` / ``cache=`` labels.
+        per-replica ``engine=`` / ``cache=`` labels.  The router points
+        each engine it is handed at the cache its model's replicas
+        share (:meth:`_share_cache`).
     config:
         :class:`ClusterConfig`; the default runs two replicas.
     spill:
-        Optional :class:`~repro.durability.FleetCacheSpill`-shaped
-        object (``for_replica(name)``).  Each replica's supervisor gets
-        its own per-replica spill directory, so restarts, ``swap`` and
-        process restarts reload that replica's own prefix working set —
-        warm caches stay disjoint exactly like the live ones.
+        Optional :class:`~repro.durability.CacheSpill`-shaped object
+        (``load_into(cache)`` / ``save(cache)``, optionally ``model``).
+        The shared cache is warm-loaded from it whenever an engine is
+        built on it empty — fleet start, after a crash purge — and
+        saved once by a clean :meth:`stop`, in the layout a single
+        engine writes.  A spill that names a ``model`` only ever
+        touches the cache of replicas running that model object.
     """
 
     def __init__(self, engine_factory: Callable[[str], InferenceEngine],
@@ -400,9 +319,9 @@ class Router:
         self.config = config or ClusterConfig()
         self.config.validate()
         self.spill = spill
-        #: Whether :meth:`stop` wrote at least one replica's warm
-        #: snapshot; ``None`` until stop runs or when no spill is
-        #: configured (mirrors ``EngineSupervisor.last_spill_saved``).
+        #: Whether :meth:`stop` wrote the warm snapshot; ``None`` until
+        #: stop runs or when no spill is configured (mirrors
+        #: ``EngineSupervisor.last_spill_saved``).
         self.last_spill_saved: Optional[bool] = None
         self.registry = registry if registry is not None else get_registry()
         self.tracer = tracer if tracer is not None else get_tracer()
@@ -412,18 +331,16 @@ class Router:
             watermark_tokens=self.config.watermark_tokens,
             tokens_per_second_hint=self.config.tokens_per_second_hint,
             registry=self.registry)
-        #: Shared fleet-wide prefix index; built before the replicas so
-        #: the bound factories can attach each engine's cache to it.
-        self.fleet_index: Optional[FleetCacheIndex] = (
-            FleetCacheIndex(publish_tokens=self.config.publish_tokens)
-            if self.config.fleet_cache else None)
+        #: The engine most recently built for each replica, i.e. who
+        #: serves from which cache.
+        self._engines: Dict[str, InferenceEngine] = {}
+        self._cache_lock = threading.Lock()
         self._replicas: Dict[str, _Replica] = {}
         for index in range(self.config.replicas):
             name = f"r{index}"
             factory = self._bind_factory(engine_factory, name)
             self._replicas[name] = _Replica(
-                name, self._build_supervisor(factory, name), factory)
-        self._ring = self._build_ring(list(self._replicas))
+                name, self._build_supervisor(factory), factory)
         self._next_id = 0
         self._id_lock = threading.Lock()
         self._stop_event = threading.Event()
@@ -439,83 +356,64 @@ class Router:
                       name: str) -> Callable[[], InferenceEngine]:
         def build() -> InferenceEngine:
             engine = engine_factory(name)
-            self._attach_fleet_cache(name, engine)
+            self._share_cache(name, engine)
+            self._warm_load(engine)
             return engine
         return build
 
-    def _attach_fleet_cache(self, name: str,
-                            engine: InferenceEngine) -> None:
-        """Wire a fresh engine's prefix cache into the fleet index.
+    def _share_cache(self, name: str, engine: InferenceEngine) -> None:
+        """Serve a fresh engine from the cache its model's replicas share.
 
         Runs on every engine build — construction, supervisor restarts
-        and :meth:`swap` — so the index always tracks the *live* cache:
-        attaching drops the replica's stale entries and invalidates the
-        old cache's publisher.  The supervisor's warm reload happens
-        after the factory returns, so spilled entries re-publish
-        through the listener as they are re-inserted.
+        and :meth:`swap` — before the engine is handed a request.  The
+        engine joins the cache of any engine (its own predecessor
+        included) that runs the *same model object* with the same
+        prefill chunking.  One that finds none — the first replica, a
+        swap to other weights — keeps the empty cache it was built
+        with, so KV computed by one set of weights is never visible to
+        another; its budget grows to replicas x the per-engine budget,
+        the capacity the fleet had as N private caches.  A cache dies
+        with its last engine.
         """
-        if self.fleet_index is None:
-            return
-        cache = getattr(engine, "prefix_cache", None)
-        if cache is None:
-            return
-        cache.listener = self.fleet_index.attach(name, cache)
+        with self._cache_lock:
+            peer = next((peer for peer in self._engines.values()
+                         if peer.model is engine.model
+                         and peer.config.prefill_chunk
+                         == engine.config.prefill_chunk), None)
+            if peer is not None:
+                engine.prefix_cache = peer.prefix_cache
+            else:
+                engine.prefix_cache.max_bytes *= self.config.replicas
+            self._engines[name] = engine
 
-    def _build_supervisor(self, factory: Callable[[], InferenceEngine],
-                          name: str) -> EngineSupervisor:
+    def _spill_serves(self, engine: InferenceEngine) -> bool:
+        """Whether the spill's snapshots are this engine's model's KV."""
+        model = getattr(self.spill, "model", None)
+        return self.spill is not None and (model is None
+                                           or model is engine.model)
+
+    def _warm_load(self, engine: InferenceEngine) -> None:
+        """Best-effort warm load of an *empty* cache ``engine`` serves from."""
+        if self._spill_serves(engine) and len(engine.prefix_cache) == 0:
+            try:
+                self.spill.load_into(engine.prefix_cache)
+            except Exception:  # noqa: BLE001 - corrupt spill => cold start
+                pass
+
+    def _build_supervisor(self, factory: Callable[[], InferenceEngine]
+                          ) -> EngineSupervisor:
         # No sequential fallback: the fleet's degraded mode is another
-        # replica, which is both faster and bit-identical.
-        replica_spill = (self.spill.for_replica(name)
-                         if self.spill is not None else None)
+        # replica, which is both faster and bit-identical.  No spill:
+        # the cache outlives any one engine; the router loads and saves.
         return EngineSupervisor(
             factory, max_restarts=self.config.max_restarts,
             backoff_seconds=self.config.restart_backoff_seconds,
             poll_seconds=min(0.02, self.config.heartbeat_seconds),
-            fallback=None, registry=self.registry, spill=replica_spill)
-
-    def _build_ring(self, names: List[str]) -> List[Tuple[int, str]]:
-        ring = [(self._hash(f"{name}#{vnode}".encode("utf-8")), name)
-                for name in names
-                for vnode in range(self.config.virtual_nodes)]
-        ring.sort()
-        return ring
-
-    @staticmethod
-    def _hash(data: bytes) -> int:
-        # Stable across processes (unlike the salted builtin hash), so
-        # a restarted router routes the same prefixes the same way.
-        return int.from_bytes(
-            hashlib.blake2b(data, digest_size=8).digest(), "big")
+            fallback=None, registry=self.registry)
 
     # ------------------------------------------------------------------
     # Placement
     # ------------------------------------------------------------------
-    def _affinity_key(self, prompt_ids: Sequence[int]) -> bytes:
-        head = prompt_ids[:self.config.affinity_tokens]
-        return ",".join(str(int(token)) for token in head).encode("ascii")
-
-    def _ring_order(self, prompt_ids: Sequence[int]) -> List[str]:
-        """Replica names in affinity order for this prompt's leading chunk.
-
-        The first entry is the prompt's *home*; later entries are the
-        deterministic fallback order, so a dead home always spills to
-        the same survivor (keeping spilled prefixes cache-warm too).
-        """
-        point = self._hash(self._affinity_key(prompt_ids))
-        index = bisect.bisect_left(self._ring, (point, ""))
-        order: List[str] = []
-        for offset in range(len(self._ring)):
-            _, name = self._ring[(index + offset) % len(self._ring)]
-            if name not in order:
-                order.append(name)
-                if len(order) == len(self._replicas):
-                    break
-        return order
-
-    def affinity_replica(self, prompt_ids: Sequence[int]) -> str:
-        """The prompt's home replica, ignoring health (for tests/benchmarks)."""
-        return self._ring_order(prompt_ids)[0]
-
     def check_admission(self, cost_tokens: int) -> None:
         """Advisory fleet-admission probe for the HTTP layer.
 
@@ -530,9 +428,9 @@ class Router:
         if queued:
             self.admission.eligible(queued, cost_tokens, record_admit=False)
 
-    def _place(self, prompt_ids: Sequence[int], cost: int,
-               exclude: Set[str], enforce_admission: bool
-               ) -> Tuple[_Replica, _Placement]:
+    def _place(self, cost: int, exclude: Set[str],
+               enforce_admission: bool) -> _Replica:
+        """The least-queued admission-eligible live replica."""
         candidates = {name: replica
                       for name, replica in self._replicas.items()
                       if name not in exclude
@@ -552,111 +450,8 @@ class Router:
             # once; shedding it now would turn a survivable replica
             # death into a dropped request.
             eligible = list(candidates)
-        order = self._ring_order(prompt_ids)
-        home = order[0]
-        eligible_set = set(eligible)
-        # Cache-aware preference: the eligible replica holding the
-        # longest published matching prefix, tie-broken in ring order
-        # (so the home wins when it is itself a holder and cold traffic
-        # keeps the ring's disjoint working sets).
-        depth, holders = ((0, ()) if self.fleet_index is None
-                          else self.fleet_index.longest_match(prompt_ids))
-        target = None
-        if depth > 0:
-            target = next((name for name in order
-                           if name in holders and name in eligible_set), None)
-        if target is not None:
-            reason = "affinity" if target == home else "cache"
-        else:
-            target = next((name for name in order if name in eligible_set),
-                          None)
-            reason = "affinity" if target == home else "fallback"
-        if target is None:
-            chosen = min(eligible, key=lambda name: queued[name])
-            reason = "fallback"
-        elif (queued[target] + cost <= self.config.saturation_tokens
-              or len(eligible) == 1):
-            chosen = target
-        else:
-            # Balance of two: the preferred target is saturated, so
-            # compare it against the least-queued alternative only —
-            # enough to flatten skew without scattering every prefix.
-            alternative = min((name for name in eligible if name != target),
-                              key=lambda name: queued[name])
-            if queued[alternative] < queued[target]:
-                chosen = alternative
-                reason = "spill"
-                self._metrics.spill_total.inc()
-            else:
-                chosen = target
-        self._metrics.placement.labels(reason=reason).inc()
-        if chosen == home:
-            self._metrics.affinity_hits.inc()
-        else:
-            self._metrics.affinity_spills.inc()
-        hits = self._metrics.affinity_hits.value
-        spills = self._metrics.affinity_spills.value
-        self._metrics.affinity_hit_rate.set(hits / (hits + spills))
-        return candidates[chosen], _Placement(reason=reason, home=home,
-                                              depth=depth, holders=holders)
-
-    def _cache_of(self, replica: _Replica):
-        try:
-            return replica.supervisor.prefix_cache
-        except Exception:  # noqa: BLE001 - engine mid-restart or dead
-            return None
-
-    def _maybe_borrow(self, replica: _Replica, placement: _Placement,
-                      prompt_ids: Sequence[int]) -> bool:
-        """Read-through cross-replica KV borrow, best-effort.
-
-        When placement diverted off every holder of the longest
-        published prefix (saturation, drain, death, failover
-        exclusion), copy the owner's frozen snapshot into the chosen
-        replica's cache — marked ``borrowed`` so the spill layer never
-        persists it a second time — instead of recomputing prefill.
-        Sharing the snapshot object is safe because frozen
-        :class:`~repro.nn.KVCache` snapshots are copy-on-append and the
-        cached logits row is read-only by contract.  Every failure mode
-        (owner died, entry evicted since published, injected transfer
-        fault) degrades to a cold prefill, never to a failed request.
-        """
-        if (self.fleet_index is None or not self.config.borrow
-                or placement.depth == 0
-                or replica.name in placement.holders):
-            return False
-        try:
-            fault_check("fleet_cache.borrow")
-        except InjectedFault:
-            return False
-        key = tuple(int(token) for token in prompt_ids[:placement.depth])
-        target_cache = self._cache_of(replica)
-        if target_cache is None:
-            return False
-        if target_cache.match_depth(key) >= placement.depth:
-            return False  # already at least as warm locally
-        for owner_name in placement.holders:
-            owner = self._replicas.get(owner_name)
-            # A draining owner is alive and readable — diverting off it
-            # is precisely the case borrowing exists for; only a dead
-            # owner's cache is off limits.
-            if owner is None or owner.state == "dead":
-                continue
-            owner_cache = self._cache_of(owner)
-            if owner_cache is None:
-                continue
-            found = owner_cache.peek(key)
-            if found is None:
-                continue  # index lag: the owner evicted it after publishing
-            value, nbytes = found
-            # Pin the owner's copy: a fleet-hot prefix that other
-            # replicas borrow should outlive the owner's cold churn.
-            owner_cache.pin(key)
-            if target_cache.insert(key, value, nbytes, borrowed=True):
-                self._metrics.borrows.labels(replica=replica.name).inc()
-                self._metrics.borrow_tokens.inc(placement.depth)
-                return True
-        return False
+        return candidates[min(eligible,
+                              key=lambda name: (queued[name], name))]
 
     # ------------------------------------------------------------------
     # Serving surface (mirrors InferenceEngine)
@@ -710,10 +505,8 @@ class Router:
         exclude: Set[str] = set()
         failovers = 0
         while True:
-            replica, placement = self._place(prompt_ids,
-                                             config.max_new_tokens, exclude,
-                                             enforce_admission=not exclude)
-            self._maybe_borrow(replica, placement, prompt_ids)
+            replica = self._place(config.max_new_tokens, exclude,
+                                  enforce_admission=not exclude)
             key = replica.track(None, config.max_new_tokens)
             self._note_dispatch(replica)
             try:
@@ -741,11 +534,6 @@ class Router:
     def _note_failover(self, replica: _Replica) -> None:
         replica.failovers += 1
         self._metrics.failovers.labels(replica=replica.name).inc()
-        if self.fleet_index is not None:
-            # The dead engine's published prefixes died with its cache;
-            # a restarted engine re-attaches (and republishes its warm
-            # reload) through the bound factory.
-            self.fleet_index.drop_replica(replica.name)
 
     def _dispatch(self, request: ClusterRequest, exclude: Set[str],
                   enforce_admission: bool) -> None:
@@ -758,9 +546,8 @@ class Router:
         last_error: Optional[BaseException] = None
         while True:
             try:
-                replica, placement = self._place(request.prompt_ids,
-                                                 request.cost, excluded,
-                                                 enforce_admission)
+                replica = self._place(request.cost, excluded,
+                                      enforce_admission)
             except NoReplicaAvailableError:
                 if last_error is not None:
                     raise last_error
@@ -769,16 +556,13 @@ class Router:
             if remaining_ms is not None and remaining_ms <= 0:
                 raise DeadlineExceededError(request.request_id,
                                             request.deadline_ms or 0.0, [])
-            # Borrow before submit so the engine's prefill lookup finds
-            # the snapshot already in its cache.
-            self._maybe_borrow(replica, placement, request.prompt_ids)
             try:
                 handle = replica.supervisor.submit(
                     request.prompt_ids, request.config, request.processors,
                     deadline_ms=remaining_ms)
             except _FAILOVER_ERRORS + (EngineQueueFullError,) as error:
                 # Stale health or a full queue: skip this replica and
-                # keep trying the rest of the affinity order.
+                # keep trying the rest.
                 excluded.add(replica.name)
                 last_error = error
                 continue
@@ -849,7 +633,9 @@ class Router:
         in-flight work would drop it, which the fleet's whole design
         refuses to do.  With ``engine_factory`` the replica is rebuilt
         from the new factory (and future restarts use it too);
-        without, the existing factory builds a fresh engine.
+        without, the existing factory builds a fresh engine.  The new
+        engine serves from the shared cache as it stands — unless it
+        runs a different model object, which gets a cache of its own.
         """
         replica = self._replica(name)
         if not replica.draining:
@@ -861,7 +647,7 @@ class Router:
         if engine_factory is not None:
             replica.factory = self._bind_factory(engine_factory, name)
         replica.supervisor.stop(timeout=timeout)
-        replica.supervisor = self._build_supervisor(replica.factory, name)
+        replica.supervisor = self._build_supervisor(replica.factory)
 
     def readmit(self, name: str) -> None:
         """Return a drained replica to the placement rotation."""
@@ -898,10 +684,8 @@ class Router:
         models show up as ~N x.
         """
         unique: Dict[int, int] = {}
-        models: Dict[int, Any] = {}
-        for replica in self._replicas.values():
-            model = replica.supervisor.engine.model
-            models[id(model)] = model
+        models = {id(engine.model): engine.model
+                  for engine in self._engines.values()}
         for model in models.values():
             for param in model.parameters():
                 unique[id(param.data)] = param.data.nbytes
@@ -930,34 +714,24 @@ class Router:
             "status": "ok" if worst == "healthy" else worst,
         }
 
-    def _cache_tier_snapshot(self) -> Dict[str, float]:
-        """Aggregate fleet hit-token accounting; refreshes the gauge.
+    def _cache_stats(self) -> Dict[str, float]:
+        """Fleet prefix-cache counters, ``stats_snapshot``-shaped.
 
-        Each replica contributes one atomic ``stats_snapshot`` taken
-        under that cache's lock, so a replica's numerator and
-        denominator are never torn; the cross-replica sum is then a
-        consistent-enough rollup for the
-        ``cluster_cache_hit_token_rate`` gauge.
+        The shared cache's own atomic snapshot — summed field-wise
+        over caches while replicas run different models.  Refreshes
+        the ``cluster_cache_hit_token_rate`` gauge.
         """
-        hit_tokens = 0.0
-        lookup_tokens = 0.0
-        for replica in self._replicas.values():
-            cache = self._cache_of(replica)
-            if cache is None:
-                continue
-            snap = cache.stats_snapshot()
-            hit_tokens += snap["hit_tokens"]
-            lookup_tokens += snap["lookup_tokens"]
-        rate = (hit_tokens / lookup_tokens) if lookup_tokens else 0.0
-        self._metrics.cache_hit_token_rate.set(rate)
-        return {"hit_tokens": hit_tokens, "lookup_tokens": lookup_tokens,
-                "hit_token_rate": rate}
+        caches = {id(engine.prefix_cache): engine.prefix_cache
+                  for engine in self._engines.values()}
+        snaps = [cache.stats_snapshot() for cache in caches.values()]
+        stats = PrefixCacheStats(**{
+            field.name: sum(snap[field.name] for snap in snaps)
+            for field in fields(PrefixCacheStats)}).as_dict()
+        self._metrics.cache_hit_token_rate.set(stats["hit_token_rate"])
+        return stats
 
     def stats(self) -> Dict[str, Any]:
         """Point-in-time fleet stats (for ``/api/cluster`` and the CLI)."""
-        hits = self._metrics.affinity_hits.value
-        spills = self._metrics.affinity_spills.value
-        lookups = hits + spills
         replicas = {}
         for name, replica in self._replicas.items():
             supervisor = replica.supervisor
@@ -972,36 +746,12 @@ class Router:
                     "state": supervisor.state,
                     "restarts": supervisor.restarts,
                 },
-                "prefix_cache": supervisor.prefix_cache.stats_snapshot(),
             }
         return {
             "replicas": replicas,
             "fleet": self.fleet_health(),
             "weights": self.weight_bytes(),
-            "affinity": {
-                "affinity_tokens": self.config.affinity_tokens,
-                "hits": hits,
-                "spills": spills,
-                "hit_rate": (hits / lookups) if lookups else 0.0,
-            },
-            "placement": {
-                "reasons": {
-                    reason: self._metrics.placement.labels(
-                        reason=reason).value
-                    for reason in ("affinity", "cache", "spill", "fallback")},
-                "spill_total": self._metrics.spill_total.value,
-            },
-            "cache_tier": {
-                "enabled": self.fleet_index is not None,
-                "borrow": (self.config.borrow
-                           and self.fleet_index is not None),
-                **self._cache_tier_snapshot(),
-                "borrows": sum(child.value for _, child
-                               in self._metrics.borrows.series()),
-                "borrow_tokens": self._metrics.borrow_tokens.value,
-                "index": (self.fleet_index.stats()
-                          if self.fleet_index is not None else None),
-            },
+            "prefix_cache": self._cache_stats(),
             "admission": self.admission.stats(),
         }
 
@@ -1018,33 +768,44 @@ class Router:
             state = replica.state
             healthy += state == "healthy"
             draining += state == "draining"
-            if state == "dead" and self.fleet_index is not None:
-                self.fleet_index.drop_replica(name)
             self._metrics.replica_up.labels(replica=name).set(
                 1 if state == "healthy" else 0)
             self._metrics.queued_tokens.labels(replica=name).set(
                 replica.queued_tokens())
         self._metrics.healthy.set(healthy)
         self._metrics.draining.set(draining)
-        self._cache_tier_snapshot()
+        self._cache_stats()
 
     def stop(self, timeout: float = 5.0) -> None:
         """Stop the heartbeat and every replica's supervisor + engine.
 
-        With a spill configured, :attr:`last_spill_saved` records
-        whether *any* replica actually wrote a warm snapshot during
-        this stop (``None`` when no spill is configured), so shutdown
-        summaries report the real outcome rather than the config.
+        With a spill configured, the now-quiescent cache is saved once
+        and :attr:`last_spill_saved` records whether a snapshot was
+        actually written (``None`` when no spill is configured), so
+        shutdown summaries report the real outcome rather than the
+        config.  A cache with a crashed engine on it is never saved:
+        the crash may have been a poisoned snapshot.
         """
         self._stop_event.set()
         self._heartbeat.join(timeout=timeout)
         for replica in self._replicas.values():
             replica.supervisor.stop(timeout=timeout)
         if self.spill is not None and self.last_spill_saved is None:
-            self.last_spill_saved = any(
-                replica.supervisor.last_spill_saved is True
-                for replica in self._replicas.values())
+            # First stop() decides; a repeat must not clobber a success.
+            self.last_spill_saved = self._save_spill()
         self._observe_health()
+
+    def _save_spill(self) -> bool:
+        engines = [engine for engine in self._engines.values()
+                   if self._spill_serves(engine)]
+        if not engines or any(engine.crashed is not None
+                              for engine in engines):
+            return False
+        try:
+            self.spill.save(engines[0].prefix_cache)
+            return True
+        except Exception:  # noqa: BLE001 - next start is cold
+            return False
 
     def __enter__(self) -> "Router":
         return self

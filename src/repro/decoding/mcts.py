@@ -13,9 +13,9 @@ Submitting rollouts through :class:`~repro.serving.InferenceEngine` is
 what makes the tree cheap: sibling rollouts share the exact prompt+
 prefix token sequence, so after the first prefill the engine's prefix
 KV trie serves every later sibling at full depth (the benchmark gates
->= 50% hit-token rate within one tree).  Prefix-affinity routing keys
-on leading prompt tokens, which every rollout of a tree shares — a
-tree never scatters across replicas.
+>= 50% hit-token rate within one tree).  Behind the cluster router a
+tree's rollouts may scatter across replicas and still hit: the
+replicas serve from one shared trie.
 
 Determinism: rollout seeds derive from ``config.seed`` and the
 iteration index, engine decoding is bit-identical to sequential

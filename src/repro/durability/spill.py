@@ -1,11 +1,12 @@
 """Prefix-cache spill: versioned on-disk snapshots with mmap'd reload.
 
-A restarted engine (supervisor crash-restart, cluster ``drain → swap →
-readmit``, or a whole-process bounce) starts with an empty prefix
-cache, and at fleet scale that cold start is the main source of lost
-work the ROADMAP calls out.  :class:`CacheSpill` persists the
-token-trie's entries and reloads them memory-mapped, the same
-discipline the retrieval index uses (``docs/RETRIEVAL.md``).
+A restarted engine (supervisor crash-restart or a whole-process
+bounce) starts with an empty prefix cache, and that cold start is the
+main source of lost work the ROADMAP calls out.  :class:`CacheSpill`
+persists the token-trie's entries and reloads them memory-mapped, the
+same discipline the retrieval index uses (``docs/RETRIEVAL.md``).  A
+fleet's replicas share one cache, so a fleet writes the same single
+directory a lone engine does and either can warm the other.
 
 On-disk layout — versioned like an LSM manifest so readers never see a
 half-written snapshot::
@@ -342,21 +343,3 @@ class CacheSpill:
                 np.dtype(spec["dtype"])).reshape(spec["shape"])
             arrays.append(view)
         return arrays
-
-
-class FleetCacheSpill:
-    """Per-replica spill handles under one root (``<dir>/r0``, …)."""
-
-    def __init__(self, directory, model=None, mmap: bool = True) -> None:
-        self.directory = Path(directory)
-        self.model = model
-        self.mmap = mmap
-        self._children: Dict[str, CacheSpill] = {}
-
-    def for_replica(self, name: str) -> CacheSpill:
-        spill = self._children.get(name)
-        if spill is None:
-            spill = CacheSpill(self.directory / name, model=self.model,
-                               mmap=self.mmap)
-            self._children[name] = spill
-        return spill

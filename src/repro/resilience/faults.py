@@ -34,8 +34,6 @@ Registered failure points (see ``docs/RESILIENCE.md``):
 ``spill.save``          a prefix-cache spill snapshot — a failed spill
                         degrades the *next* restart to a cold cache, it
                         never fails shutdown, swap, or serving;
-``fleet_cache.borrow``  a cross-replica KV borrow — the replica falls back
-                        to recomputing the prefix locally;
 ``decoding.reward``     an MCTS rollout-reward evaluation — the search
                         degrades to constrained greedy decoding with
                         ``"search_degraded": true``, never a failed or
@@ -67,7 +65,6 @@ FAULT_POINTS: Tuple[str, ...] = (
     "retrieval.search",
     "journal.append",
     "spill.save",
-    "fleet_cache.borrow",
     "decoding.reward",
 )
 

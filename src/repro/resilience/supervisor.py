@@ -10,9 +10,12 @@ closes that hole:
    clean :meth:`~repro.serving.InferenceEngine.stop` is a crash;
 2. **fail fast** — every queued and in-flight request is resolved with
    a named :class:`~repro.serving.EngineCrashedError` (never a hang);
-3. **restart** — a fresh engine (fresh prefix cache — the crash may
-   have been a poisoned snapshot) is built from the factory, with
-   exponential backoff, at most ``max_restarts`` times;
+3. **restart** — a fresh engine is built from the factory, with
+   exponential backoff, at most ``max_restarts`` times; it never
+   serves from what its predecessor died on (the crash may have been
+   a poisoned snapshot): a crashing engine empties its prefix cache,
+   which matters when the cache outlives it — a fleet's replicas
+   share one;
 4. **degrade** — while no engine is serving (mid-backoff, or restarts
    exhausted) an optional fallback decodes sequentially and the
    response is marked ``"degraded": true`` upstream.
@@ -68,8 +71,9 @@ class EngineSupervisor:
     factory:
         Zero-argument callable building a fresh
         :class:`~repro.serving.InferenceEngine`.  Called once at
-        construction and once per restart — each call gets a brand-new
-        prefix cache by construction.
+        construction and once per restart; the crashed engine emptied
+        its cache as it died, so a replacement starts clean whether
+        the factory builds a private cache or joins a shared one.
     max_restarts:
         Restart budget.  Once spent, the supervisor stops replacing
         engines and serves only the fallback (or errors).

@@ -301,10 +301,12 @@ class _EngineMetrics:
     """Engine metric handles, resolved once at construction.
 
     With ``name`` (a cluster replica), every engine series carries an
-    ``engine=<name>`` label and the prefix-cache series a
-    ``cache=<name>`` label, so fleet dashboards can tell the replicas'
-    isolated caches apart instead of aggregating mixed counters.  A
-    standalone engine (``name=None``) keeps the unlabeled series.
+    ``engine=<name>`` label and this engine's prefix-cache lookup
+    outcomes a ``cache=<name>`` label, so fleet dashboards can tell
+    which replica's traffic hits.  A standalone engine (``name=None``)
+    keeps the unlabeled series.  Evictions, bytes and hit rate belong
+    to the cache, which may serve several engines, and are counted
+    there (:class:`~repro.serving.prefix_cache.PrefixCache`).
     """
 
     def __init__(self, registry: MetricsRegistry,
@@ -351,21 +353,10 @@ class _EngineMetrics:
             "engine_prefix_cache_misses_total",
             help="Prefix-cache lookups that found nothing").labels(
                 **cache_labels)
-        self.cache_evictions = registry.counter(
-            "engine_prefix_cache_evictions_total",
-            help="Snapshots evicted to stay under the byte budget").labels(
-                **cache_labels)
         self.cache_hit_tokens = registry.counter(
             "engine_prefix_cache_hit_tokens_total",
             help="Prompt tokens skipped thanks to prefix-cache hits").labels(
                 **cache_labels)
-        self.cache_bytes = registry.gauge(
-            "engine_prefix_cache_bytes",
-            help="Bytes currently held by the prefix cache").labels(
-                **cache_labels)
-        self.cache_hit_rate = registry.gauge(
-            "engine_prefix_cache_hit_rate",
-            help="Lifetime prefix-cache hit rate").labels(**cache_labels)
         self.decode_forwards = registry.counter(
             "engine_decode_forwards_total",
             help="Model decode calls (batched next_logits or verify "
@@ -428,8 +419,13 @@ class InferenceEngine:
         self.spec_metrics = SpeculativeMetrics(self.registry, "engine")
         self._emitted_tokens = 0
         self._decode_forwards = 0
+        #: The cache this engine serves from: private by default; a
+        #: :class:`~repro.cluster.Router` points every replica running
+        #: one model at one shared cache before the engine is handed
+        #: its first request.
         self.prefix_cache = PrefixCache(self.config.prefix_cache_bytes,
-                                        chunk_size=self.config.prefill_chunk)
+                                        chunk_size=self.config.prefill_chunk,
+                                        registry=self.registry)
         self._queue: "queue.Queue[EngineRequest]" = queue.Queue(
             maxsize=self.config.max_queue)
         self._active: List[_Sequence] = []
@@ -657,6 +653,11 @@ class InferenceEngine:
             # in flight with a named error so no caller hangs, and let
             # the thread die.  A supervisor may build a replacement.
             self._crashed = error
+            # The crash may have been a poisoned snapshot, and the
+            # cache may outlive this engine (a fleet's replicas share
+            # one): purge it before any caller can see the crash and
+            # retry against the same entries elsewhere.
+            self.prefix_cache.clear()
             self.fail_inflight(EngineCrashedError(
                 f"engine thread crashed: {error!r}"))
             return
@@ -754,11 +755,6 @@ class InferenceEngine:
                         self._finish(seq, error=error)
                         continue
                     self._active.append(seq)
-        cache_stats = self.prefix_cache.stats_snapshot()
-        self.metrics.cache_evictions.inc(
-            cache_stats["evictions"] - self.metrics.cache_evictions.value)
-        self.metrics.cache_bytes.set(cache_stats["bytes"])
-        self.metrics.cache_hit_rate.set(cache_stats["hit_rate"])
 
     def _prefill_stacked(self, members: List[Tuple[_Sequence, Any, Any]],
                          prompt_len: int, hit_len: int) -> bool:

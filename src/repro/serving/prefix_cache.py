@@ -16,18 +16,12 @@ or when it matches the whole query, in which case no prefill runs at
 all.  Construct with ``chunk_size=None`` to disable that gate (useful
 for models whose prefill is an exact per-token loop).
 
-Fleet hooks (see ``docs/CLUSTER.md``): a cache can carry a
-``listener`` that is told about inserts and evictions so a
-fleet-global index (:class:`repro.cluster.FleetCacheIndex`) can track
-which replica holds which prefix.  Entries inserted with
-``borrowed=True`` are read-through copies fetched from another
-replica's cache — they serve lookups normally but are excluded from
-:meth:`entries_snapshot` so the spill layer never persists the same
-snapshot twice (the owning replica spills it).  Entries can be
-``pin``-ned: the LRU prefers evicting unpinned entries, so a
-fleet-hot prefix that other replicas borrow survives cold-traffic
-churn (the byte budget still wins — when only pinned entries remain,
-the oldest pinned entry is evicted rather than overflowing).
+One cache may serve several engines: every method takes the cache
+lock, and snapshots are frozen (copy-on-append), so the replicas of a
+:class:`repro.cluster.Router` that run one model share one trie (see
+``docs/CLUSTER.md``).  The cache therefore counts what is the cache's
+— evictions, bytes, hit rate — itself, at the point of change; engines
+count only the outcome of their own lookups.
 """
 
 from __future__ import annotations
@@ -36,6 +30,8 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Optional, Tuple
+
+from ..obs import MetricsRegistry, NullRegistry
 
 
 class _Node:
@@ -56,8 +52,6 @@ class _Entry:
     value: Any
     nbytes: int
     node: _Node
-    borrowed: bool = False
-    pinned: bool = False
 
 
 @dataclass
@@ -92,10 +86,6 @@ class PrefixCacheStats:
                                if self.lookup_tokens else 0.0),
         }
 
-    # Kept for callers that predate ``as_dict``; same unsynchronised
-    # read — use :meth:`PrefixCache.stats_snapshot` for an atomic copy.
-    snapshot = as_dict
-
 
 class PrefixCache:
     """LRU map from token prefixes to opaque snapshots, budgeted in bytes.
@@ -108,25 +98,33 @@ class PrefixCache:
     * :meth:`lookup` returns the deepest *eligible* stored prefix of
       the query and refreshes its LRU recency.
 
-    ``listener`` (optional) receives ``on_insert(key)`` /
-    ``on_evict(key)`` / ``on_clear()`` callbacks *while the cache lock
-    is held* — listeners must be leaf objects (e.g. the fleet index
-    publisher) that never call back into any cache.
+    ``registry`` receives the cache-owned series
+    (``engine_prefix_cache_{evictions_total,bytes,hit_rate}``); without
+    one the cache keeps only its in-memory :attr:`stats`.
     """
 
-    def __init__(self, max_bytes: int,
-                 chunk_size: Optional[int] = None) -> None:
+    def __init__(self, max_bytes: int, chunk_size: Optional[int] = None,
+                 registry: Optional[MetricsRegistry] = None) -> None:
         if max_bytes < 0:
             raise ValueError("max_bytes must be >= 0")
         if chunk_size is not None and chunk_size < 1:
             raise ValueError("chunk_size must be >= 1 or None")
         self.max_bytes = max_bytes
         self.chunk_size = chunk_size
-        self.listener: Optional[Any] = None
         self._root = _Node()
         self._entries: "OrderedDict[Tuple[int, ...], _Entry]" = OrderedDict()
         self._lock = threading.RLock()
         self.stats = PrefixCacheStats()
+        registry = registry if registry is not None else NullRegistry()
+        self._evictions_total = registry.counter(
+            "engine_prefix_cache_evictions_total",
+            help="Snapshots evicted to stay under the byte budget").labels()
+        self._bytes_gauge = registry.gauge(
+            "engine_prefix_cache_bytes",
+            help="Bytes currently held by the prefix cache").labels()
+        self._hit_rate_gauge = registry.gauge(
+            "engine_prefix_cache_hit_rate",
+            help="Lifetime prefix-cache hit rate").labels()
 
     # ------------------------------------------------------------------
     def _eligible(self, depth: int, query_len: int) -> bool:
@@ -134,29 +132,8 @@ class PrefixCache:
             return True
         return depth == query_len or depth % self.chunk_size == 0
 
-    def _notify(self, event: str, key: Optional[Tuple[int, ...]]) -> None:
-        listener = self.listener
-        if listener is None:
-            return
-        try:
-            if event == "insert":
-                listener.on_insert(key)
-            elif event == "evict":
-                listener.on_evict(key)
-            else:
-                listener.on_clear()
-        except Exception:  # noqa: BLE001 - index drift, never a cache fault
-            pass
-
-    def insert(self, tokens: Iterable[int], value: Any, nbytes: int,
-               borrowed: bool = False) -> bool:
-        """Store ``value`` for the exact token path; returns False if rejected.
-
-        ``borrowed=True`` marks the entry as a read-through copy of
-        another cache's snapshot: it serves lookups normally but is
-        skipped by :meth:`entries_snapshot` (the owner spills it).  A
-        later owned insert of the same key upgrades it in place.
-        """
+    def insert(self, tokens: Iterable[int], value: Any, nbytes: int) -> bool:
+        """Store ``value`` for the exact token path; returns False if rejected."""
         key = tuple(int(t) for t in tokens)
         if not key:
             raise ValueError("cannot cache an empty prefix")
@@ -171,10 +148,6 @@ class PrefixCache:
                 self.stats.bytes -= existing.nbytes
                 existing.value = value
                 existing.nbytes = nbytes
-                # An owned re-insert upgrades a borrowed copy; a borrow
-                # never downgrades an owned entry (the local snapshot is
-                # the same bytes and already spill-eligible).
-                existing.borrowed = existing.borrowed and borrowed
                 self._entries.move_to_end(key)
             else:
                 node = self._root
@@ -186,13 +159,12 @@ class PrefixCache:
                     node = child
                 node.has_entry = True
                 self._entries[key] = _Entry(value=value, nbytes=nbytes,
-                                            node=node, borrowed=borrowed)
+                                            node=node)
                 self.stats.entries += 1
             self.stats.bytes += nbytes
             while self.stats.bytes > self.max_bytes:
                 self._evict_lru()
-            if key in self._entries:
-                self._notify("insert", key)
+            self._bytes_gauge.set(self.stats.bytes)
             return True
 
     def lookup(self, tokens: Iterable[int]) -> Tuple[int, Any]:
@@ -211,81 +183,26 @@ class PrefixCache:
                     break
                 if node.has_entry and self._eligible(depth, len(key)):
                     best_depth = depth
+            value = None
             if best_depth == 0:
                 self.stats.misses += 1
-                return 0, None
-            hit_key = key[:best_depth]
-            entry = self._entries[hit_key]
-            self._entries.move_to_end(hit_key)
-            self.stats.hits += 1
-            self.stats.hit_tokens += best_depth
-            return best_depth, entry.value
-
-    def match_depth(self, tokens: Iterable[int]) -> int:
-        """Deepest eligible stored depth for ``tokens`` — read-only.
-
-        Unlike :meth:`lookup` this touches neither the stats nor the
-        LRU order, so placement probes (``Router._maybe_borrow``) can
-        ask "would this cache hit, and how deep?" without skewing
-        hit-rate accounting.
-        """
-        key = tuple(int(t) for t in tokens)
-        with self._lock:
-            best_depth = 0
-            node = self._root
-            for depth, token in enumerate(key, start=1):
-                node = node.children.get(token)
-                if node is None:
-                    break
-                if node.has_entry and self._eligible(depth, len(key)):
-                    best_depth = depth
-            return best_depth
-
-    def peek(self, tokens: Iterable[int]) -> Optional[Tuple[Any, int]]:
-        """Exact-key fetch as ``(value, nbytes)`` — no stats, no LRU touch.
-
-        The cross-replica borrow path reads the owner's snapshot with
-        this: the fetch must not count as a hit on the owner (no
-        request was served there) nor refresh recency on the owner's
-        LRU beyond what :meth:`pin` already protects.
-        """
-        key = tuple(int(t) for t in tokens)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return None
-            return entry.value, entry.nbytes
-
-    def pin(self, tokens: Iterable[int], pinned: bool = True) -> bool:
-        """Mark an exact entry (un)pinned; returns False if absent.
-
-        Pinned entries are evicted only when no unpinned entry remains
-        — the byte budget is never exceeded, but a fleet-hot prefix
-        that other replicas borrow outlives cold-traffic churn.
-        """
-        key = tuple(int(t) for t in tokens)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return False
-            entry.pinned = pinned
-            return True
+            else:
+                hit_key = key[:best_depth]
+                value = self._entries[hit_key].value
+                self._entries.move_to_end(hit_key)
+                self.stats.hits += 1
+                self.stats.hit_tokens += best_depth
+            self._hit_rate_gauge.set(
+                self.stats.hits / (self.stats.hits + self.stats.misses))
+            return best_depth, value
 
     # ------------------------------------------------------------------
     def _evict_lru(self) -> None:
-        victim_key = None
-        for key, entry in self._entries.items():  # LRU -> MRU order
-            if not entry.pinned:
-                victim_key = key
-                break
-        if victim_key is None:
-            # Everything is pinned: the budget invariant outranks the
-            # pin hint — evict the oldest pinned entry.
-            victim_key = next(iter(self._entries))
-        entry = self._entries.pop(victim_key)
+        _, entry = self._entries.popitem(last=False)  # LRU end
         self.stats.bytes -= entry.nbytes
         self.stats.entries -= 1
         self.stats.evictions += 1
+        self._evictions_total.inc()
         node = entry.node
         node.has_entry = False
         # Prune now-empty branches so the trie does not leak nodes.
@@ -295,33 +212,26 @@ class PrefixCache:
             del parent.children[node.token]
             node.parent = None
             node = parent
-        self._notify("evict", victim_key)
 
-    def entries_snapshot(self, include_borrowed: bool = False
-                         ) -> "list[Tuple[Tuple[int, ...], Any, int]]":
-        """Owned entries as ``(key, value, nbytes)``, oldest (LRU) first.
+    def entries_snapshot(self) -> "list[Tuple[Tuple[int, ...], Any, int]]":
+        """Every entry as ``(key, value, nbytes)``, oldest (LRU) first.
 
         Taken under the cache lock so the spill layer
         (:class:`repro.durability.CacheSpill`) sees a consistent cut;
         re-inserting the tuples in order reproduces the LRU ordering.
-        Borrowed entries are excluded by default — the replica that
-        owns the snapshot spills it, so a borrowed copy must never be
-        persisted a second time (``include_borrowed=True`` lifts the
-        filter for introspection).
         """
         with self._lock:
             return [(key, entry.value, entry.nbytes)
-                    for key, entry in self._entries.items()
-                    if include_borrowed or not entry.borrowed]
+                    for key, entry in self._entries.items()]
 
     def stats_snapshot(self) -> Dict[str, float]:
         """Atomic copy of the counters, taken under the cache lock.
 
         The metrics path must use this rather than reading
-        ``self.stats`` fields directly: a concurrent insert/evict can
-        otherwise interleave between field reads and a dashboard
-        aggregating per-replica caches would mix counters from two
-        different points in time.
+        ``self.stats`` fields directly: a concurrent insert/evict (from
+        any of the engines sharing the cache) can otherwise interleave
+        between field reads and tear a rate's numerator from its
+        denominator.
         """
         with self._lock:
             return self.stats.as_dict()
@@ -332,7 +242,7 @@ class PrefixCache:
             self._entries.clear()
             self.stats.bytes = 0
             self.stats.entries = 0
-            self._notify("clear", None)
+            self._bytes_gauge.set(0)
 
     def __len__(self) -> int:
         with self._lock:

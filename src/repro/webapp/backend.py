@@ -35,8 +35,7 @@ from typing import Dict, Optional
 
 from ..cluster import ClusterConfig, Router
 from ..core.pipeline import Ratatouille
-from ..durability import (CacheSpill, FleetCacheSpill, JobJournal,
-                          JournalError)
+from ..durability import CacheSpill, JobJournal, JournalError
 from ..obs import (MetricsRegistry, Tracer, get_registry, get_tracer,
                    render_json, render_text)
 from ..recipedb import IngredientCatalog, PairingGraph, default_catalog
@@ -91,8 +90,7 @@ def _service_errors(handler: Handler) -> Handler:
 
 def _build_engine(pipeline: Ratatouille, registry: MetricsRegistry,
                   tracer: Tracer, draft, knobs: ResilienceConfig,
-                  replicas: int, affinity_tokens: int, fleet_cache: bool,
-                  publish_tokens: int, spill):
+                  replicas: int, spill):
     """The serving topology the arguments ask for: a router fleet
     (``replicas > 1``), a supervised engine (``knobs.supervise``) or a
     bare engine."""
@@ -102,9 +100,6 @@ def _build_engine(pipeline: Ratatouille, registry: MetricsRegistry,
     if replicas > 1:
         cluster_config = ClusterConfig(
             replicas=replicas,
-            affinity_tokens=affinity_tokens,
-            fleet_cache=fleet_cache,
-            publish_tokens=publish_tokens,
             watermark_tokens=knobs.shed_watermark_tokens or None,
             tokens_per_second_hint=knobs.tokens_per_second_hint,
             max_restarts=knobs.max_restarts,
@@ -142,9 +137,6 @@ def create_backend(pipeline: Ratatouille,
                    draft=None,
                    speculative_k: int = 0,
                    replicas: int = 1,
-                   affinity_tokens: int = 32,
-                   fleet_cache: bool = True,
-                   publish_tokens: int = 128,
                    kernels: Optional[str] = None,
                    retrieval_index=None,
                    retrieve_k: int = 0,
@@ -155,8 +147,7 @@ def create_backend(pipeline: Ratatouille,
 
     Generation always decodes through a serving engine, stored as
     ``app.engine``: a :class:`~repro.cluster.Router` fleet when
-    ``replicas > 1`` (``affinity_tokens``, ``fleet_cache``,
-    ``publish_tokens``: ``docs/CLUSTER.md``; also ``app.router``), a
+    ``replicas > 1`` (``docs/CLUSTER.md``; also ``app.router``), a
     restarting :class:`~repro.resilience.EngineSupervisor` when
     ``resilience.supervise``, else a bare
     :class:`~repro.serving.InferenceEngine`.  Pass ``engine`` (any of
@@ -203,16 +194,13 @@ def create_backend(pipeline: Ratatouille,
     if retrieve_k > 0 and retrieval_index is None:
         raise ValueError("retrieve_k > 0 requires a retrieval_index")
     journal = JobJournal(journal_dir) if journal_dir is not None else None
-    spill = None
-    if spill_dir is not None:
-        spill_type = FleetCacheSpill if replicas > 1 else CacheSpill
-        spill = spill_type(spill_dir, model=pipeline.model)
+    spill = (CacheSpill(spill_dir, model=pipeline.model)
+             if spill_dir is not None else None)
     # A default-constructed config is inert, so "no resilience" and
     # "resilience with nothing set" build the same backend.
     knobs = resilience or ResilienceConfig()
     engine = engine or _build_engine(
-        pipeline, registry, tracer, draft, knobs, replicas, affinity_tokens,
-        fleet_cache, publish_tokens, spill)
+        pipeline, registry, tracer, draft, knobs, replicas, spill)
     supervisor = engine if isinstance(engine, EngineSupervisor) else None
     router = engine if isinstance(engine, Router) else None
     retrieval_shed = None
@@ -684,7 +672,7 @@ def create_backend(pipeline: Ratatouille,
            leftovers are failed with the named shutdown error — their
            journal records stay incomplete, so the *next* process
            replays them;
-        3. spill the prefix cache(s) — supervisors and routers do this
+        3. spill the prefix cache — supervisors and routers do this
            inside their own ``stop()``, a bare engine is spilled here;
         4. compact + close the journal and stop the engine.
 

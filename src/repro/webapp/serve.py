@@ -68,21 +68,9 @@ def add_backend_arguments(backend: argparse.ArgumentParser) -> None:
                               "off)")
     backend.add_argument("--replicas", type=int, default=1,
                          help="serve through a fleet of N supervised engine "
-                              "replicas behind the prefix-affinity router "
-                              "(1 = single engine; see docs/CLUSTER.md)")
-    backend.add_argument("--affinity-tokens", type=int, default=32,
-                         help="leading prompt tokens hashed for replica "
-                              "placement (with --replicas > 1)")
-    backend.add_argument("--fleet-cache",
-                         action=argparse.BooleanOptionalAction, default=True,
-                         help="fleet-wide prefix-cache tier: cache-aware "
-                              "placement over published prefixes plus "
-                              "cross-replica KV borrowing (with "
-                              "--replicas > 1; see docs/CLUSTER.md)")
-    backend.add_argument("--publish-tokens", type=int, default=128,
-                         help="depth cap on prefixes replicas publish to "
-                              "the fleet cache index (deeper entries stay "
-                              "local-only)")
+                              "replicas sharing one prefix cache behind the "
+                              "least-queued router (1 = single engine; see "
+                              "docs/CLUSTER.md)")
     backend.add_argument("--retrieval",
                          action=argparse.BooleanOptionalAction, default=False,
                          help="build (or load, with --index-dir) the "
@@ -195,9 +183,6 @@ def build_backend(args: argparse.Namespace) -> App:
                          speculative_k=(args.speculative_k
                                         if args.speculative else 0),
                          replicas=args.replicas,
-                         affinity_tokens=args.affinity_tokens,
-                         fleet_cache=args.fleet_cache,
-                         publish_tokens=args.publish_tokens,
                          kernels=(None if args.kernels == "off"
                                   else args.kernels),
                          retrieval_index=retrieval_index,

@@ -252,13 +252,10 @@ class TestEveryNamedPoint:
 
     def test_all_points_are_exercised_by_this_suite(self):
         # Guard: a new fault point must come with chaos coverage.
-        # fleet_cache.borrow is exercised in test_cluster_fleet_cache.py
-        # (borrow fault degrades to bit-identical recompute).
         assert set(FAULT_POINTS) == {"model.forward", "prefix_cache.get",
                                      "jobs.worker", "framework.write",
                                      "retrieval.search", "journal.append",
-                                     "spill.save", "fleet_cache.borrow",
-                                     "decoding.reward"}
+                                     "spill.save", "decoding.reward"}
 
 
 class TestSpeculativeUnderFaults:

@@ -38,8 +38,8 @@ def _model():
 
 
 def _cluster(**overrides):
-    defaults = dict(replicas=2, saturation_tokens=10**6,
-                    restart_backoff_seconds=0.01, heartbeat_seconds=0.01)
+    defaults = dict(replicas=2, restart_backoff_seconds=0.01,
+                    heartbeat_seconds=0.01)
     defaults.update(overrides)
     return ClusterConfig(**defaults)
 
@@ -54,8 +54,9 @@ def _factory(model, registry):
 
 class TestMidDecodeKill:
     def test_replica_death_mid_batch_is_bit_identical(self):
-        # Four same-prefix requests pin to one home replica (saturation
-        # disabled).  With batch size 2, request 0 (short) retires
+        # Four requests queue on one replica (the other is held out of
+        # rotation while they are submitted, then readmitted to be the
+        # survivor).  With batch size 2, request 0 (short) retires
         # first; the next admission's prefix_cache.get is call #2 on
         # the injector's deterministic index stream — the fault fires
         # there, killing the home engine thread while the other three
@@ -71,12 +72,14 @@ class TestMidDecodeKill:
             {"prefix_cache.get": FaultSpec(schedule={2})})
         with Router(_factory(model, registry), _cluster(),
                     registry=registry) as router:
-            home = router.affinity_replica(prompt)
+            router.drain("r1", timeout=10)
             with inject_faults(injector):
                 handles = [router.submit(prompt, config)
                            for config in configs]
+                home = handles[0].replica
                 for handle in handles:
                     assert handle.replica == home
+                router.readmit("r1")
                 results = [None] * len(handles)
                 # Consume one victim as a stream: across the failover
                 # the replayed prefix must be deduplicated, not

@@ -1,25 +1,29 @@
-"""Fleet cache tier: shared index, cache-aware placement, KV borrowing.
+"""The fleet's one prefix cache: every replica serves from the same trie.
 
-Covers the :class:`~repro.cluster.FleetCacheIndex` trie in isolation,
-the :class:`~repro.serving.PrefixCache` fleet hooks (listener,
-``borrowed`` entries, pinning, ``peek``/``match_depth``), and the
-router-level behaviour: placement prefers a published-prefix holder
-when unsaturated, falls back correctly under saturation / drain /
-death, borrows read-through when diverted, and stays bit-identical to
-the single-engine reference throughout.  The Zipf-workload benchmark
-gate lives in ``benchmarks/run_cluster_cache.py``
-(``tests/test_cluster_cache_slow.py``).
+Replicas are threads in one address space, so the router points every
+engine that runs the same model object at one
+:class:`~repro.serving.PrefixCache` (``docs/CLUSTER.md``).  Covered
+here: a prefix prefilled through one replica is a full-depth hit on
+another with no transfer step; a crash purges the shared cache and the
+fleet keeps serving bit-identically; the cache's own series count once
+however many engines serve from it; an MCTS tree scattered across
+replicas still hits; the fleet spills to, and warms from, the single
+directory a lone engine uses.
 """
+
+import time
 
 import pytest
 
-from repro.cluster import ClusterConfig, FleetCacheIndex, Router
+from repro.cluster import ClusterConfig, Router
+from repro.decoding.mcts import MCTSDecoder
+from repro.decoding.reward import RewardBreakdown
+from repro.durability import CacheSpill
 from repro.models import GenerationConfig, generate
 from repro.models.lstm import LSTMConfig, LSTMLanguageModel
 from repro.obs import MetricsRegistry, NullRegistry, NullTracer
 from repro.resilience import FaultInjector, FaultSpec, inject_faults
 from repro.serving import EngineConfig, InferenceEngine
-from repro.serving.prefix_cache import PrefixCache
 
 pytestmark = pytest.mark.cluster
 
@@ -31,17 +35,18 @@ def _model():
                                         num_layers=1, dropout=0.0))
 
 
-def _router(model, registry, replicas=2, **overrides):
-    defaults = dict(replicas=replicas, restart_backoff_seconds=0.01,
-                    heartbeat_seconds=0.01)
-    defaults.update(overrides)
+def _router(model, registry, replicas=2, cache_bytes=None, spill=None):
+    engine_config = (EngineConfig(max_batch_size=2) if cache_bytes is None
+                     else EngineConfig(max_batch_size=2,
+                                       prefix_cache_bytes=cache_bytes))
 
     def factory(name):
-        return InferenceEngine(model, EngineConfig(max_batch_size=2),
-                               registry=registry, tracer=NullTracer(),
-                               name=name)
+        return InferenceEngine(model, engine_config, registry=registry,
+                               tracer=NullTracer(), name=name)
 
-    return Router(factory, ClusterConfig(**defaults), registry=registry)
+    config = ClusterConfig(replicas=replicas, restart_backoff_seconds=0.01,
+                           heartbeat_seconds=0.01)
+    return Router(factory, config, registry=registry, spill=spill)
 
 
 @pytest.fixture()
@@ -54,322 +59,276 @@ def registry():
     return MetricsRegistry()
 
 
-def _reference(model, prompt):
-    return generate(model, prompt, CONFIG, registry=NullRegistry(),
+def _reference(model, prompt, config=CONFIG):
+    return generate(model, prompt, config, registry=NullRegistry(),
                     tracer=NullTracer())
 
 
-class TestFleetCacheIndex:
-    def test_publish_and_longest_match(self):
-        index = FleetCacheIndex(publish_tokens=8)
-        cache = object()
-        index.attach("r0", cache)
-        assert index.publish("r0", cache, [1, 2, 3])
-        assert index.longest_match([1, 2, 3, 4]) == (3, ("r0",))
-        assert index.longest_match([1, 2]) == (0, ())
-        assert index.longest_match([9]) == (0, ())
-        assert index.holders([1, 2, 3]) == ("r0",)
-        assert len(index) == 1
-
-    def test_multiple_holders_sorted(self):
-        index = FleetCacheIndex(publish_tokens=8)
-        c0, c1 = object(), object()
-        index.attach("r1", c1)
-        index.attach("r0", c0)
-        index.publish("r1", c1, [1, 2])
-        index.publish("r0", c0, [1, 2])
-        assert index.longest_match([1, 2]) == (2, ("r0", "r1"))
-
-    def test_depth_cap_refuses_deep_keys(self):
-        index = FleetCacheIndex(publish_tokens=2)
-        cache = object()
-        index.attach("r0", cache)
-        assert not index.publish("r0", cache, [1, 2, 3])
-        assert index.longest_match([1, 2, 3]) == (0, ())
-        assert len(index) == 0
-
-    def test_chunk_eligibility_gate(self):
-        index = FleetCacheIndex(publish_tokens=16, chunk_size=4)
-        cache = object()
-        index.attach("r0", cache)
-        index.publish("r0", cache, [1, 2, 3])     # depth 3: not aligned
-        index.publish("r0", cache, [1, 2, 3, 4])  # depth 4: aligned
-        # Mid-query, only the chunk-aligned depth counts...
-        assert index.longest_match([1, 2, 3, 4, 5])[0] == 4
-        # ...but a whole-query match needs no alignment.
-        assert index.longest_match([1, 2, 3]) == (3, ("r0",))
-
-    def test_chunk_size_adopted_from_first_cache(self):
-        index = FleetCacheIndex(publish_tokens=16)
-        cache = PrefixCache(max_bytes=100, chunk_size=4)
-        index.attach("r0", cache)
-        assert index.chunk_size == 4
-
-    def test_unpublish_and_prune(self):
-        index = FleetCacheIndex(publish_tokens=8)
-        cache = object()
-        index.attach("r0", cache)
-        index.publish("r0", cache, [1, 2, 3])
-        assert index.unpublish("r0", cache, [1, 2, 3])
-        assert index.longest_match([1, 2, 3]) == (0, ())
-        assert not index._root.children  # branch pruned, no leak
-        assert not index.unpublish("r0", cache, [1, 2, 3])  # already gone
-
-    def test_drop_replica_removes_only_its_keys(self):
-        index = FleetCacheIndex(publish_tokens=8)
-        c0, c1 = object(), object()
-        index.attach("r0", c0)
-        index.attach("r1", c1)
-        index.publish("r0", c0, [1, 2])
-        index.publish("r1", c1, [1, 2])
-        index.publish("r0", c0, [3, 4])
-        assert index.drop_replica("r0") == 2
-        assert index.longest_match([1, 2]) == (2, ("r1",))
-        assert index.longest_match([3, 4]) == (0, ())
-        # Dropped means deactivated: the dead cache cannot republish.
-        assert not index.publish("r0", c0, [5, 6])
-
-    def test_stale_cache_events_refused_after_reattach(self):
-        index = FleetCacheIndex(publish_tokens=8)
-        old, new = object(), object()
-        index.attach("r0", old)
-        index.publish("r0", old, [1, 2])
-        index.attach("r0", new)  # restart: old entries dropped atomically
-        assert index.longest_match([1, 2]) == (0, ())
-        assert not index.publish("r0", old, [3, 4])   # stale publisher
-        assert index.publish("r0", new, [3, 4])
-        # A stale clear must not wipe the replacement's entries.
-        assert index.drop_replica("r0", if_cache=old) == 0
-        assert index.longest_match([3, 4]) == (2, ("r0",))
-
-    def test_stats(self):
-        index = FleetCacheIndex(publish_tokens=8, chunk_size=4)
-        cache = object()
-        index.attach("r0", cache)
-        index.publish("r0", cache, [1, 2, 3, 4])
-        stats = index.stats()
-        assert stats["entries"] == 1
-        assert stats["per_replica"] == {"r0": 1}
-        assert stats["published_total"] == 1
-        assert stats["publish_tokens"] == 8
-        assert stats["chunk_size"] == 4
+def _cache(router):
+    """The one cache; asserts every replica really serves from it."""
+    caches = {id(replica.supervisor.prefix_cache)
+              for replica in router._replicas.values()}
+    assert len(caches) == 1
+    return router._replicas["r0"].supervisor.prefix_cache
 
 
-class TestPrefixCacheFleetHooks:
-    def test_listener_sees_insert_evict_clear(self):
-        events = []
+def _entry_bytes(model):
+    """Bytes one 3-token prompt's snapshot costs this model's cache."""
+    with InferenceEngine(model, registry=NullRegistry(),
+                         tracer=NullTracer()) as probe:
+        probe.generate([1, 2, 3], CONFIG)
+        return probe.prefix_cache.stats.bytes
 
-        class Listener:
-            def on_insert(self, key):
-                events.append(("insert", key))
 
-            def on_evict(self, key):
-                events.append(("evict", key))
+def _wait_for(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.01)
+    return predicate()
 
-            def on_clear(self):
-                events.append(("clear", None))
 
-        cache = PrefixCache(max_bytes=10)
-        cache.listener = Listener()
-        cache.insert([1], "a", nbytes=6)
-        cache.insert([2], "b", nbytes=6)  # evicts [1] before its notify
-        cache.clear()
-        assert events == [("insert", (1,)), ("evict", (1,)),
-                          ("insert", (2,)), ("clear", None)]
+class TestOneCache:
+    def test_capacity_is_replicas_times_the_engine_budget(self, model,
+                                                          registry):
+        with _router(model, registry, replicas=3, cache_bytes=1000) as router:
+            assert _cache(router).max_bytes == 3000
 
-    def test_listener_exceptions_never_break_the_cache(self):
-        class Broken:
-            def on_insert(self, key):
-                raise RuntimeError("index drift")
+    def test_prefix_prefilled_on_r0_hits_on_r1(self, model, registry):
+        with _router(model, registry) as router:
+            prompt = [1, 2, 3]
+            expected = _reference(model, prompt)
+            first = router.submit(prompt, CONFIG)
+            assert first.replica == "r0"  # idle fleet: name breaks the tie
+            assert first.result(timeout=30) == expected
+            router.drain("r0", timeout=10)
+            before = _cache(router).stats_snapshot()
+            second = router.submit(prompt, CONFIG)
+            assert second.replica == "r1"
+            assert second.result(timeout=30) == expected
+            after = _cache(router).stats_snapshot()
+            # Full depth, straight out of the shared trie: nothing was
+            # copied, published or placed for.
+            assert after["hits"] - before["hits"] == 1
+            assert after["hit_tokens"] - before["hit_tokens"] == len(prompt)
+            hits = registry.counter("engine_prefix_cache_hits_total")
+            assert hits.labels(cache="r1").value == 1
+            assert hits.labels(cache="r0").value == 0
 
-        cache = PrefixCache(max_bytes=10)
-        cache.listener = Broken()
-        assert cache.insert([1], "a", nbytes=1)
-        assert cache.lookup([1]) == (1, "a")
+    def test_cache_series_count_once_with_three_engines(self, model,
+                                                        registry):
+        # 3 engines on a cache that holds ~2 entries: evictions happen
+        # under every engine, and must be counted where they happen —
+        # once — not scraped per engine (3x).
+        budget = int(0.7 * _entry_bytes(model))
+        prompts = [[1 + i % 8, 2 + i % 3, 3] for i in range(18)]
+        # A forward delay keeps work in flight, so least-queued
+        # placement deterministically reaches every replica.
+        injector = FaultInjector(
+            {"model.forward": FaultSpec(delay_seconds=0.002)})
+        with _router(model, registry, replicas=3,
+                     cache_bytes=budget) as router:
+            with inject_faults(injector):
+                handles = [router.submit(prompt, CONFIG)
+                           for prompt in prompts]
+                results = [handle.result(timeout=30) for handle in handles]
+            assert results == [_reference(model, p) for p in prompts]
+            stats = router.stats()
+            assert all(replica["dispatches"] > 0
+                       for replica in stats["replicas"].values())
+            snap = _cache(router).stats_snapshot()
+            assert stats["prefix_cache"] == snap
+        assert snap["evictions"] > 0
+        assert registry.counter(
+            "engine_prefix_cache_evictions_total").value == snap["evictions"]
+        assert registry.gauge(
+            "engine_prefix_cache_bytes").value == snap["bytes"]
+        # Engines keep only the outcome of their own lookups.
+        outcomes = sum(
+            registry.counter(name).labels(cache=replica).value
+            for name in ("engine_prefix_cache_hits_total",
+                         "engine_prefix_cache_misses_total")
+            for replica in ("r0", "r1", "r2"))
+        assert outcomes == snap["hits"] + snap["misses"] == len(prompts)
 
-    def test_peek_and_match_depth_touch_nothing(self):
-        cache = PrefixCache(max_bytes=100)
-        cache.insert([1, 2], "a", nbytes=10)
-        assert cache.peek([1, 2]) == ("a", 10)
-        assert cache.peek([9]) is None
-        assert cache.match_depth([1, 2, 3]) == 2
-        snap = cache.stats_snapshot()
-        assert snap["hits"] == snap["misses"] == 0
-        assert snap["lookup_tokens"] == 0
+    def test_mid_batch_kill_purges_the_cache_and_the_fleet_serves_on(
+            self, model, registry):
+        prompt = [1, 2, 3]
+        configs = [GenerationConfig(max_new_tokens=4 if i == 0 else 8,
+                                    seed=0) for i in range(4)]
+        expected = [_reference(model, prompt, config) for config in configs]
+        # Lookup #2 on the injector's stream is an admission into a
+        # batch whose other slot is mid-decode.
+        injector = FaultInjector(
+            {"prefix_cache.get": FaultSpec(schedule={2})})
+        with _router(model, registry) as router:
+            cache = _cache(router)
+            router.drain("r1", timeout=10)  # all four queue on r0
+            observed = []
+            purge = cache.clear
 
-    def test_borrowed_entries_excluded_from_snapshot(self):
-        cache = PrefixCache(max_bytes=100)
-        cache.insert([1, 2], "owned", nbytes=10)
-        cache.insert([3, 4], "copy", nbytes=10, borrowed=True)
-        assert [key for key, _, _ in cache.entries_snapshot()] == [(1, 2)]
-        assert len(cache.entries_snapshot(include_borrowed=True)) == 2
-        # Borrowed entries still serve lookups normally.
-        assert cache.lookup([3, 4]) == (2, "copy")
+            def observing_clear():
+                with cache._lock:  # no survivor insert between the two
+                    purge()
+                    observed.append(len(cache))
 
-    def test_owned_insert_upgrades_borrowed_entry(self):
-        cache = PrefixCache(max_bytes=100)
-        cache.insert([1, 2], "copy", nbytes=10, borrowed=True)
-        cache.insert([1, 2], "own", nbytes=10)
-        assert [key for key, _, _ in cache.entries_snapshot()] == [(1, 2)]
-        # ...and a later borrow never downgrades it back.
-        cache.insert([1, 2], "copy2", nbytes=10, borrowed=True)
-        assert [key for key, _, _ in cache.entries_snapshot()] == [(1, 2)]
+            cache.clear = observing_clear
+            with inject_faults(injector):
+                handles = [router.submit(prompt, config)
+                           for config in configs]
+                assert {handle.replica for handle in handles} == {"r0"}
+                router.readmit("r1")
+                results = [handle.result(timeout=30) for handle in handles]
+            assert results == expected
+            assert sum(handle.failovers for handle in handles) >= 1
+            killed = router._replicas["r0"].supervisor
+            assert _wait_for(lambda: killed.restarts == 1
+                             and killed.state == "serving")
+            # The supervisor's "fresh cache after a crash" contract,
+            # kept for a cache that outlives the engine: purged, and
+            # seen empty, before the replacement was built on it.
+            assert observed == [0]
+            assert _cache(router) is cache
+            router.drain("r1", timeout=10)
+            replacement = router.submit(prompt, CONFIG)
+            assert replacement.replica == "r0"
+            assert replacement.result(timeout=30) == expected[0]
 
-    def test_pinned_entries_evicted_last(self):
-        cache = PrefixCache(max_bytes=20)
-        cache.insert([1], "hot", nbytes=10)
-        assert cache.pin([1])
-        cache.insert([2], "cold", nbytes=10)
-        cache.insert([3], "cold2", nbytes=10)  # evicts [2], not pinned [1]
-        assert [1] in cache
-        assert [2] not in cache
-        # Budget outranks the pin when only pinned entries remain.
-        assert cache.pin([3])
-        cache.insert([4], "x", nbytes=15)
-        assert cache.stats.bytes <= 20
-        assert not cache.pin([9])  # absent key
+    def test_mcts_tree_scattered_over_both_replicas_still_hits(
+            self, model, registry):
+        # Sibling rollouts share prompt + node prefix exactly; they hit
+        # whichever replica decodes them.  Rollouts alternate replicas
+        # here (the one not draining), the worst case for per-replica
+        # caches.
+        with _router(model, registry) as router:
+            turn = [0]
+
+            def submit(prompt_ids, config, processors, deadline_ms):
+                resting = f"r{turn[0] % 2}"
+                turn[0] += 1
+                router.drain(resting, timeout=10)
+                try:
+                    return router.generate(prompt_ids, config,
+                                           processors=processors,
+                                           deadline_ms=deadline_ms)
+                finally:
+                    router.readmit(resting)
+
+            def reward(ids):
+                total = (sum(ids) % 97) / 97.0
+                return RewardBreakdown(total=total,
+                                       components={"format": total})
+
+            decoder = MCTSDecoder(
+                submit=submit, reward=reward,
+                build_processors=lambda preamble, budget: [])
+            result = decoder.search(
+                [1, 2, 3], GenerationConfig(max_new_tokens=24, seed=7,
+                                            strategy="mcts",
+                                            mcts_rollouts=12))
+            stats = router.stats()
+            assert all(replica["dispatches"] >= 6
+                       for replica in stats["replicas"].values())
+            hit_tokens = stats["prefix_cache"]["hit_tokens"]
+            assert hit_tokens / result.prompt_tokens_submitted >= 0.5
 
 
 class TestRouterCacheAwarePlacement:
-    def _warm_on_other(self, router, prompt):
-        """Route ``prompt`` once through the non-home replica via drain."""
-        home = router.affinity_replica(prompt)
-        other = next(n for n in router.replica_names() if n != home)
-        router.drain(home, timeout=10)
-        served = router.submit(prompt, CONFIG)
-        assert served.replica == other
-        result = served.result(timeout=30)
-        router.readmit(home)
-        return home, other, result
-
-    def test_unsaturated_routes_to_published_holder(self, model, registry):
-        with _router(model, registry) as router:
-            prompt = [1, 2, 3]
-            expected = _reference(model, prompt)
-            home, other, first = self._warm_on_other(router, prompt)
-            assert first == expected
-            # The ring says home; the index knows the survivor holds the
-            # prefix — cache-aware placement follows the cache.
-            landed = router.submit(prompt, CONFIG)
-            assert landed.replica == other
-            assert landed.result(timeout=30) == expected
-            reasons = router.stats()["placement"]["reasons"]
-            assert reasons["cache"] >= 1
-
-    def test_saturated_holder_still_spills(self, model, registry):
-        with _router(model, registry, saturation_tokens=0) as router:
-            prompt = [1, 2, 3]
-            expected = _reference(model, prompt)
-            home, other, _ = self._warm_on_other(router, prompt)
-            injector = FaultInjector(
-                {"model.forward": FaultSpec(delay_seconds=0.02)})
-            with inject_faults(injector):
-                first = router.submit(prompt, CONFIG)   # holder: other
-                second = router.submit(prompt, CONFIG)  # holder saturated
-                assert first.replica == other
-                assert second.replica == home
-                assert first.result(timeout=30) == expected
-                assert second.result(timeout=30) == expected
-            stats = router.stats()
-            assert stats["placement"]["spill_total"] >= 1
-            assert stats["placement"]["reasons"]["spill"] >= 1
-
-    def test_diverted_request_borrows_owner_snapshot(self, model, registry):
-        with _router(model, registry) as router:
-            prompt = [1, 2, 3]
-            expected = _reference(model, prompt)
-            home = router.affinity_replica(prompt)
-            other = next(n for n in router.replica_names() if n != home)
-            assert router.generate(prompt, CONFIG) == expected  # warm home
-            router.drain(home, timeout=10)
-            # Diverted off the holder: the survivor borrows home's
-            # frozen snapshot instead of recomputing prefill.
-            diverted = router.submit(prompt, CONFIG)
-            assert diverted.replica == other
-            assert diverted.result(timeout=30) == expected
-            tier = router.stats()["cache_tier"]
-            assert tier["borrows"] >= 1
-            assert tier["borrow_tokens"] >= len(prompt)
-            other_cache = router._replicas[other].supervisor.prefix_cache
-            assert tuple(prompt) in other_cache
-            # The borrowed copy is never spilled by the borrower...
-            borrowed_keys = [key for key, _, _
-                             in other_cache.entries_snapshot()]
-            assert tuple(prompt) not in borrowed_keys
-            # ...and the owner's copy got pinned against cold churn.
-            home_cache = router._replicas[home].supervisor.prefix_cache
-            assert home_cache._entries[tuple(prompt)].pinned
-
     def test_dead_holder_recomputes_identically(self, model, registry):
         with _router(model, registry) as router:
             prompt = [1, 2, 3]
             expected = _reference(model, prompt)
-            home = router.affinity_replica(prompt)
-            assert router.generate(prompt, CONFIG) == expected
-            assert router.fleet_index.longest_match(prompt)[1] == (home,)
-            # Kill the holder outright: its published entries invalidate
-            # and traffic recomputes on a survivor, bit-identically.
-            router._replicas[home].supervisor.stop(timeout=10)
-            assert router.generate(prompt, CONFIG) == expected
-            router._observe_health()  # the heartbeat's dead-replica sweep
-            assert home not in router.fleet_index.longest_match(prompt)[1]
-            assert router.stats()["cache_tier"]["borrows"] == 0
-
-    def test_borrow_fault_degrades_to_recompute(self, model, registry):
-        with _router(model, registry) as router:
-            prompt = [1, 2, 3]
-            expected = _reference(model, prompt)
-            home = router.affinity_replica(prompt)
-            assert router.generate(prompt, CONFIG) == expected
-            router.drain(home, timeout=10)
-            injector = FaultInjector(
-                {"fleet_cache.borrow": FaultSpec(rate=1.0)})
-            with inject_faults(injector):
-                assert router.generate(prompt, CONFIG) == expected
-            assert router.stats()["cache_tier"]["borrows"] == 0
-
-    def test_fleet_cache_disabled_restores_ring_placement(self, model,
-                                                          registry):
-        with _router(model, registry, fleet_cache=False) as router:
-            assert router.fleet_index is None
-            prompt = [1, 2, 3]
-            expected = _reference(model, prompt)
-            home, _, _ = self._warm_on_other(router, prompt)
-            # Without the tier the readmitted home serves its prefix.
-            landed = router.submit(prompt, CONFIG)
-            assert landed.replica == home
-            assert landed.result(timeout=30) == expected
-            tier = router.stats()["cache_tier"]
-            assert tier["enabled"] is False
-            assert tier["index"] is None
+            served = router.submit(prompt, CONFIG)
+            assert served.result(timeout=30) == expected
+            # Kill the replica that prefilled the prefix outright: the
+            # survivor serves it bit-identically — and, the trie being
+            # shared, without recomputing anything.
+            router._replicas[served.replica].supervisor.stop(timeout=10)
+            survivor = router.submit(prompt, CONFIG)
+            assert survivor.replica != served.replica
+            assert survivor.result(timeout=30) == expected
+            assert router.stats()["prefix_cache"]["hit_tokens"] == len(prompt)
 
     def test_hit_token_rate_gauge_aggregates_fleet(self, model, registry):
         with _router(model, registry) as router:
             prompt = [1, 2, 3]
             router.generate(prompt, CONFIG)
-            router.generate(prompt, CONFIG)  # same replica: cache hit
-            tier = router.stats()["cache_tier"]
-            assert tier["lookup_tokens"] > 0
-            assert tier["hit_tokens"] > 0
-            assert 0.0 < tier["hit_token_rate"] <= 1.0
+            router.generate(prompt, CONFIG)
+            fleet = router.stats()["prefix_cache"]
+            assert fleet["lookup_tokens"] == 2 * len(prompt)
+            assert fleet["hit_tokens"] == len(prompt)
+            assert fleet["hit_token_rate"] == 0.5
             gauge = registry.gauge("cluster_cache_hit_token_rate").labels()
-            assert gauge.value == pytest.approx(tier["hit_token_rate"])
+            assert gauge.value == 0.5
 
     def test_zipf_skew_routes_hot_prefixes_bit_identically(self, model,
                                                            registry):
         # A deterministic Zipf-ish mix: one hot head dominating, a tail
         # of cold one-off prompts.  Every routed output must equal the
-        # single-engine reference, and the hot prefix must produce
-        # cache-reason placements once published.
+        # single-engine reference, and every repeat of the hot prompt
+        # must hit at full depth wherever it lands.
         hot = [1, 2, 3]
         workload = [hot, [4, 5], hot, [6, 7], hot, [8, 9, 10], hot, hot]
-        references = {tuple(p): _reference(model, p)
-                      for p in {tuple(w) for w in workload}
-                      for p in [list(p)]}
+        references = {tuple(p): _reference(model, p) for p in workload}
         with _router(model, registry, replicas=3) as router:
-            for prompt in workload:
-                assert router.generate(prompt, CONFIG) == \
-                    references[tuple(prompt)]
-            reasons = router.stats()["placement"]["reasons"]
-            assert sum(reasons.values()) == len(workload)
-            assert reasons["affinity"] >= 1
+            handles = [router.submit(prompt, CONFIG) for prompt in workload]
+            for prompt, handle in zip(workload, handles):
+                assert handle.result(timeout=30) == references[tuple(prompt)]
+            assert router.generate(hot, CONFIG) == references[tuple(hot)]
+            stats = router.stats()
+            assert sum(replica["dispatches"] for replica
+                       in stats["replicas"].values()) == len(workload) + 1
+            assert stats["prefix_cache"]["hit_tokens"] >= len(hot)
+
+
+@pytest.mark.durability
+class TestFleetSpill:
+    def test_fleet_and_single_engine_warm_each_other(self, model, registry,
+                                                     tmp_path):
+        prompt = [1, 2, 3]
+        expected = _reference(model, prompt)
+        directory = tmp_path / "spill"
+        router = _router(model, registry,
+                         spill=CacheSpill(directory, model=model))
+        assert router.generate(prompt, CONFIG) == expected
+        router.stop()
+        assert router.last_spill_saved is True
+        # One directory, the layout a lone engine writes.
+        assert (directory / "CURRENT").exists()
+        assert not list(directory.glob("r*"))
+
+        with InferenceEngine(model, registry=NullRegistry(),
+                             tracer=NullTracer()) as single:
+            loader = CacheSpill(directory, model=model)
+            assert loader.load_into(single.prefix_cache) >= 1
+            assert single.generate(prompt, CONFIG) == expected
+            assert single.prefix_cache.stats.hit_tokens == len(prompt)
+            loader.save(single.prefix_cache)
+
+        with _router(model, MetricsRegistry(),
+                     spill=CacheSpill(directory, model=model)) as warm:
+            assert len(_cache(warm)) >= 1
+            assert warm.generate(prompt, CONFIG) == expected
+            assert warm.stats()["prefix_cache"]["hit_tokens"] == len(prompt)
+
+    def test_per_replica_tree_of_an_older_fleet_is_ignored(self, model,
+                                                           registry,
+                                                           tmp_path):
+        # <spill-dir>/r0, r1 … is what fleets used to write.  It is not
+        # read: a cold start, never a wrong one.
+        prompt = [1, 2, 3]
+        directory = tmp_path / "spill"
+        with InferenceEngine(model, registry=NullRegistry(),
+                             tracer=NullTracer()) as old:
+            old.generate(prompt, CONFIG)
+            for name in ("r0", "r1"):
+                CacheSpill(directory / name, model=model).save(
+                    old.prefix_cache)
+        with _router(model, registry,
+                     spill=CacheSpill(directory, model=model)) as router:
+            assert len(_cache(router)) == 0
+            assert router.generate(prompt, CONFIG) == _reference(model,
+                                                                 prompt)
+        assert router.last_spill_saved is True
+        assert (directory / "CURRENT").exists()

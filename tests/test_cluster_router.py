@@ -51,29 +51,20 @@ def registry():
 
 
 class TestPlacement:
-    def test_same_prefix_same_replica(self, model, registry):
-        with _router(model, registry, replicas=3) as router:
-            # Only the first affinity_tokens (32) ids key placement:
-            # prompts agreeing on that head land together no matter how
-            # their tails differ.
-            head = list(range(1, 36))
-            homes = {router.affinity_replica(head + [i]) for i in range(8)}
-            assert len(homes) == 1
-
     def test_distinct_prefixes_spread(self, model, registry):
+        # Least-queued placement: while earlier requests are still in
+        # flight (a forward delay holds them there), later ones land on
+        # the idler replicas, whatever their prefixes.
+        injector = FaultInjector(
+            {"model.forward": FaultSpec(delay_seconds=0.02)})
         with _router(model, registry, replicas=3) as router:
-            homes = {router.affinity_replica([seed, seed + 1, seed + 2])
-                     for seed in range(40)}
-            assert len(homes) >= 2  # consistent hashing actually spreads
-
-    def test_affinity_is_stable_across_routers(self, model, registry):
-        # blake2b, not the salted builtin hash: two router instances
-        # (e.g. across a restart) place the same prefix identically.
-        with _router(model, registry, replicas=3) as first:
-            expected = [first.affinity_replica([s, 2, 3]) for s in range(10)]
-        with _router(model, MetricsRegistry(), replicas=3) as second:
-            assert [second.affinity_replica([s, 2, 3])
-                    for s in range(10)] == expected
+            with inject_faults(injector):
+                handles = [router.submit([seed, seed + 1, seed + 2], CONFIG)
+                           for seed in range(1, 7)]
+                assert [handle.replica for handle in handles] == [
+                    "r0", "r1", "r2", "r0", "r1", "r2"]
+                for handle in handles:
+                    handle.result(timeout=30)
 
     def test_output_matches_sequential(self, model, registry):
         expected = generate(model, [1, 2, 3], CONFIG,
@@ -93,37 +84,18 @@ class TestPlacement:
             with pytest.raises(ValueError):
                 router.submit([1, 2, 3], beam)
 
-    def test_saturated_affinity_spills_to_least_queued(self, model, registry):
-        # saturation_tokens=0: any outstanding work on the home replica
-        # spills the next same-prefix request balance-of-two style.  A
-        # forward delay pins the first request in flight deterministically.
-        with _router(model, registry, saturation_tokens=0) as router:
-            prompt = [1, 2, 3]
-            home = router.affinity_replica(prompt)
-            injector = FaultInjector(
-                {"model.forward": FaultSpec(delay_seconds=0.02)})
-            with inject_faults(injector):
-                first = router.submit(prompt, CONFIG)
-                second = router.submit(prompt, CONFIG)
-                assert first.replica == home
-                assert second.replica != home
-                assert first.result(timeout=30) == second.result(timeout=30)
-            stats = router.stats()
-            assert stats["affinity"]["spills"] >= 1
-            assert 0.0 < stats["affinity"]["hit_rate"] < 1.0
-
 
 class TestAdmission:
     def test_sheds_only_when_all_replicas_past_watermark(self, model,
                                                          registry):
         # Watermark of one request's cost: each replica can hold one.
-        with _router(model, registry, saturation_tokens=0,
+        with _router(model, registry,
                      watermark_tokens=CONFIG.max_new_tokens) as router:
             injector = FaultInjector(
                 {"model.forward": FaultSpec(delay_seconds=0.02)})
             with inject_faults(injector):
                 first = router.submit([1, 2, 3], CONFIG)
-                second = router.submit([1, 2, 3], CONFIG)  # spills, admitted
+                second = router.submit([1, 2, 3], CONFIG)  # other replica
                 assert {first.replica, second.replica} == {"r0", "r1"}
                 with pytest.raises(OverloadShedError) as excinfo:
                     router.submit([1, 2, 3], CONFIG)
@@ -153,17 +125,16 @@ class TestAdmission:
 
 class TestRollingOperations:
     def test_drain_swap_readmit_drops_nothing(self, model, registry):
-        with _router(model, registry, saturation_tokens=10**6) as router:
+        with _router(model, registry) as router:
             prompt = [1, 2, 3]
-            home = router.affinity_replica(prompt)
-            other = next(n for n in router.replica_names() if n != home)
             expected = generate(model, prompt, CONFIG,
                                 registry=NullRegistry(), tracer=NullTracer())
             injector = FaultInjector(
                 {"model.forward": FaultSpec(delay_seconds=0.01)})
             with inject_faults(injector):
                 inflight = router.submit(prompt, CONFIG)
-                assert inflight.replica == home
+                home = inflight.replica
+                other = next(n for n in router.replica_names() if n != home)
                 drained = {}
 
                 def drain():
@@ -189,16 +160,16 @@ class TestRollingOperations:
             router.readmit(home)
             assert router.fleet_health() == {
                 "replicas": 2, "healthy": 2, "draining": 0, "status": "ok"}
-            # The rerouted traffic cached the prefix on the survivor and
-            # published it to the fleet index, so cache-aware placement
-            # now prefers the warm survivor over the cold swapped home —
-            # identically either way.
+            # The swapped-in engine serves from the cache the fleet
+            # shares, as the swap left it: wherever the prefix lands
+            # now, it is a hit — identically either way.
+            assert router._replicas[home].supervisor.prefix_cache \
+                is router._replicas[other].supervisor.prefix_cache
+            hits = router.stats()["prefix_cache"]["hit_tokens"]
             landed = router.submit(prompt, CONFIG)
-            assert landed.replica == other
             assert landed.result(timeout=30) == expected
-            # With the fleet tier disabled, the ring would send the
-            # prefix back to its readmitted home.
-            assert router.affinity_replica(prompt) == home
+            assert router.stats()["prefix_cache"]["hit_tokens"] \
+                == hits + len(prompt)
             # The drain was observed on the metrics histogram.
             assert registry.histogram(
                 "cluster_drain_seconds").labels().count == 1
@@ -208,19 +179,55 @@ class TestRollingOperations:
             with pytest.raises(RuntimeError, match="drain"):
                 router.swap("r0")
 
-    def test_swap_can_replace_the_factory(self, model, registry):
-        replacement = _model()
-        with _router(model, registry) as router:
-            router.drain("r0", timeout=10)
+    def test_swap_can_replace_the_factory(self, registry):
+        # Regression: a request diverted onto a replica swapped to
+        # *other weights* used to be handed KV the old weights had
+        # computed, and decoded to neither model's output.  A model
+        # object the fleet was not already running gets a cache of
+        # its own.
+        from repro.models import distilgpt2
+
+        def gpt(seed):
+            model = distilgpt2(vocab_size=16, seed=seed, context_length=64)
+            model.eval()
+            return model
+
+        def reference(model, config):
+            return generate(model, prompt, config, registry=NullRegistry(),
+                            tracer=NullTracer())
+
+        model_a, model_b = gpt(0), gpt(1)
+        prompt = [1 + i % 9 for i in range(34)]  # a full chunk and a bit
+        # Sampled and long enough that these two near-uniform toy
+        # models visibly part ways.
+        sample = GenerationConfig(max_new_tokens=16, strategy="sample",
+                                  seed=3)
+        with _router(model_a, registry) as router:
+            served = router.submit(prompt, CONFIG)
+            assert served.result(timeout=30) == reference(model_a, CONFIG)
+            first = served.replica
+            other = next(n for n in router.replica_names() if n != first)
+            router.drain(other, timeout=10)
 
             def new_factory(name):
-                return InferenceEngine(replacement, registry=registry,
+                return InferenceEngine(model_b, EngineConfig(max_batch_size=2),
+                                       registry=registry, tracer=NullTracer(),
                                        name=name)
 
-            router.swap("r0", engine_factory=new_factory)
-            router.readmit("r0")
-            assert router._replicas["r0"].supervisor.engine.model \
-                is replacement
+            router.swap(other, engine_factory=new_factory)
+            router.readmit(other)
+            assert router._replicas[other].supervisor.engine.model is model_b
+            router.drain(first, timeout=10)
+            landed = router.submit(prompt, sample)
+            assert landed.replica == other
+            assert landed.result(timeout=30) == reference(model_b, sample)
+            assert reference(model_b, sample) != reference(model_a, sample)
+            cache_a = router._replicas[first].supervisor.prefix_cache
+            cache_b = router._replicas[other].supervisor.prefix_cache
+            assert cache_a is not cache_b
+            kv_a = {id(value) for _, value, _ in cache_a.entries_snapshot()}
+            kv_b = {id(value) for _, value, _ in cache_b.entries_snapshot()}
+            assert kv_a and kv_b and not kv_a & kv_b
 
     def test_unknown_replica_is_a_keyerror(self, model, registry):
         with _router(model, registry) as router:
@@ -243,10 +250,10 @@ class TestLifecycle:
             assert set(stats["replicas"]) == {"r0", "r1"}
             for replica in stats["replicas"].values():
                 assert replica["state"] == "healthy"
-                assert "hit_rate" in replica["prefix_cache"]
                 assert replica["supervisor"]["restarts"] == 0
             assert stats["fleet"]["status"] == "ok"
-            assert stats["affinity"]["affinity_tokens"] == 32
+            assert stats["prefix_cache"]["lookup_tokens"] == 3
+            assert "hit_rate" in stats["prefix_cache"]
             assert sum(r["dispatches"]
                        for r in stats["replicas"].values()) == 1
 

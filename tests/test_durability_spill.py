@@ -11,8 +11,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.durability import (CacheSpill, FleetCacheSpill, SpillError,
-                              model_fingerprint)
+from repro.durability import CacheSpill, SpillError, model_fingerprint
 from repro.models.lstm import LSTMConfig, LSTMLanguageModel
 from repro.serving import PrefixCache
 
@@ -169,16 +168,3 @@ class TestFailClosed:
             b"cnumpy_evil\nboom\n.")
         with pytest.raises(SpillError):
             spill.load_into(PrefixCache(max_bytes=1 << 20))
-
-
-class TestFleet:
-    def test_for_replica_is_cached_and_namespaced(self, tmp_path):
-        fleet = FleetCacheSpill(tmp_path / "fleet")
-        r0 = fleet.for_replica("r0")
-        assert fleet.for_replica("r0") is r0
-        r1 = fleet.for_replica("r1")
-        assert r0.directory != r1.directory
-        r0.save(_filled_cache(entries=2))
-        r1.save(_filled_cache(entries=3))
-        assert r0.load_into(PrefixCache(max_bytes=1 << 20)) == 2
-        assert r1.load_into(PrefixCache(max_bytes=1 << 20)) == 3

@@ -70,6 +70,40 @@ class TestCrashRecovery:
         assert registry.counter("engine_crashes_total").value == 1
         assert registry.counter("engine_restarts_total").value == 1
 
+    def test_restart_after_evictions_serves(self):
+        # Regression: a supervised engine that had evicted even once
+        # could not survive a crash — every replacement died on its
+        # first admission scraping the eviction counter backwards
+        # ("counters only go up") until max_restarts was spent and the
+        # server answered 503 for good.
+        from repro.serving import EngineConfig
+
+        model = _model()
+        registry = MetricsRegistry()
+        prompts = [[1 + i, 2, 3] for i in range(4)]
+        with InferenceEngine(model, registry=MetricsRegistry()) as probe:
+            probe.generate(prompts[0], CONFIG)
+            entry_bytes = probe.prefix_cache.stats.bytes
+        small = EngineConfig(prefix_cache_bytes=int(1.5 * entry_bytes))
+        injector = FaultInjector(
+            {"prefix_cache.get": FaultSpec(schedule={0})})
+        sup = EngineSupervisor(
+            lambda: InferenceEngine(model, small, registry=registry),
+            registry=registry, backoff_seconds=0.005, poll_seconds=0.005)
+        with sup:
+            for prompt in prompts:
+                sup.generate(prompt, CONFIG)
+            assert sup.prefix_cache.stats.evictions >= 3
+            with inject_faults(injector):
+                with pytest.raises(EngineCrashedError):
+                    sup.submit(prompts[0], CONFIG).result(timeout=10)
+                assert _wait_for(lambda: sup.restarts == 1)
+            expected = generate(model, prompts[1], CONFIG,
+                                registry=NullRegistry(), tracer=NullTracer())
+            assert sup.generate(prompts[1], CONFIG) == expected
+            assert sup.state == "serving"
+            assert sup.restarts == 1
+
     def test_restart_budget_exhausts_to_failed(self):
         model = _model()
         injector = FaultInjector({"prefix_cache.get": FaultSpec(rate=1.0)})

@@ -173,6 +173,34 @@ class TestPrefixCache:
             assert engine.prefix_cache.stats.hits == 0
             assert engine.prefix_cache.stats.bytes == 0
 
+    def test_engine_serves_on_a_registry_where_another_evicted(self, model):
+        # Regression: engines used to *scrape* evictions into the shared
+        # counter as ``inc(cache.evictions - counter.value)``, so an
+        # engine built after one that had evicted died on its first
+        # admission with "counters only go up".  The cache now counts
+        # an eviction where it happens.
+        registry = MetricsRegistry()
+        config = GenerationConfig(max_new_tokens=2, seed=0)
+        prompts = [_prompt(300 + i, 8) for i in range(4)]
+        with InferenceEngine(model, registry=registry) as probe:
+            probe.generate(prompts[0], config)
+            entry_bytes = probe.prefix_cache.stats.bytes
+        small = EngineConfig(prefix_cache_bytes=int(1.5 * entry_bytes))
+        with InferenceEngine(model, small, registry=registry) as first:
+            for prompt in prompts:
+                first.generate(prompt, config)
+            evicted = first.prefix_cache.stats.evictions
+        assert evicted >= 3
+        counter = registry.counter("engine_prefix_cache_evictions_total")
+        assert counter.value == evicted
+        with InferenceEngine(model, small, registry=registry) as second:
+            assert second.generate(prompts[0], config) == \
+                _sequential(model, prompts[0], config)
+            assert second.crashed is None
+            second.generate(prompts[1], config)
+            assert counter.value == (evicted
+                                     + second.prefix_cache.stats.evictions)
+
     def test_stored_snapshots_own_their_memory(self, model):
         # Regression: snapshots from batched prefill used to be row
         # views into the stacked (batch, heads, capacity, head_dim)

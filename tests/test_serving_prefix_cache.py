@@ -68,6 +68,23 @@ class TestBudget:
         assert cache.lookup([4]) == (1, "d")
         assert cache.stats.evictions == 1
 
+    def test_cache_counts_its_own_series_at_the_point_of_change(self):
+        from repro.obs import MetricsRegistry
+
+        registry = MetricsRegistry()
+        cache = PrefixCache(max_bytes=20, registry=registry)
+        cache.insert([1], "a", nbytes=10)
+        cache.insert([2], "b", nbytes=10)
+        cache.insert([3], "c", nbytes=10)  # evicts [1]
+        cache.lookup([3])
+        cache.lookup([1])
+        evictions = registry.counter("engine_prefix_cache_evictions_total")
+        assert evictions.value == cache.stats.evictions == 1
+        assert registry.gauge("engine_prefix_cache_bytes").value == 20
+        assert registry.gauge("engine_prefix_cache_hit_rate").value == 0.5
+        cache.clear()
+        assert registry.gauge("engine_prefix_cache_bytes").value == 0
+
     def test_eviction_prunes_trie_nodes(self):
         cache = PrefixCache(max_bytes=10)
         cache.insert([1, 2, 3], "a", nbytes=10)
@@ -101,34 +118,47 @@ class TestBudget:
         # The locked variant reads under the cache lock — same content,
         # atomic with respect to concurrent insert/lookup/evict.
         assert cache.stats_snapshot() == expected
-        # Back-compat alias for callers that predate as_dict().
-        assert cache.stats.snapshot() == expected
 
     def test_stats_snapshot_is_atomic_under_writers(self):
+        import sys
         import threading
 
-        cache = PrefixCache(max_bytes=10_000)
+        # One cache serves every engine thread of a fleet: three
+        # writers (more than this box has cores, switching every 10 us)
+        # churn 150 distinct keys through a budget that holds 20, so
+        # evictions race inserts the whole time.
+        cache = PrefixCache(max_bytes=140)
         stop = threading.Event()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
 
-        def churn():
+        def churn(offset):
             i = 0
             while not stop.is_set():
-                cache.insert([i % 50, 1], "v", nbytes=7)
-                cache.lookup([i % 50, 1])
+                cache.insert([offset + i % 50, 1], "v", nbytes=7)
+                cache.lookup([offset + i % 50, 1])
                 i += 1
 
-        writer = threading.Thread(target=churn)
-        writer.start()
+        writers = [threading.Thread(target=churn, args=(offset,))
+                   for offset in (0, 50, 100)]
+        for writer in writers:
+            writer.start()
         try:
             for _ in range(200):
                 snap = cache.stats_snapshot()
                 # Entries each cost 7 bytes: an atomic read can never
                 # observe a bytes total mid-update (torn between the
-                # decrement and increment of an entry replacement).
+                # decrement and increment of an entry replacement) —
+                # nor, with concurrent inserters, one over the budget.
                 assert snap["bytes"] == snap["entries"] * 7
+                assert snap["bytes"] <= cache.max_bytes
         finally:
             stop.set()
-            writer.join(timeout=10)
+            for writer in writers:
+                writer.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not any(writer.is_alive() for writer in writers)
+        assert cache.stats_snapshot()["evictions"] > 0
 
     def test_validation(self):
         with pytest.raises(ValueError):

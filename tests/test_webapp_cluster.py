@@ -67,9 +67,8 @@ class TestClusterEndpoints:
         assert set(payload["replicas"]) == {"r0", "r1"}
         for replica in payload["replicas"].values():
             assert replica["state"] == "healthy"
-            assert "prefix_cache" in replica
         assert payload["fleet"]["replicas"] == 2
-        assert payload["affinity"]["affinity_tokens"] == 32
+        assert "hit_token_rate" in payload["prefix_cache"]
 
     def test_generate_routes_through_the_fleet(self, client, backend):
         recipe = client.generate(["garlic", "onion"], seed=5,
@@ -99,12 +98,14 @@ class TestClusterEndpoints:
                      timeout=10) as response:
             text = response.read().decode("utf-8")
         assert "cluster_dispatches_total" in text
-        assert "cluster_affinity_hit_rate" in text
+        assert "cluster_cache_hit_token_rate" in text
         assert "cluster_replicas_healthy" in text
         assert 'replica="r0"' in text or 'replica="r1"' in text
-        # Per-replica engine/cache series from the named engines.
+        # Per-replica engine series and lookup outcomes from the named
+        # engines; the one shared cache's own series carry no label.
         assert 'engine="r0"' in text or 'engine="r1"' in text
         assert 'cache="r0"' in text or 'cache="r1"' in text
+        assert "\nengine_prefix_cache_bytes " in text
 
     def test_replica_death_mid_request_is_one_retried_response(
             self, pipeline):
@@ -153,10 +154,8 @@ class TestClusterEndpoints:
 
 class TestServeWiring:
     def test_replicas_flags_parse(self):
-        args = build_parser().parse_args(
-            ["backend", "--replicas", "3", "--affinity-tokens", "16"])
+        args = build_parser().parse_args(["backend", "--replicas", "3"])
         assert args.replicas == 3
-        assert args.affinity_tokens == 16
 
     def test_backend_rejects_zero_replicas(self, pipeline):
         with pytest.raises(ValueError):
