@@ -1,8 +1,9 @@
 """Gate benchmark: the serving engine must beat sequential decoding 2x.
 
 Replays the same 16-request workload (a shared 40-token prompt prefix
-+ unique suffixes, mixed token budgets so sequences retire mid-flight)
-two ways:
++ unique suffixes of 1-8 tokens, so no two neighbouring sequences are
+equally long and the gate tests batching of *unequal* rows; mixed token
+budgets so sequences retire mid-flight) two ways:
 
 * **sequential** — one ``models.generate`` call after another, the
   pre-engine serving story;
@@ -48,13 +49,15 @@ NUM_REQUESTS = 16
 
 
 def _build_workload():
-    """16 requests sharing a prompt prefix, with staggered budgets."""
+    """16 requests sharing a prompt prefix, with unequal suffix
+    lengths and staggered budgets."""
     rng = np.random.default_rng(0)
     shared = [int(t) for t in rng.integers(0, VOCAB,
                                            size=SHARED_PREFIX_TOKENS)]
     workload = []
     for index in range(NUM_REQUESTS):
-        suffix = [int(t) for t in rng.integers(0, VOCAB, size=8)]
+        suffix = [int(t) for t in rng.integers(0, VOCAB,
+                                               size=1 + index % 8)]
         # Budgets bracket real recipe lengths (the pipeline default is
         # 220 tokens) and are staggered so sequences retire mid-flight.
         config = GenerationConfig(

@@ -109,7 +109,9 @@ class LanguageModel(Module):
             ``(batch,)`` int array: the token just produced (or the
             next prompt token during prefill).
         state:
-            Whatever :meth:`start_state` / the previous call returned.
+            Whatever :meth:`start_state` / the previous call returned
+            (or, where :attr:`ragged_decode` is set, a list of
+            batch-of-one states, one per id).
 
         Returns
         -------
@@ -202,19 +204,28 @@ class LanguageModel(Module):
     # ------------------------------------------------------------------
     # Batched decoding (the serving engine's continuous batching)
     # ------------------------------------------------------------------
+    #: Whether :meth:`next_logits` also accepts a **list** of
+    #: batch-of-one states — sequences of unequal length — and advances
+    #: them in one forward, returning ``(logits (B, V), [states])`` with
+    #: each row **bit-identical** to its own single-row call.  The
+    #: serving engine decodes all plain rows of a step in one such call;
+    #: rows of a model that leaves this ``False`` step one by one.
+    ragged_decode = False
+
     def stacking_key(self, state: Any) -> Optional[Hashable]:
-        """Grouping key for exact batched decoding, or ``None``.
+        """Grouping key for exact stacked prefill/verify, or ``None``.
 
         States that return the same (non-``None``) key may be stacked
-        into one batched :meth:`next_logits` call with **bit-identical**
-        per-row results.  The default declares states unstackable,
-        which is the only safe answer for models whose decode step is
-        a plain 2-D GEMM (e.g. the LSTM): BLAS kernels are not
-        row-stable across different batch sizes, so stacking would
-        break the engine's batched == sequential equality contract.
-        Transformer decode runs ``(batch, 1, d)`` batched matmuls that
-        numpy evaluates per-slice, which *is* row-stable — those models
-        override this.
+        into one batched :meth:`prefill_stacked` or :meth:`verify_chunk`
+        call with **bit-identical** per-row results (plain decode does
+        not stack: see :attr:`ragged_decode`).  The default declares
+        states unstackable, which is the only safe answer for models
+        whose decode step is a plain 2-D GEMM (e.g. the LSTM): BLAS
+        kernels are not row-stable across different batch sizes, so
+        stacking would break the engine's batched == sequential
+        equality contract.  Transformer decode runs ``(batch, 1, d)``
+        batched matmuls that numpy evaluates per-slice, which *is*
+        row-stable — GPT-2 overrides this.
         """
         return None
 

@@ -15,7 +15,7 @@ the Table-I benchmark documents the scaling.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Hashable, List, Optional, Sequence, Tuple
+from typing import Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -59,6 +59,7 @@ class GPT2Model(LanguageModel):
     """GPT-2: token+position embeddings → blocks → LN → tied head."""
 
     model_type = "gpt2"
+    ragged_decode = True
 
     def __init__(self, config: GPT2Config) -> None:
         config.validate()
@@ -152,21 +153,38 @@ class GPT2Model(LanguageModel):
                        dtype=np.float32))
         return GPT2State(caches=[empty() for _ in self.blocks], position=0)
 
+    def _slide(self, state: GPT2State) -> Tuple[List[KVCache], int]:
+        """``state``'s caches and position, slid into the window.
+
+        Once the context fills up, evict the oldest cached key/value
+        and saturate the position index, so generation can run past
+        ``context_length`` (attending to the most recent window)
+        instead of raising.
+        """
+        keep = self.config.context_length - 1
+        if state.position <= keep:
+            return state.caches, state.position
+        return [KVCache(k=c.keys[:, :, -keep:, :], v=c.values[:, :, -keep:, :])
+                for c in state.caches], keep
+
     def next_logits(self, ids: np.ndarray,
-                    state: GPT2State) -> Tuple[np.ndarray, GPT2State]:
+                    state: Union[GPT2State, List[GPT2State]]
+                    ) -> Tuple[np.ndarray, Union[GPT2State, List[GPT2State]]]:
+        """One decode step; ``state`` is one state or a list of them.
+
+        A **list** of ``B`` batch-of-one states — sequences of any,
+        unequal lengths — advances all rows in one forward and returns
+        ``(logits (B, V), [states])``: the position-independent ops
+        (LayerNorm, QKV, out-proj, MLP, tied head) run once at
+        ``(B, 1, d)``, which numpy evaluates as ``B`` separate
+        ``(1, d)`` GEMMs, and attention walks each row's own KV cache,
+        so row ``r`` gets the bits of ``next_logits(ids[r:r+1],
+        states[r])`` (see ``docs/SERVING.md`` §2).
+        """
         ids = np.asarray(ids).reshape(-1, 1)  # (B, 1)
-        # Sliding window: once the context fills up, evict the oldest
-        # cached key/value and saturate the position index, so
-        # generation can run past ``context_length`` (attending to the
-        # most recent window) instead of raising.
-        position = state.position
-        caches = state.caches
-        if position >= self.config.context_length:
-            keep = self.config.context_length - 1
-            caches = [KVCache(k=c.keys[:, :, -keep:, :],
-                              v=c.values[:, :, -keep:, :])
-                      for c in caches]
-            position = keep
+        if isinstance(state, list):
+            return self._next_logits_rows(ids, state)
+        caches, position = self._slide(state)
         kernels = self._active_kernels()
         if kernels is not None:
             logits, new_caches = kernels.decode_step(ids, caches, position)
@@ -176,6 +194,30 @@ class GPT2Model(LanguageModel):
         logits = self._project(hidden)
         new_state = GPT2State(caches=new_caches, position=position + 1)
         return logits.data[:, 0, :], new_state
+
+    def _next_logits_rows(self, ids: np.ndarray, states: List[GPT2State]
+                          ) -> Tuple[np.ndarray, List[GPT2State]]:
+        if len(states) != ids.shape[0] or any(
+                state.caches[0].k.shape[0] != 1 for state in states):
+            raise ValueError(
+                f"expected {ids.shape[0]} batch-of-one states, one per id")
+        slid = [self._slide(state) for state in states]
+        rows = [caches for caches, _ in slid]
+        positions = np.array([position for _, position in slid])
+        kernels = self._active_kernels()
+        if kernels is not None:
+            logits, new_rows = kernels.decode_rows(ids, rows, positions)
+        else:
+            x = self.drop(self.wte(ids) + self.wpe(positions.reshape(-1, 1)))
+            layers = []
+            for index, block in enumerate(self.blocks):
+                x, new_caches = block.forward_rows(
+                    x, [caches[index] for caches in rows])
+                layers.append(new_caches)
+            logits = self._project(self.ln_f(x)).data[:, 0, :]
+            new_rows = [list(row) for row in zip(*layers)]
+        return logits, [GPT2State(caches=caches, position=position + 1)
+                        for caches, (_, position) in zip(new_rows, slid)]
 
     def prefill(self, ids: np.ndarray, state: GPT2State
                 ) -> Tuple[np.ndarray, GPT2State]:

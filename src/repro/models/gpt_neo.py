@@ -193,14 +193,10 @@ class GPTNeoModel(LanguageModel):
     def config_dict(self) -> dict:
         return {"model_type": self.model_type, **asdict(self.config)}
 
-    # Batched decoding: the decode step is the same per-slice ``(1, d)``
-    # matmul shape at any batch size, so equal-position states stack
-    # bit-exactly just like GPT-2's.  (Prefill stays on the per-token
-    # default: the local-attention mask was only written for the
-    # full-sequence and single-step cases.)
-    stacking_key = GPT2Model.stacking_key
-    stack_states = GPT2Model.stack_states
-    split_states = GPT2Model.split_states
+    # Same KV-cache state as GPT-2, so the same snapshots.  Decode and
+    # prefill stay on the per-row, per-token defaults: the local
+    # attention (windowed cache, windowed mask) was only written for
+    # the full-sequence and single-step cases.
     snapshot_state = GPT2Model.snapshot_state
     compact_state = GPT2Model.compact_state
 

@@ -10,7 +10,7 @@ O(T^2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -228,6 +228,43 @@ class CausalSelfAttention(Module):
         out = self.resid_dropout(self.proj(Tensor(merged)))
         return out, new_cache
 
+    def forward_rows(self, x: Tensor, caches: Sequence[KVCache]
+                     ) -> Tuple[Tensor, List[KVCache]]:
+        """One decode token for each of ``len(caches)`` sequences of
+        unequal length.
+
+        ``x`` is ``(rows, 1, D)``; ``caches[r]`` is row ``r``'s own
+        batch-of-one cache.  The qkv/proj projections run once over all
+        rows — per-slice ``(1, D)`` GEMMs, as in :meth:`forward_verify`
+        — and each row attends over its own cache exactly as
+        :meth:`forward` does at batch 1 (including the ``past == 0``
+        mask arm), so the result is **bit-identical** to ``rows``
+        separate calls.  Generation-only: gradients do not flow.
+        """
+        rows = len(caches)
+        qkv = self.qkv(x)  # (rows, 1, 3D)
+        q = self._split_heads(qkv[:, :, :self.d_model], rows, 1).data
+        k = self._split_heads(qkv[:, :, self.d_model:2 * self.d_model],
+                              rows, 1).data
+        v = self._split_heads(qkv[:, :, 2 * self.d_model:], rows, 1).data
+        new_caches, contexts = [], []
+        for r, cache in enumerate(caches):
+            keys, values = k[r:r + 1], v[r:r + 1]
+            new_cache = cache.append(keys, values)
+            if cache.seq_len:
+                keys, values = new_cache.keys, new_cache.values
+            scores = (Tensor(q[r:r + 1]) @ Tensor(keys).swapaxes(-1, -2)
+                      ) * (1.0 / np.sqrt(self.head_dim))
+            if cache.seq_len == 0:
+                scores = F.add_mask(scores, np.zeros((1, 1), np.float32))
+            weights = self.attn_dropout(F.softmax(scores, axis=-1))
+            contexts.append((weights @ Tensor(values)).data)  # (1, H, 1, Hd)
+            new_caches.append(new_cache)
+        merged = np.concatenate(contexts).transpose(0, 2, 1, 3).reshape(
+            rows, 1, self.d_model)
+        out = self.resid_dropout(self.proj(Tensor(merged)))
+        return out, new_caches
+
 
 class MLP(Module):
     """Position-wise feed-forward network with GELU (GPT-2 style)."""
@@ -276,3 +313,12 @@ class TransformerBlock(Module):
         x = x + attn_out
         x = x + self.mlp(self.ln2(x))
         return x, new_cache
+
+    def forward_rows(self, x: Tensor, caches: Sequence[KVCache]
+                     ) -> Tuple[Tensor, List[KVCache]]:
+        """Block pass for ragged batched decode (see
+        :meth:`CausalSelfAttention.forward_rows`)."""
+        attn_out, new_caches = self.attn.forward_rows(self.ln1(x), caches)
+        x = x + attn_out
+        x = x + self.mlp(self.ln2(x))
+        return x, new_caches

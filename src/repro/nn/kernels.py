@@ -296,7 +296,7 @@ class InferenceKernels:
         d, h, ff, v = self.d_model, self.num_heads, self.d_ff, self.vocab_size
         total = self.context_length
         return (
-            batch * time * (3 * d + 2 * ff + 2 * d + v + 3)  # x/ln/qkv/ff/g/...
+            batch * time * (3 * d + 2 * ff + 3 * d + v + 3)  # x/pos/ln/qkv/ff/...
             + batch * h * time * (total + self.head_dim + 2)  # scores/ctx/stats
             + batch * time * d)  # merged
 
@@ -312,12 +312,10 @@ class InferenceKernels:
         return self._alloc_count
 
     def stats(self) -> Dict[str, Any]:
-        ws = self._ws
         return {
             "mode": self.mode,
             "workspace_allocations": self._alloc_count,
             "workspace_bytes": self._alloc_bytes,
-            "thread_arena_bytes": sum(a.nbytes for a in ws.arenas),
             "weights_frozen": self.store.frozen,
             "weight_fp32_bytes": self.store.fp32_nbytes,
         }
@@ -370,10 +368,11 @@ class InferenceKernels:
 
     def _softmax(self, scores: np.ndarray, smax: np.ndarray,
                  ssum: np.ndarray) -> None:
-        np.max(scores, axis=-1, keepdims=True, out=smax)
+        # The reductions np.max / np.sum dispatch to, minus the wrapper.
+        np.maximum.reduce(scores, axis=-1, keepdims=True, out=smax)
         np.subtract(scores, smax, out=scores)
         np.exp(scores, out=scores)
-        np.sum(scores, axis=-1, keepdims=True, out=ssum)
+        np.add.reduce(scores, axis=-1, keepdims=True, out=ssum)
         np.divide(scores, ssum, out=scores)
 
     def _gelu(self, x: np.ndarray, scratch: np.ndarray) -> None:
@@ -407,6 +406,28 @@ class InferenceKernels:
         np.matmul(hidden, self._wte.swapaxes(0, 1), out=out)
         return out
 
+    def _dense_buffers(self, batch: int, time: int) -> Tuple[np.ndarray, ...]:
+        """``(ln, qkv, mstat, vstat, attn, ff, gelu_ws)`` for the
+        position-independent ops at ``(batch, time)``."""
+        d, ff = self.d_model, self.d_ff
+        return tuple(self._take((batch, time, width))
+                     for width in (d, 3 * d, 1, 1, d, ff, ff))
+
+    def _block_tail(self, bw: _BlockWeights, x: np.ndarray,
+                    merged: np.ndarray, ln: np.ndarray, mstat: np.ndarray,
+                    vstat: np.ndarray, attn: np.ndarray, ff: np.ndarray,
+                    gelu_ws: np.ndarray) -> None:
+        """The post-attention half of a block, into ``x``: out-proj,
+        residual, LN2, MLP, residual — position-independent ops every
+        forward pass spells the same way."""
+        self._linear(merged, bw.proj_w, bw.proj_b, attn)
+        np.add(x, attn, out=x)
+        self._layer_norm(x, bw.ln2_w, bw.ln2_b, ln, mstat, vstat)
+        self._linear(ln, bw.fc_w, bw.fc_b, ff)
+        self._gelu(ff, gelu_ws)
+        self._linear(ff, bw.out_w, bw.out_b, attn)
+        np.add(x, attn, out=x)
+
     # -- forward passes ---------------------------------------------------
     def _forward_cached(self, ids: np.ndarray,
                         caches: Optional[Sequence[KVCache]], position: int
@@ -427,17 +448,12 @@ class InferenceKernels:
         total = past + time
 
         x = self._embed(ids, position)
-        ln = self._take((batch, time, d))
-        qkv = self._take((batch, time, 3 * d))
-        mstat = self._take((batch, time, 1))
-        vstat = self._take((batch, time, 1))
+        ln, qkv, mstat, vstat, attn, ff, gelu_ws = self._dense_buffers(
+            batch, time)
         scores = self._take((batch, h, time, total))
         smax = self._take((batch, h, time, 1))
         ssum = self._take((batch, h, time, 1))
         ctxb = self._take((batch, h, time, hd))
-        attn = self._take((batch, time, d))
-        ff = self._take((batch, time, self.d_ff))
-        gelu_ws = self._take((batch, time, self.d_ff))
         merged = (ctxb.transpose(0, 2, 1, 3).reshape(batch, time, d)
                   if time == 1 else self._take((batch, time, d)))
 
@@ -468,13 +484,8 @@ class InferenceKernels:
             if time > 1:
                 merged.reshape(batch, time, h, hd)[...] = (
                     ctxb.transpose(0, 2, 1, 3))
-            self._linear(merged, bw.proj_w, bw.proj_b, attn)
-            np.add(x, attn, out=x)
-            self._layer_norm(x, bw.ln2_w, bw.ln2_b, ln, mstat, vstat)
-            self._linear(ln, bw.fc_w, bw.fc_b, ff)
-            self._gelu(ff, gelu_ws)
-            self._linear(ff, bw.out_w, bw.out_b, attn)
-            np.add(x, attn, out=x)
+            self._block_tail(bw, x, merged, ln, mstat, vstat, attn, ff,
+                             gelu_ws)
             new_caches.append(new_cache)
 
         self._layer_norm(x, self.store.ln_f_w, self.store.ln_f_b, ln,
@@ -492,6 +503,74 @@ class InferenceKernels:
         logits, new_caches = self._forward_cached(ids, caches, position)
         out = logits[:, 0, :]
         return (out.copy() if copy else out), new_caches
+
+    def decode_rows(self, ids: np.ndarray,
+                    caches_per_row: Sequence[Sequence[KVCache]],
+                    positions: np.ndarray
+                    ) -> Tuple[np.ndarray, List[List[KVCache]]]:
+        """One token for each of ``B`` sequences of *unequal* length.
+
+        ``ids`` is ``(B, 1)``, ``caches_per_row[r]`` row ``r``'s own
+        per-layer batch-of-one caches, ``positions`` ``(B,)``.  The
+        dense ops run once at ``(B, 1, d)`` — to numpy, ``B`` separate
+        ``(1, d)`` GEMMs, :meth:`decode_step`'s shape on one row — and
+        only attention walks the rows, each over its own cache at its
+        own length: every row gets the bits of its own single-row step
+        and caches are never concatenated.  Returns ``(logits (B, V),
+        new_caches_per_row)``.
+        """
+        copy = self._enter()
+        self._check_ids(ids)
+        rows = ids.shape[0]
+        d, h, hd = self.d_model, self.num_heads, self.head_dim
+        x = self._take((rows, 1, d))
+        np.take(self._wte, ids, axis=0, out=x)
+        pos = self._take((rows, 1, d))
+        np.take(self._wpe, positions.reshape(rows, 1), axis=0, out=pos)
+        np.add(x, pos, out=x)
+        ln, qkv, mstat, vstat, attn, ff, gelu_ws = self._dense_buffers(
+            rows, 1)
+        smax = self._take((1, h, 1, 1))
+        ssum = self._take((1, h, 1, 1))
+        ctxb = self._take((rows, h, 1, hd))
+        merged = ctxb.transpose(0, 2, 1, 3).reshape(rows, 1, d)
+        # Per-row views and score buffers, built once for all layers:
+        # each is what _forward_cached sees at batch 1 (same strides,
+        # a contiguous (1, H, 1, past + 1) scores buffer of its own).
+        q, k, v = (qkv[:, :, lo:lo + d].reshape(rows, 1, h, hd)
+                   .transpose(0, 2, 1, 3) for lo in (0, d, 2 * d))
+        views = []
+        for r, caches in enumerate(caches_per_row):
+            past = caches[0].seq_len
+            views.append((past, q[r:r + 1], k[r:r + 1], v[r:r + 1],
+                          self._take((1, h, 1, past + 1)), ctxb[r:r + 1]))
+
+        new_rows: List[List[KVCache]] = [[] for _ in range(rows)]
+        for index, bw in enumerate(self._blocks):
+            self._layer_norm(x, bw.ln1_w, bw.ln1_b, ln, mstat, vstat)
+            self._linear(ln, bw.qkv_w, bw.qkv_b, qkv)
+            for r, (past, q_r, k_r, v_r, scores, ctx_r) in enumerate(views):
+                new_cache = caches_per_row[r][index].append(
+                    k_r, v_r, reserve=self.context_length)
+                new_rows[r].append(new_cache)
+                if past:
+                    k_r = new_cache.keys
+                    v_r = new_cache.values
+                np.matmul(q_r, k_r.swapaxes(-1, -2), out=scores)
+                np.multiply(scores, self._scale, out=scores)
+                if past == 0:
+                    np.add(scores, self._mask[:1, :1], out=scores)
+                self._softmax(scores, smax, ssum)
+                np.matmul(scores, v_r, out=ctx_r)
+            self._block_tail(bw, x, merged, ln, mstat, vstat, attn, ff,
+                             gelu_ws)
+
+        self._layer_norm(x, self.store.ln_f_w, self.store.ln_f_b, ln,
+                         mstat, vstat)
+        logits = self._take((rows, 1, self.vocab_size))
+        self._project(ln, logits)
+        out = logits[:, 0, :]
+        return (out.copy() if copy else out), new_rows
 
     def prefill_batch(self, ids: np.ndarray, caches: Sequence[KVCache],
                       position: int
@@ -537,19 +616,14 @@ class InferenceKernels:
 
         x3 = self._embed(ids, position)
         x = x3.reshape(flat, 1, d)
-        ln = self._take((flat, 1, d))
-        qkv = self._take((flat, 1, 3 * d))
-        mstat = self._take((flat, 1, 1))
-        vstat = self._take((flat, 1, 1))
+        ln, qkv, mstat, vstat, attn, ff, gelu_ws = self._dense_buffers(
+            flat, 1)
         smax = self._take((batch, h, 1, 1))
         ssum = self._take((batch, h, 1, 1))
         ctxb = self._take((batch, h, 1, hd))
         kbuf = self._take((batch, steps, h, hd))
         vbuf = self._take((batch, steps, h, hd))
         merged = self._take((flat, 1, d))
-        attn = self._take((flat, 1, d))
-        ff = self._take((flat, 1, self.d_ff))
-        gelu_ws = self._take((flat, 1, self.d_ff))
 
         new_caches: List[KVCache] = []
         for index, bw in enumerate(self._blocks):
@@ -582,13 +656,8 @@ class InferenceKernels:
                 np.matmul(scores, values, out=ctxb)
                 merged_steps[:, t] = ctxb.transpose(0, 2, 1, 3).reshape(
                     batch, 1, d)
-            self._linear(merged, bw.proj_w, bw.proj_b, attn)
-            np.add(x, attn, out=x)
-            self._layer_norm(x, bw.ln2_w, bw.ln2_b, ln, mstat, vstat)
-            self._linear(ln, bw.fc_w, bw.fc_b, ff)
-            self._gelu(ff, gelu_ws)
-            self._linear(ff, bw.out_w, bw.out_b, attn)
-            np.add(x, attn, out=x)
+            self._block_tail(bw, x, merged, ln, mstat, vstat, attn, ff,
+                             gelu_ws)
             new_caches.append(new_cache)
 
         self._layer_norm(x, self.store.ln_f_w, self.store.ln_f_b, ln,

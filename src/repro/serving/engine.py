@@ -14,18 +14,20 @@ One background thread owns the model and runs a step loop:
 3. **Retire** — sequences that hit their stop token or token budget
    leave the batch mid-flight; their slot is refilled on the next
    admit pass.
-4. **Forward** — survivors are grouped by
-   :meth:`~repro.models.base.LanguageModel.stacking_key`; groups stack
-   their KV caches into one batched ``next_logits`` call, ungroupable
-   states (``key is None``, e.g. the LSTM) step one by one.
+4. **Forward** — all plain survivors, whatever their lengths, advance
+   in **one** ``next_logits(ids, [states])`` call when the model
+   decodes ragged batches (:attr:`~repro.models.base.LanguageModel.
+   ragged_decode`: GPT-2); other models' rows (LSTM, GPT-Neo) step one
+   by one.  Speculative rows verify in their own batched calls.
 
 Equality contract: for any request, the engine's token stream is
 **bit-identical** to ``models.generate(model, prompt, config)`` run
 alone — regardless of what else shares the batch, and regardless of
-prefix-cache hits.  The pieces that make that true: stacked transformer
-decode is per-slice (row-stable) matmul; prefill chunking is aligned
-to absolute positions; sampling state is per-request.  Property-tested
-in ``tests/test_properties_serving.py``.
+prefix-cache hits.  The pieces that make that true: batched transformer
+decode runs its dense ops as per-slice (row-stable) matmuls and its
+attention row by row over each sequence's own KV cache; prefill
+chunking is aligned to absolute positions; sampling state is
+per-request.  Property-tested in ``tests/test_properties_serving.py``.
 """
 
 from __future__ import annotations
@@ -359,14 +361,17 @@ class _EngineMetrics:
                 **cache_labels)
         self.decode_forwards = registry.counter(
             "engine_decode_forwards_total",
-            help="Model decode calls (batched next_logits or verify "
-                 "chunks) — the denominator of tokens-per-forward").labels(
+            help="Model decode calls: one next_logits over all plain "
+                 "rows of a step (one per row for models without ragged "
+                 "decode) plus one per verify-chunk group — the "
+                 "denominator of tokens-per-forward").labels(
                 **engine_labels)
         self.tokens_per_forward = registry.gauge(
             "engine_tokens_per_forward",
-            help="Lifetime decode tokens emitted per model decode call "
-                 "(1.0 without speculation; higher means the draft is "
-                 "amortizing target forwards)").labels(**engine_labels)
+            help="Lifetime decode tokens emitted per model decode call: "
+                 "about the batch occupancy for plain ragged decode, "
+                 "1.0 for row-by-row models; speculation raises "
+                 "either").labels(**engine_labels)
 
     def outcome(self, outcome: str, strategy: str = "plain"):
         """The ``engine_requests_total`` child for one final outcome.
@@ -432,10 +437,6 @@ class InferenceEngine:
         # Requests popped from the queue but not yet active: a crash
         # mid-admission must be able to fail them, or they would hang.
         self._admitting: List[EngineRequest] = []
-        # Stacked decode states from the previous step, keyed by group
-        # membership — skips re-concatenating KV caches while a batch
-        # is stable (see _forward).
-        self._stacked_states: Dict[Tuple[int, ...], Any] = {}
         self._stop_event = threading.Event()
         self._crashed: Optional[BaseException] = None
         self._next_id = 0
@@ -583,7 +584,6 @@ class InferenceEngine:
         for seq in list(self._active):
             failed += self._resolve(seq.request, error=error)
         self._active = []
-        self._stacked_states = {}
         while True:
             try:
                 request = self._queue.get_nowait()
@@ -646,7 +646,6 @@ class InferenceEngine:
                         for seq in self._active:
                             self._finish(seq, error=error)
                         self._active = []
-                        self._stacked_states = {}
         except BaseException as error:  # noqa: BLE001 - crash, not stop
             # Anything escaping the loop (e.g. a prefix_cache.get fault
             # during admission) is a crash: mark it, fail everything
@@ -914,14 +913,15 @@ class InferenceEngine:
         return False
 
     def _forward(self, survivors: List[_Sequence]) -> None:
-        """Advance survivors, batching same-key states.
+        """Advance survivors: one forward for all plain rows.
 
-        Non-speculative sequences advance one token via batched
-        ``next_logits``; speculative sequences draft and run batched
-        ``verify_chunk`` calls instead (:meth:`_forward_spec`).  Both
-        kinds coexist in one batch — they simply land in different
-        model calls, each bit-identical to its single-sequence
-        equivalent.
+        Non-speculative sequences — of any, unequal lengths — advance
+        one token in a single ragged ``next_logits(ids, [states])``
+        call when the model supports it, else row by row; speculative
+        sequences draft and run batched ``verify_chunk`` calls instead
+        (:meth:`_forward_spec`).  Both kinds coexist in one batch —
+        they simply land in different model calls, each bit-identical
+        to its single-sequence equivalent.
         """
         if survivors:
             # Chaos hook: fails this step's batch (named error) while
@@ -930,53 +930,34 @@ class InferenceEngine:
             # fault injected here hits a verify step too.
             fault_check("model.forward")
         forwards_before = self._decode_forwards
-        spec_seqs = [seq for seq in survivors if seq.spec_k > 0]
-        groups: Dict[Any, List[_Sequence]] = {}
-        singles: List[_Sequence] = []
-        for seq in survivors:
-            if seq.spec_k > 0:
-                continue
-            key = self.model.stacking_key(seq.state)
-            if key is None:
-                singles.append(seq)
-            else:
-                groups.setdefault(key, []).append(seq)
-        new_stacked: Dict[Tuple[int, ...], Any] = {}
-        for key, members in groups.items():
-            if len(members) == 1:
-                singles.extend(members)
-                continue
-            # Reuse last step's stacked state while the group is
-            # stable: stack(split(x)) == x element-for-element, so this
-            # skips a per-step cache concatenation without changing a
-            # single bit of output.
-            member_ids = tuple(id(seq) for seq in members)
-            stacked = self._stacked_states.get(member_ids)
-            if stacked is None:
-                stacked = self.model.stack_states(
-                    [s.state for s in members])
-            logits, new_state = self.model.next_logits(
-                np.asarray([s.generated[-1] for s in members]), stacked)
+        plain = [seq for seq in survivors if seq.spec_k == 0]
+        if len(plain) > 1 and self.model.ragged_decode:
+            logits, states = self.model.next_logits(
+                np.asarray([seq.generated[-1] for seq in plain]),
+                [seq.state for seq in plain])
             self._decode_forwards += 1
-            new_stacked[member_ids] = new_state
-            states = self.model.split_states(new_state, len(members))
-            for row, seq in enumerate(members):
+            for row, seq in enumerate(plain):
                 seq.logits = logits[row]
                 seq.state = states[row]
-        self._stacked_states = new_stacked
-        for seq in singles:
-            logits, state = self.model.next_logits(
-                np.asarray([seq.generated[-1]]), seq.state)
-            self._decode_forwards += 1
-            seq.logits = logits[0]
-            seq.state = state
-        if spec_seqs:
-            self._forward_spec(spec_seqs)
+        else:
+            for seq in plain:
+                self._decode_one(seq)
+        if len(plain) < len(survivors):
+            self._forward_spec(
+                [seq for seq in survivors if seq.spec_k > 0])
         if self._decode_forwards > forwards_before:
             self.metrics.decode_forwards.inc(
                 self._decode_forwards - forwards_before)
             self.metrics.tokens_per_forward.set(
                 self._emitted_tokens / self._decode_forwards)
+
+    def _decode_one(self, seq: _Sequence) -> None:
+        """One sequence's plain single-row decode step."""
+        logits, state = self.model.next_logits(
+            np.asarray([seq.generated[-1]]), seq.state)
+        self._decode_forwards += 1
+        seq.logits = logits[0]
+        seq.state = state
 
     def _forward_spec(self, spec_seqs: List[_Sequence]) -> None:
         """Draft proposals and verify them in batched chunk forwards.
@@ -1051,11 +1032,7 @@ class InferenceEngine:
                 for seq in members:
                     seq.spec_k = 0
                     seq.spec_chunk = None
-                    logits, state = self.model.next_logits(
-                        np.asarray([seq.generated[-1]]), seq.state)
-                    self._decode_forwards += 1
-                    seq.logits = logits[0]
-                    seq.state = state
+                    self._decode_one(seq)
 
     def _resolve(self, request: EngineRequest,
                  error: Optional[BaseException] = None,

@@ -139,3 +139,27 @@ def test_serve_parser_accepts_the_harness_argv(harness):
     plain = build_parser().parse_args(
         harness.server.server_argv(fixture, retrieval=False)[3:])
     assert plain.retrieval is False
+
+
+def test_batched_decode_lands_in_the_span_the_layer_table_reads(
+        harness, pipeline):
+    # The traced mode times ``model.next_logits`` sized by its rows; an
+    # engine that decoded a batch through any other entry point would
+    # move ``nn`` time into ``serving`` and leave ``nn.decode_step_ms_b8``
+    # dark without failing anything.
+    names = ["rice", "onion", "garlic", "egg", "butter", "tofu"]
+    payloads = [{**PAYLOAD, "ingredients": names[:count]}
+                for count in range(1, len(names) + 1)]  # unequal prompts
+    engine = harness.inprocess.build_engine(pipeline)
+    recorder = harness.spans.SpanRecorder()
+    harness.spans.instrument(recorder, pipeline, engine)
+    try:
+        result = harness.inprocess.run_engine_pass(
+            pipeline, engine, payloads, tracer=recorder)
+    finally:
+        recorder.unwrap()
+        engine.stop()
+    assert [record.reply.error for record in result.records] == [None] * 6
+    sizes = [span.size for span in recorder.spans
+             if span.name == "nn.next_logits" and span.parent is None]
+    assert max(sizes) > 1

@@ -147,3 +147,31 @@ class TestWorkspaceReuse:
             assert stats["workspace_allocations"] == settled
         finally:
             engine.stop()
+
+    def test_ragged_steps_allocate_nothing_after_preallocate(self):
+        # preallocate(8) must cover a full ragged step — position
+        # embeddings and per-row score buffers included — whatever
+        # rows share it.
+        model = _model()
+        kernels = model.enable_kernels("fp32")
+        rng = np.random.default_rng(0)
+
+        def fresh_row():
+            length = int(rng.integers(1, 60))
+            return model.prefill(rng.integers(0, VOCAB, size=length),
+                                 model.start_state(1))[1]
+
+        states = [fresh_row() for _ in range(8)]
+        kernels.preallocate(8)
+        settled = kernels.allocation_count
+        for step in range(50):
+            kernels.begin_step()
+            if step % 3 == 0:  # a row retires, another is admitted
+                states[int(rng.integers(0, len(states)))] = fresh_row()
+            live = [int(r) for r in rng.permutation(8)[:rng.integers(2, 9)]]
+            _, new_states = model.next_logits(
+                rng.integers(0, VOCAB, size=len(live)),
+                [states[r] for r in live])
+            for r, state in zip(live, new_states):
+                states[r] = state
+        assert kernels.allocation_count == settled

@@ -116,3 +116,66 @@ class TestKernelsEqualTensorPath:
         handles = [ENGINE.submit(p, c) for p, c in requests]
         actual = [h.result(timeout=120) for h in handles]
         assert actual == expected
+
+
+def _ragged_states(model, seed, rows):
+    """``rows`` batch-of-one states of unequal length, mixed provenance:
+    row views of one stacked prefill, private prefills, frozen compact
+    snapshots and the empty cache.  Returns ``(states, frozen)``."""
+    rng = np.random.default_rng(seed)
+    states, frozen = [], []
+    stacked_rows = int(rng.integers(0, min(rows, 3) + 1))
+    if stacked_rows:
+        ids = rng.integers(0, VOCAB, size=(stacked_rows,
+                                           int(rng.integers(1, 41))))
+        _, stacked = model.prefill_stacked(ids, model.stack_states(
+            [model.start_state(1) for _ in range(stacked_rows)]))
+        states += model.split_states(stacked, stacked_rows)
+    while len(states) < rows:
+        state = model.start_state(1)
+        length = int(rng.integers(0, 41))
+        if length:
+            _, state = model.prefill(rng.integers(0, VOCAB, size=length),
+                                     state)
+            if rng.integers(0, 2):
+                state = model.compact_state(state)
+                frozen.append(state)
+        states.append(state)
+    return [states[i] for i in rng.permutation(rows)], frozen
+
+
+class TestRaggedDecode:
+    @given(seed=st.integers(min_value=0, max_value=2 ** 20),
+           rows=st.integers(min_value=1, max_value=8))
+    @settings(max_examples=20, deadline=None)
+    def test_each_row_gets_its_own_single_row_step(self, seed, rows):
+        # next_logits(ids, [s_1 … s_B]) over unequal cache lengths: row
+        # r's logits and cache are those of next_logits(ids[r:r+1], s_r),
+        # on both paths, and the paths agree with each other.
+        per_path = []
+        for model in (TENSOR_MODEL, KERNEL_MODEL):
+            ragged, frozen = _ragged_states(model, seed, rows)
+            alone, _ = _ragged_states(model, seed, rows)
+            before = [[(c.keys.copy(), c.values.copy()) for c in s.caches]
+                      for s in frozen]
+            rng = np.random.default_rng(seed + 1)
+            for _ in range(2):  # the second step resumes the first's states
+                ids = rng.integers(0, VOCAB, size=rows)
+                logits, ragged = model.next_logits(ids, ragged)
+                assert logits.shape == (rows, VOCAB)
+                for r in range(rows):
+                    single, alone[r] = model.next_logits(ids[r:r + 1],
+                                                         alone[r])
+                    assert np.array_equal(logits[r], single[0])
+                    assert ragged[r].position == alone[r].position
+                    for a, b in zip(ragged[r].caches, alone[r].caches):
+                        assert np.array_equal(a.keys, b.keys)
+                        assert np.array_equal(a.values, b.values)
+            per_path.append(logits)
+            # A frozen snapshot is copied on append, never written.
+            for state, saved in zip(frozen, before):
+                for cache, (keys, values) in zip(state.caches, saved):
+                    assert cache.frozen
+                    assert np.array_equal(cache.keys, keys)
+                    assert np.array_equal(cache.values, values)
+        assert np.array_equal(*per_path)

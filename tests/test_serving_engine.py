@@ -10,11 +10,14 @@ import threading
 import numpy as np
 import pytest
 
-from repro.models import GenerationConfig, distilgpt2, generate
+from repro.models import (GenerationConfig, NGramDraft, distilgpt2,
+                          generate)
 from repro.models.lstm import LSTMConfig, LSTMLanguageModel
-from repro.obs import MetricsRegistry, NullRegistry, NullTracer, Tracer
-from repro.serving import (EngineConfig, EngineQueueFullError,
-                           EngineStoppedError, InferenceEngine)
+from repro.obs import (ManualClock, MetricsRegistry, NullRegistry,
+                       NullTracer, Tracer)
+from repro.serving import (DeadlineExceededError, EngineConfig,
+                           EngineQueueFullError, EngineStoppedError,
+                           InferenceEngine)
 
 VOCAB = 32
 
@@ -29,8 +32,8 @@ def _prompt(seed, length):
     return [int(t) for t in rng.integers(0, VOCAB, size=length)]
 
 
-def _sequential(model, prompt, config):
-    return generate(model, prompt, config,
+def _sequential(model, prompt, config, draft=None):
+    return generate(model, prompt, config, draft=draft,
                     registry=NullRegistry(), tracer=NullTracer())
 
 
@@ -109,6 +112,89 @@ class TestBatchedEqualsSequential:
             for a, b in zip(rows[row].caches, single_state.caches):
                 np.testing.assert_array_equal(a.keys, b.keys)
                 np.testing.assert_array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("kernels", [False, True],
+                             ids=["tensor", "kernels"])
+    def test_ragged_batch_is_one_forward_per_step(self, kernels):
+        # Unequal prompts, unequal budgets, rows sliding past a 48-token
+        # window at different steps: every step's plain survivors still
+        # share ONE forward, and every row keeps its sequential bits.
+        model = distilgpt2(vocab_size=VOCAB, context_length=48)
+        model.eval()
+        if kernels:
+            model.enable_kernels()
+        rng = np.random.default_rng(21)
+        requests = [
+            (_prompt(300 + i, int(rng.integers(1, 45))), GenerationConfig(
+                max_new_tokens=int(rng.integers(5, 91)),
+                strategy="sample" if i % 2 else "greedy",
+                temperature=0.9, top_k=12, seed=i))
+            for i in range(24)
+        ]
+        expected = [_sequential(model, p, c) for p, c in requests]
+        registry = MetricsRegistry()
+        with InferenceEngine(model, EngineConfig(max_batch_size=8),
+                             registry=registry) as engine:
+            handles = [engine.submit(p, c) for p, c in requests]
+            actual = [h.result(timeout=120) for h in handles]
+        assert actual == expected
+        per_forward = registry.gauge("engine_tokens_per_forward").labels()
+        assert per_forward.value >= 4
+
+    @pytest.mark.parametrize("kernels", [False, True],
+                             ids=["tensor", "kernels"])
+    def test_mixed_batch_survivors_keep_their_bits(self, kernels):
+        # Plain rows of unequal length share one ragged forward while
+        # speculative rows verify beside them, one row retires on its
+        # stop token and one on an expired deadline: the row set of the
+        # ragged call changes under every survivor, their bits do not.
+        model = distilgpt2(vocab_size=VOCAB, context_length=128)
+        model.eval()
+        if kernels:
+            model.enable_kernels()
+        greedy = GenerationConfig(max_new_tokens=30, strategy="greedy",
+                                  seed=0)
+        draft = NGramDraft.fit(
+            [_prompt(50 + i, 8) + _sequential(model, _prompt(50 + i, 8),
+                                              greedy) for i in range(4)],
+            VOCAB, order=3)
+        stopper = _prompt(400, 17)
+        stop_token = _sequential(model, stopper, greedy)[4]
+        requests = [
+            (_prompt(401, 3), GenerationConfig(
+                max_new_tokens=26, strategy="sample", top_k=8, seed=1)),
+            (stopper, GenerationConfig(
+                max_new_tokens=30, strategy="greedy", seed=0,
+                stop_token_id=stop_token)),
+            (_prompt(402, 40), GenerationConfig(
+                max_new_tokens=22, strategy="greedy", seed=2)),
+            (_prompt(403, 9), GenerationConfig(
+                max_new_tokens=24, strategy="greedy", seed=3,
+                speculative_k=3)),
+            (_prompt(404, 21), GenerationConfig(
+                max_new_tokens=20, strategy="sample", top_k=8, seed=4,
+                speculative_k=4)),
+        ]
+        expected = [_sequential(model, p, c,
+                                draft=draft if c.speculative_k else None)
+                    for p, c in requests]
+        assert len(expected[1]) <= 5  # retires on its stop token
+        doomed_prompt = _prompt(405, 12)
+        doomed_config = GenerationConfig(max_new_tokens=200, seed=5)
+        full_doomed = _sequential(model, doomed_prompt, doomed_config)
+        registry = MetricsRegistry(clock=ManualClock())
+        with InferenceEngine(model, EngineConfig(max_batch_size=8),
+                             registry=registry, draft=draft) as engine:
+            handles = [engine.submit(p, c) for p, c in requests]
+            doomed = engine.submit(doomed_prompt, doomed_config,
+                                   deadline_ms=1000.0)
+            next(doomed.tokens(timeout=30))
+            registry.clock.advance(2.0)
+            with pytest.raises(DeadlineExceededError) as excinfo:
+                doomed.result(timeout=30)
+            partial = excinfo.value.tokens
+            assert partial == full_doomed[:len(partial)]
+            assert [h.result(timeout=60) for h in handles] == expected
 
     def test_beam_rejected_by_submit_but_served_by_generate(self, model):
         prompt = _prompt(1, 6)
