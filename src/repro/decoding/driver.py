@@ -1,9 +1,8 @@
 """Constrained/search-guided generation driver.
 
 One entry point — :func:`run_constrained_generation` — shared by the
-HTTP backend (which wires ``submit`` to its engine / supervisor /
-router decode path) and ``repro generate`` (which defaults to the
-sequential decoder).  It owns the plumbing the two callers would
+HTTP backend (which wires ``submit`` to its supervised engine) and
+``repro generate`` (which defaults to the sequential decoder).  It owns the plumbing the two callers would
 otherwise duplicate: building fresh grammar/constraint processors per
 decode, routing ``strategy: "mcts"`` through :class:`MCTSDecoder`,
 re-checking single-shot outputs against the text-level predicate (with

@@ -5,17 +5,15 @@ GPT-2" (arXiv:2401.05199): **selection** walks the tree by PUCT,
 **expansion** grows one child per iteration from the first
 ``expansion_chunk`` tokens of a fresh rollout, the **rollout** itself
 is a full grammar-constrained decode submitted through whatever decode
-path the caller wires in (the serving engine, a supervised engine, the
-cluster router, or the sequential fallback), and **backup** propagates
-the recipe reward to the root.
+path the caller wires in (the serving engine, the supervisor around
+it, or the sequential fallback), and **backup** propagates the recipe
+reward to the root.
 
 Submitting rollouts through :class:`~repro.serving.InferenceEngine` is
 what makes the tree cheap: sibling rollouts share the exact prompt+
 prefix token sequence, so after the first prefill the engine's prefix
 KV trie serves every later sibling at full depth (the benchmark gates
->= 50% hit-token rate within one tree).  Behind the cluster router a
-tree's rollouts may scatter across replicas and still hit: the
-replicas serve from one shared trie.
+>= 50% hit-token rate within one tree).
 
 Determinism: rollout seeds derive from ``config.seed`` and the
 iteration index, engine decoding is bit-identical to sequential

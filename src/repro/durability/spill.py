@@ -4,9 +4,7 @@ A restarted engine (supervisor crash-restart or a whole-process
 bounce) starts with an empty prefix cache, and that cold start is the
 main source of lost work the ROADMAP calls out.  :class:`CacheSpill`
 persists the token-trie's entries and reloads them memory-mapped, the
-same discipline the retrieval index uses (``docs/RETRIEVAL.md``).  A
-fleet's replicas share one cache, so a fleet writes the same single
-directory a lone engine does and either can warm the other.
+same discipline the retrieval index uses (``docs/RETRIEVAL.md``).
 
 On-disk layout — versioned like an LSM manifest so readers never see a
 half-written snapshot::

@@ -58,7 +58,7 @@ class LanguageModel(Module):
 
         Releases any read-only freeze this model's own ``enable_kernels``
         call put on the weights (a store the caller supplied is left
-        alone — other replicas may still rely on it).
+        alone — other models may still rely on it).
         """
         kernels = self._kernels
         self._kernels = None

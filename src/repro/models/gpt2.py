@@ -109,12 +109,12 @@ class GPT2Model(LanguageModel):
                        = None, freeze: bool = False) -> InferenceKernels:
         """Attach the buffer-reusing inference kernels.
 
-        ``store`` shares one weight copy across replicas: pass the
-        store from another replica's kernels (or a
+        ``store`` shares one weight copy across model objects: pass
+        the store from another model's kernels (or a
         :meth:`~repro.nn.kernels.WeightStore.from_model` result) and
         this model serves from the same read-only arrays.  ``freeze``
         (only honored when the store is created here) marks the weights
-        read-only so no replica can corrupt the shared copy.  Kernels
+        read-only so no holder can corrupt the shared copy.  Kernels
         are inference-only, so this switches the model to eval mode;
         ``train()`` transparently falls back to the autograd path.
         """

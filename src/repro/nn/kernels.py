@@ -1,15 +1,15 @@
 """Inference-only decode kernels: raw-ndarray forward, shared weights.
 
-The serving stack (continuous batching, speculative verify, replica
-fleet) schedules work well, but every decode step still walked the
+The serving stack (continuous batching, speculative verify, supervised
+restart) schedules work well, but every decode step still walked the
 autograd :class:`~repro.nn.tensor.Tensor` graph: each op wraps its
-result in a fresh ``Tensor`` and allocates a fresh ndarray, and every
-replica's model holds its own weight copy.  This module provides the
-hot-path replacement:
+result in a fresh ``Tensor`` and allocates a fresh ndarray.  This
+module provides the hot-path replacement:
 
 ``WeightStore``
     One read-only copy of a model's inference weights, shareable by
-    reference across any number of replicas/engines.
+    reference across any number of engines (a restarted engine
+    re-attaches to it; ``docs/LEDGER.md`` questions the rest).
 
 ``InferenceKernels``
     The forward pass re-implemented on raw ndarrays with ``out=``
@@ -19,8 +19,8 @@ hot-path replacement:
     Tensor-graph inference path: it performs the exact same numpy
     operations, in the same order, at the same shapes and strides, so
     BLAS sees the same GEMM calls and every equality contract in the
-    serving stack (engine == sequential, speculative verify, fleet
-    failover) holds unchanged.
+    serving stack (engine == sequential, speculative verify, retry
+    after a restart) holds unchanged.
 
 Workspace lifecycle (see ``docs/KERNELS.md``): buffers live in two
 step-parity arenas per thread.  A managed caller — the serving
@@ -80,12 +80,12 @@ class WeightStore:
     """One read-only copy of a GPT-2 model's inference weights.
 
     Holds *references* to the model's parameter arrays (no copy), so
-    N replicas attaching kernels through the same store keep exactly
+    N models attaching kernels through the same store keep exactly
     one weight copy alive between them.  ``freeze=True`` additionally
     marks the arrays read-only, which turns any accidental write from
-    a crashing replica into an immediate error instead of silent
-    fleet-wide corruption; :meth:`release` restores writability (for
-    example, before resuming training).
+    a crashing engine into an immediate error instead of silent
+    corruption of every later request; :meth:`release` restores
+    writability (for example, before resuming training).
     """
 
     def __init__(self, meta: Dict[str, int], wte: np.ndarray, wpe: np.ndarray,
@@ -151,7 +151,7 @@ class WeightStore:
     # -- accounting -----------------------------------------------------
     def weight_arrays(self) -> Iterator[np.ndarray]:
         """Every weight array the store references (for memory
-        accounting: unique ids across a fleet measure true footprint)."""
+        accounting: unique ids across models measure true footprint)."""
         yield self.wte
         yield self.wpe
         for bw in self.blocks:
@@ -227,7 +227,7 @@ class _Workspaces(threading.local):
 class InferenceKernels:
     """Buffer-reusing GPT-2 forward pass over a :class:`WeightStore`.
 
-    One instance may be shared by many engines/replicas: weights are
+    One instance may be shared by many engines: weights are
     read-only and workspaces are per-thread, so concurrent engine
     threads never contend or alias.  Outputs are bit-identical to the
     Tensor-graph path.

@@ -10,7 +10,8 @@ package adds the failure-handling layer:
 - :mod:`repro.resilience.admission` — token-denominated load shedding
   with 503 + ``Retry-After`` beyond a high-water mark;
 - :mod:`repro.resilience.supervisor` — engine watchdog with bounded
-  restarts and an optional degraded sequential fallback.
+  restarts, retry of the requests a crash interrupted, and an optional
+  degraded sequential fallback.
 
 Request *deadlines* live in the engine itself
 (:class:`repro.serving.DeadlineExceededError` carries the partial
@@ -59,9 +60,9 @@ __all__ = [
 class ResilienceConfig:
     """Knobs the serving entrypoints (`repro serve`, tests) wire up.
 
-    ``None`` / ``False`` values disable the corresponding pillar, so a
-    default-constructed config is inert and a backend built without one
-    behaves exactly as before this layer existed.
+    ``None`` / ``False`` values disable the corresponding pillar; the
+    engine is always supervised, so a default-constructed config is a
+    backend with the default restart budget and nothing else.
     """
 
     #: Deadline applied to requests that do not send ``deadline_ms``.
@@ -70,7 +71,8 @@ class ResilienceConfig:
     shed_watermark_tokens: Optional[int] = None
     #: Decode-rate hint used for ``Retry-After`` estimates.
     tokens_per_second_hint: float = 200.0
-    #: Wrap the engine in an :class:`EngineSupervisor`.
+    #: Accepted and ignored: every backend's engine is supervised.  Kept
+    #: because ``benchmarks/e2e/inprocess.py`` spells ``supervise=True``.
     supervise: bool = False
     #: Restart budget and backoff for the supervisor.
     max_restarts: int = 3

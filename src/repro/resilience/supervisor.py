@@ -8,32 +8,36 @@ closes that hole:
 
 1. **detect** — a watchdog polls the engine thread; a death without a
    clean :meth:`~repro.serving.InferenceEngine.stop` is a crash;
-2. **fail fast** — every queued and in-flight request is resolved with
-   a named :class:`~repro.serving.EngineCrashedError` (never a hang);
+2. **fail fast** — every queued and in-flight request on the dead
+   engine is resolved with a named
+   :class:`~repro.serving.EngineCrashedError` (never a hang);
 3. **restart** — a fresh engine is built from the factory, with
    exponential backoff, at most ``max_restarts`` times; it never
    serves from what its predecessor died on (the crash may have been
-   a poisoned snapshot): a crashing engine empties its prefix cache,
-   which matters when the cache outlives it — a fleet's replicas
-   share one;
-4. **degrade** — while no engine is serving (mid-backoff, or restarts
+   a poisoned snapshot): a crashing engine empties its prefix cache;
+4. **retry** — the handle :meth:`EngineSupervisor.submit` returns
+   sees that crash error, waits for the replacement and resubmits with
+   what is left of its deadline; output is bit-identical run to run, so
+   the caller gets one result and a stream every token exactly once;
+5. **degrade** — while no engine is serving (mid-backoff, or restarts
    exhausted) an optional fallback decodes sequentially and the
    response is marked ``"degraded": true`` upstream.
 
-The supervisor intentionally mirrors the engine's ``submit`` /
-``generate`` / ``stats`` / ``stop`` surface so callers (the webapp
-backend, ``Ratatouille.generate``) can hold either without caring.
+The supervisor mirrors the engine's ``submit`` / ``generate`` / ``stats``
+/ ``stop`` surface, so ``Ratatouille.generate`` can hold either.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from ..models import GenerationConfig, LanguageModel, LogitsProcessor
 from ..models import generate as sequential_generate
 from ..obs import (MetricsRegistry, NullRegistry, NullTracer, get_registry)
-from ..serving.engine import (EngineCrashedError, EngineRequest,
+from ..serving.engine import (DeadlineExceededError, EngineCrashedError,
+                              EngineQueueFullError, EngineRequest,
                               EngineStoppedError, InferenceEngine)
 
 Fallback = Callable[[Sequence[int], GenerationConfig,
@@ -63,6 +67,87 @@ def sequential_fallback(model: LanguageModel) -> Fallback:
     return run
 
 
+class SupervisedRequest:
+    """``EngineRequest``'s caller surface, kept across engine restarts.
+
+    ``result()`` / ``tokens()`` that observe the engine's crash error
+    resubmit to the replacement (:meth:`EngineSupervisor._dispatch`); a
+    streaming consumer skips the replayed tokens it already yielded —
+    sound because the engine's output is bit-identical run to run.
+    Cancelled requests, deadline expiry and validation errors are never
+    retried.  ``timeout`` is per attempt.
+    """
+
+    def __init__(self, supervisor: "EngineSupervisor",
+                 prompt_ids: Sequence[int], config: Optional[GenerationConfig],
+                 processors: Sequence[LogitsProcessor],
+                 deadline_ms: Optional[float]) -> None:
+        self._supervisor = supervisor
+        self.prompt_ids = prompt_ids
+        self.config = config
+        self.processors = processors
+        self.deadline_ms = deadline_ms
+        #: Absolute expiry on the engines' metrics clock, fixed by the
+        #: first attempt: a retry gets what is left of it.
+        self.deadline: Optional[float] = None
+        self._cancelled = False
+        self._lock = threading.Lock()
+        self._inner = supervisor._dispatch(self)
+        self.deadline = self._inner.deadline
+
+    @property
+    def request_id(self) -> int:
+        return self._inner.request_id
+
+    @property
+    def done(self) -> bool:
+        return self._inner.done
+
+    def result(self, timeout: Optional[float] = None) -> List[int]:
+        """Block for the full token list, retrying across a restart."""
+        while True:
+            inner = self._inner
+            try:
+                return inner.result(timeout=timeout)
+            except EngineCrashedError as error:
+                self._retry(inner, error)
+
+    def tokens(self, timeout: Optional[float] = None) -> Iterator[int]:
+        """Stream tokens as they decode, each exactly once."""
+        delivered = 0
+        while True:
+            inner = self._inner
+            skip = delivered    # a retried attempt replays from the start
+            try:
+                for token in inner.tokens(timeout=timeout):
+                    if skip > 0:
+                        skip -= 1
+                        continue
+                    delivered += 1
+                    yield token
+                return
+            except EngineCrashedError as error:
+                self._retry(inner, error)
+
+    def cancel(self) -> None:
+        """Cancel the current attempt; no retry follows."""
+        self._cancelled = True
+        self._inner.cancel()
+
+    def _retry(self, failed: EngineRequest, error: EngineCrashedError) -> None:
+        """Replace the attempt ``failed`` was, or raise ``error``.  The
+        first consumer to see the crash resubmits; one racing it finds
+        the attempt replaced and reads the new one."""
+        with self._lock:
+            if self._inner is not failed:
+                return
+            if self._cancelled:
+                raise error
+            self._inner = self._supervisor._dispatch(self, error)
+            if self._cancelled:     # cancel() raced the resubmit
+                self._inner.cancel()
+
+
 class EngineSupervisor:
     """Watchdog + restart policy around a replaceable inference engine.
 
@@ -71,9 +156,7 @@ class EngineSupervisor:
     factory:
         Zero-argument callable building a fresh
         :class:`~repro.serving.InferenceEngine`.  Called once at
-        construction and once per restart; the crashed engine emptied
-        its cache as it died, so a replacement starts clean whether
-        the factory builds a private cache or joins a shared one.
+        construction and once per restart.
     max_restarts:
         Restart budget.  Once spent, the supervisor stops replacing
         engines and serves only the fallback (or errors).
@@ -117,9 +200,7 @@ class EngineSupervisor:
         #: Outcome of the spill attempt made by :meth:`stop`: ``True``
         #: once a snapshot was written, ``False`` when a configured
         #: spill did not produce one (save failed, or the engine was
-        #: crashed/stopped), ``None`` when no spill is configured or
-        #: ``stop`` has not run.  Shutdown summaries read this instead
-        #: of guessing from configuration.
+        #: crashed/stopped), ``None`` with no spill or before ``stop``.
         self.last_spill_saved: Optional[bool] = None
         registry = registry if registry is not None else get_registry()
         self._restarts_total = registry.counter(
@@ -187,19 +268,54 @@ class EngineSupervisor:
     def submit(self, prompt_ids: Sequence[int],
                config: Optional[GenerationConfig] = None,
                processors: Sequence[LogitsProcessor] = (),
-               deadline_ms: Optional[float] = None) -> EngineRequest:
-        """Submit to the current engine.
+               deadline_ms: Optional[float] = None) -> SupervisedRequest:
+        """Submit to the current engine; the handle survives a restart.
 
         Raises :class:`EngineUnavailableError` while no engine is
         serving (streaming has no degraded mode — the fallback decoder
-        cannot stream).
+        cannot stream) and the engine's own ``submit`` errors.
         """
-        engine, state = self._engine, self._state
-        if state != "serving":
-            raise EngineUnavailableError(
-                f"engine is not serving (supervisor state: {state})")
-        return engine.submit(prompt_ids, config, processors,
-                             deadline_ms=deadline_ms)
+        return SupervisedRequest(self, prompt_ids, config, processors,
+                                 deadline_ms)
+
+    def _dispatch(self, request: SupervisedRequest,
+                  error: Optional[EngineCrashedError] = None
+                  ) -> EngineRequest:
+        """Submit ``request`` to the serving engine.
+
+        The first dispatch (``error is None``) does not wait.  A retry
+        — ``error`` is the crash the last attempt was failed with —
+        waits for the replacement, looking every ``poll_seconds``, and
+        submits with what is left of the deadline.  The wait ends with
+        the restart budget (state ``failed``: ``error`` is raised), with
+        :meth:`stop` or with the request's deadline, whichever is first.
+        """
+        while True:
+            engine, state = self._engine, self._state
+            remaining_ms = request.deadline_ms
+            if request.deadline is not None:
+                remaining_ms = (request.deadline
+                                - engine.metrics.clock.now()) * 1e3
+                if remaining_ms <= 0:
+                    raise DeadlineExceededError(
+                        request.request_id, request.deadline_ms, ())
+            if state == "serving" and engine.crashed is None:
+                try:
+                    return engine.submit(
+                        request.prompt_ids, request.config,
+                        request.processors, deadline_ms=remaining_ms)
+                except EngineCrashedError as exc:
+                    error = exc     # died between the check and the put
+                except EngineQueueFullError:
+                    if error is None:
+                        raise
+                    # Admitted once already: wait for room, not a 429.
+            elif error is None:
+                raise EngineUnavailableError(
+                    f"engine is not serving (supervisor state: {state})")
+            elif state in ("failed", "stopped"):
+                raise error
+            self._stop_event.wait(self.poll_seconds)
 
     def generate(self, prompt_ids: Sequence[int],
                  config: Optional[GenerationConfig] = None,
@@ -221,22 +337,25 @@ class EngineSupervisor:
                     ) -> Tuple[List[int], bool]:
         """Generate, returning ``(tokens, degraded)``.
 
-        Tries the live engine first; on *unavailability* errors only
-        (crash, stop, supervisor outage) falls back to the degraded
-        decoder when one is configured.  Request-level errors —
-        deadline expiry, validation — always propagate: degrading must
-        not change their meaning.
+        ``submit().result()`` first, so a crash mid-request is retried
+        on the replacement engine; on *unavailability* errors only
+        (restart budget spent, stop, outage) falls back to the degraded
+        decoder when one is configured.  Request-level errors — deadline
+        expiry, validation — always propagate unchanged.
         """
         config = config or GenerationConfig()
         if self._state == "serving":
-            engine = self._engine
             try:
-                return engine.generate(prompt_ids, config, processors,
-                                       deadline_ms=deadline_ms), False
-            except (EngineCrashedError, EngineStoppedError):
-                if self._stop_event.is_set():
+                if config.strategy == "beam":
+                    # Not batchable: decoded on this thread, no handle.
+                    return self._engine.generate(prompt_ids, config,
+                                                 processors), False
+                return self.submit(prompt_ids, config, processors,
+                                   deadline_ms=deadline_ms).result(), False
+            except (EngineCrashedError, EngineStoppedError,
+                    EngineUnavailableError):
+                if self._stop_event.is_set() or self.fallback is None:
                     raise
-                # fall through to degraded mode (or re-raise below)
         if self._stop_event.is_set():
             raise EngineStoppedError("supervisor has been stopped")
         if self.fallback is None:
@@ -253,10 +372,8 @@ class EngineSupervisor:
 
         When a spill is configured and the engine is being stopped
         *cleanly* (it was serving, not crashed or failed), its prefix
-        cache is snapshotted first so the next supervisor — a process
-        restart or a cluster swap — starts warm.  Spill failure is
-        logged into the fault machinery by the spill itself and never
-        blocks shutdown; the real outcome lands in
+        cache is snapshotted first so the next process starts warm.
+        Spill failure never blocks shutdown; the real outcome lands in
         :attr:`last_spill_saved` for shutdown summaries.
         """
         self._stop_event.set()
@@ -300,13 +417,16 @@ class EngineSupervisor:
             engine = self._engine
             if engine._thread.is_alive():
                 continue
-            if self._stop_event.is_set():
-                return
             if engine.crashed is None and engine._stop_event.is_set():
                 continue  # clean external stop(); nothing to supervise
-            self._handle_crash(engine)
+            if not self._handle_crash(engine):
+                return
 
-    def _handle_crash(self, engine: InferenceEngine) -> None:
+    def _handle_crash(self, engine: InferenceEngine) -> bool:
+        """Replace the dead ``engine``; ``False`` once there is nothing
+        left to watch (budget spent, or stopped).  Runs once per engine
+        object — a failing factory burns attempts here — so one death
+        is one ``engine_crashes_total``."""
         self._crashes_total.inc()
         self._up_gauge.set(0)
         # Belt and braces: the engine fails its own in-flight work when
@@ -314,34 +434,33 @@ class EngineSupervisor:
         # fail_inflight is idempotent either way.
         engine.fail_inflight(EngineCrashedError(
             f"engine thread died: {engine.crashed!r}"))
-        if self._restarts >= self.max_restarts:
+        while self._restarts < self.max_restarts:
             with self._lock:
-                if self._state != "stopped":
-                    self._state = "failed"
-            return
+                if self._state == "stopped":
+                    return False
+                self._state = "restarting"
+            attempt = self._restarts + 1
+            backoff = (self.backoff_seconds
+                       * self.backoff_multiplier ** (attempt - 1))
+            if self._stop_event.wait(backoff):
+                return False
+            try:
+                replacement = self._factory()
+                self._warm_reload(replacement)
+            except BaseException:  # noqa: BLE001 - factory itself failed
+                self._restarts = attempt
+                continue
+            with self._lock:
+                if self._state == "stopped":
+                    replacement.stop()
+                    return False
+                self._restarts = attempt
+                self._engine = replacement
+                self._state = "serving"
+            self._restarts_total.inc()
+            self._up_gauge.set(1)
+            return True
         with self._lock:
-            if self._state == "stopped":
-                return
-            self._state = "restarting"
-        attempt = self._restarts + 1
-        backoff = (self.backoff_seconds
-                   * self.backoff_multiplier ** (attempt - 1))
-        if self._stop_event.wait(backoff):
-            return
-        try:
-            replacement = self._factory()
-            self._warm_reload(replacement)
-        except BaseException:  # noqa: BLE001 - factory itself failed
-            # Burn the attempt; the watchdog will see the dead engine
-            # again next poll and retry until the budget runs out.
-            self._restarts = attempt
-            return
-        with self._lock:
-            if self._state == "stopped":
-                replacement.stop()
-                return
-            self._restarts = attempt
-            self._engine = replacement
-            self._state = "serving"
-        self._restarts_total.inc()
-        self._up_gauge.set(1)
+            if self._state != "stopped":
+                self._state = "failed"
+        return False

@@ -14,7 +14,7 @@ embedding is a pure deterministic function of ``(text, config)``:
 * repeated n-grams are damped with ``1 + log(count)`` so one chorus
   ingredient cannot dominate a recipe's direction.
 
-Determinism is load-bearing: the serving fleet, the persistence layer
+Determinism is load-bearing: scaled-out backends, the persistence layer
 and the novelty scorer all assume two processes embedding the same
 text under the same config produce bit-identical vectors — there is a
 property test (``tests/test_properties_retrieval.py``) that spawns a

@@ -24,8 +24,8 @@ Persistence is a directory of mmap-friendly flat files::
 
 so ``repro serve --retrieval --index-dir d`` restarts warm: the
 embedding pass (the expensive part) is skipped and the vector matrix
-can be memory-mapped read-only, which also lets every replica of a
-fleet share one physical copy.
+can be memory-mapped read-only, which also lets every backend process
+on a machine share one physical copy.
 
 Failure injection: searches run through the ``retrieval.search`` fault
 point (``docs/RESILIENCE.md``); the serving layer degrades a faulted

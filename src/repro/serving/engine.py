@@ -65,8 +65,10 @@ class EngineCrashedError(RuntimeError):
 
     Raised to every request that was queued or in flight when the
     engine thread crashed (and by :meth:`InferenceEngine.submit` on a
-    crashed engine).  A :class:`~repro.resilience.EngineSupervisor` can
-    restart a crashed engine; requests are never silently replayed.
+    crashed engine).  A :class:`~repro.resilience.EngineSupervisor`
+    restarts a crashed engine, and the handle its ``submit`` returns
+    resubmits the request to the replacement (``docs/RESILIENCE.md``);
+    a bare engine's requests are failed, never replayed.
     """
 
 
@@ -302,21 +304,13 @@ def _state_nbytes(obj: Any, _seen: Optional[set] = None) -> int:
 class _EngineMetrics:
     """Engine metric handles, resolved once at construction.
 
-    With ``name`` (a cluster replica), every engine series carries an
-    ``engine=<name>`` label and this engine's prefix-cache lookup
-    outcomes a ``cache=<name>`` label, so fleet dashboards can tell
-    which replica's traffic hits.  A standalone engine (``name=None``)
-    keeps the unlabeled series.  Evictions, bytes and hit rate belong
-    to the cache, which may serve several engines, and are counted
-    there (:class:`~repro.serving.prefix_cache.PrefixCache`).
+    Lookup outcomes are counted here; evictions, bytes and hit rate
+    belong to the cache and are counted there
+    (:class:`~repro.serving.prefix_cache.PrefixCache`).
     """
 
-    def __init__(self, registry: MetricsRegistry,
-                 name: Optional[str] = None) -> None:
+    def __init__(self, registry: MetricsRegistry) -> None:
         self.clock = registry.clock
-        engine_labels = {} if name is None else {"engine": name}
-        cache_labels = {} if name is None else {"cache": name}
-        self._outcome_labels = engine_labels
         self.requests = registry.counter(
             "engine_requests_total",
             help="Engine requests by final outcome and decode strategy")
@@ -324,54 +318,46 @@ class _EngineMetrics:
             "engine_tokens_total",
             help="Tokens emitted by the serving engine, by decode "
                  "strategy")
-        self.tokens = self._tokens_family.labels(strategy="plain",
-                                                 **engine_labels)
+        self.tokens = self._tokens_family.labels(strategy="plain")
         self.steps = registry.counter(
             "engine_steps_total",
-            help="Batched decode steps executed").labels(**engine_labels)
+            help="Batched decode steps executed").labels()
         self.batch_occupancy = registry.histogram(
             "engine_batch_occupancy",
-            help="Active sequences per decode step").labels(**engine_labels)
+            help="Active sequences per decode step").labels()
         self.active_sequences = registry.gauge(
             "engine_active_sequences",
-            help="Sequences currently in the decode batch").labels(
-                **engine_labels)
+            help="Sequences currently in the decode batch").labels()
         self.queue_depth = registry.gauge(
             "engine_queue_depth",
-            help="Requests waiting for admission").labels(**engine_labels)
+            help="Requests waiting for admission").labels()
         self.queue_wait_seconds = registry.histogram(
             "engine_queue_wait_seconds",
-            help="Submit-to-admission wait per request").labels(
-                **engine_labels)
+            help="Submit-to-admission wait per request").labels()
         self.ttft_seconds = registry.histogram(
             "engine_ttft_seconds",
-            help="Submit-to-first-token latency per request").labels(
-                **engine_labels)
+            help="Submit-to-first-token latency per request").labels()
         self.cache_hits = registry.counter(
             "engine_prefix_cache_hits_total",
-            help="Prefix-cache lookups that reused a snapshot").labels(
-                **cache_labels)
+            help="Prefix-cache lookups that reused a snapshot").labels()
         self.cache_misses = registry.counter(
             "engine_prefix_cache_misses_total",
-            help="Prefix-cache lookups that found nothing").labels(
-                **cache_labels)
+            help="Prefix-cache lookups that found nothing").labels()
         self.cache_hit_tokens = registry.counter(
             "engine_prefix_cache_hit_tokens_total",
-            help="Prompt tokens skipped thanks to prefix-cache hits").labels(
-                **cache_labels)
+            help="Prompt tokens skipped thanks to prefix-cache hits").labels()
         self.decode_forwards = registry.counter(
             "engine_decode_forwards_total",
             help="Model decode calls: one next_logits over all plain "
                  "rows of a step (one per row for models without ragged "
                  "decode) plus one per verify-chunk group — the "
-                 "denominator of tokens-per-forward").labels(
-                **engine_labels)
+                 "denominator of tokens-per-forward").labels()
         self.tokens_per_forward = registry.gauge(
             "engine_tokens_per_forward",
             help="Lifetime decode tokens emitted per model decode call: "
                  "about the batch occupancy for plain ragged decode, "
                  "1.0 for row-by-row models; speculation raises "
-                 "either").labels(**engine_labels)
+                 "either").labels()
 
     def outcome(self, outcome: str, strategy: str = "plain"):
         """The ``engine_requests_total`` child for one final outcome.
@@ -382,13 +368,11 @@ class _EngineMetrics:
         submit time from the request config (never client-supplied
         text), which bounds the cardinality to those three values.
         """
-        return self.requests.labels(outcome=outcome, strategy=strategy,
-                                    **self._outcome_labels)
+        return self.requests.labels(outcome=outcome, strategy=strategy)
 
     def tokens_for(self, strategy: str = "plain"):
         """The ``engine_tokens_total`` child for one decode strategy."""
-        return self._tokens_family.labels(strategy=strategy,
-                                          **self._outcome_labels)
+        return self._tokens_family.labels(strategy=strategy)
 
 
 class InferenceEngine:
@@ -403,16 +387,10 @@ class InferenceEngine:
                  config: Optional[EngineConfig] = None,
                  registry: Optional[MetricsRegistry] = None,
                  tracer: Optional[Tracer] = None,
-                 draft: Optional[DraftModel] = None,
-                 name: Optional[str] = None) -> None:
+                 draft: Optional[DraftModel] = None) -> None:
         self.config = config or EngineConfig()
         self.config.validate()
         self.model = model
-        #: Replica name when this engine is one of a cluster fleet;
-        #: labels every metric series (``engine=``/``cache=``) so
-        #: per-replica counters stay separable.  ``None`` for a
-        #: standalone engine keeps the unlabeled series.
-        self.name = name
         #: Default draft model for requests with ``speculative_k > 0``;
         #: a request may override it with a DraftModel in
         #: ``config.draft``.  ``None`` disables speculation for
@@ -420,14 +398,10 @@ class InferenceEngine:
         self.draft = draft
         self.registry = registry if registry is not None else get_registry()
         self.tracer = tracer if tracer is not None else get_tracer()
-        self.metrics = _EngineMetrics(self.registry, name=name)
+        self.metrics = _EngineMetrics(self.registry)
         self.spec_metrics = SpeculativeMetrics(self.registry, "engine")
         self._emitted_tokens = 0
         self._decode_forwards = 0
-        #: The cache this engine serves from: private by default; a
-        #: :class:`~repro.cluster.Router` points every replica running
-        #: one model at one shared cache before the engine is handed
-        #: its first request.
         self.prefix_cache = PrefixCache(self.config.prefix_cache_bytes,
                                         chunk_size=self.config.prefill_chunk,
                                         registry=self.registry)
@@ -441,10 +415,8 @@ class InferenceEngine:
         self._crashed: Optional[BaseException] = None
         self._next_id = 0
         self._id_lock = threading.Lock()
-        thread_name = ("repro-engine" if name is None
-                       else f"repro-engine-{name}")
         self._thread = threading.Thread(target=self._run,
-                                        name=thread_name, daemon=True)
+                                        name="repro-engine", daemon=True)
         self._thread.start()
 
     # ------------------------------------------------------------------
@@ -652,10 +624,8 @@ class InferenceEngine:
             # in flight with a named error so no caller hangs, and let
             # the thread die.  A supervisor may build a replacement.
             self._crashed = error
-            # The crash may have been a poisoned snapshot, and the
-            # cache may outlive this engine (a fleet's replicas share
-            # one): purge it before any caller can see the crash and
-            # retry against the same entries elsewhere.
+            # The crash may have been a poisoned snapshot: purge the
+            # cache before any caller can see the crash and retry.
             self.prefix_cache.clear()
             self.fail_inflight(EngineCrashedError(
                 f"engine thread crashed: {error!r}"))

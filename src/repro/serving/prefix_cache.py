@@ -16,12 +16,11 @@ or when it matches the whole query, in which case no prefill runs at
 all.  Construct with ``chunk_size=None`` to disable that gate (useful
 for models whose prefill is an exact per-token loop).
 
-One cache may serve several engines: every method takes the cache
-lock, and snapshots are frozen (copy-on-append), so the replicas of a
-:class:`repro.cluster.Router` that run one model share one trie (see
-``docs/CLUSTER.md``).  The cache therefore counts what is the cache's
-— evictions, bytes, hit rate — itself, at the point of change; engines
-count only the outcome of their own lookups.
+Every method takes the cache lock and snapshots are frozen
+(copy-on-append), so readers on other threads (``/api/engine``, the
+spill) see a consistent trie.  The cache counts what is the cache's —
+evictions, bytes, hit rate — itself, at the point of change; the engine
+counts only the outcome of its own lookups.
 """
 
 from __future__ import annotations
@@ -80,8 +79,8 @@ class PrefixCacheStats:
             # Token-denominated reuse: of every prompt token looked up,
             # the fraction served from a stored snapshot.  Computed here
             # — under the same lock as the raw counters via
-            # ``stats_snapshot`` — so fleet aggregation never mixes a
-            # numerator and denominator from two points in time.
+            # ``stats_snapshot`` — so a reader never mixes a numerator
+            # and denominator from two points in time.
             "hit_token_rate": (self.hit_tokens / self.lookup_tokens
                                if self.lookup_tokens else 0.0),
         }

@@ -23,7 +23,7 @@ Endpoints:
 
 The three generation endpoints are transports over one
 :class:`~repro.webapp.service.GenerationService`; this module builds
-the serving topology and maps the service's results and errors onto
+the supervised engine and maps the service's results and errors onto
 JSON, job and SSE envelopes (``docs/ARCHITECTURE.md``).
 """
 
@@ -33,7 +33,6 @@ import threading
 import uuid
 from typing import Dict, Optional
 
-from ..cluster import ClusterConfig, Router
 from ..core.pipeline import Ratatouille
 from ..durability import CacheSpill, JobJournal, JournalError
 from ..obs import (MetricsRegistry, Tracer, get_registry, get_tracer,
@@ -90,39 +89,19 @@ def _service_errors(handler: Handler) -> Handler:
 
 def _build_engine(pipeline: Ratatouille, registry: MetricsRegistry,
                   tracer: Tracer, draft, knobs: ResilienceConfig,
-                  replicas: int, spill):
-    """The serving topology the arguments ask for: a router fleet
-    (``replicas > 1``), a supervised engine (``knobs.supervise``) or a
-    bare engine."""
-    def factory(name: Optional[str] = None) -> InferenceEngine:
+                  spill) -> EngineSupervisor:
+    """The one serving topology: an engine under its supervisor."""
+    def factory() -> InferenceEngine:
         return InferenceEngine(pipeline.model, registry=registry,
-                               tracer=tracer, draft=draft, name=name)
-    if replicas > 1:
-        cluster_config = ClusterConfig(
-            replicas=replicas,
-            watermark_tokens=knobs.shed_watermark_tokens or None,
-            tokens_per_second_hint=knobs.tokens_per_second_hint,
-            max_restarts=knobs.max_restarts,
-            restart_backoff_seconds=knobs.restart_backoff_seconds)
-        return Router(factory, cluster_config, registry=registry,
-                      tracer=tracer, spill=spill)
-    if knobs.supervise:
-        fallback = (sequential_fallback(pipeline.model)
-                    if knobs.degraded_fallback else None)
-        return EngineSupervisor(
-            factory,
-            max_restarts=knobs.max_restarts,
-            backoff_seconds=knobs.restart_backoff_seconds,
-            fallback=fallback,
-            registry=registry,
-            spill=spill)
-    engine = factory()
-    if spill is not None:
-        try:
-            spill.load_into(engine.prefix_cache)
-        except Exception:  # noqa: BLE001 - corrupt spill => cold
-            pass
-    return engine
+                               tracer=tracer, draft=draft)
+    return EngineSupervisor(
+        factory,
+        max_restarts=knobs.max_restarts,
+        backoff_seconds=knobs.restart_backoff_seconds,
+        fallback=(sequential_fallback(pipeline.model)
+                  if knobs.degraded_fallback else None),
+        registry=registry,
+        spill=spill)
 
 
 def create_backend(pipeline: Ratatouille,
@@ -131,12 +110,10 @@ def create_backend(pipeline: Ratatouille,
                    job_queue: Optional[JobQueue] = None,
                    registry: Optional[MetricsRegistry] = None,
                    tracer: Optional[Tracer] = None,
-                   engine=None,
                    max_new_tokens_cap: int = MAX_NEW_TOKENS_CAP,
                    resilience: Optional[ResilienceConfig] = None,
                    draft=None,
                    speculative_k: int = 0,
-                   replicas: int = 1,
                    kernels: Optional[str] = None,
                    retrieval_index=None,
                    retrieve_k: int = 0,
@@ -145,18 +122,15 @@ def create_backend(pipeline: Ratatouille,
                    max_mcts_rollouts: int = MAX_MCTS_ROLLOUTS) -> App:
     """Build the backend :class:`~repro.webapp.framework.App`.
 
-    Generation always decodes through a serving engine, stored as
-    ``app.engine``: a :class:`~repro.cluster.Router` fleet when
-    ``replicas > 1`` (``docs/CLUSTER.md``; also ``app.router``), a
-    restarting :class:`~repro.resilience.EngineSupervisor` when
-    ``resilience.supervise``, else a bare
-    :class:`~repro.serving.InferenceEngine`.  Pass ``engine`` (any of
-    the three) to share one across apps.
+    Generation always decodes through one serving engine under its
+    restarting :class:`~repro.resilience.EngineSupervisor`, stored as
+    ``app.engine`` (the engine itself is ``app.engine.engine``).  To
+    scale out, run more backend processes (``deploy.scale_out``).
 
     ``registry``/``tracer`` back ``GET /api/metrics`` and default to the
     process-wide instances.  ``resilience`` (``docs/RESILIENCE.md``)
-    adds request deadlines, admission control (``app.admission``) and
-    supervision; with a fleet its knobs apply per replica.  ``draft`` (a
+    sets request deadlines, admission control (``app.admission``), the
+    restart budget and the degraded fallback.  ``draft`` (a
     :class:`~repro.models.DraftModel` or a spec like ``"ngram:3"``) and
     ``speculative_k`` enable speculative decoding (``docs/SERVING.md``);
     ``kernels="fp32"`` (``docs/KERNELS.md``) freezes the weights and
@@ -171,8 +145,6 @@ def create_backend(pipeline: Ratatouille,
     override; ``max_new_tokens_cap`` and ``max_mcts_rollouts``
     (``docs/DECODING.md``) cap the payload knobs of the same name.
     """
-    if replicas < 1:
-        raise ValueError("replicas must be >= 1")
     if max_mcts_rollouts < 1:
         raise ValueError("max_mcts_rollouts must be >= 1")
     if kernels is not None:
@@ -196,24 +168,18 @@ def create_backend(pipeline: Ratatouille,
     journal = JobJournal(journal_dir) if journal_dir is not None else None
     spill = (CacheSpill(spill_dir, model=pipeline.model)
              if spill_dir is not None else None)
-    # A default-constructed config is inert, so "no resilience" and
-    # "resilience with nothing set" build the same backend.
+    # "No resilience" and "resilience with nothing set" build the same
+    # backend: supervised, default restart budget, no deadline, no gate.
     knobs = resilience or ResilienceConfig()
-    engine = engine or _build_engine(
-        pipeline, registry, tracer, draft, knobs, replicas, spill)
-    supervisor = engine if isinstance(engine, EngineSupervisor) else None
-    router = engine if isinstance(engine, Router) else None
+    engine = _build_engine(pipeline, registry, tracer, draft, knobs, spill)
     retrieval_shed = None
     if retrieval_index is not None:
         retrieval_index.set_registry(registry)
         retrieval_shed = registry.counter(
             "retrieval_shed_total",
             help="Search requests shed by admission control")
-    # The router does its own fleet-level admission (shed only when
-    # every replica is past watermark) — a single-queue gate in front
-    # of it would shed spillable load.
     admission: Optional[AdmissionController] = None
-    if router is None and knobs.shed_watermark_tokens:
+    if knobs.shed_watermark_tokens:
         admission = AdmissionController(
             knobs.shed_watermark_tokens,
             tokens_per_second_hint=knobs.tokens_per_second_hint,
@@ -231,7 +197,6 @@ def create_backend(pipeline: Ratatouille,
         max_mcts_rollouts=max_mcts_rollouts)
     app = App(name="ratatouille-backend")
     app.engine = engine
-    app.router = router
     app.admission = admission
     app.retrieval_index = retrieval_index
     app.journal = journal
@@ -252,30 +217,15 @@ def create_backend(pipeline: Ratatouille,
     restored: Dict[str, dict] = {}
     shutdown_summary: Optional[dict] = None
 
-    def _fleet_health() -> dict:
-        """Aggregate fleet state; a single engine is a fleet of one."""
-        if router is not None:
-            return router.fleet_health()
-        if supervisor is not None:
-            state = supervisor.state
-            status = {"serving": "ok", "restarting": "degraded"}.get(
-                state, "dead")
-            return {"replicas": 1,
-                    "healthy": int(state == "serving"),
-                    "draining": 0, "status": status}
-        alive = engine.running and engine.crashed is None
-        return {"replicas": 1, "healthy": int(alive), "draining": 0,
-                "status": "ok" if alive else "dead"}
-
     @app.route("/api/health")
     def health(request: Request) -> Response:
-        fleet = _fleet_health()
+        state = engine.state
+        status = {"serving": "ok", "restarting": "degraded"}.get(state,
+                                                                 "dead")
         return Response.json({
-            "status": "draining" if service.draining else fleet["status"],
+            "status": "draining" if service.draining else status,
             "lifecycle": "draining" if service.draining else "serving",
-            "replicas": fleet["replicas"],
-            "healthy": fleet["healthy"],
-            "draining": fleet["draining"],
+            "healthy": state == "serving",
             "model": type(pipeline.model).__name__,
             "parameters": pipeline.model.num_parameters(),
             "vocab_size": pipeline.tokenizer.vocab_size,
@@ -530,20 +480,12 @@ def create_backend(pipeline: Ratatouille,
     def engine_stats(request: Request) -> Response:
         return Response.json({"enabled": True, **engine.stats()})
 
-    @app.route("/api/cluster")
-    def cluster_stats(request: Request) -> Response:
-        if router is None:
-            return Response.json({"enabled": False})
-        return Response.json({"enabled": True, **router.stats()})
-
     @app.route("/api/resilience")
     def resilience_stats(request: Request) -> Response:
         payload = {
-            "enabled": resilience is not None,
             "default_deadline_ms": knobs.default_deadline_ms,
             "admission": admission.stats() if admission is not None else None,
-            "supervisor": (engine.stats()["supervisor"]
-                           if supervisor is not None else None),
+            "supervisor": engine.stats()["supervisor"],
         }
         return Response.json(payload)
 
@@ -672,9 +614,9 @@ def create_backend(pipeline: Ratatouille,
            leftovers are failed with the named shutdown error — their
            journal records stay incomplete, so the *next* process
            replays them;
-        3. spill the prefix cache — supervisors and routers do this
-           inside their own ``stop()``, a bare engine is spilled here;
-        4. compact + close the journal and stop the engine.
+        3. stop the engine — ``EngineSupervisor.stop`` is the one spill
+           writer, and never saves a crashed engine's cache;
+        4. compact + close the journal.
 
         Idempotent: a second call returns the first call's summary.
         """
@@ -685,17 +627,7 @@ def create_backend(pipeline: Ratatouille,
         drained = jobs.wait_idle(timeout=deadline_seconds)
         leftover = jobs.unfinished
         jobs.shutdown()
-        spilled = False
-        if spill is not None and supervisor is None and router is None:
-            try:
-                spill.save(engine.prefix_cache)
-                spilled = True
-            except Exception:  # noqa: BLE001 - next start is cold
-                pass
         engine.stop()
-        # Supervisor/router stop() records the real spill outcome, so
-        # the summary never claims a snapshot that was not written.
-        spilled = spilled or getattr(engine, "last_spill_saved", None) is True
         journal_stats = None
         if journal is not None:
             try:
@@ -705,7 +637,8 @@ def create_backend(pipeline: Ratatouille,
             journal_stats = journal.stats()
             journal.close()
         shutdown_summary = {"drained": drained, "jobs_abandoned": leftover,
-                            "spilled": spilled, "journal": journal_stats}
+                            "spilled": engine.last_spill_saved is True,
+                            "journal": journal_stats}
         return shutdown_summary
 
     app.begin_drain = begin_drain

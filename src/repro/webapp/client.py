@@ -183,10 +183,11 @@ class RatatouilleClient:
             if error.status == 503:
                 return True  # shed/unavailable: explicitly safe to resend
             if error.status == 502:
-                # A serving replica died mid-request (EngineCrashedError
-                # at the backend).  Generation is deterministic, so a
-                # resend is idempotent — the retry returns the identical
-                # recipe, usually from a replica that stayed up.
+                # The backend's engine died mid-request past its restart
+                # budget (EngineCrashedError).  Generation is
+                # deterministic, so a resend is idempotent — behind a
+                # load balancer the retry returns the identical recipe
+                # from a backend process that stayed up.
                 return True
             return method == "GET" and error.status >= 500
         # Transport-level failure (connection refused, reset, timeout):

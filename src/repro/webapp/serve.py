@@ -39,12 +39,10 @@ def add_backend_arguments(backend: argparse.ArgumentParser) -> None:
                          help="admission-control high-water mark in queued "
                               "decode tokens; beyond it requests shed with "
                               "503 + Retry-After")
-    backend.add_argument("--supervise", action=argparse.BooleanOptionalAction,
-                         default=None,
-                         help="wrap the engine in a restarting watchdog "
-                              "(defaults on when any resilience flag is set)")
     backend.add_argument("--max-restarts", type=int, default=3,
-                         help="engine restart budget for the supervisor")
+                         help="engine restart budget: a crashed engine is "
+                              "rebuilt, and the requests it was serving "
+                              "retried, at most this many times")
     backend.add_argument("--degraded-fallback",
                          action=argparse.BooleanOptionalAction, default=False,
                          help="serve sequential (slow, marked degraded) "
@@ -66,11 +64,6 @@ def add_backend_arguments(backend: argparse.ArgumentParser) -> None:
                               "buffer-reusing inference kernels with "
                               "frozen shared weights (bit-identical to "
                               "off)")
-    backend.add_argument("--replicas", type=int, default=1,
-                         help="serve through a fleet of N supervised engine "
-                              "replicas sharing one prefix cache behind the "
-                              "least-queued router (1 = single engine; see "
-                              "docs/CLUSTER.md)")
     backend.add_argument("--retrieval",
                          action=argparse.BooleanOptionalAction, default=False,
                          help="build (or load, with --index-dir) the "
@@ -161,16 +154,11 @@ def build_backend(args: argparse.Namespace) -> App:
         pipeline = Ratatouille.quickstart(
             model_name="distilgpt2", num_recipes=args.train_recipes,
             seed=0, config=config)
-    resilience = None
-    if (args.deadline_ms is not None or args.shed_watermark is not None
-            or args.supervise or args.degraded_fallback):
-        resilience = ResilienceConfig(
-            default_deadline_ms=args.deadline_ms,
-            shed_watermark_tokens=args.shed_watermark,
-            # any resilience flag supervises unless --no-supervise
-            supervise=args.supervise is not False,
-            max_restarts=args.max_restarts,
-            degraded_fallback=args.degraded_fallback)
+    resilience = ResilienceConfig(
+        default_deadline_ms=args.deadline_ms,
+        shed_watermark_tokens=args.shed_watermark,
+        max_restarts=args.max_restarts,
+        degraded_fallback=args.degraded_fallback)
     draft = None
     if args.speculative:
         print(f"fitting ngram:{args.draft_order} speculative draft on "
@@ -182,7 +170,6 @@ def build_backend(args: argparse.Namespace) -> App:
     app = create_backend(pipeline, resilience=resilience, draft=draft,
                          speculative_k=(args.speculative_k
                                         if args.speculative else 0),
-                         replicas=args.replicas,
                          kernels=(None if args.kernels == "off"
                                   else args.kernels),
                          retrieval_index=retrieval_index,

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterator, List, Optional
 
-from ..cluster import NoReplicaAvailableError, Router
 from ..core.pipeline import Ratatouille
 from ..decoding import (MIN_BUDGET, apply_constraints_to_prompt,
                         build_constrained_processors, parse_constraints,
@@ -49,9 +48,10 @@ MAX_MCTS_ROLLOUTS = 64
 
 
 #: The one error → HTTP status table (``docs/ARCHITECTURE.md``).
-#: ``OverloadShedError`` also sets ``Retry-After``.  A crash is 502, not
-#: 503: output is deterministic, so an idempotent resend (the client
-#: ``RetryPolicy``) returns the identical recipe from a healthy replica.
+#: ``OverloadShedError`` also sets ``Retry-After``.  A crash the
+#: supervisor could not retry (restart budget spent) is 502, not 503:
+#: output is deterministic, so an idempotent resend (the client
+#: ``RetryPolicy``) to another backend returns the identical recipe.
 ERROR_STATUS = {
     DeadlineExceededError: 504,
     EngineQueueFullError: 429,
@@ -59,7 +59,6 @@ ERROR_STATUS = {
     EngineCrashedError: 502,
     EngineStoppedError: 503,
     EngineUnavailableError: 503,
-    NoReplicaAvailableError: 503,
 }
 
 _CONFIG_FIELDS = (
@@ -157,7 +156,7 @@ def _parse_generation_request(payload: dict,
 
 
 def _admission_cost(config: GenerationConfig) -> int:
-    """Token-equivalents one request may cost the serving fleet.
+    """Token-equivalents one request may cost the serving engine.
 
     MCTS decodes up to ``mcts_rollouts`` full rollouts plus the
     degraded-fallback decode, so it is charged the whole tree, not one
@@ -189,13 +188,12 @@ class GenerationRequest:
 class GenerationService:
     """Admission, retrieval, decoding and body assembly for one backend.
 
-    ``engine`` is an ``InferenceEngine``, an ``EngineSupervisor`` or a
-    ``Router``; only :meth:`_decode` and :meth:`admit` care which.  The
-    other fields are the defaults and caps ``create_backend`` resolved.
+    ``engine`` is the backend's one supervised engine; the other fields
+    are the defaults and caps ``create_backend`` resolved.
     """
 
     pipeline: Ratatouille
-    engine: Any
+    engine: EngineSupervisor
     catalog: IngredientCatalog
     registry: MetricsRegistry
     admission: Optional[AdmissionController] = None
@@ -257,9 +255,6 @@ class GenerationService:
     def admit(self, cost: int) -> None:
         """Admit ``cost`` tokens of work or raise ``OverloadShedError``.
 
-        A router runs its fleet-level gate inside dispatch, so it is
-        only *probed* here: an async job that would queue behind a
-        saturated fleet sheds at submit time, not in the job worker.
         Every successful ``admit`` is paired with one :meth:`release` —
         by :meth:`run` / :meth:`stream` once they have the request,
         else by the caller.
@@ -267,9 +262,7 @@ class GenerationService:
         if self.draining:
             # Retrying clients land on the replacement process.
             raise OverloadShedError("server is draining for shutdown", 1)
-        if isinstance(self.engine, Router):
-            self.engine.check_admission(cost)
-        elif self.admission is not None:
+        if self.admission is not None:
             self.admission.try_acquire(cost)
 
     def release(self, cost: int) -> None:
@@ -278,20 +271,14 @@ class GenerationService:
 
     def _decode(self, prompt_ids, config, processors, deadline_ms,
                 stream: bool = False):
-        """``(tokens | handle, degraded)`` from whichever topology serves.
-
-        The only place that knows which: all three expose ``submit`` (a
-        streamable handle) and ``generate``; only a supervisor can
-        answer from its sequential fallback (``"degraded": true``).
-        """
+        """``(tokens | handle, degraded)`` from the supervised engine: a
+        streamable handle, or the finished tokens — which only the
+        sequential fallback marks ``"degraded": true``."""
         if stream:
             return self.engine.submit(prompt_ids, config, processors,
                                       deadline_ms=deadline_ms), False
-        if isinstance(self.engine, EngineSupervisor):
-            return self.engine.generate_ex(prompt_ids, config, processors,
-                                           deadline_ms=deadline_ms)
-        return self.engine.generate(prompt_ids, config, processors,
-                                    deadline_ms=deadline_ms), False
+        return self.engine.generate_ex(prompt_ids, config, processors,
+                                       deadline_ms=deadline_ms)
 
     def _fetch_exemplars(self, request: GenerationRequest):
         """RAG exemplar texts as ``(texts, degraded)``.  Any retrieval

@@ -3,9 +3,10 @@
 The sibling of ``test_docs_flags_lint.py``: deleting a metric is only
 half done while ``README.md``, ``docs/`` or the verify skill still tell
 an operator to watch it (PR 18 deleted seven ``cluster_*`` series
-quoted in five files, and nothing would have noticed a stale one).
+quoted in five files, PR 24 the other eight with the prefix itself, and
+nothing would have noticed a stale one).
 This test collects every back-ticked name with a metric-family prefix
-those files mention — label sets (``{replica=}``) stripped, brace
+those files mention — label sets (``{outcome=}``) stripped, brace
 lists (``engine_prefix_cache_{hits_total,misses_total}``) expanded —
 and requires each to be the string literal of a
 ``registry.counter/gauge/histogram(...)`` call under ``src/repro/``.
@@ -25,11 +26,11 @@ SRC = REPO / "src" / "repro"
 DOCS = [REPO / "README.md", *sorted((REPO / "docs").glob("*.md")),
         REPO / ".claude" / "skills" / "verify" / "SKILL.md"]
 
-PREFIXES = ("engine", "cluster", "admission", "generation", "retrieval",
-            "jobs", "decoding", "spec", "http", "train")
+PREFIXES = ("engine", "admission", "generation", "retrieval", "jobs",
+            "decoding", "spec", "http", "train")
 
 _SPAN = re.compile(r"`([^`\n]+)`")
-#: A trailing label set: ``{replica=}``, ``{reason="cache"}``, ``{op}``.
+#: A trailing label set: ``{outcome=}``, ``{reason="cache"}``, ``{op}``.
 _LABELS = re.compile(r"\{[^{},]*\}$")
 _BRACE_LIST = re.compile(r"\{([a-z0-9_]+(?:,[a-z0-9_]+)+)\}")
 _METRIC = re.compile(rf"(?:{'|'.join(PREFIXES)})_[a-z0-9_]*[a-z0-9]")
@@ -38,7 +39,8 @@ _REGISTERED = re.compile(
 
 #: Back-ticked names with a metric prefix that are not metric series.
 NOT_METRICS = {
-    "engine_factory": "the Router / swap keyword argument",
+    "engine_batch": "a benchmarks/e2e workload",
+    "http_sync": "a benchmarks/e2e workload",
     "retrieval_degraded": "a response-body field",
     "generation_seconds": "a response-body field",
 }
@@ -73,13 +75,13 @@ def _documented() -> dict:
 
 
 def test_expansion_reads_labels_and_brace_lists():
-    assert _expand("cluster_dispatches_total{replica=}") == [
-        "cluster_dispatches_total"]
+    assert _expand("engine_requests_total{outcome=}") == [
+        "engine_requests_total"]
     assert _expand("retrieval_searches_total{op}") == [
         "retrieval_searches_total"]
     assert _expand("engine_prefix_cache_{hits_total,misses_total}") == [
         "engine_prefix_cache_hits_total", "engine_prefix_cache_misses_total"]
-    assert _expand("cluster_*") == _expand('"engine_x": true') == []
+    assert _expand("engine_*") == _expand('"engine_x": true') == []
 
 
 def test_every_documented_metric_is_registered():

@@ -9,6 +9,8 @@ of that silently; this file drives the harness's own ``build_app``,
 ``instrument``, ``scrape`` and ``server_argv`` against a tiny pipeline.
 """
 
+import ast
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -20,7 +22,7 @@ from repro.core import PipelineConfig, Ratatouille
 from repro.preprocess import preprocess
 from repro.recipedb import generate_corpus
 from repro.training import TrainingConfig
-from repro.webapp import Request
+from repro.webapp import Request, create_backend
 from repro.webapp.serve import build_parser
 
 E2E = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"
@@ -76,6 +78,13 @@ def test_build_app_is_a_supervised_engine_behind_admission(built):
     assert app.admission is not None
     assert app.engine.engine.prefix_cache is app.engine.prefix_cache
     assert callable(app.engine.engine.submit)
+    # Every keyword build_app spells is still create_backend's.
+    call = next(node for node in ast.walk(ast.parse(
+        (E2E / "inprocess.py").read_text("utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "create_backend")
+    assert {keyword.arg for keyword in call.keywords} <= set(
+        inspect.signature(create_backend).parameters)
 
 
 @pytest.mark.parametrize("path, ingredients", [

@@ -68,6 +68,9 @@ class TestBackpressure:
             def num_parameters(self):
                 return 0
 
+            def eval(self):     # all an idle engine thread asks of it
+                pass
+
         class FakeTokenizer:
             vocab_size = 1
 
@@ -84,16 +87,16 @@ class TestBackpressure:
             queue.submit(gate)
             gate.entered.wait(timeout=5)
             queue.submit(lambda: 1)  # fills the only pending slot
-            # A stub engine: FakePipeline's model cannot back a real
-            # serving engine, and this test only exercises the job queue.
+            # The engine idles: this test only exercises the job queue.
             app = create_backend(FakePipeline(), job_queue=queue,
-                                 registry=registry, engine=object())
+                                 registry=registry)
             request = Request(method="POST", path="/api/generate_async",
                               query={}, headers={},
                               body=b'{"ingredients": ["salt"]}')
             response = app.dispatch(request)
             assert response.status == 429
             assert b"queue full" in response.body
+            app.engine.stop()
         finally:
             gate.release.set()
             queue.shutdown()

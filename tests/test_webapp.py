@@ -134,11 +134,9 @@ class TestBackendApi:
         health = client.health()
         assert health["status"] == "ok"
         assert health["parameters"] > 0
-        # A single engine reports as a fleet of one (same payload shape
-        # as --replicas N; see docs/CLUSTER.md).
-        assert health["replicas"] == 1
-        assert health["healthy"] == 1
-        assert health["draining"] == 0
+        assert health["lifecycle"] == "serving"
+        assert health["healthy"] is True
+        assert "replicas" not in health and "draining" not in health
 
     def test_ingredients_listing(self, client):
         items = client.ingredients(limit=10)

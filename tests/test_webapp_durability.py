@@ -312,19 +312,40 @@ class TestDrainAndShutdown:
 
     def test_shutdown_summary_reports_failed_spill_honestly(self, pipeline,
                                                             tmp_path):
-        # Supervisor path: stop() attempts the spill itself.  When the
-        # save fails, the summary must say so instead of claiming a
-        # warm snapshot that does not exist.
-        from repro.resilience import (FaultInjector, FaultSpec,
-                                      ResilienceConfig, inject_faults)
+        # The supervisor's stop() attempts the spill.  When the save
+        # fails, the summary must say so instead of claiming a warm
+        # snapshot that does not exist.
+        from repro.resilience import FaultInjector, FaultSpec, inject_faults
 
-        app = _backend(pipeline, tmp_path, spill_dir=tmp_path / "spill",
-                       resilience=ResilienceConfig(supervise=True))
+        app = _backend(pipeline, tmp_path, spill_dir=tmp_path / "spill")
         injector = FaultInjector({"spill.save": FaultSpec(rate=1.0)})
         with inject_faults(injector):
             summary = app.shutdown_gracefully(deadline_seconds=30.0)
         assert summary["spilled"] is False
         assert not (tmp_path / "spill" / "CURRENT").exists()
+
+    def test_crashed_engine_is_never_spilled(self, pipeline, tmp_path):
+        # One spill writer (EngineSupervisor.stop), one rule: a cache
+        # whose engine crashed is not saved — the crash may have been a
+        # poisoned snapshot.  The previous process's snapshot stays.
+        from repro.resilience import (FaultInjector, FaultSpec,
+                                      ResilienceConfig, inject_faults)
+
+        first = _backend(pipeline, tmp_path, spill_dir=tmp_path / "spill")
+        assert _post(first, "/api/generate", PAYLOAD).status == 200
+        assert first.shutdown_gracefully()["spilled"] is True
+        current = tmp_path / "spill" / "CURRENT"
+        before = (current.read_bytes(), current.stat().st_mtime_ns)
+
+        app = _backend(pipeline, tmp_path, spill_dir=tmp_path / "spill",
+                       resilience=ResilienceConfig(max_restarts=0))
+        injector = FaultInjector({"prefix_cache.get": FaultSpec(rate=1.0)})
+        with inject_faults(injector):
+            assert _post(app, "/api/generate", PAYLOAD).status == 502
+        assert app.engine.engine.crashed is not None
+        summary = app.shutdown_gracefully(deadline_seconds=30.0)
+        assert summary["spilled"] is False
+        assert (current.read_bytes(), current.stat().st_mtime_ns) == before
 
     def test_warm_cache_after_restart(self, pipeline, tmp_path):
         app = _backend(pipeline, tmp_path, spill_dir=tmp_path / "spill")

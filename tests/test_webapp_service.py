@@ -2,15 +2,16 @@
 
 The same payload through ``/api/generate``, ``/api/generate_async`` →
 ``/api/job`` and the ``done`` event of ``/api/generate_stream`` must
-yield the identical body, whichever topology (bare engine, supervised
-engine, 2-replica router) decodes it — and a deadline must surface as
-the same error on each, or as the same strict-prefix partial recipe.
+yield the identical body — and a deadline must surface as the same
+error on each, or as the same strict-prefix partial recipe.
 
 Deadlines run on a clock that ticks once per model decode step, so
 "expires after a few tokens" is exact, not a race against wall time.
 """
 
 import json
+import pathlib
+import re
 import time
 
 import pytest
@@ -19,17 +20,10 @@ from repro.core import PipelineConfig, Ratatouille
 from repro.obs import ManualClock, MetricsRegistry
 from repro.preprocess import preprocess
 from repro.recipedb import generate_corpus
-from repro.resilience import ResilienceConfig
 from repro.training import TrainingConfig
 from repro.webapp import Request, create_backend
 
 STEP_SECONDS = 0.010
-
-TOPOLOGIES = {
-    "engine": {},
-    "supervised": {"resilience": ResilienceConfig(supervise=True)},
-    "router": {"replicas": 2},
-}
 
 BASE = {"ingredients": ["onion", "tomato"], "max_new_tokens": 24, "seed": 11}
 PAYLOADS = {
@@ -67,13 +61,12 @@ def clock(pipeline):
     del model.next_logits
 
 
-@pytest.fixture(scope="module", params=list(TOPOLOGIES))
-def app(request, pipeline, clock):
+@pytest.fixture(scope="module")
+def app(pipeline, clock):
     registry = MetricsRegistry(clock=clock)
     app = create_backend(
         pipeline, registry=registry,
-        retrieval_index=pipeline.build_retrieval_index(registry=registry),
-        **TOPOLOGIES[request.param])
+        retrieval_index=pipeline.build_retrieval_index(registry=registry))
     yield app
     app.shutdown_gracefully(deadline_seconds=5)
 
@@ -215,3 +208,11 @@ class TestAdmitBeforeRetrieve:
             assert len(calls) == 1
         finally:
             app.shutdown_gracefully(deadline_seconds=5)
+
+
+def test_webapp_never_asks_which_engine_type_it_holds():
+    # One topology; a second cannot creep back in behind an isinstance.
+    webapp = pathlib.Path(__file__).parents[1] / "src" / "repro" / "webapp"
+    assert not [path.name for path in webapp.glob("*.py") if re.search(
+        r"isinstance\([^)]*\b(InferenceEngine|EngineSupervisor)\b",
+        path.read_text("utf-8"))]
