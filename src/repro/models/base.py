@@ -253,14 +253,28 @@ class LanguageModel(Module):
     def compact_state(self, state: Any) -> Any:
         """Like :meth:`snapshot_state`, but sharing no memory with ``state``.
 
-        Long-lived stores (the serving engine's prefix cache) use this
-        so a stored snapshot retains exactly its own bytes: a frozen
-        alias of one row of a stacked batch state would otherwise pin
-        the entire batch buffer alive while byte accounting sees only
-        the row.  The default defers to :meth:`snapshot_state`, correct
-        for models whose states are already self-contained.
+        The serving engine's prefix cache stores one of these per
+        prefilled prompt (plus one per chunk boundary the model cannot
+        :meth:`prefix_state` from it), so a stored entry retains exactly
+        its own bytes: a frozen alias of one row of a stacked batch
+        state would otherwise pin the entire batch buffer alive while
+        byte accounting sees only the row.  The default defers to
+        :meth:`snapshot_state`, correct for models whose states are
+        already self-contained.
         """
         return self.snapshot_state(state)
+
+    def prefix_state(self, state: Any, length: int) -> Any:
+        """The state after only the first ``length`` tokens, or ``None``.
+
+        A frozen view cut from ``state`` without recompute, bit-identical
+        to the state a prefill of those tokens at the same chunk
+        boundaries leaves — what lets the prefix cache keep one entry
+        per prompt and serve its chunk-boundary prefixes from it
+        (``docs/SERVING.md`` §4).  The default cannot cut (an LSTM's
+        hidden state has no per-token rows).
+        """
+        return None
 
     # ------------------------------------------------------------------
     # Introspection

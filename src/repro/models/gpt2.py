@@ -383,6 +383,18 @@ class GPT2Model(LanguageModel):
         return GPT2State(caches=[c.compact() for c in state.caches],
                          position=state.position)
 
+    def prefix_state(self, state: GPT2State,
+                     length: int) -> Optional[GPT2State]:
+        # Row t of an unslid cache is token t's key/value.  A state at
+        # the context length may have slid (row 0 is no longer token 0).
+        if (state.position >= self.config.context_length
+                or not 0 < length <= state.position):
+            return None
+        return GPT2State(caches=[KVCache(k=c.k, v=c.v, length=length,
+                                         frozen=True)
+                                 for c in state.caches],
+                         position=length)
+
     def config_dict(self) -> dict:
         return {"model_type": self.model_type, **asdict(self.config)}
 

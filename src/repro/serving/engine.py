@@ -433,10 +433,12 @@ class InferenceEngine:
         with :class:`DeadlineExceededError` carrying the tokens
         generated so far (see ``docs/RESILIENCE.md``).
 
-        Raises :class:`EngineQueueFullError` when ``max_queue`` requests
-        are already waiting, :class:`EngineStoppedError` after
-        :meth:`stop`, and :class:`EngineCrashedError` if the engine
-        thread has died.  Beam search is not batched — use
+        Raises ``ValueError`` for an invalid request (e.g. a token id
+        outside the vocabulary), :class:`EngineQueueFullError` when
+        ``max_queue`` requests are already waiting,
+        :class:`EngineStoppedError` after :meth:`stop`, and
+        :class:`EngineCrashedError` if the engine thread has died.
+        Beam search is not batched — use
         :meth:`generate`, which falls back to the sequential decoder.
         """
         self._check_serving()
@@ -456,6 +458,10 @@ class InferenceEngine:
         prompt = [int(t) for t in prompt_ids]
         if not prompt:
             raise ValueError("prompt must contain at least one token")
+        if min(prompt) < 0 or max(prompt) >= self.model.vocab_size:
+            # Raised here, not in a prefill wave that other requests share.
+            raise ValueError(f"prompt token ids must be in [0, "
+                             f"{self.model.vocab_size})")
         with self._id_lock:
             self._next_id += 1
             request_id = self._next_id
@@ -544,7 +550,7 @@ class InferenceEngine:
         """Fail every queued and in-flight request with ``error``.
 
         Only meaningful once the engine thread is no longer serving (a
-        crash or a hard kill); the supervisor calls this before
+        crash, a stop or a hard kill); the supervisor calls this before
         restarting so no request can block forever on a dead engine.
         Idempotent — already-resolved requests are untouched.  Returns
         the number of requests failed by this call.
@@ -630,7 +636,8 @@ class InferenceEngine:
             self.fail_inflight(EngineCrashedError(
                 f"engine thread crashed: {error!r}"))
             return
-        self._drain()
+        self.fail_inflight(EngineStoppedError(
+            "engine stopped before request completed"))
 
     def _admit(self) -> None:
         """Refill the batch from the queue; prefill newly admitted prompts."""
@@ -692,10 +699,10 @@ class InferenceEngine:
         Chunks end at absolute multiples of ``prefill_chunk`` — the
         same boundaries :func:`repro.models.prefill_prompt` uses — so a
         warm run replays exactly the trunk calls of a cold run and the
-        logits match bit for bit.  Snapshots are stored at those same
-        boundaries plus the full prompt, which keeps every stored
-        depth *eligible* for future lookups (see
-        :class:`~repro.serving.prefix_cache.PrefixCache`).
+        logits match bit for bit.  Each prompt leaves one cache entry;
+        a later prompt resumes from it at full length, or at a chunk
+        boundary cut from it with :meth:`LanguageModel.prefix_state`
+        (:meth:`_store`, :class:`~repro.serving.prefix_cache.PrefixCache`).
         """
         groups: Dict[Tuple[int, int], List[Tuple[_Sequence, Any, Any]]] = {}
         for seq in admitted:
@@ -703,7 +710,8 @@ class InferenceEngine:
             # Chaos hook: a fault here escapes _admit and kills the
             # engine thread — the supervisor-restart scenario.
             fault_check("prefix_cache.get")
-            hit_len, snapshot = self.prefix_cache.lookup(prompt)
+            hit_len, snapshot = self.prefix_cache.lookup(prompt,
+                                                         cut=self._cut)
             if hit_len:
                 self.metrics.cache_hits.inc()
                 self.metrics.cache_hit_tokens.inc(hit_len)
@@ -750,30 +758,17 @@ class InferenceEngine:
                         tokens=prompt_len, cached_tokens=hit_len,
                         batched=len(members)))
                 position = hit_len
-                logits = None
                 while position < prompt_len:
                     chunk_end = min(prompt_len,
                                     (position // chunk_size + 1) * chunk_size)
                     ids = np.asarray([p[position:chunk_end] for p in prompts])
                     logits, stacked = self.model.prefill_stacked(ids, stacked)
                     position = chunk_end
-                    if chunk_end % chunk_size == 0 or chunk_end == prompt_len:
-                        rows = self.model.split_states(stacked, len(members))
-                        for row, prompt in enumerate(prompts):
-                            # Compact copies, not row-view snapshots: a
-                            # view would pin the whole stacked batch
-                            # buffer while _state_nbytes counts one row,
-                            # blowing the cache's byte budget silently.
-                            snap = self.model.compact_state(rows[row])
-                            row_logits = logits[row:row + 1].copy()
-                            nbytes = _state_nbytes(snap) + row_logits.nbytes
-                            self.prefix_cache.insert(
-                                prompt[:chunk_end],
-                                (row_logits, snap), nbytes)
         except (NotImplementedError, ValueError):
             return False
         rows = self.model.split_states(stacked, len(members))
         for row, (seq, _, _) in enumerate(members):
+            self._store(prompts[row], logits[row:row + 1], rows[row])
             seq.logits = logits[row]
             seq.state = rows[row]
             self._active.append(seq)
@@ -785,6 +780,7 @@ class InferenceEngine:
         fault_check("model.forward")
         prompt = seq.request.prompt_ids
         chunk_size = self.config.prefill_chunk
+        boundaries: List[Tuple[int, np.ndarray, Any]] = []
         with self.tracer.span("engine.prefill",
                               request=seq.request.request_id,
                               tokens=len(prompt), cached_tokens=hit_len):
@@ -795,18 +791,39 @@ class InferenceEngine:
                 logits, state = self.model.prefill(
                     np.asarray(prompt[position:chunk_end]), state)
                 position = chunk_end
-                if chunk_end % chunk_size == 0 or chunk_end == len(prompt):
-                    # Compact copies: store (and account) only the live
-                    # cache region — not the capacity buffer the
-                    # in-flight sequence keeps appending into, nor the
-                    # whole-chunk logits the last-position view pins.
-                    snap = self.model.compact_state(state)
-                    last_logits = logits.copy()
-                    nbytes = _state_nbytes(snap) + last_logits.nbytes
-                    self.prefix_cache.insert(
-                        prompt[:chunk_end], (last_logits, snap), nbytes)
+                if position < len(prompt):  # O(1) alias, compacted if kept
+                    boundaries.append((position, logits.copy(),
+                                       self.model.snapshot_state(state)))
+            if hit_len < len(prompt):
+                self._store(prompt, logits, state, boundaries)
         seq.logits = logits[0]
         seq.state = state
+
+    def _store(self, prompt: List[int], logits: np.ndarray, state: Any,
+               boundaries: Sequence[Tuple[int, np.ndarray, Any]] = ()
+               ) -> None:
+        """Cache a prefilled prompt as one entry.
+
+        Chunk-boundary states are stored too — first, so they are
+        evicted first — when the model cannot cut them from the final
+        state (LSTM, GPT-Neo, a slid GPT-2 state).  Entries are compact
+        copies: a view would pin the capacity buffer — or the whole
+        stacked batch — the sequence keeps appending into, while the
+        budget counts only its rows.
+        """
+        kept = [(prompt[:end], end_logits, snap)
+                for end, end_logits, snap in boundaries
+                if self.model.prefix_state(state, end) is None]
+        kept.append((prompt, logits.copy(), state))
+        for key, key_logits, key_state in kept:
+            snap = self.model.compact_state(key_state)
+            self.prefix_cache.insert(key, (key_logits, snap),
+                                     _state_nbytes(snap) + key_logits.nbytes)
+
+    def _cut(self, value: Tuple[Any, Any], depth: int) -> Any:
+        """The prefix cache's ``cut``: no logits, since prefill resumes."""
+        state = self.model.prefix_state(value[1], depth)
+        return None if state is None else (None, state)
 
     def _step(self) -> None:
         """One engine step: sample, deliver, retire, batched forward."""
@@ -1022,20 +1039,3 @@ class InferenceEngine:
                 outcome: Optional[str] = None) -> None:
         self._resolve(seq.request, error=error, outcome=outcome,
                       tokens=len(seq.generated))
-
-    def _drain(self) -> None:
-        """Fail everything still queued or in flight after stop()."""
-        error = EngineStoppedError("engine stopped before request completed")
-        for seq in self._active:
-            self._finish(seq, error=error)
-        self._active = []
-        while True:
-            try:
-                request = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if request is _WAKE:
-                continue
-            self._resolve(request, error=error)
-        self.metrics.active_sequences.set(0)
-        self.metrics.queue_depth.set(0)

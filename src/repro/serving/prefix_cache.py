@@ -1,20 +1,27 @@
 """Prefix KV-cache: a token-trie with an LRU byte budget.
 
 Recipe prompts share long prefixes — every Ratatouille request starts
-with the same control tokens and ingredient-list scaffold — so the
-engine snapshots decoder state (KV caches + last-position logits)
-keyed on the prompt-token prefix and replays the deepest stored
-ancestor instead of re-running prefill from scratch.
+with the same control tokens and ingredient-list scaffold, and with
+retrieval on, a ~200-token exemplar — so the engine stores decoder
+state (KV caches + last-position logits) keyed on each prefilled
+prompt and resumes a later prompt from the deepest usable prefix
+instead of re-running prefill from scratch.
 
-Correctness constraint (see ``docs/SERVING.md``): float rounding in
+Correctness constraint (see ``docs/SERVING.md`` §4): float rounding in
 the numpy/BLAS stack depends on the exact gemm shapes, so a cache hit
 is only *bit-reproducible* if resuming from it issues exactly the same
 trunk calls a cold run would.  :func:`repro.models.prefill_prompt`
 splits prompts at absolute multiples of the chunk size, therefore a
-stored prefix is only eligible when its depth is a chunk multiple —
-or when it matches the whole query, in which case no prefill runs at
-all.  Construct with ``chunk_size=None`` to disable that gate (useful
-for models whose prefill is an exact per-token loop).
+hit is only eligible when its depth is a chunk multiple — or when a
+stored entry matches the whole query, in which case no prefill runs
+at all.  Construct with ``chunk_size=None`` to disable that gate
+(useful for models whose prefill is an exact per-token loop).
+
+One entry per prompt serves its prefixes too: given a ``cut``,
+:meth:`PrefixCache.lookup` answers a query that leaves every stored
+path with the deepest chunk-aligned depth shorter than the query, cut
+from an entry stored under that trie node — exact, because every
+prompt through the node ran the same chunk calls over those tokens.
 
 Every method takes the cache lock and snapshots are frozen
 (copy-on-append), so readers on other threads (``/api/engine``, the
@@ -27,27 +34,32 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from ..obs import MetricsRegistry, NullRegistry
 
 
 class _Node:
-    """One trie node; ``has_entry`` marks a stored snapshot at this depth."""
+    """One trie node; ``entry`` is the snapshot stored at this depth.
 
-    __slots__ = ("children", "parent", "token", "has_entry")
+    Eviction prunes entry-less leaves, so every node has an entry in
+    its subtree — what a cut lookup relies on.
+    """
+
+    __slots__ = ("children", "parent", "token", "entry")
 
     def __init__(self, parent: Optional["_Node"] = None,
                  token: Optional[int] = None) -> None:
         self.children: Dict[int, "_Node"] = {}
         self.parent = parent
         self.token = token
-        self.has_entry = False
+        self.entry: Optional["_Entry"] = None
 
 
 @dataclass
 class _Entry:
+    key: Tuple[int, ...]
     value: Any
     nbytes: int
     node: _Node
@@ -94,8 +106,9 @@ class PrefixCache:
     * total stored bytes never exceed ``max_bytes``;
     * an entry larger than the whole budget is rejected outright;
     * evicted entries are never returned by :meth:`lookup`;
-    * :meth:`lookup` returns the deepest *eligible* stored prefix of
-      the query and refreshes its LRU recency.
+    * :meth:`lookup` returns the deepest *eligible* prefix of the query
+      — stored, or cut from a stored entry — and refreshes the LRU
+      recency of the entry it came from.
 
     ``registry`` receives the cache-owned series
     (``engine_prefix_cache_{evictions_total,bytes,hit_rate}``); without
@@ -156,9 +169,9 @@ class PrefixCache:
                         child = _Node(parent=node, token=token)
                         node.children[token] = child
                     node = child
-                node.has_entry = True
-                self._entries[key] = _Entry(value=value, nbytes=nbytes,
-                                            node=node)
+                node.entry = _Entry(key=key, value=value, nbytes=nbytes,
+                                    node=node)
+                self._entries[key] = node.entry
                 self.stats.entries += 1
             self.stats.bytes += nbytes
             while self.stats.bytes > self.max_bytes:
@@ -166,34 +179,48 @@ class PrefixCache:
             self._bytes_gauge.set(self.stats.bytes)
             return True
 
-    def lookup(self, tokens: Iterable[int]) -> Tuple[int, Any]:
-        """Deepest eligible stored prefix of ``tokens``.
+    def lookup(self, tokens: Iterable[int],
+               cut: Optional[Callable[[Any, int], Any]] = None
+               ) -> Tuple[int, Any]:
+        """Deepest eligible prefix of ``tokens``.
 
-        Returns ``(depth, value)``; ``(0, None)`` on a miss.
+        A stored entry on the query's path answers at its own depth.
+        With ``cut`` — ``cut(value, depth)`` returns the value for the
+        first ``depth`` tokens of a stored entry, or ``None`` when that
+        entry cannot be cut — the deepest chunk-aligned depth shorter
+        than the query answers too, cut from an entry stored under that
+        node.  Returns ``(depth, value)``; ``(0, None)`` on a miss.
         """
         key = tuple(int(t) for t in tokens)
+        step = self.chunk_size or 1
         with self._lock:
             self.stats.lookup_tokens += len(key)
-            best_depth = 0
+            depth, value, source, cut_at = 0, None, None, None
             node = self._root
-            for depth, token in enumerate(key, start=1):
+            for at, token in enumerate(key, start=1):
                 node = node.children.get(token)
                 if node is None:
                     break
-                if node.has_entry and self._eligible(depth, len(key)):
-                    best_depth = depth
-            value = None
-            if best_depth == 0:
+                if node.entry is not None and self._eligible(at, len(key)):
+                    depth, value, source = at, node.entry.value, node.entry
+                if at % step == 0 and at < len(key):
+                    cut_at = (at, node)
+            if cut is not None and cut_at is not None and cut_at[0] > depth:
+                at, node = cut_at
+                while node.entry is None:  # pruned trie: one lies below
+                    node = next(iter(node.children.values()))
+                derived = cut(node.entry.value, at)
+                if derived is not None:
+                    depth, value, source = at, derived, node.entry
+            if source is None:
                 self.stats.misses += 1
             else:
-                hit_key = key[:best_depth]
-                value = self._entries[hit_key].value
-                self._entries.move_to_end(hit_key)
+                self._entries.move_to_end(source.key)
                 self.stats.hits += 1
-                self.stats.hit_tokens += best_depth
+                self.stats.hit_tokens += depth
             self._hit_rate_gauge.set(
                 self.stats.hits / (self.stats.hits + self.stats.misses))
-            return best_depth, value
+            return depth, value
 
     # ------------------------------------------------------------------
     def _evict_lru(self) -> None:
@@ -203,10 +230,10 @@ class PrefixCache:
         self.stats.evictions += 1
         self._evictions_total.inc()
         node = entry.node
-        node.has_entry = False
+        node.entry = None
         # Prune now-empty branches so the trie does not leak nodes.
         while (node.parent is not None and not node.children
-               and not node.has_entry):
+               and node.entry is None):
             parent = node.parent
             del parent.children[node.token]
             node.parent = None

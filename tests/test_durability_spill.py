@@ -12,8 +12,12 @@ import numpy as np
 import pytest
 
 from repro.durability import CacheSpill, SpillError, model_fingerprint
+from repro.models import (GenerationConfig, distilgpt2, generate,
+                          prefill_prompt)
 from repro.models.lstm import LSTMConfig, LSTMLanguageModel
-from repro.serving import PrefixCache
+from repro.obs import NullRegistry, NullTracer
+from repro.serving import InferenceEngine, PrefixCache
+from repro.serving.engine import _state_nbytes
 
 pytestmark = pytest.mark.durability
 
@@ -168,3 +172,66 @@ class TestFailClosed:
             b"cnumpy_evil\nboom\n.")
         with pytest.raises(SpillError):
             spill.load_into(PrefixCache(max_bytes=1 << 20))
+
+
+class TestEngineWarmStart:
+    """Spilled GPT-2 entries served by a fresh engine (docs/SERVING.md §4)."""
+
+    VOCAB = 32
+
+    @pytest.fixture(scope="class")
+    def gpt2(self):
+        return distilgpt2(vocab_size=self.VOCAB, context_length=128)
+
+    def _tokens(self, seed, length):
+        rng = np.random.default_rng(seed)
+        return [int(t) for t in rng.integers(0, self.VOCAB, size=length)]
+
+    def _serve(self, engine, model, query, config):
+        before = engine.prefix_cache.stats.hit_tokens
+        assert engine.generate(query, config) == generate(
+            model, query, config, registry=NullRegistry(),
+            tracer=NullTracer())
+        return engine.prefix_cache.stats.hit_tokens - before
+
+    def test_boundary_entry_spill_still_serves(self, gpt2, tmp_path):
+        # Spills written before one-entry-per-prompt hold an entry at
+        # every chunk boundary; they load and serve as exact hits.
+        prompt = self._tokens(1, 70)
+        cache = PrefixCache(max_bytes=1 << 24, chunk_size=32)
+        for end in (32, 64, 70):
+            logits, state = prefill_prompt(gpt2, prompt[:end])
+            snap, logits = gpt2.compact_state(state), logits.copy()
+            cache.insert(prompt[:end], (logits, snap),
+                         _state_nbytes(snap) + logits.nbytes)
+        CacheSpill(tmp_path / "spill", model=gpt2).save(cache)
+        config = GenerationConfig(max_new_tokens=5, seed=3)
+        with InferenceEngine(gpt2, registry=NullRegistry(),
+                             tracer=NullTracer()) as engine:
+            assert CacheSpill(tmp_path / "spill", model=gpt2).load_into(
+                engine.prefix_cache) == 3
+            branch = prompt[:64] + self._tokens(2, 9)
+            hits = [self._serve(engine, gpt2, query, config)
+                    for query in (prompt, prompt[:64], branch)]
+        assert hits == [70, 64, 64]
+
+    def test_warm_start_cuts_from_mapped_entries(self, gpt2, tmp_path):
+        prompt = self._tokens(3, 100)
+        config = GenerationConfig(max_new_tokens=5, seed=4)
+        with InferenceEngine(gpt2, registry=NullRegistry(),
+                             tracer=NullTracer()) as first:
+            first.generate(prompt, config)
+            assert len(first.prefix_cache) == 1
+            CacheSpill(tmp_path / "spill", model=gpt2).save(
+                first.prefix_cache)
+        with InferenceEngine(gpt2, registry=NullRegistry(),
+                             tracer=NullTracer()) as second:
+            assert CacheSpill(tmp_path / "spill", model=gpt2).load_into(
+                second.prefix_cache) == 1
+            (_, (_, state), _), = second.prefix_cache.entries_snapshot()
+            assert all(not c.k.flags.writeable for c in state.caches)
+            branch = prompt[:70] + self._tokens(5, 6)
+            assert self._serve(second, gpt2, branch, config) == 64
+            assert self._serve(second, gpt2, prompt[:96], config) == 64
+            # The mapped entry is untouched, and still the full-hit source.
+            assert self._serve(second, gpt2, prompt, config) == 100

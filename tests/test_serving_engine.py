@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from repro.models import (GenerationConfig, NGramDraft, distilgpt2,
-                          generate)
+                          generate, prefill_prompt)
+from repro.models.gpt_neo import gpt_neo_small
 from repro.models.lstm import LSTMConfig, LSTMLanguageModel
 from repro.obs import (ManualClock, MetricsRegistry, NullRegistry,
                        NullTracer, Tracer)
@@ -313,6 +314,116 @@ class TestPrefixCache:
                 assert cache.k.shape[2] == cache.length  # no headroom
 
 
+def _assert_entry_is_cold_prefill(model, key, value):
+    """A stored entry holds exactly the KV and logits of a cold prefill.
+
+    Compares arrays, not greedy tokens: an untrained model's greedy
+    decode is often one constant token, so wrong KV can still decode
+    "correctly".
+    """
+    want_logits, want_state = prefill_prompt(model, list(key))
+    logits, state = value
+    np.testing.assert_array_equal(logits, want_logits)
+    assert state.position == want_state.position
+    for got, want in zip(state.caches, want_state.caches):
+        np.testing.assert_array_equal(got.keys, want.keys)
+        np.testing.assert_array_equal(got.values, want.values)
+
+
+class TestOneEntryPerPrompt:
+    """A prompt leaves one entry; its chunk-boundary prefixes are cut
+    from it (``docs/SERVING.md`` §4)."""
+
+    def test_long_prompt_leaves_one_entry_of_its_own_bytes(self):
+        model = distilgpt2(vocab_size=VOCAB, context_length=256)
+        prompt = _prompt(500, 200)
+        with InferenceEngine(model) as engine:
+            engine.generate(prompt, GenerationConfig(max_new_tokens=1))
+            entries = engine.prefix_cache.entries_snapshot()
+        # One per prompt, not one per 32-token boundary (that was 7).
+        assert [key for key, _, _ in entries] == [tuple(prompt)]
+        (key, (logits, state), nbytes), = entries
+        _assert_entry_is_cold_prefill(model, key, (logits, state))
+        kv_bytes = sum(c.keys.nbytes + c.values.nbytes for c in state.caches)
+        assert nbytes == kv_bytes + logits.nbytes
+        assert kv_bytes == 200 * 2 * 2 * 128 * 4  # tokens·layers·(k,v)·d·f32
+
+    @pytest.mark.parametrize("kernels", [False, True],
+                             ids=["tensor", "kernels"])
+    def test_chunk_multiple_prefix_of_a_stored_prompt(self, kernels):
+        # A 192-token query inside a stored 204-token prompt: the only
+        # entry on its path is longer, so it is cut at the deepest chunk
+        # multiple *below* the query (160) and the last chunk re-runs —
+        # a cut holds no logits for position 192.
+        model = distilgpt2(vocab_size=VOCAB, context_length=256)
+        model.eval()
+        if kernels:
+            model.enable_kernels()
+        stored, config = _prompt(501, 204), GenerationConfig(
+            max_new_tokens=6, seed=1)
+        query = stored[:192]
+        expected = _sequential(model, query, config)
+        with InferenceEngine(model) as engine:
+            engine.generate(stored, config)
+            assert engine.generate(query, config) == expected
+            stats = engine.prefix_cache.stats
+            assert (stats.hits, stats.hit_tokens) == (1, 160)
+            entries = {key: value for key, value, _
+                       in engine.prefix_cache.entries_snapshot()}
+        assert set(entries) == {tuple(stored), tuple(query)}
+        for key, value in entries.items():
+            _assert_entry_is_cold_prefill(model, key, value)
+
+    def test_slid_entries_are_never_cut(self):
+        # A 100-token prompt on a 64-token context slides: its final
+        # state's row 0 is no longer token 0, so nothing may be cut
+        # from it.  It keeps its boundary entries instead (32, 64, 96)
+        # and the budget here keeps only the two slid ones.
+        model = distilgpt2(vocab_size=VOCAB, context_length=64)
+        prompt = _prompt(502, 100)
+        config = GenerationConfig(max_new_tokens=3, seed=0)
+        with InferenceEngine(model) as probe:
+            probe.generate(prompt, config)
+            sizes = {len(key): nbytes for key, _, nbytes
+                     in probe.prefix_cache.entries_snapshot()}
+        assert sorted(sizes) == [32, 64, 96, 100]
+        budget = sizes[96] + sizes[100]
+        query = prompt[:40] + [(t + 1) % VOCAB for t in prompt[40:50]]
+        with InferenceEngine(model, EngineConfig(
+                prefix_cache_bytes=budget)) as engine:
+            engine.generate(prompt, config)
+            assert [len(key) for key, _, _
+                    in engine.prefix_cache.entries_snapshot()] == [96, 100]
+            assert engine.generate(query, config) == _sequential(
+                model, query, config)
+            stats = engine.prefix_cache.stats
+            assert (stats.hits, stats.hit_tokens) == (0, 0)
+            entries = {key: value for key, value, _
+                       in engine.prefix_cache.entries_snapshot()}
+        _assert_entry_is_cold_prefill(model, tuple(query),
+                                      entries[tuple(query)])
+
+    @pytest.mark.parametrize("family", ["lstm", "gpt_neo"])
+    def test_models_that_cannot_cut_keep_boundary_entries(self, family):
+        if family == "lstm":
+            model = LSTMLanguageModel(LSTMConfig(
+                vocab_size=VOCAB, d_embed=8, d_hidden=16, num_layers=1,
+                dropout=0.0))
+        else:
+            model = gpt_neo_small(vocab_size=VOCAB, context_length=128)
+        assert model.prefix_state(model.start_state(1), 0) is None
+        prompt = _prompt(503, 70)
+        query = prompt[:66] + [(t + 1) % VOCAB for t in prompt[66:70]]
+        config = GenerationConfig(max_new_tokens=4, seed=2)
+        with InferenceEngine(model) as engine:
+            engine.generate(prompt, config)
+            assert [len(key) for key, _, _
+                    in engine.prefix_cache.entries_snapshot()] == [32, 64, 70]
+            assert engine.generate(query, config) == _sequential(
+                model, query, config)
+            assert engine.prefix_cache.stats.hit_tokens == 64
+
+
 class _GatedModel(LSTMLanguageModel):
     """LSTM whose first forward blocks until the test opens the gate."""
 
@@ -444,6 +555,21 @@ class TestValidation:
                 engine.submit([1], GenerationConfig(temperature=-1.0))
             with pytest.raises(ValueError):
                 engine.submit([], GenerationConfig())
+
+    def test_out_of_range_token_id_rejected_at_submit(self, model):
+        # Regression: an out-of-vocabulary id used to reach prefill.  In
+        # a stacked wave its IndexError escaped the engine thread, which
+        # crashed, failed the neighbour and emptied the prefix cache.
+        config = GenerationConfig(max_new_tokens=4, seed=0)
+        neighbour = [3, 4, 5]
+        with InferenceEngine(model) as engine:
+            handle = engine.submit(neighbour, config)
+            for bad in ([1, 2, 99], [-1, 2, 3]):
+                with pytest.raises(ValueError, match="token ids"):
+                    engine.submit(bad, config)
+            assert handle.result(timeout=60) == _sequential(model, neighbour,
+                                                            config)
+            assert engine.crashed is None
 
     def test_engine_config_validation(self):
         with pytest.raises(ValueError):
