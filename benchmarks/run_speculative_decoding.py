@@ -6,8 +6,9 @@ engine concurrency 4) two ways:
 * **plain** — the continuous-batching engine with no draft: one
   emitted token per sequence per decode forward;
 * **speculative** — the same engine with an n-gram draft proposing
-  ``k`` tokens per verify step, the target accepting the longest
-  matching prefix in one batched ``verify_chunk`` forward.
+  ``k`` tokens per verify step: each sequence's ``k + 1``-token chunk
+  rides the step's one ragged ``next_logits`` call, and the target
+  accepts the longest matching prefix.
 
 The draft is fitted on the target model's own greedy rollouts over the
 workload prompts (self-distillation).  A randomly initialised
@@ -16,8 +17,9 @@ for the trained-serving configuration — where the n-gram draft is
 counted over the training corpus the target model has itself learned
 — and pins the acceptance rate near the top of the range a real
 corpus-fitted draft achieves on a converged model.  What is being
-measured is the verify machinery: tokens per model forward, per-slice
-``verify_chunk`` cost, and scheduler overhead — not draft quality.
+measured is the verify machinery: tokens per model forward, the
+per-token cost of a verify chunk inside the step's call, and scheduler
+overhead — not draft quality.
 
 Because speculative greedy decoding is bit-identical to the
 sequential decoder (and therefore to the plain engine), every round

@@ -14,7 +14,7 @@ strategies in :mod:`repro.models.generation` work with every model.
 
 from __future__ import annotations
 
-from typing import Any, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
@@ -111,7 +111,7 @@ class LanguageModel(Module):
         state:
             Whatever :meth:`start_state` / the previous call returned
             (or, where :attr:`ragged_decode` is set, a list of
-            batch-of-one states, one per id).
+            batch-of-one states, one per id — see there).
 
         Returns
         -------
@@ -157,8 +157,8 @@ class LanguageModel(Module):
                      state: Any) -> Tuple[np.ndarray, List[Any]]:
         """Decode a ``(batch, steps)`` chunk of *known* tokens exactly.
 
-        The speculative-decoding verify step: every row's logits at
-        every step must be **bit-identical** to walking
+        The standalone speculative loop's verify step: every row's
+        logits at every step must be **bit-identical** to walking
         :meth:`next_logits` one token at a time, because speculative
         greedy decode is contractually bit-identical to the sequential
         decode loop (``docs/SERVING.md``).
@@ -172,13 +172,20 @@ class LanguageModel(Module):
         the others are invalidated by that resume (they may share
         buffers).
 
-        The default walks :meth:`next_logits`, which is exact for
-        every model but amortizes nothing; transformers override it
-        with a batched pass built from per-slice matmuls.
+        A one-row chunk on a :attr:`ragged_decode` model is one
+        list-form :meth:`next_logits` call, and raises ``ValueError``
+        when it does not :meth:`fits` — the caller falls back to plain
+        decode, which slides; otherwise this walks :meth:`next_logits`,
+        exact for every model.
         """
         ids = np.asarray(ids)
         if ids.ndim != 2 or ids.shape[1] == 0:
             raise ValueError("verify_chunk expects (batch, steps) ids")
+        if self.ragged_decode and ids.shape[0] == 1:
+            if not self.fits(state, ids.shape[1]):
+                raise ValueError("verify chunk exceeds the context window")
+            logits, states = self.next_logits(ids[0], [state] * ids.shape[1])
+            return logits[None], states
         logits_steps: List[np.ndarray] = []
         states: List[Any] = []
         for t in range(ids.shape[1]):
@@ -189,14 +196,13 @@ class LanguageModel(Module):
 
     def prefill_stacked(self, ids: np.ndarray,
                         state: Any) -> Tuple[np.ndarray, Any]:
-        """Prefill one ``(batch, chunk)`` of prompt tokens batched.
+        """Refuses: no model prefills stacked rows any more.
 
-        ``state`` must be a stacked state (see :meth:`stack_states`)
-        whose rows all sit at the same position.  Implementations must
-        guarantee each row's logits and state are **bit-identical** to
-        prefilling that row alone with :meth:`prefill` over the same
-        chunk — only models whose full trunk is per-slice (row-stable)
-        under batching can offer that, so the default refuses.
+        Every prompt prefills as its own ``(1, T)`` chunk
+        (:meth:`prefill`).  This default survives only because the
+        ``benchmarks/e2e`` harness wraps ``model.prefill_stacked`` by
+        name (``spans.py``); it goes when the harness stops spelling it
+        (ROADMAP item 5(d)).
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not support batched prefill")
@@ -205,39 +211,25 @@ class LanguageModel(Module):
     # Batched decoding (the serving engine's continuous batching)
     # ------------------------------------------------------------------
     #: Whether :meth:`next_logits` also accepts a **list** of
-    #: batch-of-one states — sequences of unequal length — and advances
-    #: them in one forward, returning ``(logits (B, V), [states])`` with
-    #: each row **bit-identical** to its own single-row call.  The
-    #: serving engine decodes all plain rows of a step in one such call;
-    #: rows of a model that leaves this ``False`` step one by one.
+    #: batch-of-one states, one per id — sequences of unequal length;
+    #: a run of ids sharing one state object is one row carrying that
+    #: many known tokens — and advances them all in one forward,
+    #: returning ``(logits (N, V), [states])`` with every id
+    #: **bit-identical** to a one-token walk of its row.  The serving
+    #: engine decodes every row of a step in one such call; rows of a
+    #: model that leaves this ``False`` step one by one.
     ragged_decode = False
 
-    def stacking_key(self, state: Any) -> Optional[Hashable]:
-        """Grouping key for exact stacked prefill/verify, or ``None``.
+    def fits(self, state: Any, tokens: int) -> bool:
+        """Whether ``tokens`` known tokens decode from ``state`` in one
+        row without sliding the context window.
 
-        States that return the same (non-``None``) key may be stacked
-        into one batched :meth:`prefill_stacked` or :meth:`verify_chunk`
-        call with **bit-identical** per-row results (plain decode does
-        not stack: see :attr:`ragged_decode`).  The default declares
-        states unstackable, which is the only safe answer for models
-        whose decode step is a plain 2-D GEMM (e.g. the LSTM): BLAS
-        kernels are not row-stable across different batch sizes, so
-        stacking would break the engine's batched == sequential
-        equality contract.  Transformer decode runs ``(batch, 1, d)``
-        batched matmuls that numpy evaluates per-slice, which *is*
-        row-stable — GPT-2 overrides this.
+        A pure function of position and token count: the engine demotes
+        a speculative row that no longer fits before the step's one
+        call, exactly when :meth:`verify_chunk` makes the standalone
+        loop fall back.  The default has no window.
         """
-        return None
-
-    def stack_states(self, states: Sequence[Any]) -> Any:
-        """Stack same-key decode states into one batched state."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support stacked decoding")
-
-    def split_states(self, state: Any, count: int) -> List[Any]:
-        """Invert :meth:`stack_states` into per-sequence states."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support stacked decoding")
+        return True
 
     def snapshot_state(self, state: Any) -> Any:
         """A frozen copy/alias of ``state`` safe to store and resume from.
@@ -256,11 +248,11 @@ class LanguageModel(Module):
         The serving engine's prefix cache stores one of these per
         prefilled prompt (plus one per chunk boundary the model cannot
         :meth:`prefix_state` from it), so a stored entry retains exactly
-        its own bytes: a frozen alias of one row of a stacked batch
-        state would otherwise pin the entire batch buffer alive while
-        byte accounting sees only the row.  The default defers to
-        :meth:`snapshot_state`, correct for models whose states are
-        already self-contained.
+        its own bytes: a frozen alias would otherwise pin the capacity
+        buffer its live owner keeps appending into, headroom included,
+        while byte accounting sees only the live rows.  The default
+        defers to :meth:`snapshot_state`, correct for models whose
+        states are already self-contained.
         """
         return self.snapshot_state(state)
 

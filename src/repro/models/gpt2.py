@@ -15,7 +15,7 @@ the Table-I benchmark documents the scaling.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Hashable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -172,18 +172,30 @@ class GPT2Model(LanguageModel):
                     ) -> Tuple[np.ndarray, Union[GPT2State, List[GPT2State]]]:
         """One decode step; ``state`` is one state or a list of them.
 
-        A **list** of ``B`` batch-of-one states — sequences of any,
-        unequal lengths — advances all rows in one forward and returns
-        ``(logits (B, V), [states])``: the position-independent ops
-        (LayerNorm, QKV, out-proj, MLP, tied head) run once at
-        ``(B, 1, d)``, which numpy evaluates as ``B`` separate
-        ``(1, d)`` GEMMs, and attention walks each row's own KV cache,
-        so row ``r`` gets the bits of ``next_logits(ids[r:r+1],
-        states[r])`` (see ``docs/SERVING.md`` §2).
+        A **list** holds one batch-of-one state per id; a run of ids
+        sharing one state object is one row carrying that many known
+        tokens (a speculative verify chunk).  All rows — sequences of
+        any, unequal lengths — advance in one forward, returning
+        ``(logits (N, V), [states])`` where ``states[i]`` is its row's
+        state after id ``i``: the position-independent ops (LayerNorm,
+        QKV, out-proj, MLP, tied head) run once at ``(N, 1, d)``, which
+        numpy evaluates as ``N`` separate ``(1, d)`` GEMMs, and
+        attention walks each row's own KV cache, so every id gets the
+        bits of a sequential one-token ``next_logits`` walk of its row
+        (see ``docs/SERVING.md`` §2).  A one-token row slides past the
+        context window like a single-state step; a longer row that does
+        not :meth:`fits` raises ``ValueError``.  The states within a
+        row are length-truncated handles onto one appended cache: resume
+        from one of them, and later appends overwrite the rest.  A list
+        of one state for one id is that state's own step (same bits,
+        none of the ragged bookkeeping: decode at concurrency 1).
         """
-        ids = np.asarray(ids).reshape(-1, 1)  # (B, 1)
+        ids = np.asarray(ids).reshape(-1, 1)  # (N, 1)
         if isinstance(state, list):
-            return self._next_logits_rows(ids, state)
+            if len(state) != 1 or ids.shape[0] != 1:
+                return self._next_logits_rows(ids, state)
+            logits, state = self.next_logits(ids, state[0])
+            return logits, [state]
         caches, position = self._slide(state)
         kernels = self._active_kernels()
         if kernels is not None:
@@ -201,23 +213,48 @@ class GPT2Model(LanguageModel):
                 state.caches[0].k.shape[0] != 1 for state in states):
             raise ValueError(
                 f"expected {ids.shape[0]} batch-of-one states, one per id")
-        slid = [self._slide(state) for state in states]
-        rows = [caches for caches, _ in slid]
-        positions = np.array([position for _, position in slid])
+        rows, counts, starts, positions = [], [], [], []
+        for index, state in enumerate(states):
+            if index and state is states[index - 1]:
+                counts[-1] += 1
+                if not self.fits(state, counts[-1]):
+                    raise ValueError(
+                        f"chunk ending at {state.position + counts[-1]} "
+                        f"exceeds context length "
+                        f"{self.config.context_length}")
+                positions.append(positions[-1] + 1)
+                continue
+            caches, position = self._slide(state)
+            rows.append(caches)
+            counts.append(1)
+            starts.append(position)
+            positions.append(position)
+        positions = np.array(positions)
         kernels = self._active_kernels()
         if kernels is not None:
-            logits, new_rows = kernels.decode_rows(ids, rows, positions)
+            logits, new_rows = kernels.decode_rows(ids, rows, positions,
+                                                   counts)
         else:
             x = self.drop(self.wte(ids) + self.wpe(positions.reshape(-1, 1)))
             layers = []
             for index, block in enumerate(self.blocks):
                 x, new_caches = block.forward_rows(
-                    x, [caches[index] for caches in rows])
+                    x, [caches[index] for caches in rows], counts)
                 layers.append(new_caches)
             logits = self._project(self.ln_f(x)).data[:, 0, :]
             new_rows = [list(row) for row in zip(*layers)]
-        return logits, [GPT2State(caches=caches, position=position + 1)
-                        for caches, (_, position) in zip(new_rows, slid)]
+        new_states = []
+        for caches, count, start in zip(new_rows, counts, starts):
+            new_states += [GPT2State(
+                caches=[KVCache(k=c.k, v=c.v, length=c.length - count + t)
+                        for c in caches], position=start + t)
+                for t in range(1, count)]
+            new_states.append(GPT2State(caches=caches,
+                                        position=start + count))
+        return logits, new_states
+
+    def fits(self, state: GPT2State, tokens: int) -> bool:
+        return state.position + tokens <= self.config.context_length
 
     def prefill(self, ids: np.ndarray, state: GPT2State
                 ) -> Tuple[np.ndarray, GPT2State]:
@@ -246,130 +283,6 @@ class GPT2Model(LanguageModel):
         logits = self._project(hidden)
         return (logits.data[:, -1, :],
                 GPT2State(caches=caches, position=state.position + ids.size))
-
-    def prefill_stacked(self, ids: np.ndarray, state: GPT2State
-                        ) -> Tuple[np.ndarray, GPT2State]:
-        """Batched chunk prefill over a stacked state.
-
-        The trunk's batched matmuls are per-slice (row-stable), so each
-        row's logits and cache come out bit-identical to a batch-of-one
-        :meth:`prefill` of the same chunk at the same position.  Raises
-        ``ValueError`` when the chunk would overflow the context window;
-        callers fall back to the single-sequence path, which slides.
-        """
-        ids = np.asarray(ids)
-        if ids.ndim != 2 or ids.shape[1] == 0:
-            raise ValueError("prefill_stacked expects (batch, chunk) ids")
-        if state.position + ids.shape[1] > self.config.context_length:
-            raise ValueError(
-                f"chunk ending at {state.position + ids.shape[1]} exceeds "
-                f"context length {self.config.context_length}")
-        kernels = self._active_kernels()
-        if kernels is not None:
-            logits, caches = kernels.prefill_batch(ids, state.caches,
-                                                   state.position)
-            return logits, GPT2State(caches=caches,
-                                     position=state.position + ids.shape[1])
-        hidden, caches = self._trunk(ids, position_offset=state.position,
-                                     caches=state.caches)
-        logits = self._project(hidden)
-        return (logits.data[:, -1, :],
-                GPT2State(caches=caches,
-                          position=state.position + ids.shape[1]))
-
-    def verify_chunk(self, ids: np.ndarray, state: GPT2State
-                     ) -> Tuple[np.ndarray, List[GPT2State]]:
-        """Exact batched decode of ``(batch, steps)`` known tokens.
-
-        The speculative-decoding verify pass.  Unlike :meth:`prefill`
-        (whose chunked trunk rounds differently from per-token decode
-        — that is why ``PREFILL_CHUNK`` boundaries exist), this pass is
-        **bit-identical** to ``steps`` sequential :meth:`next_logits`
-        calls: every matmul keeps the decode path's per-slice ``(1, D)``
-        GEMM shape, batched only along leading dimensions numpy C-loops
-        over, and each step's attention row sees exactly the sequential
-        step's keys (see ``TransformerBlock.forward_verify``).  The
-        returned states are cheap handles onto one shared appended
-        cache, truncated per step; resuming from ``states[a]`` simply
-        overwrites the buffer past ``a + 1`` on the next append.
-
-        Raises ``ValueError`` when the chunk would overflow the context
-        window — callers fall back to plain per-token decode, which
-        slides (and therefore so does the sequential reference).
-        """
-        ids = np.asarray(ids)
-        if ids.ndim != 2 or ids.shape[1] == 0:
-            raise ValueError("verify_chunk expects (batch, steps) ids")
-        batch, steps = ids.shape
-        if state.position + steps > self.config.context_length:
-            raise ValueError(
-                f"chunk ending at {state.position + steps} exceeds context "
-                f"length {self.config.context_length}")
-        kernels = self._active_kernels()
-        if kernels is not None:
-            logits_data, new_caches = kernels.verify_batch(
-                ids, state.caches, state.position)
-            states = [
-                GPT2State(
-                    caches=[KVCache(k=c.k, v=c.v,
-                                    length=c.length - steps + t + 1)
-                            for c in new_caches],
-                    position=state.position + t + 1)
-                for t in range(steps)
-            ]
-            return logits_data, states
-        positions = np.arange(state.position, state.position + steps)
-        x = self.wte(ids) + self.wpe(np.broadcast_to(positions, (batch, steps)))
-        x = self.drop(x)
-        # Flatten the step axis into the batch axis: every downstream
-        # projection then runs at the decode path's (flat, 1, D) shape.
-        x = Tensor(np.ascontiguousarray(x.data).reshape(
-            batch * steps, 1, self.config.d_model))
-        new_caches: List[KVCache] = []
-        for index, block in enumerate(self.blocks):
-            x, new_cache = block.forward_verify(x, state.caches[index],
-                                                batch, steps)
-            new_caches.append(new_cache)
-        x = self.ln_f(x)
-        logits = self._project(x)  # (batch*steps, 1, V)
-        logits_data = logits.data.reshape(batch, steps, self.vocab_size)
-        states = [
-            GPT2State(
-                caches=[KVCache(k=c.k, v=c.v, length=c.length - steps + t + 1)
-                        for c in new_caches],
-                position=state.position + t + 1)
-            for t in range(steps)
-        ]
-        return logits_data, states
-
-    def stacking_key(self, state: GPT2State) -> Optional[Hashable]:
-        # Equal position implies equal cache length, so stacked rows see
-        # identical per-slice matmul shapes — the bit-exactness condition.
-        seq_len = state.caches[0].seq_len if state.caches else 0
-        return (self.model_type, state.position, seq_len)
-
-    def stack_states(self, states: Sequence[GPT2State]) -> GPT2State:
-        return GPT2State(
-            caches=[
-                KVCache(
-                    k=np.concatenate([s.caches[layer].keys for s in states]),
-                    v=np.concatenate([s.caches[layer].values
-                                      for s in states]))
-                for layer in range(len(self.blocks))
-            ],
-            position=states[0].position)
-
-    def split_states(self, state: GPT2State, count: int) -> List[GPT2State]:
-        # Row views keep the batch's capacity buffer: each row only
-        # ever appends into its own slice past ``length``, so split
-        # sequences stay independent without copying.
-        return [
-            GPT2State(caches=[KVCache(k=c.k[i:i + 1], v=c.v[i:i + 1],
-                                      length=c.length)
-                              for c in state.caches],
-                      position=state.position)
-            for i in range(count)
-        ]
 
     def snapshot_state(self, state: GPT2State) -> GPT2State:
         # Frozen cache aliases: sharable (and storable) without copying;

@@ -84,12 +84,12 @@ class KVCache:
 
         Unlike :meth:`snapshot` this shares no memory with the source,
         so storing it retains exactly ``length`` positions' worth of
-        bytes — a snapshot of a batch-row view would instead pin the
-        whole stacked batch buffer (capacity headroom included) alive.
+        bytes — a snapshot would instead pin the whole capacity buffer,
+        headroom the live owner keeps appending into included, alive.
         """
-        # .copy(), not ascontiguousarray: a single-row view is already
-        # flagged contiguous, and ascontiguousarray would return the
-        # pinning view unchanged.
+        # .copy(), not ascontiguousarray: a live-region view can already
+        # be flagged contiguous (one head, or no headroom left), and
+        # ascontiguousarray would return the shared view unchanged.
         return KVCache(k=self.keys.copy(), v=self.values.copy(),
                        length=self.length, frozen=True)
 
@@ -179,89 +179,54 @@ class CausalSelfAttention(Module):
         out = self.resid_dropout(self.proj(merged))
         return out, new_cache
 
-    def forward_verify(self, x: Tensor, cache: KVCache, rows: int,
-                       steps: int) -> Tuple[Tensor, KVCache]:
-        """Exact multi-token decode: ``steps`` tokens per sequence.
+    def forward_rows(self, x: Tensor, caches: Sequence[KVCache],
+                     counts: Sequence[int]) -> Tuple[Tensor, List[KVCache]]:
+        """Known tokens for each of ``len(caches)`` sequences of unequal
+        length: ``counts[r]`` tokens for row ``r``.
 
-        ``x`` is ``(rows * steps, 1, D)``, sequence-major (flat row
-        ``b * steps + t`` is sequence ``b``'s ``t``-th chunk token).
-        The result is **bit-identical** to calling :meth:`forward`
-        ``steps`` times with ``seq == 1``: the qkv/proj projections run
-        at the same ``(1, D)`` per-slice GEMM shapes (batched only
-        along leading dimensions numpy's matmul C-loops over — BLAS
-        never sees a different ``M``), and each step's attention row
-        softmaxes over exactly the keys the sequential step would see.
-        That is what lets speculative decoding verify a whole proposal
-        in one call without perturbing a single output bit (see
-        ``docs/SERVING.md``).  Generation-only: gradients do not flow.
+        ``x`` is ``(N, 1, D)``, the rows' tokens in order; ``caches[r]``
+        is row ``r``'s own batch-of-one cache.  The qkv/proj projections
+        run once over all tokens — per-slice ``(1, D)`` GEMMs — and
+        token ``t`` of row ``r`` attends over row ``r``'s cache plus its
+        own tokens ``<= t`` exactly as :meth:`forward` does for one token
+        at batch 1 (including the empty-cache mask arm), so every token
+        is **bit-identical** to a sequential one-token call.  Returns
+        each row's cache appended by all its tokens.  Generation-only:
+        gradients do not flow, and attention runs as the plain numpy ops
+        :meth:`forward`'s graph performs (no attention dropout), so a
+        verify chunk's many one-token walks build no graph nodes.
         """
-        flat = rows * steps
-        qkv = self.qkv(x)  # (rows*steps, 1, 3D)
-        q = self._split_heads(qkv[:, :, :self.d_model], flat, 1)
-        k = self._split_heads(qkv[:, :, self.d_model:2 * self.d_model], flat, 1)
-        v = self._split_heads(qkv[:, :, 2 * self.d_model:], flat, 1)
-
-        # (rows*steps, H, 1, Hd) -> (rows, H, steps, Hd): pure data
-        # movement, so the appended K/V values are exactly what the
-        # sequential per-token appends would have written.
-        def regroup(heads: Tensor) -> np.ndarray:
-            return (heads.data.reshape(rows, steps, self.num_heads,
-                                       self.head_dim).transpose(0, 2, 1, 3))
-
-        past_len = cache.seq_len
-        new_cache = cache.append(regroup(k), regroup(v))
-        q_steps = q.data.reshape(rows, steps, self.num_heads, 1, self.head_dim)
-        contexts = []
-        for t in range(steps):
-            # Step t attends over the live region the sequential step
-            # would see: past keys plus chunk tokens 0..t (no mask —
-            # the seq == 1 decode path never applies one).
-            keys = Tensor(new_cache.k[:, :, :past_len + t + 1])
-            values = Tensor(new_cache.v[:, :, :past_len + t + 1])
-            q_t = Tensor(q_steps[:, t])  # (rows, H, 1, Hd)
-            scores = (q_t @ keys.swapaxes(-1, -2)) * (1.0 / np.sqrt(self.head_dim))
-            weights = self.attn_dropout(F.softmax(scores, axis=-1))
-            context = weights @ values  # (rows, H, 1, Hd)
-            contexts.append(
-                context.data.transpose(0, 2, 1, 3).reshape(rows, 1, self.d_model))
-        merged = np.stack(contexts, axis=1).reshape(flat, 1, self.d_model)
-        out = self.resid_dropout(self.proj(Tensor(merged)))
-        return out, new_cache
-
-    def forward_rows(self, x: Tensor, caches: Sequence[KVCache]
-                     ) -> Tuple[Tensor, List[KVCache]]:
-        """One decode token for each of ``len(caches)`` sequences of
-        unequal length.
-
-        ``x`` is ``(rows, 1, D)``; ``caches[r]`` is row ``r``'s own
-        batch-of-one cache.  The qkv/proj projections run once over all
-        rows — per-slice ``(1, D)`` GEMMs, as in :meth:`forward_verify`
-        — and each row attends over its own cache exactly as
-        :meth:`forward` does at batch 1 (including the ``past == 0``
-        mask arm), so the result is **bit-identical** to ``rows``
-        separate calls.  Generation-only: gradients do not flow.
-        """
-        rows = len(caches)
-        qkv = self.qkv(x)  # (rows, 1, 3D)
-        q = self._split_heads(qkv[:, :, :self.d_model], rows, 1).data
+        tokens = x.shape[0]
+        qkv = self.qkv(x)  # (N, 1, 3D)
+        q = self._split_heads(qkv[:, :, :self.d_model], tokens, 1).data
         k = self._split_heads(qkv[:, :, self.d_model:2 * self.d_model],
-                              rows, 1).data
-        v = self._split_heads(qkv[:, :, 2 * self.d_model:], rows, 1).data
+                              tokens, 1).data
+        v = self._split_heads(qkv[:, :, 2 * self.d_model:], tokens, 1).data
+        # (N, H, 1, Hd) -> (1, H, N, Hd): a row appends its token slice.
+        k_all, v_all = k.transpose(2, 1, 0, 3), v.transpose(2, 1, 0, 3)
+        # Tensor arithmetic downcasts a Python scalar to float32 first.
+        scale = np.float32(1.0 / np.sqrt(self.head_dim))
         new_caches, contexts = [], []
-        for r, cache in enumerate(caches):
-            keys, values = k[r:r + 1], v[r:r + 1]
-            new_cache = cache.append(keys, values)
-            if cache.seq_len:
-                keys, values = new_cache.keys, new_cache.values
-            scores = (Tensor(q[r:r + 1]) @ Tensor(keys).swapaxes(-1, -2)
-                      ) * (1.0 / np.sqrt(self.head_dim))
-            if cache.seq_len == 0:
-                scores = F.add_mask(scores, np.zeros((1, 1), np.float32))
-            weights = self.attn_dropout(F.softmax(scores, axis=-1))
-            contexts.append((weights @ Tensor(values)).data)  # (1, H, 1, Hd)
+        start = 0
+        for cache, count in zip(caches, counts):
+            end = start + count
+            new_cache = cache.append(k_all[:, :, start:end],
+                                     v_all[:, :, start:end])
+            for i in range(start, end):
+                past = cache.seq_len + i - start
+                keys, values = ((new_cache.k[:, :, :past + 1],
+                                 new_cache.v[:, :, :past + 1]) if past
+                                else (k[i:i + 1], v[i:i + 1]))
+                scores = (q[i:i + 1] @ keys.swapaxes(-1, -2)) * scale
+                if past == 0:
+                    scores = scores + np.zeros((1, 1), np.float32)
+                scores = np.exp(scores - scores.max(axis=-1, keepdims=True))
+                contexts.append(
+                    (scores / scores.sum(axis=-1, keepdims=True)) @ values)
             new_caches.append(new_cache)
+            start = end
         merged = np.concatenate(contexts).transpose(0, 2, 1, 3).reshape(
-            rows, 1, self.d_model)
+            tokens, 1, self.d_model)
         out = self.resid_dropout(self.proj(Tensor(merged)))
         return out, new_caches
 
@@ -302,23 +267,12 @@ class TransformerBlock(Module):
         x = x + self.mlp(self.ln2(x))
         return x, new_cache
 
-    def forward_verify(self, x: Tensor, cache: KVCache, rows: int,
-                       steps: int) -> Tuple[Tensor, KVCache]:
-        """Block pass for the exact multi-token decode (see
-        :meth:`CausalSelfAttention.forward_verify`).  LayerNorm and the
-        MLP are per-position ops, so running them over the flattened
-        ``(rows * steps, 1, D)`` layout changes nothing bitwise."""
-        attn_out, new_cache = self.attn.forward_verify(self.ln1(x), cache,
-                                                       rows, steps)
-        x = x + attn_out
-        x = x + self.mlp(self.ln2(x))
-        return x, new_cache
-
-    def forward_rows(self, x: Tensor, caches: Sequence[KVCache]
-                     ) -> Tuple[Tensor, List[KVCache]]:
+    def forward_rows(self, x: Tensor, caches: Sequence[KVCache],
+                     counts: Sequence[int]) -> Tuple[Tensor, List[KVCache]]:
         """Block pass for ragged batched decode (see
         :meth:`CausalSelfAttention.forward_rows`)."""
-        attn_out, new_caches = self.attn.forward_rows(self.ln1(x), caches)
+        attn_out, new_caches = self.attn.forward_rows(self.ln1(x), caches,
+                                                      counts)
         x = x + attn_out
         x = x + self.mlp(self.ln2(x))
         return x, new_caches

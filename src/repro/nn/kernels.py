@@ -506,68 +506,80 @@ class InferenceKernels:
 
     def decode_rows(self, ids: np.ndarray,
                     caches_per_row: Sequence[Sequence[KVCache]],
-                    positions: np.ndarray
+                    positions: np.ndarray, counts: Sequence[int]
                     ) -> Tuple[np.ndarray, List[List[KVCache]]]:
-        """One token for each of ``B`` sequences of *unequal* length.
+        """Known tokens for ``B`` sequences of *unequal* length.
 
-        ``ids`` is ``(B, 1)``, ``caches_per_row[r]`` row ``r``'s own
-        per-layer batch-of-one caches, ``positions`` ``(B,)``.  The
-        dense ops run once at ``(B, 1, d)`` — to numpy, ``B`` separate
-        ``(1, d)`` GEMMs, :meth:`decode_step`'s shape on one row — and
-        only attention walks the rows, each over its own cache at its
-        own length: every row gets the bits of its own single-row step
-        and caches are never concatenated.  Returns ``(logits (B, V),
-        new_caches_per_row)``.
+        ``ids`` is ``(N, 1)``: row ``r``'s ``counts[r]`` tokens, rows in
+        order; ``caches_per_row[r]`` is row ``r``'s own per-layer
+        batch-of-one caches, ``positions`` ``(N,)`` each token's
+        position.  The dense ops run once at ``(N, 1, d)`` — to numpy,
+        ``N`` separate ``(1, d)`` GEMMs, :meth:`decode_step`'s shape on
+        one token — and only attention walks the tokens: token ``t`` of
+        row ``r`` attends over row ``r``'s cache plus its own tokens
+        ``<= t``, so every token gets the bits of its own single-row
+        step and caches are never concatenated.  Returns ``(logits
+        (N, V), new_caches_per_row)``, each row appended by all its
+        tokens.
         """
         copy = self._enter()
         self._check_ids(ids)
-        rows = ids.shape[0]
+        tokens = ids.shape[0]
         d, h, hd = self.d_model, self.num_heads, self.head_dim
-        x = self._take((rows, 1, d))
+        x = self._take((tokens, 1, d))
         np.take(self._wte, ids, axis=0, out=x)
-        pos = self._take((rows, 1, d))
-        np.take(self._wpe, positions.reshape(rows, 1), axis=0, out=pos)
+        pos = self._take((tokens, 1, d))
+        np.take(self._wpe, positions.reshape(tokens, 1), axis=0, out=pos)
         np.add(x, pos, out=x)
         ln, qkv, mstat, vstat, attn, ff, gelu_ws = self._dense_buffers(
-            rows, 1)
+            tokens, 1)
         smax = self._take((1, h, 1, 1))
         ssum = self._take((1, h, 1, 1))
-        ctxb = self._take((rows, h, 1, hd))
-        merged = ctxb.transpose(0, 2, 1, 3).reshape(rows, 1, d)
-        # Per-row views and score buffers, built once for all layers:
-        # each is what _forward_cached sees at batch 1 (same strides,
-        # a contiguous (1, H, 1, past + 1) scores buffer of its own).
-        q, k, v = (qkv[:, :, lo:lo + d].reshape(rows, 1, h, hd)
+        ctxb = self._take((tokens, h, 1, hd))
+        merged = ctxb.transpose(0, 2, 1, 3).reshape(tokens, 1, d)
+        # Per-token views and score buffers, built once for all layers:
+        # each is what _forward_cached sees at batch 1 (same strides, a
+        # contiguous (1, H, 1, past + 1) scores buffer of its own).
+        q, k, v = (qkv[:, :, lo:lo + d].reshape(tokens, 1, h, hd)
                    .transpose(0, 2, 1, 3) for lo in (0, d, 2 * d))
-        views = []
-        for r, caches in enumerate(caches_per_row):
-            past = caches[0].seq_len
-            views.append((past, q[r:r + 1], k[r:r + 1], v[r:r + 1],
-                          self._take((1, h, 1, past + 1)), ctxb[r:r + 1]))
+        # (N, H, 1, hd) -> (1, H, N, hd): a row appends its token slice.
+        k_all, v_all = k.transpose(2, 1, 0, 3), v.transpose(2, 1, 0, 3)
+        rows, start = [], 0
+        for caches, count in zip(caches_per_row, counts):
+            end = start + count
+            views = []
+            for i in range(start, end):
+                past = caches[0].seq_len + i - start
+                views.append((past, q[i:i + 1], k[i:i + 1], v[i:i + 1],
+                              self._take((1, h, 1, past + 1)), ctxb[i:i + 1]))
+            rows.append((k_all[:, :, start:end], v_all[:, :, start:end],
+                         views))
+            start = end
 
-        new_rows: List[List[KVCache]] = [[] for _ in range(rows)]
+        new_rows: List[List[KVCache]] = [[] for _ in rows]
         for index, bw in enumerate(self._blocks):
             self._layer_norm(x, bw.ln1_w, bw.ln1_b, ln, mstat, vstat)
             self._linear(ln, bw.qkv_w, bw.qkv_b, qkv)
-            for r, (past, q_r, k_r, v_r, scores, ctx_r) in enumerate(views):
+            for r, (k_row, v_row, views) in enumerate(rows):
                 new_cache = caches_per_row[r][index].append(
-                    k_r, v_r, reserve=self.context_length)
+                    k_row, v_row, reserve=self.context_length)
                 new_rows[r].append(new_cache)
-                if past:
-                    k_r = new_cache.keys
-                    v_r = new_cache.values
-                np.matmul(q_r, k_r.swapaxes(-1, -2), out=scores)
-                np.multiply(scores, self._scale, out=scores)
-                if past == 0:
-                    np.add(scores, self._mask[:1, :1], out=scores)
-                self._softmax(scores, smax, ssum)
-                np.matmul(scores, v_r, out=ctx_r)
+                for past, q_i, k_i, v_i, scores, ctx_i in views:
+                    if past:
+                        k_i = new_cache.k[:, :, :past + 1]
+                        v_i = new_cache.v[:, :, :past + 1]
+                    np.matmul(q_i, k_i.swapaxes(-1, -2), out=scores)
+                    np.multiply(scores, self._scale, out=scores)
+                    if past == 0:
+                        np.add(scores, self._mask[:1, :1], out=scores)
+                    self._softmax(scores, smax, ssum)
+                    np.matmul(scores, v_i, out=ctx_i)
             self._block_tail(bw, x, merged, ln, mstat, vstat, attn, ff,
                              gelu_ws)
 
         self._layer_norm(x, self.store.ln_f_w, self.store.ln_f_b, ln,
                          mstat, vstat)
-        logits = self._take((rows, 1, self.vocab_size))
+        logits = self._take((tokens, 1, self.vocab_size))
         self._project(ln, logits)
         out = logits[:, 0, :]
         return (out.copy() if copy else out), new_rows
@@ -592,77 +604,3 @@ class InferenceKernels:
         copy = self._enter()
         logits, _ = self._forward_cached(ids, None, 0)
         return logits.copy() if copy else logits
-
-    def verify_batch(self, ids: np.ndarray, caches: Sequence[KVCache],
-                     position: int
-                     ) -> Tuple[np.ndarray, List[KVCache]]:
-        """Exact multi-token decode of ``(batch, steps)`` known tokens.
-
-        Transliterates ``GPT2Model.verify_chunk`` +
-        ``CausalSelfAttention.forward_verify``: the step axis is
-        flattened into the batch axis so every projection runs at the
-        decode path's ``(1, D)`` per-slice GEMM shape, and step ``t``
-        attends over exactly the keys sequential decode would see.
-        Returns ``(logits (B, S, V), appended_caches)``.
-        """
-        copy = self._enter()
-        batch, steps = ids.shape
-        if position + steps > self.context_length:
-            raise ValueError(
-                f"chunk ending at {position + steps} exceeds context "
-                f"length {self.context_length}")
-        d, h, hd = self.d_model, self.num_heads, self.head_dim
-        flat = batch * steps
-
-        x3 = self._embed(ids, position)
-        x = x3.reshape(flat, 1, d)
-        ln, qkv, mstat, vstat, attn, ff, gelu_ws = self._dense_buffers(
-            flat, 1)
-        smax = self._take((batch, h, 1, 1))
-        ssum = self._take((batch, h, 1, 1))
-        ctxb = self._take((batch, h, 1, hd))
-        kbuf = self._take((batch, steps, h, hd))
-        vbuf = self._take((batch, steps, h, hd))
-        merged = self._take((flat, 1, d))
-
-        new_caches: List[KVCache] = []
-        for index, bw in enumerate(self._blocks):
-            cache = caches[index]
-            past = cache.seq_len
-            self._layer_norm(x, bw.ln1_w, bw.ln1_b, ln, mstat, vstat)
-            self._linear(ln, bw.qkv_w, bw.qkv_b, qkv)
-            q = qkv[:, :, :d].reshape(flat, 1, h, hd).transpose(0, 2, 1, 3)
-            k = qkv[:, :, d:2 * d].reshape(flat, 1, h,
-                                           hd).transpose(0, 2, 1, 3)
-            v = qkv[:, :, 2 * d:].reshape(flat, 1, h,
-                                          hd).transpose(0, 2, 1, 3)
-            # (flat, H, 1, hd) -> (B, H, steps, hd): pure data movement,
-            # identical to forward_verify's regroup.
-            kbuf[...] = k[:, :, 0, :].reshape(batch, steps, h, hd)
-            vbuf[...] = v[:, :, 0, :].reshape(batch, steps, h, hd)
-            new_cache = cache.append(kbuf.transpose(0, 2, 1, 3),
-                                     vbuf.transpose(0, 2, 1, 3),
-                                     reserve=self.context_length)
-            q_steps = q[:, :, 0, :].reshape(batch, steps, h, 1, hd)
-            merged_steps = merged.reshape(batch, steps, 1, d)
-            for t in range(steps):
-                keys = new_cache.k[:, :, :past + t + 1]
-                values = new_cache.v[:, :, :past + t + 1]
-                q_t = q_steps[:, t]
-                scores = self._take((batch, h, 1, past + t + 1))
-                np.matmul(q_t, keys.swapaxes(-1, -2), out=scores)
-                np.multiply(scores, self._scale, out=scores)
-                self._softmax(scores, smax, ssum)
-                np.matmul(scores, values, out=ctxb)
-                merged_steps[:, t] = ctxb.transpose(0, 2, 1, 3).reshape(
-                    batch, 1, d)
-            self._block_tail(bw, x, merged, ln, mstat, vstat, attn, ff,
-                             gelu_ws)
-            new_caches.append(new_cache)
-
-        self._layer_norm(x, self.store.ln_f_w, self.store.ln_f_b, ln,
-                         mstat, vstat)
-        logits = self._take((flat, 1, self.vocab_size))
-        self._project(ln, logits)
-        out = logits.reshape(batch, steps, self.vocab_size)
-        return (out.copy() if copy else out), new_caches

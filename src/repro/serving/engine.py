@@ -3,10 +3,9 @@
 One background thread owns the model and runs a step loop:
 
 1. **Admit** — move queued requests into the in-flight set (up to
-   ``max_batch_size``), prefilling each prompt in position-aligned
-   chunks — batched across same-shape prompts — and reusing
-   prefix-cache snapshots where the prompt shares a stored prefix
-   (see :mod:`.prefix_cache`).
+   ``max_batch_size``), prefilling each prompt on its own in
+   position-aligned chunks and reusing prefix-cache snapshots where
+   the prompt shares a stored prefix (see :mod:`.prefix_cache`).
 2. **Sample** — every active sequence picks its next token with the
    *same* :func:`repro.models.select_next_token` the sequential
    :func:`repro.models.generate` loop uses, driven by its own
@@ -14,11 +13,12 @@ One background thread owns the model and runs a step loop:
 3. **Retire** — sequences that hit their stop token or token budget
    leave the batch mid-flight; their slot is refilled on the next
    admit pass.
-4. **Forward** — all plain survivors, whatever their lengths, advance
-   in **one** ``next_logits(ids, [states])`` call when the model
-   decodes ragged batches (:attr:`~repro.models.base.LanguageModel.
-   ragged_decode`: GPT-2); other models' rows (LSTM, GPT-Neo) step one
-   by one.  Speculative rows verify in their own batched calls.
+4. **Forward** — every survivor, whatever its length, advances in
+   **one** ``next_logits(ids, [states])`` call when the model decodes
+   ragged batches (:attr:`~repro.models.base.LanguageModel.
+   ragged_decode`: GPT-2): a plain row feeds one token, a speculative
+   row its whole verify chunk.  Other models' rows (LSTM, GPT-Neo)
+   step one by one.
 
 Equality contract: for any request, the engine's token stream is
 **bit-identical** to ``models.generate(model, prompt, config)`` run
@@ -35,7 +35,6 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -259,7 +258,7 @@ class _Sequence:
     admitted_at: float = 0.0
     first_token_at: Optional[float] = None
     #: Draft tokens per verify step for this request (0 = plain decode).
-    #: Dropped to 0 permanently if a verify chunk stops fitting the
+    #: Dropped to 0 permanently once a verify chunk stops fitting the
     #: model's context window (the sequential path slides instead).
     spec_k: int = 0
     #: The draft model proposing for this request (engine default or a
@@ -276,9 +275,9 @@ def _state_nbytes(obj: Any, _seen: Optional[set] = None) -> int:
     """Recursive byte count of the numpy arrays reachable from ``obj``.
 
     Each distinct array object is counted once: decode states routinely
-    alias one buffer from several handles (a stacked batch split into
-    row views, speculative verify states at successive truncation
-    depths of one KV buffer), and double-counting them would blow
+    alias one buffer from several handles (a snapshot beside its live
+    owner, speculative verify states at successive truncation depths of
+    one KV buffer), and double-counting them would blow
     admission-control and prefix-cache byte budgets.  The ``id()``
     dedup also makes cyclic state graphs terminate, replacing the old
     fixed depth cap that silently under-counted deep nests.  Distinct
@@ -348,15 +347,15 @@ class _EngineMetrics:
             help="Prompt tokens skipped thanks to prefix-cache hits").labels()
         self.decode_forwards = registry.counter(
             "engine_decode_forwards_total",
-            help="Model decode calls: one next_logits over all plain "
-                 "rows of a step (one per row for models without ragged "
-                 "decode) plus one per verify-chunk group — the "
-                 "denominator of tokens-per-forward").labels()
+            help="Model decode calls: one next_logits over every row "
+                 "of a step, plain and speculative (one per row for "
+                 "models without ragged decode) — the denominator of "
+                 "tokens-per-forward").labels()
         self.tokens_per_forward = registry.gauge(
             "engine_tokens_per_forward",
             help="Lifetime decode tokens emitted per model decode call: "
-                 "about the batch occupancy for plain ragged decode, "
-                 "1.0 for row-by-row models; speculation raises "
+                 "about the batch occupancy for ragged decode, 1.0 for "
+                 "row-by-row models; accepted speculative tokens raise "
                  "either").labels()
 
     def outcome(self, outcome: str, strategy: str = "plain"):
@@ -690,12 +689,8 @@ class InferenceEngine:
         self.metrics.active_sequences.set(len(self._active))
 
     def _prefill_admitted(self, admitted: List[_Sequence]) -> None:
-        """Prefill an admission wave, batching same-shape prompts.
+        """Prefill an admission wave, one prompt at a time.
 
-        Rows whose prompts have equal length and equal cache-hit depth
-        take identical chunk boundaries from identical positions, so
-        they can share batched ``prefill_stacked`` trunk calls; the
-        rest (and models without batched prefill) go one by one.
         Chunks end at absolute multiples of ``prefill_chunk`` — the
         same boundaries :func:`repro.models.prefill_prompt` uses — so a
         warm run replays exactly the trunk calls of a cold run and the
@@ -703,76 +698,33 @@ class InferenceEngine:
         a later prompt resumes from it at full length, or at a chunk
         boundary cut from it with :meth:`LanguageModel.prefix_state`
         (:meth:`_store`, :class:`~repro.serving.prefix_cache.PrefixCache`).
+        A prefill that raises fails its own request only.
         """
-        groups: Dict[Tuple[int, int], List[Tuple[_Sequence, Any, Any]]] = {}
+        looked_up = []
         for seq in admitted:
-            prompt = seq.request.prompt_ids
             # Chaos hook: a fault here escapes _admit and kills the
             # engine thread — the supervisor-restart scenario.
             fault_check("prefix_cache.get")
-            hit_len, snapshot = self.prefix_cache.lookup(prompt,
-                                                         cut=self._cut)
+            hit_len, snapshot = self.prefix_cache.lookup(
+                seq.request.prompt_ids, cut=self._cut)
             if hit_len:
                 self.metrics.cache_hits.inc()
                 self.metrics.cache_hit_tokens.inc(hit_len)
-                logits, state = snapshot
+                # A state object of its own: the step's list-form call
+                # reads a run of one object as one multi-token row.
+                logits, state = (snapshot[0],
+                                 self.model.snapshot_state(snapshot[1]))
             else:
                 self.metrics.cache_misses.inc()
                 logits, state = None, self.model.start_state(1)
-            groups.setdefault((len(prompt), hit_len), []).append(
-                (seq, logits, state))
-        for (prompt_len, hit_len), members in groups.items():
-            done = (len(members) > 1 and hit_len < prompt_len
-                    and self._prefill_stacked(members, prompt_len, hit_len))
-            if not done:
-                for seq, logits, state in members:
-                    try:
-                        self._prefill_one(seq, logits, state, hit_len)
-                    except BaseException as error:  # noqa: BLE001
-                        self._finish(seq, error=error)
-                        continue
-                    self._active.append(seq)
-
-    def _prefill_stacked(self, members: List[Tuple[_Sequence, Any, Any]],
-                         prompt_len: int, hit_len: int) -> bool:
-        """Try one batched prefill for an equal-shape admission group.
-
-        Returns ``False`` (having activated nothing) when the model
-        cannot batch these rows — callers then run the single-sequence
-        path.  Bit-exactness is inherited from ``prefill_stacked``'s
-        row-stability contract, so both paths produce the same logits.
-        """
-        states = [state for _, _, state in members]
-        keys = {self.model.stacking_key(state) for state in states}
-        if len(keys) != 1 or None in keys:
-            return False
-        chunk_size = self.config.prefill_chunk
-        prompts = [seq.request.prompt_ids for seq, _, _ in members]
-        try:
-            stacked = self.model.stack_states(states)
-            with ExitStack() as spans:
-                for seq, _, _ in members:
-                    spans.enter_context(self.tracer.span(
-                        "engine.prefill",
-                        request=seq.request.request_id,
-                        tokens=prompt_len, cached_tokens=hit_len,
-                        batched=len(members)))
-                position = hit_len
-                while position < prompt_len:
-                    chunk_end = min(prompt_len,
-                                    (position // chunk_size + 1) * chunk_size)
-                    ids = np.asarray([p[position:chunk_end] for p in prompts])
-                    logits, stacked = self.model.prefill_stacked(ids, stacked)
-                    position = chunk_end
-        except (NotImplementedError, ValueError):
-            return False
-        rows = self.model.split_states(stacked, len(members))
-        for row, (seq, _, _) in enumerate(members):
-            self._store(prompts[row], logits[row:row + 1], rows[row])
-            seq.logits = logits[row]
-            seq.state = rows[row]
+            looked_up.append((seq, logits, state, hit_len))
+        for seq, logits, state, hit_len in looked_up:
+            try:
+                self._prefill_one(seq, logits, state, hit_len)
+            except BaseException as error:  # noqa: BLE001
+                self._finish(seq, error=error)
+                continue
             self._active.append(seq)
-        return True
 
     def _prefill_one(self, seq: _Sequence, logits: Any, state: Any,
                      hit_len: int) -> None:
@@ -807,9 +759,9 @@ class InferenceEngine:
         Chunk-boundary states are stored too — first, so they are
         evicted first — when the model cannot cut them from the final
         state (LSTM, GPT-Neo, a slid GPT-2 state).  Entries are compact
-        copies: a view would pin the capacity buffer — or the whole
-        stacked batch — the sequence keeps appending into, while the
-        budget counts only its rows.
+        copies: a view would pin the capacity buffer the sequence keeps
+        appending into, headroom included, while the budget counts only
+        its live rows.
         """
         kept = [(prompt[:end], end_logits, snap)
                 for end, end_logits, snap in boundaries
@@ -900,126 +852,89 @@ class InferenceEngine:
         return False
 
     def _forward(self, survivors: List[_Sequence]) -> None:
-        """Advance survivors: one forward for all plain rows.
+        """Advance survivors: one model call for every row of the step.
 
-        Non-speculative sequences — of any, unequal lengths — advance
-        one token in a single ragged ``next_logits(ids, [states])``
-        call when the model supports it, else row by row; speculative
-        sequences draft and run batched ``verify_chunk`` calls instead
-        (:meth:`_forward_spec`).  Both kinds coexist in one batch —
-        they simply land in different model calls, each bit-identical
-        to its single-sequence equivalent.
+        A row feeds ``generated[-1]`` — emitted but not yet fed — plus,
+        for a speculative row, the draft's proposals (:meth:`_draft`).
+        When the model decodes ragged batches (GPT-2), every row, of
+        any length and any token count, goes into **one** list-form
+        ``next_logits`` call: the flat ids, each row's state repeated
+        once per token.  Other models step row by row — plain rows
+        through ``next_logits``, speculative rows through
+        ``verify_chunk``.  Either way every row keeps the bits of its
+        own sequential decode.
         """
-        if survivors:
-            # Chaos hook: fails this step's batch (named error) while
-            # the engine itself keeps serving.  Sits before both the
-            # plain decode and the speculative verify calls, so a
-            # fault injected here hits a verify step too.
-            fault_check("model.forward")
-        forwards_before = self._decode_forwards
-        plain = [seq for seq in survivors if seq.spec_k == 0]
-        if len(plain) > 1 and self.model.ragged_decode:
-            logits, states = self.model.next_logits(
-                np.asarray([seq.generated[-1] for seq in plain]),
-                [seq.state for seq in plain])
-            self._decode_forwards += 1
-            for row, seq in enumerate(plain):
-                seq.logits = logits[row]
-                seq.state = states[row]
+        if not survivors:
+            return
+        # Chaos hook: fails this step's batch (named error) while the
+        # engine itself keeps serving — plain and verify rows alike.
+        fault_check("model.forward")
+        plans = [self._draft(seq) for seq in survivors]
+        if self.model.ragged_decode:
+            ids, states = [], []
+            for seq, (proposals, _) in zip(survivors, plans):
+                ids += [seq.generated[-1], *proposals]
+                states += [seq.state] * (len(proposals) + 1)
+            logits, states = self.model.next_logits(np.asarray(ids), states)
+            forwards, start = 1, 0
+            for seq, plan in zip(survivors, plans):
+                end = start + len(plan[0]) + 1
+                self._advance(seq, plan, logits[start:end], states[start:end])
+                start = end
         else:
-            for seq in plain:
-                self._decode_one(seq)
-        if len(plain) < len(survivors):
-            self._forward_spec(
-                [seq for seq in survivors if seq.spec_k > 0])
-        if self._decode_forwards > forwards_before:
-            self.metrics.decode_forwards.inc(
-                self._decode_forwards - forwards_before)
-            self.metrics.tokens_per_forward.set(
-                self._emitted_tokens / self._decode_forwards)
+            forwards = len(survivors)
+            for seq, plan in zip(survivors, plans):
+                chunk = np.asarray([seq.generated[-1]] + plan[0])
+                if seq.spec_k:
+                    chunk_logits, states = self.model.verify_chunk(
+                        chunk[None], seq.state)
+                    self._advance(seq, plan, chunk_logits[0], states)
+                else:
+                    logits, state = self.model.next_logits(chunk, seq.state)
+                    self._advance(seq, plan, logits, [state])
+        self._decode_forwards += forwards
+        self.metrics.decode_forwards.inc(forwards)
+        self.metrics.tokens_per_forward.set(
+            self._emitted_tokens / self._decode_forwards)
 
-    def _decode_one(self, seq: _Sequence) -> None:
-        """One sequence's plain single-row decode step."""
-        logits, state = self.model.next_logits(
-            np.asarray([seq.generated[-1]]), seq.state)
-        self._decode_forwards += 1
-        seq.logits = logits[0]
-        seq.state = state
+    def _draft(self, seq: _Sequence) -> Tuple[List[int], Optional[np.ndarray]]:
+        """A row's ``(proposals, draft_dists)``; empty for a plain row.
 
-    def _forward_spec(self, spec_seqs: List[_Sequence]) -> None:
-        """Draft proposals and verify them in batched chunk forwards.
-
-        Each sequence's chunk is ``[generated[-1]] + proposals`` —
-        ``generated[-1]`` is the emitted-but-unverified token, exactly
-        the token the plain path would feed ``next_logits``.  Chunks
-        whose states share a stacking key *and* length run as one
-        batched ``verify_chunk``; the per-position states come back as
-        row views of one buffer, and each row only ever appends into
-        its own slice, so divergent acceptance depths stay independent.
-        A chunk that no longer fits the context window turns its
-        sequences non-speculative for good (``spec_k = 0``) and
-        advances them on the plain sliding-window path — the exact
-        fallback the standalone loop takes.
+        A speculative row whose chunk no longer fits the context window
+        (:meth:`LanguageModel.fits`, decided before the step's call)
+        turns non-speculative for good (``spec_k = 0``) and takes the
+        plain sliding step — the exact fallback the standalone loop
+        takes, after the same draft draws.
         """
-        plans: Dict[int, Tuple[List[int], Optional[np.ndarray]]] = {}
-        groups: Dict[Any, List[_Sequence]] = {}
-        for seq in spec_seqs:
-            remaining = seq.config.max_new_tokens - len(seq.generated)
-            k = min(seq.spec_k, remaining - 1) if remaining > 1 else 0
-            dists = None
-            if k > 0:
-                context = draft_context(seq.draft, seq.request.prompt_ids,
-                                        seq.generated)
-                if seq.config.strategy == "sample":
-                    proposals, dists = seq.draft.propose_sampled(
-                        context, k, seq.rng)
-                else:
-                    proposals = seq.draft.propose(context, k)
+        if not seq.spec_k:
+            return [], None
+        remaining = seq.config.max_new_tokens - len(seq.generated)
+        k = min(seq.spec_k, remaining - 1) if remaining > 1 else 0
+        proposals, dists = [], None
+        if k > 0:
+            context = draft_context(seq.draft, seq.request.prompt_ids,
+                                    seq.generated)
+            if seq.config.strategy == "sample":
+                proposals, dists = seq.draft.propose_sampled(context, k,
+                                                             seq.rng)
             else:
-                proposals = []
-            plans[id(seq)] = (list(proposals), dists)
-            key = self.model.stacking_key(seq.state)
-            group_key = (None if key is None
-                         else (key, len(proposals)))
-            if group_key is None:
-                groups.setdefault(("single", id(seq)), []).append(seq)
-            else:
-                groups.setdefault(group_key, []).append(seq)
-        for members in groups.values():
-            proposals_rows = [plans[id(seq)][0] for seq in members]
-            chunk = np.asarray(
-                [[seq.generated[-1]] + proposals_rows[row]
-                 for row, seq in enumerate(members)])
-            try:
-                if len(members) == 1:
-                    seq = members[0]
-                    chunk_logits, states = self.model.verify_chunk(
-                        chunk, seq.state)
-                    self._decode_forwards += 1
-                    seq.spec_chunk = (proposals_rows[0], plans[id(seq)][1],
-                                      chunk_logits[0], states)
-                else:
-                    stacked = self.model.stack_states(
-                        [seq.state for seq in members])
-                    chunk_logits, states = self.model.verify_chunk(
-                        chunk, stacked)
-                    self._decode_forwards += 1
-                    position_rows = [
-                        self.model.split_states(st, len(members))
-                        for st in states]
-                    for row, seq in enumerate(members):
-                        seq.spec_chunk = (
-                            proposals_rows[row], plans[id(seq)][1],
-                            chunk_logits[row],
-                            [rows[row] for rows in position_rows])
-            except ValueError:
-                # Context window exhausted: speculation is over for
-                # these sequences; take the plain (sliding) step the
-                # sequential reference takes.
-                for seq in members:
-                    seq.spec_k = 0
-                    seq.spec_chunk = None
-                    self._decode_one(seq)
+                proposals = seq.draft.propose(context, k)
+        if not self.model.fits(seq.state, len(proposals) + 1):
+            seq.spec_k = 0
+            return [], None
+        return list(proposals), dists
+
+    @staticmethod
+    def _advance(seq: _Sequence, plan: Tuple[List[int], Any],
+                 logits: np.ndarray, states: Sequence[Any]) -> None:
+        """Hand a row its call results: the next logits of a plain row,
+        or a speculative row's verify result for its walk
+        (``states[t]`` resumes after chunk token ``t``)."""
+        if seq.spec_k:
+            seq.spec_chunk = (plan[0], plan[1], logits, states)
+        else:
+            seq.logits = logits[0]
+            seq.state = states[0]
 
     def _resolve(self, request: EngineRequest,
                  error: Optional[BaseException] = None,

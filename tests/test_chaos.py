@@ -274,8 +274,8 @@ class TestSpeculativeUnderFaults:
         engine = InferenceEngine(model, draft=draft)
         try:
             # Call 0 is the prefill; call 1 is the first decode
-            # forward, which for a speculative sequence is the
-            # batched verify_chunk step.
+            # forward, which for a speculative sequence carries its
+            # verify chunk in the step's one call.
             injector = FaultInjector(
                 {"model.forward": FaultSpec(schedule={1})})
             with inject_faults(injector):
@@ -293,8 +293,9 @@ class TestSpeculativeUnderFaults:
             engine.stop()
 
     def test_stop_racing_inflight_verify_group_resolves_everything(self):
-        # stop() landing while a speculative verify group is in flight
-        # (a forward delay holds it there) must resolve every handle —
+        # stop() landing while a step carrying speculative verify
+        # chunks is in flight (a forward delay holds it there) must
+        # resolve every handle —
         # no hang — and retire each request exactly once: the
         # engine_requests_total series sum equals the submit count, so
         # a double-retire (completed *and* failed-by-stop) shows up as

@@ -41,6 +41,7 @@ _REGISTERED = re.compile(
 NOT_METRICS = {
     "engine_batch": "a benchmarks/e2e workload",
     "http_sync": "a benchmarks/e2e workload",
+    "http_stream": "a benchmarks/e2e workload",
     "retrieval_degraded": "a response-body field",
     "generation_seconds": "a response-body field",
 }

@@ -1,8 +1,9 @@
 """Hypothesis property tests for the fp32 inference-kernel contract.
 
 The kernels promise: with ``mode="fp32"``, every public entry point —
-full forward, chunked prefill, stacked prefill, single-step decode,
-speculative verify — is **bit-identical** to the Tensor-graph path
+full forward, chunked prefill, single-step decode, ragged decode of
+rows carrying one or several known tokens (plain and speculative-verify
+rows alike) — is **bit-identical** to the Tensor-graph path
 (``docs/KERNELS.md``).  These tests hold two weight-identical models
 (same init seed), one per path, and compare raw arrays with
 ``np.array_equal`` — no tolerance, ever — over randomized prompts,
@@ -95,11 +96,13 @@ class TestKernelsEqualTensorPath:
             for row in prompts:
                 logits, state = model.prefill(row, model.start_state(1))
                 rows.append(state)
-            state = model.stack_states(rows)
-            logits, states = model.verify_chunk(chunk, state)
+            # One call, each row's state repeated once per chunk token.
+            logits, states = model.next_logits(
+                chunk.reshape(-1), [s for s in rows for _ in range(steps)])
             # Resume from an arbitrary accepted position: the state
             # handoff must also be exact.
-            resumed, _ = model.next_logits(probe, states[accept])
+            resumed, _ = model.next_logits(
+                probe, [states[r * steps + accept] for r in range(batch)])
             results.append((logits, resumed))
         (expected, expected_resumed), (actual, actual_resumed) = results
         assert np.array_equal(expected, actual)
@@ -110,7 +113,7 @@ class TestKernelsEqualTensorPath:
     @settings(max_examples=15, deadline=None)
     def test_engine_over_kernels_matches_tensor_sequential(self, requests):
         # The engine path drives the managed workspaces: begin_step()
-        # arena parity, stacked prefill, batched decode, prefix-cache
+        # arena parity, chunked prefill, ragged decode, prefix-cache
         # inserts.  Outputs must still equal cold Tensor-path runs.
         expected = [_sequential(TENSOR_MODEL, p, c) for p, c in requests]
         handles = [ENGINE.submit(p, c) for p, c in requests]
@@ -120,17 +123,10 @@ class TestKernelsEqualTensorPath:
 
 def _ragged_states(model, seed, rows):
     """``rows`` batch-of-one states of unequal length, mixed provenance:
-    row views of one stacked prefill, private prefills, frozen compact
-    snapshots and the empty cache.  Returns ``(states, frozen)``."""
+    private prefills, frozen compact snapshots and the empty cache.
+    Returns ``(states, frozen)``."""
     rng = np.random.default_rng(seed)
     states, frozen = [], []
-    stacked_rows = int(rng.integers(0, min(rows, 3) + 1))
-    if stacked_rows:
-        ids = rng.integers(0, VOCAB, size=(stacked_rows,
-                                           int(rng.integers(1, 41))))
-        _, stacked = model.prefill_stacked(ids, model.stack_states(
-            [model.start_state(1) for _ in range(stacked_rows)]))
-        states += model.split_states(stacked, stacked_rows)
     while len(states) < rows:
         state = model.start_state(1)
         length = int(rng.integers(0, 41))
@@ -179,3 +175,55 @@ class TestRaggedDecode:
                     assert np.array_equal(cache.keys, keys)
                     assert np.array_equal(cache.values, values)
         assert np.array_equal(*per_path)
+
+    @given(seed=st.integers(min_value=0, max_value=2 ** 20),
+           counts=st.lists(st.integers(min_value=1, max_value=9),
+                           min_size=1, max_size=8))
+    @settings(max_examples=20, deadline=None)
+    def test_rows_of_several_tokens_share_one_call(self, seed, counts):
+        # Rows carrying 1-9 known tokens each (plain and verify rows)
+        # over unequal caches go through ONE next_logits call: every
+        # position equals a sequential one-token walk of its row, the
+        # state after any position resumes exactly, frozen snapshots
+        # stay untouched, and both paths agree.
+        rows = len(counts)
+        rng = np.random.default_rng(seed + 2)
+        chunks = [rng.integers(0, VOCAB, size=n) for n in counts]
+        resume = [int(rng.integers(0, n)) for n in counts]
+        probe = rng.integers(0, VOCAB, size=rows)
+        starts = np.cumsum([0] + counts[:-1])
+        per_path = []
+        for model in (TENSOR_MODEL, KERNEL_MODEL):
+            ragged, frozen = _ragged_states(model, seed, rows)
+            before = [[(c.keys.copy(), c.values.copy()) for c in s.caches]
+                      for s in frozen]
+            logits, states = model.next_logits(
+                np.concatenate(chunks),
+                [state for state, n in zip(ragged, counts)
+                 for _ in range(n)])
+            assert logits.shape == (sum(counts), VOCAB)
+            # Every row resumes from its chosen position, in one call.
+            resumed, _ = model.next_logits(
+                probe, [states[start + t] for start, t in zip(starts, resume)])
+            walked, _ = _ragged_states(model, seed, rows)
+            for r, (chunk, start) in enumerate(zip(chunks, starts)):
+                state = walked[r]
+                for t, token in enumerate(chunk):
+                    single, state = model.next_logits(chunk[t:t + 1], state)
+                    assert np.array_equal(logits[start + t], single[0])
+                    assert states[start + t].position == state.position
+                    if t == resume[r]:
+                        # Copies the frozen KV, so the walk goes on intact.
+                        want, _ = model.next_logits(
+                            probe[r:r + 1], model.snapshot_state(state))
+                        assert np.array_equal(resumed[r], want[0])
+            per_path.append((logits, resumed))
+            for state, saved in zip(frozen, before):
+                for cache, (keys, values) in zip(state.caches, saved):
+                    assert cache.frozen
+                    assert np.array_equal(cache.keys, keys)
+                    assert np.array_equal(cache.values, values)
+        (tensor_logits, tensor_resumed), (kernel_logits, kernel_resumed) = \
+            per_path
+        assert np.array_equal(tensor_logits, kernel_logits)
+        assert np.array_equal(tensor_resumed, kernel_resumed)

@@ -73,7 +73,7 @@ class TestSpeculativeGreedyIsLossless:
 
 
 class TestSpeculativeGreedyOnTransformer:
-    """The fused ``verify_chunk`` fast path, against the real model."""
+    """``verify_chunk`` as one list-form call, against the real model."""
 
     @given(seed=st.integers(min_value=0, max_value=50),
            k=st.integers(min_value=1, max_value=8),

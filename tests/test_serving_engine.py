@@ -5,6 +5,10 @@ every request's output is bit-identical to the sequential
 ``models.generate`` path (see ``docs/SERVING.md`` for why that holds).
 """
 
+import contextlib
+import inspect
+import pathlib
+import re
 import threading
 
 import numpy as np
@@ -12,6 +16,7 @@ import pytest
 
 from repro.models import (GenerationConfig, NGramDraft, distilgpt2,
                           generate, prefill_prompt)
+from repro.models.base import LanguageModel
 from repro.models.gpt_neo import gpt_neo_small
 from repro.models.lstm import LSTMConfig, LSTMLanguageModel
 from repro.obs import (ManualClock, MetricsRegistry, NullRegistry,
@@ -36,6 +41,41 @@ def _prompt(seed, length):
 def _sequential(model, prompt, config, draft=None):
     return generate(model, prompt, config, draft=draft,
                     registry=NullRegistry(), tracer=NullTracer())
+
+
+def _assert_one_call_per_step(registry):
+    forwards = registry.counter("engine_decode_forwards_total").value
+    assert 0 < forwards <= registry.counter("engine_steps_total").value
+
+
+class _StepGate:
+    """Holds the engine thread inside a decode call while the test
+    queues requests, so they reach the engine in one admission wave."""
+
+    def __init__(self, model):
+        self._hold, self._entered, self._release = (
+            threading.Event(), threading.Event(), threading.Event())
+        real = model.next_logits
+
+        def next_logits(ids, state):
+            if self._hold.is_set():
+                self._hold.clear()
+                self._entered.set()
+                self._release.wait(timeout=30)
+            return real(ids, state)
+
+        model.next_logits = next_logits
+
+    @contextlib.contextmanager
+    def holding(self):
+        self._entered.clear()
+        self._release.clear()
+        self._hold.set()
+        assert self._entered.wait(timeout=30)
+        try:
+            yield
+        finally:
+            self._release.set()
 
 
 class TestBatchedEqualsSequential:
@@ -82,9 +122,10 @@ class TestBatchedEqualsSequential:
         assert occupancy.percentile(50) == 3
 
     def test_batched_prefill_equals_single(self, model):
-        # Equal-length prompts admitted in one wave share batched
-        # prefill_stacked trunk calls; outputs must still match the
-        # one-at-a-time sequential path bit for bit.
+        # Equal-length prompts admitted in one wave each prefill as
+        # their own (1, T) chunks and then decode in one shared call;
+        # outputs must match the one-at-a-time sequential path bit for
+        # bit.
         requests = [(_prompt(100 + i, 50),
                      GenerationConfig(max_new_tokens=6, seed=i))
                     for i in range(5)]
@@ -94,25 +135,41 @@ class TestBatchedEqualsSequential:
             handles = [engine.submit(p, c) for p, c in requests]
             assert [h.result(timeout=60) for h in handles] == expected
 
-    def test_prefill_stacked_matches_prefill_rows(self, model):
-        # The model-level contract the engine's batched prefill rests on.
-        from repro.models import prefill_prompt
-        prompts = [_prompt(60 + i, 48) for i in range(4)]
-        singles = [prefill_prompt(model, p) for p in prompts]
-        stacked_state = model.stack_states(
-            [model.start_state(1) for _ in prompts])
-        position = 0
-        while position < 48:
-            chunk_end = min(48, position + 32)
-            ids = np.asarray([p[position:chunk_end] for p in prompts])
-            logits, stacked_state = model.prefill_stacked(ids, stacked_state)
-            position = chunk_end
-        rows = model.split_states(stacked_state, len(prompts))
-        for row, (single_logits, single_state) in enumerate(singles):
-            np.testing.assert_array_equal(logits[row], single_logits[0])
-            for a, b in zip(rows[row].caches, single_state.caches):
-                np.testing.assert_array_equal(a.keys, b.keys)
-                np.testing.assert_array_equal(a.values, b.values)
+    def test_prefill_error_in_a_wave_fails_only_its_request(self):
+        # Regression: an equal-length cold wave used to prefill through
+        # one stacked call that caught only NotImplementedError and
+        # ValueError, so any other error there escaped admission and
+        # crashed the engine — failing every in-flight request and
+        # purging the cache.  A prefill error now fails its own request.
+        model = distilgpt2(vocab_size=VOCAB, context_length=128)
+        model.eval()
+        config = GenerationConfig(max_new_tokens=30, seed=0)
+        decoding, clean = _prompt(700, 9), _prompt(701, 12)
+        expected = [_sequential(model, p, config) for p in (decoding, clean)]
+        seen = set(decoding) | set(clean) | {t for e in expected for t in e}
+        poison = min(set(range(VOCAB)) - seen)
+        poisoned = [poison] + clean[1:]
+        real_trunk = model._trunk
+
+        def trunk(ids, *args, **kwargs):
+            if poison in np.asarray(ids):
+                raise RuntimeError("poisoned prefill")
+            return real_trunk(ids, *args, **kwargs)
+
+        model._trunk = trunk
+        gate = _StepGate(model)
+        with InferenceEngine(model, registry=MetricsRegistry()) as engine:
+            first = engine.submit(decoding, config)
+            next(first.tokens(timeout=30))
+            with gate.holding():  # both arrive in one admission wave
+                bad = engine.submit(poisoned, config)
+                good = engine.submit(clean, config)
+            with pytest.raises(RuntimeError, match="poisoned") as excinfo:
+                bad.result(timeout=60)
+            assert type(excinfo.value) is RuntimeError  # not a crash
+            assert [first.result(timeout=60),
+                    good.result(timeout=60)] == expected
+            assert engine.crashed is None
 
     @pytest.mark.parametrize("kernels", [False, True],
                              ids=["tensor", "kernels"])
@@ -145,10 +202,11 @@ class TestBatchedEqualsSequential:
     @pytest.mark.parametrize("kernels", [False, True],
                              ids=["tensor", "kernels"])
     def test_mixed_batch_survivors_keep_their_bits(self, kernels):
-        # Plain rows of unequal length share one ragged forward while
-        # speculative rows verify beside them, one row retires on its
-        # stop token and one on an expired deadline: the row set of the
-        # ragged call changes under every survivor, their bits do not.
+        # Plain rows of unequal length and speculative rows of unequal
+        # chunk length share one ragged forward per step, one row
+        # retires on its stop token and one on an expired deadline: the
+        # row set of the call changes under every survivor, their bits
+        # do not, and no step makes a second model call.
         model = distilgpt2(vocab_size=VOCAB, context_length=128)
         model.eval()
         if kernels:
@@ -196,6 +254,50 @@ class TestBatchedEqualsSequential:
             partial = excinfo.value.tokens
             assert partial == full_doomed[:len(partial)]
             assert [h.result(timeout=60) for h in handles] == expected
+        _assert_one_call_per_step(registry)
+
+    @pytest.mark.parametrize("kernels", [False, True],
+                             ids=["tensor", "kernels"])
+    def test_speculative_overflow_demotes_into_the_shared_call(self,
+                                                               kernels):
+        # A speculative row crosses a 32-token window while plain rows
+        # of unequal length share its steps: its chunk stops fitting,
+        # it is demoted to a plain sliding row before the step's call
+        # and rides that same call from then on — still equal to the
+        # standalone speculative loop, which falls back at the same
+        # token.
+        model = distilgpt2(vocab_size=VOCAB, context_length=32)
+        model.eval()
+        if kernels:
+            model.enable_kernels()
+        draft = NGramDraft.fit(
+            [_prompt(60 + i, 8) + _sequential(model, _prompt(60 + i, 8),
+                                              GenerationConfig(
+                                                  max_new_tokens=30))
+             for i in range(4)], VOCAB, order=3)
+        requests = [
+            (_prompt(601, 10), GenerationConfig(
+                max_new_tokens=40, strategy="sample", top_k=8, seed=1,
+                speculative_k=4)),
+            (_prompt(602, 3), GenerationConfig(
+                max_new_tokens=36, strategy="sample", top_k=8, seed=2)),
+            (_prompt(603, 17), GenerationConfig(
+                max_new_tokens=30, strategy="greedy", seed=3)),
+        ]
+        expected = [_sequential(model, p, c,
+                                draft=draft if c.speculative_k else None)
+                    for p, c in requests]
+        registry = MetricsRegistry()
+        with InferenceEngine(model, EngineConfig(max_batch_size=4),
+                             registry=registry, draft=draft) as engine:
+            handles = [engine.submit(p, c) for p, c in requests]
+            assert [h.result(timeout=60) for h in handles] == expected
+        # Speculated, then demoted: its last tokens came from plain steps
+        # (its first always does, from the prompt's logits).
+        walked = registry.counter("spec_emitted_tokens_total").labels(
+            path="engine").value
+        assert 0 < walked < len(expected[0]) - 1
+        _assert_one_call_per_step(registry)
 
     def test_beam_rejected_by_submit_but_served_by_generate(self, model):
         prompt = _prompt(1, 6)
@@ -248,6 +350,28 @@ class TestPrefixCache:
             stats = engine.prefix_cache.stats
             assert stats.hits >= 1
             assert stats.hit_tokens >= 32  # reused a chunk-aligned prefix
+
+    def test_one_entry_resumed_twice_in_one_wave(self):
+        # Two requests for one cached prompt resume from one stored
+        # entry.  Each must decode from a state object of its own: the
+        # step's list-form call reads a run of one object as one
+        # multi-token row.
+        model = distilgpt2(vocab_size=VOCAB, context_length=128)
+        model.eval()
+        prompt = _prompt(710, 20)
+        configs = [GenerationConfig(max_new_tokens=12, strategy="sample",
+                                    top_k=8, seed=seed) for seed in (1, 2)]
+        expected = [_sequential(model, prompt, c) for c in configs]
+        gate = _StepGate(model)
+        with InferenceEngine(model, registry=MetricsRegistry()) as engine:
+            engine.generate(prompt, GenerationConfig(max_new_tokens=1))
+            first = engine.submit(_prompt(711, 5),
+                                  GenerationConfig(max_new_tokens=40))
+            next(first.tokens(timeout=30))
+            with gate.holding():
+                handles = [engine.submit(prompt, c) for c in configs]
+            assert [h.result(timeout=60) for h in handles] == expected
+            assert engine.prefix_cache.stats.hits == 2
 
     def test_cache_disabled_by_zero_budget(self, model):
         prompt = _prompt(3, 40)
@@ -609,3 +733,18 @@ class TestObservability:
         prefills = [span for root in tracer.roots()
                     for span in root.find("engine.prefill")]
         assert len(prefills) == 3
+
+
+def test_stacked_row_plumbing_stays_deleted():
+    # One decode call per step and one prefill chunk per prompt: the
+    # stacked-state hooks that fed a second call path cannot creep back.
+    # The base ``prefill_stacked`` default survives only because the
+    # benchmark harness wraps the attribute by name.
+    src = pathlib.Path(__file__).parents[1] / "src"
+    default = inspect.getsource(LanguageModel.prefill_stacked)
+    gone = re.compile(r"\b(stacking_key|stack_states|split_states|"
+                      r"verify_batch|forward_verify|_?prefill_stacked)\b")
+    offenders = [str(path.relative_to(src))
+                 for path in sorted(src.rglob("*.py"))
+                 if gone.search(path.read_text("utf-8").replace(default, ""))]
+    assert offenders == []
