@@ -1,7 +1,7 @@
 """Constrained/search-guided generation driver.
 
 One entry point — :func:`run_constrained_generation` — shared by the
-HTTP backend (which wires ``submit`` to its supervised engine) and
+HTTP backend (which wires ``submit`` to its serving engine) and
 ``repro generate`` (which defaults to the sequential decoder).  It owns the plumbing the two callers would
 otherwise duplicate: building fresh grammar/constraint processors per
 decode, routing ``strategy: "mcts"`` through :class:`MCTSDecoder`,

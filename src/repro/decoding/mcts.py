@@ -5,9 +5,9 @@ GPT-2" (arXiv:2401.05199): **selection** walks the tree by PUCT,
 **expansion** grows one child per iteration from the first
 ``expansion_chunk`` tokens of a fresh rollout, the **rollout** itself
 is a full grammar-constrained decode submitted through whatever decode
-path the caller wires in (the serving engine, the supervisor around
-it, or the sequential fallback), and **backup** propagates the recipe
-reward to the root.
+path the caller wires in (the serving engine — whose ``generate``
+is also its degraded sequential fallback — or ``models.generate``),
+and **backup** propagates the recipe reward to the root.
 
 Submitting rollouts through :class:`~repro.serving.InferenceEngine` is
 what makes the tree cheap: sibling rollouts share the exact prompt+

@@ -7,8 +7,7 @@ Three pieces, layered under ``repro serve``:
   the server, idempotent completion records, atomic rotation, and
   replay on restart so ``kill -9`` loses zero acknowledged jobs;
 * :class:`CacheSpill` — versioned, mmap-reloaded snapshots of the
-  prefix KV cache so supervisor restarts and process bounces come
-  back warm;
+  prefix KV cache so process bounces come back warm;
 * the graceful-shutdown path wired through ``repro serve`` (SIGTERM →
   stop admission → drain → flush journal + spill caches → exit 0),
   implemented in ``repro.webapp`` on top of the two primitives above.

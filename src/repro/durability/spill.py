@@ -1,8 +1,9 @@
 """Prefix-cache spill: versioned on-disk snapshots with mmap'd reload.
 
-A restarted engine (supervisor crash-restart or a whole-process
-bounce) starts with an empty prefix cache, and that cold start is the
-main source of lost work the ROADMAP calls out.  :class:`CacheSpill`
+A restarted process starts with an empty prefix cache, and that cold
+start is the main source of lost work the ROADMAP calls out.  (An
+engine restarting in place after a crash purges its cache and stays
+cold on purpose: the crash may have been a poisoned entry.)  :class:`CacheSpill`
 persists the token-trie's entries and reloads them memory-mapped, the
 same discipline the retrieval index uses (``docs/RETRIEVAL.md``).
 

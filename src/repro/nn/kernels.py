@@ -1,7 +1,7 @@
 """Inference-only decode kernels: raw-ndarray forward, shared weights.
 
-The serving stack (continuous batching, speculative verify, supervised
-restart) schedules work well, but every decode step still walked the
+The serving stack (continuous batching, speculative verify, in-place
+crash recovery) schedules work well, but every decode step still walked the
 autograd :class:`~repro.nn.tensor.Tensor` graph: each op wraps its
 result in a fresh ``Tensor`` and allocates a fresh ndarray.  This
 module provides the hot-path replacement:

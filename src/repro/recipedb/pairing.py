@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from .flavordb import pairing_score
 from .ingredients import IngredientCatalog
 
@@ -34,6 +32,10 @@ class PairingGraph:
     def __init__(self, catalog: IngredientCatalog, min_score: float = 0.12) -> None:
         self.catalog = catalog
         self.min_score = min_score
+        # Imported here, not at module top: networkx is a sizeable share
+        # of every `repro serve` cold start, and only a graph needs it.
+        import networkx as nx
+
         self.graph = nx.Graph()
         ingredients = catalog.all()
         for ingredient in ingredients:
@@ -86,6 +88,8 @@ class PairingGraph:
 
     def communities(self) -> List[List[str]]:
         """Greedy-modularity flavor communities (roughly: cuisine palettes)."""
+        import networkx as nx
+
         detected = nx.algorithms.community.greedy_modularity_communities(
             self.graph, weight="weight")
         return [sorted(community) for community in detected]

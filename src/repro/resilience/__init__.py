@@ -1,44 +1,34 @@
-"""Resilience: deadlines, load shedding, supervision, fault injection.
+"""Resilience: deadlines, load shedding, crash recovery, fault injection.
 
 The serving stack built in earlier PRs is fast but brittle: a slow
 request holds its HTTP worker forever, overload grows the queue without
-bound, and a dead engine thread strands every in-flight caller.  This
+bound, and a crashed engine loop strands every in-flight caller.  This
 package adds the failure-handling layer:
 
 - :mod:`repro.resilience.faults` — deterministic fault injection at
   named failure points (``fault_check``), driving the chaos suite;
 - :mod:`repro.resilience.admission` — token-denominated load shedding
   with 503 + ``Retry-After`` beyond a high-water mark;
-- :mod:`repro.resilience.supervisor` — engine watchdog with bounded
-  restarts, retry of the requests a crash interrupted, and an optional
+- :class:`ResilienceConfig` — the knobs, among them the restart budget
+  the engine spends recovering from its own crashes in place
+  (:meth:`repro.serving.InferenceEngine._recover`) and its optional
   degraded sequential fallback.
 
 Request *deadlines* live in the engine itself
 (:class:`repro.serving.DeadlineExceededError` carries the partial
 generation) and in :meth:`repro.webapp.jobs.JobQueue.wait`; this
 package configures them via :class:`ResilienceConfig`.
-
-Import note: :mod:`.supervisor` imports :mod:`repro.serving`, which in
-turn imports :func:`.faults.fault_check` from here — so this package
-eagerly exposes only ``faults`` and ``admission`` and resolves the
-supervisor names lazily (PEP 562) to keep the import graph acyclic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Optional
 
 from .admission import AdmissionController, OverloadShedError
 from .faults import (FAULT_POINTS, FaultInjector, FaultSpec, InjectedFault,
                      fault_check, get_fault_injector, inject_faults,
                      set_fault_injector)
-
-_SUPERVISOR_EXPORTS = (
-    "EngineSupervisor",
-    "EngineUnavailableError",
-    "sequential_fallback",
-)
 
 __all__ = [
     "AdmissionController",
@@ -52,7 +42,6 @@ __all__ = [
     "get_fault_injector",
     "inject_faults",
     "set_fault_injector",
-    *_SUPERVISOR_EXPORTS,
 ]
 
 
@@ -60,9 +49,10 @@ __all__ = [
 class ResilienceConfig:
     """Knobs the serving entrypoints (`repro serve`, tests) wire up.
 
-    ``None`` / ``False`` values disable the corresponding pillar; the
-    engine is always supervised, so a default-constructed config is a
-    backend with the default restart budget and nothing else.
+    ``None`` / ``False`` values disable the corresponding pillar; every
+    backend's engine recovers from its own crashes, so a
+    default-constructed config is a backend with the default restart
+    budget and nothing else.
     """
 
     #: Deadline applied to requests that do not send ``deadline_ms``.
@@ -71,13 +61,16 @@ class ResilienceConfig:
     shed_watermark_tokens: Optional[int] = None
     #: Decode-rate hint used for ``Retry-After`` estimates.
     tokens_per_second_hint: float = 200.0
-    #: Accepted and ignored: every backend's engine is supervised.  Kept
-    #: because ``benchmarks/e2e/inprocess.py`` spells ``supervise=True``.
+    #: Accepted and ignored: every backend's engine recovers from its
+    #: own crashes, and there is nothing to switch on.  Kept because
+    #: ``benchmarks/e2e/inprocess.py`` spells ``supervise=True``.
     supervise: bool = False
-    #: Restart budget and backoff for the supervisor.
+    #: The engine's in-place restart budget over its lifetime, and the
+    #: backoff before restart ``n``: ``restart_backoff_seconds * 2 **
+    #: (n - 1)``.
     max_restarts: int = 3
     restart_backoff_seconds: float = 0.05
-    #: Serve sequential degraded responses while the engine is down.
+    #: Serve sequential degraded responses once the budget is spent.
     degraded_fallback: bool = False
 
     def __post_init__(self) -> None:
@@ -92,10 +85,3 @@ class ResilienceConfig:
         if self.restart_backoff_seconds < 0:
             raise ValueError("restart_backoff_seconds must be >= 0")
 
-
-def __getattr__(name: str) -> Any:
-    if name in _SUPERVISOR_EXPORTS:
-        from . import supervisor
-
-        return getattr(supervisor, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

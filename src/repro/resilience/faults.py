@@ -15,9 +15,9 @@ Registered failure points (see ``docs/RESILIENCE.md``):
                         serving engine — fails the affected requests with a
                         named error, the engine itself survives;
 ``prefix_cache.get``    a prefix-cache lookup during admission — escapes
-                        the engine loop and *kills the engine thread*, the
-                        scenario :class:`~repro.resilience.EngineSupervisor`
-                        exists for;
+                        the engine loop — a *crash*, which the engine
+                        recovers from in place while its restart budget
+                        lasts (``InferenceEngine._recover``);
 ``jobs.worker``         a job-queue worker about to run a job — the job
                         resolves ``FAILED`` with a named error;
 ``framework.write``     an HTTP response write — simulates a client that

@@ -9,11 +9,11 @@ bit-identical to the sequential :func:`repro.models.generate`.  See
 
 from .engine import (DeadlineExceededError, EngineConfig, EngineCrashedError,
                      EngineQueueFullError, EngineRequest, EngineStoppedError,
-                     InferenceEngine)
+                     EngineUnavailableError, InferenceEngine)
 from .prefix_cache import PrefixCache, PrefixCacheStats
 
 __all__ = [
     "DeadlineExceededError", "EngineConfig", "EngineCrashedError",
     "EngineQueueFullError", "EngineRequest", "EngineStoppedError",
-    "InferenceEngine", "PrefixCache", "PrefixCacheStats",
+    "EngineUnavailableError", "InferenceEngine", "PrefixCache", "PrefixCacheStats",
 ]

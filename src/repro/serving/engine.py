@@ -28,6 +28,12 @@ decode runs its dense ops as per-slice (row-stable) matmuls and its
 attention row by row over each sequence's own KV cache; prefill
 chunking is aligned to absolute positions; sampling state is
 per-request.  Property-tested in ``tests/test_properties_serving.py``.
+
+The same contract makes a crash recoverable in place: an exception
+escaping the loop is caught by the loop's own thread, which purges the
+cache, replays every unfinished request from its prompt and delivers
+only the tokens its handle does not hold yet (:meth:`InferenceEngine.
+_recover`, ``docs/RESILIENCE.md`` §3).
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ from ..models import (DraftModel, GenerationConfig, LanguageModel,
                       speculative_walk)
 from ..nn import no_grad
 from ..obs import (MetricsRegistry, Tracer, get_registry, get_tracer)
+from ..resilience import ResilienceConfig
 from ..resilience.faults import fault_check
 from .prefix_cache import PrefixCache
 
@@ -60,15 +67,22 @@ class EngineStoppedError(RuntimeError):
 
 
 class EngineCrashedError(RuntimeError):
-    """The engine thread died; the request was failed, not completed.
+    """The engine crashed past its restart budget; the request was
+    failed, not completed.
 
-    Raised to every request that was queued or in flight when the
-    engine thread crashed (and by :meth:`InferenceEngine.submit` on a
-    crashed engine).  A :class:`~repro.resilience.EngineSupervisor`
-    restarts a crashed engine, and the handle its ``submit`` returns
-    resubmits the request to the replacement (``docs/RESILIENCE.md``);
-    a bare engine's requests are failed, never replayed.
+    A crash within the budget is invisible to callers: the engine
+    replays their requests in place (``docs/RESILIENCE.md`` §3).  This
+    error reaches every request that was queued or in flight when the
+    crash that spent the budget hit — the first crash of an engine
+    built without a :class:`~repro.resilience.ResilienceConfig`.
     """
+
+
+class EngineUnavailableError(EngineCrashedError):
+    """Raised by :meth:`InferenceEngine.submit` on a ``failed`` engine,
+    which takes no new work (HTTP 503).  With ``degraded_fallback`` set,
+    :meth:`InferenceEngine.generate` answers from the sequential decoder
+    instead."""
 
 
 class DeadlineExceededError(RuntimeError):
@@ -257,6 +271,9 @@ class _Sequence:
     generated: List[int] = field(default_factory=list)
     admitted_at: float = 0.0
     first_token_at: Optional[float] = None
+    #: Tokens the request's handle already holds: a replay after a
+    #: crash decodes them again but does not deliver them again.
+    skip: int = 0
     #: Draft tokens per verify step for this request (0 = plain decode).
     #: Dropped to 0 permanently once a verify chunk stops fitting the
     #: model's context window (the sequential path slides instead).
@@ -357,6 +374,16 @@ class _EngineMetrics:
                  "about the batch occupancy for ragged decode, 1.0 for "
                  "row-by-row models; accepted speculative tokens raise "
                  "either").labels()
+        self.crashes = registry.counter(
+            "engine_crashes_total",
+            help="Exceptions that escaped the engine loop").labels()
+        self.restarts = registry.counter(
+            "engine_restarts_total",
+            help="In-place engine restarts after a crash").labels()
+        self.degraded = registry.counter(
+            "engine_degraded_requests_total",
+            help="Requests served by the sequential decoder while the "
+                 "engine is failed").labels()
 
     def outcome(self, outcome: str, strategy: str = "plain"):
         """The ``engine_requests_total`` child for one final outcome.
@@ -380,15 +407,23 @@ class InferenceEngine:
     The engine owns a background thread; the model must not be trained
     or mutated while the engine is running.  Use as a context manager
     or call :meth:`stop` explicitly.
+
+    ``resilience`` sets crash recovery: the restart budget over the
+    engine's lifetime, the backoff and the degraded fallback
+    (``max_restarts``, ``restart_backoff_seconds``,
+    ``degraded_fallback``; ``docs/RESILIENCE.md`` §3).  Without one the
+    first crash is final.
     """
 
     def __init__(self, model: LanguageModel,
                  config: Optional[EngineConfig] = None,
                  registry: Optional[MetricsRegistry] = None,
                  tracer: Optional[Tracer] = None,
-                 draft: Optional[DraftModel] = None) -> None:
+                 draft: Optional[DraftModel] = None,
+                 resilience: Optional[ResilienceConfig] = None) -> None:
         self.config = config or EngineConfig()
         self.config.validate()
+        self.resilience = resilience or ResilienceConfig(max_restarts=0)
         self.model = model
         #: Default draft model for requests with ``speculative_k > 0``;
         #: a request may override it with a DraftModel in
@@ -408,9 +443,15 @@ class InferenceEngine:
             maxsize=self.config.max_queue)
         self._active: List[_Sequence] = []
         # Requests popped from the queue but not yet active: a crash
-        # mid-admission must be able to fail them, or they would hang.
+        # mid-admission must be able to replay or fail them, or they
+        # would hang.
         self._admitting: List[EngineRequest] = []
+        # Requests a crash interrupted, admitted before the queue.
+        self._requeued: List[EngineRequest] = []
+        self._state = "serving"
+        self._restarts = 0
         self._stop_event = threading.Event()
+        #: The crash that spent the restart budget (state ``failed``).
         self._crashed: Optional[BaseException] = None
         self._next_id = 0
         self._id_lock = threading.Lock()
@@ -436,7 +477,8 @@ class InferenceEngine:
         outside the vocabulary), :class:`EngineQueueFullError` when
         ``max_queue`` requests are already waiting,
         :class:`EngineStoppedError` after :meth:`stop`, and
-        :class:`EngineCrashedError` if the engine thread has died.
+        :class:`EngineUnavailableError` once the engine is ``failed``.
+        A request submitted while the engine restarts queues.
         Beam search is not batched — use
         :meth:`generate`, which falls back to the sequential decoder.
         """
@@ -482,22 +524,22 @@ class InferenceEngine:
             raise EngineQueueFullError(
                 f"engine queue is full ({self.config.max_queue} waiting)")
         if self._stop_event.is_set() or self._crashed is not None:
-            # stop()'s drain (or a crash's fail_inflight) may have run
-            # between the check at the top and the put above, in which
-            # case nobody will ever pop this request — fail it here so
-            # result() cannot block forever.
-            error = (EngineCrashedError("engine thread has crashed")
-                     if self._crashed is not None
-                     else EngineStoppedError("engine has been stopped"))
-            self._resolve(request, error=error)
-            raise type(error)(str(error))
+            # stop()'s drain (or the final crash's fail_inflight) may
+            # have run between the check at the top and the put above,
+            # in which case nobody will ever pop this request — fail it
+            # here so result() cannot block forever.
+            try:
+                self._check_serving()
+            except RuntimeError as error:
+                self._resolve(request, error=error)
+                raise
         self.metrics.queue_depth.set(self._queue.qsize())
         return request
 
     def _check_serving(self) -> None:
         if self._crashed is not None:
-            raise EngineCrashedError(
-                f"engine thread has crashed: {self._crashed!r}")
+            raise EngineUnavailableError(
+                f"engine is not serving (state: failed): {self._crashed!r}")
         if self._stop_event.is_set():
             raise EngineStoppedError("engine has been stopped")
 
@@ -505,21 +547,42 @@ class InferenceEngine:
                  config: Optional[GenerationConfig] = None,
                  processors: Sequence[LogitsProcessor] = (),
                  deadline_ms: Optional[float] = None) -> List[int]:
-        """Synchronous façade: submit, wait, return the new token ids.
+        """Synchronous façade: submit, wait, return the new token ids."""
+        return self.generate_ex(prompt_ids, config, processors,
+                                deadline_ms=deadline_ms)[0]
+
+    def generate_ex(self, prompt_ids: Sequence[int],
+                    config: Optional[GenerationConfig] = None,
+                    processors: Sequence[LogitsProcessor] = (),
+                    deadline_ms: Optional[float] = None
+                    ) -> Tuple[List[int], bool]:
+        """:meth:`generate`, returning ``(tokens, degraded)``.
 
         Beam-search configs bypass the batch and run the sequential
         decoder (beam state is not continuously batchable; it also
         ignores ``deadline_ms``, since only the batched decode loop can
-        retire requests mid-flight).
+        retire requests mid-flight).  So does every request once the
+        engine is ``failed``, when ``degraded_fallback`` is set — the
+        model is sound, only the loop is gone — and ``degraded`` says
+        so.  Any other error propagates unchanged.
         """
         config = config or GenerationConfig()
-        config.validate()
-        if config.strategy == "beam":
-            return sequential_generate(self.model, prompt_ids, config,
-                                       processors, registry=self.registry,
-                                       tracer=self.tracer)
-        return self.submit(prompt_ids, config, processors,
-                           deadline_ms=deadline_ms).result()
+        try:
+            if config.strategy != "beam":
+                return self.submit(prompt_ids, config, processors,
+                                   deadline_ms=deadline_ms).result(), False
+            config.validate()
+            self._check_serving()
+            degraded = False
+        except EngineCrashedError:
+            if (not self.resilience.degraded_fallback
+                    or self._stop_event.is_set()):
+                raise
+            self.metrics.degraded.inc()
+            degraded = True
+        return sequential_generate(self.model, prompt_ids, config,
+                                   processors, registry=self.registry,
+                                   tracer=self.tracer), degraded
 
     def stop(self, timeout: float = 5.0) -> None:
         """Shut the engine thread down and fail all unfinished requests."""
@@ -542,22 +605,44 @@ class InferenceEngine:
 
     @property
     def crashed(self) -> Optional[BaseException]:
-        """The exception that killed the engine thread, if any."""
+        """The crash that spent the restart budget, if any."""
         return self._crashed
+
+    @property
+    def state(self) -> str:
+        """``serving`` | ``restarting`` (backing off after a crash) |
+        ``failed`` (restart budget spent) | ``stopped``."""
+        return "stopped" if self._stop_event.is_set() else self._state
+
+    @property
+    def restarts(self) -> int:
+        """In-place restarts over the engine's lifetime."""
+        return self._restarts
+
+    @property
+    def engine(self) -> "InferenceEngine":
+        """``self``.
+
+        Exists only because the ``benchmarks/e2e`` harness spells
+        ``app.engine.engine`` (``measure.py``, ``spans.py``) from when
+        ``app.engine`` was a wrapper around the engine; it goes when the
+        harness stops spelling it (ROADMAP item 5(d)).
+        """
+        return self
 
     def fail_inflight(self, error: BaseException) -> int:
         """Fail every queued and in-flight request with ``error``.
 
-        Only meaningful once the engine thread is no longer serving (a
-        crash, a stop or a hard kill); the supervisor calls this before
-        restarting so no request can block forever on a dead engine.
-        Idempotent — already-resolved requests are untouched.  Returns
-        the number of requests failed by this call.
+        The engine thread calls this on its way out — on :meth:`stop`
+        and on the crash that spends the restart budget — so no request
+        can block forever on a loop that is gone.  Idempotent —
+        already-resolved requests are untouched.  Returns the number of
+        requests failed by this call.
         """
         failed = 0
-        for request in list(self._admitting):
+        for request in self._requeued + self._admitting:
             failed += self._resolve(request, error=error)
-        self._admitting = []
+        self._requeued, self._admitting = [], []
         for seq in list(self._active):
             failed += self._resolve(seq.request, error=error)
         self._active = []
@@ -584,75 +669,118 @@ class InferenceEngine:
             "max_batch_size": self.config.max_batch_size,
             "prefix_cache": self.prefix_cache.stats_snapshot(),
             "kernels": None if kernels is None else kernels.stats(),
+            "supervisor": {
+                "state": self.state,
+                "restarts": self._restarts,
+                "max_restarts": self.resilience.max_restarts,
+                "degraded_available": self.resilience.degraded_fallback,
+            },
         }
 
     # ------------------------------------------------------------------
     # Engine thread
     # ------------------------------------------------------------------
     def _run(self) -> None:
-        try:
-            self.model.eval()
-            kernels = getattr(self.model, "kernels", None)
-            if kernels is not None:
-                # Size this thread's workspace arenas for a full batch
-                # of decode slots up front, so steady-state serving
-                # never allocates (see docs/KERNELS.md).
-                kernels.preallocate(self.config.max_batch_size,
-                                    chunk=self.config.prefill_chunk)
-            with no_grad():
-                while not self._stop_event.is_set():
-                    # One managed kernel step per scheduler iteration:
-                    # flips the workspace parity, so logits views handed
-                    # out during this iteration survive exactly until
-                    # they are sampled at the next one.  Re-fetched each
-                    # iteration because kernels may be enabled on a
-                    # serving model at runtime.
-                    kernels = getattr(self.model, "kernels", None)
-                    if kernels is not None:
-                        kernels.begin_step()
-                    self._admit()
-                    if not self._active:
-                        continue
-                    try:
-                        self._step()
-                    except BaseException as error:  # noqa: BLE001
-                        # A step-level failure (e.g. a model.forward
-                        # fault) takes down the requests sharing the
-                        # batch — with a named error — but not the
-                        # engine itself.
-                        for seq in self._active:
-                            self._finish(seq, error=error)
-                        self._active = []
-        except BaseException as error:  # noqa: BLE001 - crash, not stop
-            # Anything escaping the loop (e.g. a prefix_cache.get fault
-            # during admission) is a crash: mark it, fail everything
-            # in flight with a named error so no caller hangs, and let
-            # the thread die.  A supervisor may build a replacement.
-            self._crashed = error
-            # The crash may have been a poisoned snapshot: purge the
-            # cache before any caller can see the crash and retry.
-            self.prefix_cache.clear()
-            self.fail_inflight(EngineCrashedError(
-                f"engine thread crashed: {error!r}"))
-            return
+        while not self._stop_event.is_set():
+            try:
+                self._serve()
+            except BaseException as error:  # noqa: BLE001 - crash, not stop
+                if not self._recover(error):
+                    return
         self.fail_inflight(EngineStoppedError(
             "engine stopped before request completed"))
 
+    def _serve(self) -> None:
+        """The step loop from a fresh start: returns on :meth:`stop`;
+        anything it raises (e.g. a prefix_cache.get fault during
+        admission) is a crash for :meth:`_recover`."""
+        self.model.eval()
+        kernels = getattr(self.model, "kernels", None)
+        if kernels is not None:
+            # Size this thread's workspace arenas for a full batch of
+            # decode slots up front, so steady-state serving never
+            # allocates (see docs/KERNELS.md).
+            kernels.preallocate(self.config.max_batch_size,
+                                chunk=self.config.prefill_chunk)
+        with no_grad():
+            while not self._stop_event.is_set():
+                # One managed kernel step per scheduler iteration: flips
+                # the workspace parity, so logits views handed out
+                # during this iteration survive exactly until they are
+                # sampled at the next one.  Re-fetched each iteration
+                # because kernels may be enabled on a serving model at
+                # runtime.
+                kernels = getattr(self.model, "kernels", None)
+                if kernels is not None:
+                    kernels.begin_step()
+                self._admit()
+                if not self._active:
+                    continue
+                try:
+                    self._step()
+                except BaseException as error:  # noqa: BLE001
+                    # A step-level failure (e.g. a model.forward fault)
+                    # takes down the requests sharing the batch — with
+                    # a named error — but not the engine itself.
+                    for seq in self._active:
+                        self._finish(seq, error=error)
+                    self._active = []
+
+    def _recover(self, error: BaseException) -> bool:
+        """Restart the loop in place after ``error`` escaped it, or —
+        once ``max_restarts`` is spent — fail everything unfinished with
+        a named :class:`EngineCrashedError` and return ``False``.
+
+        The cache is purged first: the crash may have been a poisoned
+        entry.  Every unfinished request goes back to the head of
+        admission, to be replayed from its prompt as a fresh sequence —
+        rng re-seeded from ``config.seed``, processors rebuilt — which
+        is bit-identical, so :meth:`_deliver` skips the tokens its handle
+        already holds.  Restart ``n`` backs off ``restart_backoff_seconds
+        * 2 ** (n - 1)``; requests submitted meanwhile queue behind the
+        replays.
+        """
+        self.metrics.crashes.inc()
+        self.prefix_cache.clear()
+        if self._restarts >= self.resilience.max_restarts:
+            self._crashed = error
+            self._state = "failed"
+            self.fail_inflight(EngineCrashedError(
+                f"engine thread crashed: {error!r}"))
+            return False
+        unfinished = ([seq.request for seq in self._active]
+                      + self._admitting + self._requeued)
+        self._requeued = [request for request in dict.fromkeys(unfinished)
+                          if not request.done]
+        self._active, self._admitting = [], []
+        self.metrics.active_sequences.set(0)
+        self._restarts += 1
+        self.metrics.restarts.inc()
+        self._state = "restarting"
+        self._stop_event.wait(self.resilience.restart_backoff_seconds
+                              * 2 ** (self._restarts - 1))
+        self._state = "serving"
+        return True
+
     def _admit(self) -> None:
-        """Refill the batch from the queue; prefill newly admitted prompts."""
-        block = not self._active
+        """Refill the batch — replays first, then the queue — and
+        prefill newly admitted prompts."""
+        block = not self._active and not self._requeued
         admitted: List[_Sequence] = []
         while len(self._active) + len(admitted) < self.config.max_batch_size:
-            try:
-                if block:
-                    request = self._queue.get(timeout=0.05)
-                    block = False
-                else:
-                    request = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if request is _WAKE:
-                break
+            if self._requeued:
+                request = self._requeued.pop(0)
+            else:
+                try:
+                    if block:
+                        request = self._queue.get(timeout=0.05)
+                        block = False
+                    else:
+                        request = self._queue.get_nowait()
+                except queue.Empty:
+                    break
+                if request is _WAKE:
+                    break
             self._admitting.append(request)
             if request.cancelled:
                 self._resolve(request, outcome="cancelled")
@@ -660,13 +788,16 @@ class InferenceEngine:
                 continue
             now = self.metrics.clock.now()
             if request.deadline is not None and now >= request.deadline:
-                # Expired while still queued: never admitted, no tokens.
+                # Expired waiting for admission (or for its replay
+                # after a crash): it reports what its handle holds.
                 self._resolve(request, error=DeadlineExceededError(
-                    request.request_id, request.deadline_ms, ()),
-                    outcome="deadline")
+                    request.request_id, request.deadline_ms,
+                    request._generated), outcome="deadline")
                 self._admitting.pop()
                 continue
             self.metrics.queue_wait_seconds.observe(now - request.submitted_at)
+            # A replay: its first token (and TTFT) came before the crash.
+            delivered = len(request._generated)
             # Per-request draft instance wins; a draft *spec string* is
             # resolved by the serving layer, not here (the engine has
             # no corpus to fit one on) and falls back to the default.
@@ -678,7 +809,8 @@ class InferenceEngine:
                 processors=build_processors(request.config,
                                             request.processors),
                 rng=np.random.default_rng(request.config.seed),
-                admitted_at=now,
+                admitted_at=now, skip=delivered,
+                first_token_at=now if delivered else None,
                 spec_k=(request.config.speculative_k
                         if draft is not None else 0),
                 draft=draft))
@@ -702,8 +834,8 @@ class InferenceEngine:
         """
         looked_up = []
         for seq in admitted:
-            # Chaos hook: a fault here escapes _admit and kills the
-            # engine thread — the supervisor-restart scenario.
+            # Chaos hook: a fault here escapes _admit — the engine's
+            # crash-recovery scenario (_recover).
             fault_check("prefix_cache.get")
             hit_len, snapshot = self.prefix_cache.lookup(
                 seq.request.prompt_ids, cut=self._cut)
@@ -791,12 +923,14 @@ class InferenceEngine:
                 continue
             if (seq.request.deadline is not None
                     and now >= seq.request.deadline):
-                # Expired mid-batch: retire with the partial tokens.
-                # Same retirement path as a stop token, so survivors'
-                # outputs are untouched (bit-identical — tested).
+                # Expired mid-batch: retire with the partial tokens —
+                # the handle's, which a replay may not have caught up
+                # with.  Same retirement path as a stop token, so
+                # survivors' outputs are untouched (bit-identical —
+                # tested).
                 self._finish(seq, error=DeadlineExceededError(
                     seq.request.request_id, seq.request.deadline_ms,
-                    seq.generated), outcome="deadline")
+                    seq.request._generated), outcome="deadline")
                 continue
             if seq.spec_chunk is not None:
                 if self._walk_spec(seq):
@@ -818,6 +952,9 @@ class InferenceEngine:
         self.metrics.active_sequences.set(len(self._active))
 
     def _deliver(self, seq: _Sequence, token: int) -> None:
+        if seq.skip:    # a replay re-decoding what its handle holds
+            seq.skip -= 1
+            return
         self._emitted_tokens += 1
         seq.request._deliver(token)
         if seq.first_token_at is None:

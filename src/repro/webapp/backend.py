@@ -23,7 +23,7 @@ Endpoints:
 
 The three generation endpoints are transports over one
 :class:`~repro.webapp.service.GenerationService`; this module builds
-the supervised engine and maps the service's results and errors onto
+the serving engine and maps the service's results and errors onto
 JSON, job and SSE envelopes (``docs/ARCHITECTURE.md``).
 """
 
@@ -41,7 +41,6 @@ from ..recipedb import IngredientCatalog, PairingGraph, default_catalog
 from ..resilience import (AdmissionController, OverloadShedError,
                           ResilienceConfig)
 from ..retrieval import query_from_ingredients
-from ..resilience.supervisor import EngineSupervisor, sequential_fallback
 from ..serving import InferenceEngine
 from .framework import App, Handler, Request, Response
 from .jobs import JobQueue, QueueFullError
@@ -87,23 +86,6 @@ def _service_errors(handler: Handler) -> Handler:
     return guarded
 
 
-def _build_engine(pipeline: Ratatouille, registry: MetricsRegistry,
-                  tracer: Tracer, draft, knobs: ResilienceConfig,
-                  spill) -> EngineSupervisor:
-    """The one serving topology: an engine under its supervisor."""
-    def factory() -> InferenceEngine:
-        return InferenceEngine(pipeline.model, registry=registry,
-                               tracer=tracer, draft=draft)
-    return EngineSupervisor(
-        factory,
-        max_restarts=knobs.max_restarts,
-        backoff_seconds=knobs.restart_backoff_seconds,
-        fallback=(sequential_fallback(pipeline.model)
-                  if knobs.degraded_fallback else None),
-        registry=registry,
-        spill=spill)
-
-
 def create_backend(pipeline: Ratatouille,
                    catalog: Optional[IngredientCatalog] = None,
                    pairing: Optional[PairingGraph] = None,
@@ -122,10 +104,10 @@ def create_backend(pipeline: Ratatouille,
                    max_mcts_rollouts: int = MAX_MCTS_ROLLOUTS) -> App:
     """Build the backend :class:`~repro.webapp.framework.App`.
 
-    Generation always decodes through one serving engine under its
-    restarting :class:`~repro.resilience.EngineSupervisor`, stored as
-    ``app.engine`` (the engine itself is ``app.engine.engine``).  To
-    scale out, run more backend processes (``deploy.scale_out``).
+    Generation always decodes through one
+    :class:`~repro.serving.InferenceEngine`, ``app.engine``, which
+    recovers from its own crashes in place.  To scale out, run more
+    backend processes (``deploy.scale_out``).
 
     ``registry``/``tracer`` back ``GET /api/metrics`` and default to the
     process-wide instances.  ``resilience`` (``docs/RESILIENCE.md``)
@@ -140,7 +122,7 @@ def create_backend(pipeline: Ratatouille,
     ``novelty`` score on every generation.  ``journal_dir`` /
     ``spill_dir`` (``docs/DURABILITY.md``) enable the write-ahead job
     journal (replayed before the app is returned) and the prefix-cache
-    spill; ``app.shutdown_gracefully`` flushes both.
+    spill (loaded here, once); ``app.shutdown_gracefully`` flushes both.
     ``speculative_k`` and ``retrieve_k`` are server defaults payloads
     override; ``max_new_tokens_cap`` and ``max_mcts_rollouts``
     (``docs/DECODING.md``) cap the payload knobs of the same name.
@@ -169,9 +151,15 @@ def create_backend(pipeline: Ratatouille,
     spill = (CacheSpill(spill_dir, model=pipeline.model)
              if spill_dir is not None else None)
     # "No resilience" and "resilience with nothing set" build the same
-    # backend: supervised, default restart budget, no deadline, no gate.
+    # backend: default restart budget, no deadline, no gate.
     knobs = resilience or ResilienceConfig()
-    engine = _build_engine(pipeline, registry, tracer, draft, knobs, spill)
+    engine = InferenceEngine(pipeline.model, registry=registry,
+                             tracer=tracer, draft=draft, resilience=knobs)
+    if spill is not None:
+        try:
+            spill.load_into(engine.prefix_cache)
+        except Exception:  # noqa: BLE001 - corrupt spill => cold start
+            pass
     retrieval_shed = None
     if retrieval_index is not None:
         retrieval_index.set_registry(registry)
@@ -614,8 +602,10 @@ def create_backend(pipeline: Ratatouille,
            leftovers are failed with the named shutdown error — their
            journal records stay incomplete, so the *next* process
            replays them;
-        3. stop the engine — ``EngineSupervisor.stop`` is the one spill
-           writer, and never saves a crashed engine's cache;
+        3. stop the engine, then spill its prefix cache — after the
+           stop, so no engine thread writes while the snapshot is
+           taken; never the cache of a ``failed`` engine, whose crash
+           may have been a poisoned entry;
         4. compact + close the journal.
 
         Idempotent: a second call returns the first call's summary.
@@ -628,6 +618,13 @@ def create_backend(pipeline: Ratatouille,
         leftover = jobs.unfinished
         jobs.shutdown()
         engine.stop()
+        spilled = False
+        if spill is not None and engine.crashed is None:
+            try:
+                spill.save(engine.prefix_cache)
+                spilled = True
+            except Exception:  # noqa: BLE001 - the next start is cold
+                pass
         journal_stats = None
         if journal is not None:
             try:
@@ -637,7 +634,7 @@ def create_backend(pipeline: Ratatouille,
             journal_stats = journal.stats()
             journal.close()
         shutdown_summary = {"drained": drained, "jobs_abandoned": leftover,
-                            "spilled": engine.last_spill_saved is True,
+                            "spilled": spilled,
                             "journal": journal_stats}
         return shutdown_summary
 

@@ -20,9 +20,9 @@ from ..models import GenerationConfig
 from ..obs import MetricsRegistry
 from ..recipedb import IngredientCatalog
 from ..resilience import AdmissionController, OverloadShedError
-from ..resilience.supervisor import EngineSupervisor, EngineUnavailableError
 from ..serving import (DeadlineExceededError, EngineCrashedError,
-                       EngineQueueFullError, EngineStoppedError)
+                       EngineQueueFullError, EngineStoppedError,
+                       EngineUnavailableError, InferenceEngine)
 
 MAX_INGREDIENTS = 20
 
@@ -47,18 +47,20 @@ MAX_RETRIEVE_K = 8
 MAX_MCTS_ROLLOUTS = 64
 
 
-#: The one error → HTTP status table (``docs/ARCHITECTURE.md``).
-#: ``OverloadShedError`` also sets ``Retry-After``.  A crash the
-#: supervisor could not retry (restart budget spent) is 502, not 503:
-#: output is deterministic, so an idempotent resend (the client
-#: ``RetryPolicy``) to another backend returns the identical recipe.
+#: The one error → HTTP status table (``docs/ARCHITECTURE.md``); the
+#: first matching class wins.  ``OverloadShedError`` also sets
+#: ``Retry-After``.  A request the engine's last crash failed (restart
+#: budget spent) is 502, not 503: output is deterministic, so an
+#: idempotent resend (the client ``RetryPolicy``) to another backend
+#: returns the identical recipe.  Work submitted to the ``failed``
+#: engine afterwards is refused with 503.
 ERROR_STATUS = {
     DeadlineExceededError: 504,
     EngineQueueFullError: 429,
     OverloadShedError: 503,
+    EngineUnavailableError: 503,
     EngineCrashedError: 502,
     EngineStoppedError: 503,
-    EngineUnavailableError: 503,
 }
 
 _CONFIG_FIELDS = (
@@ -188,12 +190,12 @@ class GenerationRequest:
 class GenerationService:
     """Admission, retrieval, decoding and body assembly for one backend.
 
-    ``engine`` is the backend's one supervised engine; the other fields
+    ``engine`` is the backend's one serving engine; the other fields
     are the defaults and caps ``create_backend`` resolved.
     """
 
     pipeline: Ratatouille
-    engine: EngineSupervisor
+    engine: InferenceEngine
     catalog: IngredientCatalog
     registry: MetricsRegistry
     admission: Optional[AdmissionController] = None
@@ -271,9 +273,9 @@ class GenerationService:
 
     def _decode(self, prompt_ids, config, processors, deadline_ms,
                 stream: bool = False):
-        """``(tokens | handle, degraded)`` from the supervised engine: a
-        streamable handle, or the finished tokens — which only the
-        sequential fallback marks ``"degraded": true``."""
+        """``(tokens | handle, degraded)`` from the engine: a streamable
+        handle, or the finished tokens — which only the sequential
+        fallback of a ``failed`` engine marks ``"degraded": true``."""
         if stream:
             return self.engine.submit(prompt_ids, config, processors,
                                       deadline_ms=deadline_ms), False

@@ -16,11 +16,11 @@ from hypothesis import strategies as st
 from repro.models import GenerationConfig
 from repro.models.lstm import LSTMConfig, LSTMLanguageModel
 from repro.obs import MetricsRegistry
-from repro.resilience import (FAULT_POINTS, EngineSupervisor, FaultInjector,
-                              FaultSpec, InjectedFault, inject_faults)
+from repro.resilience import (FAULT_POINTS, FaultInjector, FaultSpec,
+                              InjectedFault, ResilienceConfig, inject_faults)
 from repro.serving import (DeadlineExceededError, EngineCrashedError,
-                           EngineStoppedError, InferenceEngine)
-from repro.resilience.supervisor import EngineUnavailableError
+                           EngineStoppedError, EngineUnavailableError,
+                           InferenceEngine)
 from repro.webapp import JobQueue, JobStatus
 
 pytestmark = pytest.mark.chaos
@@ -390,7 +390,7 @@ class TestChaosProperty:
                                                cache_schedule, delay_ms):
         """Liveness under arbitrary seeded fault plans.
 
-        N concurrent requests against a supervised engine, with faults
+        N concurrent requests against a recovering engine, with faults
         at both the survivable point (``model.forward``) and the
         crash point (``prefix_cache.get``): every request resolves
         within the timeout bound, and restarts never exceed the cap.
@@ -406,12 +406,10 @@ class TestChaosProperty:
         injector = FaultInjector(plan, seed=seed)
         max_restarts = 3
 
-        def factory():
-            return InferenceEngine(model, registry=registry)
-
-        sup = EngineSupervisor(factory, max_restarts=max_restarts,
-                               backoff_seconds=0.002, poll_seconds=0.002,
-                               registry=registry)
+        sup = InferenceEngine(model, registry=registry,
+                              resilience=ResilienceConfig(
+                                  max_restarts=max_restarts,
+                                  restart_backoff_seconds=0.002))
         outcomes = []
         lock = threading.Lock()
 

@@ -1,8 +1,8 @@
-"""Chaos: supervisor restart with kernels + retrieval together.
+"""Chaos: engine restart with kernels + retrieval together.
 
 The recovery path each subsystem tests alone composes: when the
-supervised engine crashes under a backend running ``--kernels fp32``
-AND ``--retrieval`` at once, the replacement engine must re-attach the
+engine crashes under a backend running ``--kernels fp32`` AND
+``--retrieval`` at once, the restarted loop must re-attach the
 one frozen weight store (the shared model object), the retrieval
 surface must keep serving, and generation after the restart — and
 after a spill → warm reload — must be bit-identical to the sequential
@@ -96,19 +96,17 @@ def test_supervised_restart_with_kernels_and_retrieval(pipeline, oracle,
                              {"query": "garlic chicken", "k": 3}))
         assert len(search["hits"]) == 3
 
-        crashed_engine = app.engine.engine
         injector = FaultInjector(
             {"prefix_cache.get": FaultSpec(schedule={0})})
         with inject_faults(injector):
-            # The crash is retried on the replacement engine: one 200,
+            # The crash is replayed by the restarted engine: one 200,
             # bit-identical to the sequential decoder.
             response = _post(app, "/api/generate", PAYLOAD)
             assert response.status == 200
             assert _recipe(_body(response)) == oracle["recipe"]
         assert app.engine.restarts == 1 and app.engine.state == "serving"
-        assert app.engine.engine is not crashed_engine
 
-        # The replacement engine serves the same frozen weights:
+        # The restarted engine serves the same frozen weights:
         # recovered output is bit-identical to the sequential decoder.
         recovered = _body(_post(app, "/api/generate", PAYLOAD))
         assert _recipe(recovered) == oracle["recipe"]
@@ -133,7 +131,7 @@ def test_supervised_restart_with_kernels_and_retrieval(pipeline, oracle,
         assert status["status"] == "done"
     finally:
         summary = app.shutdown_gracefully(deadline_seconds=30.0)
-    # The clean stop of the *replacement* engine still spilled warm
+    # The clean stop of the *restarted* engine still spilled warm
     # state and compacted the journal.
     assert summary["spilled"] is True
     assert summary["journal"]["rotations"] == 1
@@ -160,9 +158,9 @@ def test_restart_and_warm_reload_bit_identical_on_one_weight_store(
         with inject_faults(injector):
             _post(app, "/api/generate", PAYLOAD)
         assert app.engine.restarts == 1 and app.engine.state == "serving"
-        # The replacement built no second copy: one shared, still
+        # The restart built no second copy: one shared, still
         # read-only weight store.
-        assert app.engine.engine.model.kernels.store is store_before
+        assert app.engine.model.kernels.store is store_before
         assert not any(arr.flags.writeable
                        for arr in store_before.weight_arrays())
         assert served_tokens(app) == oracle["tokens"]

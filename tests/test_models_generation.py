@@ -213,8 +213,8 @@ class TestProcessors:
         assert ChecklistBonus([]).coverage == 1.0
 
     def test_checklist_resets_when_history_shrinks(self):
-        # A shrinking history means a new request (or the supervisor's
-        # retry of the same one on a restarted engine) is reusing the
+        # A shrinking history means a new request (or the engine's
+        # replay of the same one after a crash) is reusing the
         # instance: earlier check-offs must not leak into
         # the replay, or the replayed logits diverge from sequential.
         proc = ChecklistBonus([[5], [7]], bonus=3.0)

@@ -1,5 +1,10 @@
 """Unit tests for persistence and flavor pairing (repro.recipedb)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.recipedb import (IngredientCatalog, PairingGraph, export_csv,
@@ -106,3 +111,17 @@ class TestPairingGraph:
         herb_pairs = graph.score("basil", "mint")
         cross = graph.score("basil", "ground beef")
         assert herb_pairs >= cross
+
+
+def test_serving_never_imports_networkx():
+    # Only a PairingGraph needs networkx; importing it at module top
+    # put it on every `repro serve` cold start.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = subprocess.run(
+        [sys.executable, "-c", "import sys, repro.webapp.serve; "
+         "print('networkx' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert probe.stdout.strip() == "False"

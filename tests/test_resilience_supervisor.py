@@ -1,10 +1,10 @@
-"""Engine supervision: crash detection, bounded restarts, retry of the
-requests a crash interrupted, degraded mode.
+"""Engine crash recovery: in-place restarts, replay of the requests a
+crash interrupted, the lifetime restart budget, degraded mode.
 
 The crash vector throughout is the ``prefix_cache.get`` fault point —
-it fires inside the engine's admission loop, escapes ``_run`` and kills
-the engine thread, which is exactly the failure the supervisor exists
-to contain.
+it fires inside the engine's admission loop and escapes it, which is
+exactly the failure the engine's own recovery (``_recover``) exists to
+contain.
 """
 
 import threading
@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 from repro.models import GenerationConfig, generate
 from repro.models.lstm import LSTMConfig, LSTMLanguageModel
 from repro.obs import ManualClock, MetricsRegistry, NullRegistry, NullTracer
-from repro.resilience import (EngineSupervisor, EngineUnavailableError,
-                              FaultInjector, FaultSpec, inject_faults,
-                              sequential_fallback)
+from repro.resilience import (FaultInjector, FaultSpec, ResilienceConfig,
+                              inject_faults)
 from repro.serving import (DeadlineExceededError, EngineConfig,
-                           EngineCrashedError, InferenceEngine)
+                           EngineCrashedError, EngineUnavailableError,
+                           InferenceEngine)
 
 CONFIG = GenerationConfig(max_new_tokens=4, seed=0)
 
@@ -31,16 +31,14 @@ def _model():
                                         num_layers=1, dropout=0.0))
 
 
-def _supervisor(model, registry=None, engine_config=None, **kwargs):
-    registry = registry if registry is not None else MetricsRegistry()
-
-    def factory():
-        return InferenceEngine(model, engine_config, registry=registry,
-                               tracer=NullTracer())
-
-    kwargs.setdefault("backoff_seconds", 0.005)
-    kwargs.setdefault("poll_seconds", 0.005)
-    return EngineSupervisor(factory, registry=registry, **kwargs)
+def _engine(model, registry=None, engine_config=None, **knobs):
+    """An engine with a restart budget (default 3, fast backoff)."""
+    knobs.setdefault("restart_backoff_seconds", 0.005)
+    return InferenceEngine(model, engine_config,
+                           registry=(registry if registry is not None
+                                     else MetricsRegistry()),
+                           tracer=NullTracer(),
+                           resilience=ResilienceConfig(**knobs))
 
 
 def _reference(model, prompt, config=CONFIG):
@@ -63,66 +61,38 @@ class TestCrashRecovery:
         registry = MetricsRegistry()
         expected = _reference(model, [1, 2, 3])
         # No restart budget: the crash resolves the request with the
-        # named error — never a hang, and nothing to retry on.
-        with _supervisor(model, registry=registry, max_restarts=0) as sup:
+        # named error — never a hang, and nothing to replay it on.
+        with _engine(model, registry=registry, max_restarts=0) as engine:
             with inject_faults(FaultInjector(
                     {"prefix_cache.get": FaultSpec(schedule={0})})):
-                handle = sup.submit([1, 2, 3], CONFIG)
-                with pytest.raises(EngineCrashedError):
+                handle = engine.submit([1, 2, 3], CONFIG)
+                with pytest.raises(EngineCrashedError,
+                                   match="engine thread crashed"):
                     handle.result(timeout=10)
-            assert _wait_for(lambda: sup.state == "failed")
-            time.sleep(0.05)  # more watchdog polls must not recount it
+            assert engine.state == "failed"
+            assert engine.crashed is not None
+        # One death is one engine_crashes_total.
         assert registry.counter("engine_crashes_total").value == 1
         assert registry.counter("engine_restarts_total").value == 0
-        # With budget the supervisor restarts, and the interrupted
-        # request finishes on the replacement, bit-identically.
-        with _supervisor(model, registry=registry) as sup:
-            first_engine = sup.engine
+        # With budget the engine restarts in place, and the interrupted
+        # request finishes on the same engine, bit-identically.
+        with _engine(model, registry=registry) as engine:
             with inject_faults(FaultInjector(
                     {"prefix_cache.get": FaultSpec(schedule={0})})):
-                assert sup.submit([1, 2, 3],
-                                  CONFIG).result(timeout=10) == expected
-            assert sup.state == "serving" and sup.restarts == 1
-            assert sup.engine is not first_engine
-            assert sup.engine.prefix_cache is not first_engine.prefix_cache
-            assert sup.generate([1, 2, 3], CONFIG) == expected
+                assert engine.submit([1, 2, 3],
+                                     CONFIG).result(timeout=10) == expected
+            assert engine.state == "serving" and engine.restarts == 1
+            assert engine.crashed is None
+            assert engine.generate([1, 2, 3], CONFIG) == expected
         assert registry.counter("engine_crashes_total").value == 2
         assert registry.counter("engine_restarts_total").value == 1
 
-    def test_failing_factory_counts_the_crash_once(self):
-        # Regression: while the factory kept failing, every watchdog
-        # poll re-entered the crash handler for the same dead engine and
-        # counted the one death again.
-        model = _model()
-        registry = MetricsRegistry()
-        builds = []
-
-        def factory():
-            builds.append(None)
-            if len(builds) in (2, 3):
-                raise RuntimeError("factory down")
-            return InferenceEngine(model, registry=registry)
-
-        sup = EngineSupervisor(factory, registry=registry, max_restarts=3,
-                               backoff_seconds=0.005, poll_seconds=0.005)
-        with sup:
-            with inject_faults(FaultInjector(
-                    {"prefix_cache.get": FaultSpec(schedule={0})})):
-                # The retry outwaits the two failed rebuilds.
-                assert sup.submit([1, 2, 3], CONFIG).result(
-                    timeout=10) == _reference(model, [1, 2, 3])
-            assert sup.state == "serving"
-            assert sup.restarts == 3  # two burnt attempts + the good one
-        assert len(builds) == 4
-        assert registry.counter("engine_crashes_total").value == 1
-        assert registry.counter("engine_restarts_total").value == 1
-
     def test_restart_after_evictions_serves(self):
-        # Regression: a supervised engine that had evicted even once
-        # could not survive a crash — every replacement died on its
-        # first admission scraping the eviction counter backwards
-        # ("counters only go up") until max_restarts was spent and the
-        # server answered 503 for good.
+        # Regression: an engine that had evicted even once could not
+        # survive a crash — every restart died on its first admission
+        # scraping the eviction counter backwards ("counters only go
+        # up") until max_restarts was spent and the server answered
+        # 503 for good.
         model = _model()
         registry = MetricsRegistry()
         prompts = [[1 + i, 2, 3] for i in range(4)]
@@ -132,42 +102,35 @@ class TestCrashRecovery:
         small = EngineConfig(prefix_cache_bytes=int(1.5 * entry_bytes))
         injector = FaultInjector(
             {"prefix_cache.get": FaultSpec(schedule={0})})
-        sup = EngineSupervisor(
-            lambda: InferenceEngine(model, small, registry=registry),
-            registry=registry, backoff_seconds=0.005, poll_seconds=0.005)
-        with sup:
+        with _engine(model, registry=registry, engine_config=small) as engine:
             for prompt in prompts:
-                sup.generate(prompt, CONFIG)
-            assert sup.prefix_cache.stats.evictions >= 3
+                engine.generate(prompt, CONFIG)
+            assert engine.prefix_cache.stats.evictions >= 3
             with inject_faults(injector):
-                assert sup.submit(prompts[0], CONFIG).result(
+                assert engine.submit(prompts[0], CONFIG).result(
                     timeout=10) == _reference(model, prompts[0])
             expected = _reference(model, prompts[1])
-            assert sup.generate(prompts[1], CONFIG) == expected
-            assert sup.state == "serving"
-            assert sup.restarts == 1
+            assert engine.generate(prompts[1], CONFIG) == expected
+            assert engine.state == "serving"
+            assert engine.restarts == 1
 
     def test_restart_budget_exhausts_to_failed(self):
+        # The budget is the engine's lifetime: every replay of the one
+        # request crashes again, and the third crash is final.
         model = _model()
+        registry = MetricsRegistry()
         injector = FaultInjector({"prefix_cache.get": FaultSpec(rate=1.0)})
-        with _supervisor(model, max_restarts=2) as sup:
+        with _engine(model, registry=registry, max_restarts=2) as engine:
             with inject_faults(injector):
-                # Keep crashing whichever engine is serving until the
-                # restart budget (initial + 2 replacements) runs out.
-                deadline = time.monotonic() + 30
-                while sup.state != "failed" and time.monotonic() < deadline:
-                    if sup.state == "serving":
-                        try:
-                            sup.submit([1, 2], CONFIG).result(timeout=10)
-                        except (EngineCrashedError, EngineUnavailableError):
-                            pass
-                    time.sleep(0.005)
-                assert sup.state == "failed"
-            assert sup.restarts == 2  # the cap held
+                with pytest.raises(EngineCrashedError):
+                    engine.submit([1, 2], CONFIG).result(timeout=10)
+                assert engine.state == "failed"
+            assert engine.restarts == 2  # the cap held
+            assert registry.counter("engine_crashes_total").value == 3
             with pytest.raises(EngineUnavailableError):
-                sup.submit([1, 2], CONFIG)
+                engine.submit([1, 2], CONFIG)
             with pytest.raises(EngineUnavailableError):
-                sup.generate([1, 2], CONFIG)
+                engine.generate([1, 2], CONFIG)
 
     def test_degraded_fallback_serves_while_down(self):
         model = _model()
@@ -175,32 +138,29 @@ class TestCrashRecovery:
         injector = FaultInjector({"prefix_cache.get": FaultSpec(rate=1.0)})
         expected = generate(model, [1, 2, 3], CONFIG,
                             registry=NullRegistry(), tracer=NullTracer())
-        with _supervisor(model, registry=registry, max_restarts=0,
-                         fallback=sequential_fallback(model)) as sup:
+        with _engine(model, registry=registry, max_restarts=0,
+                     degraded_fallback=True) as engine:
             with inject_faults(injector):
-                try:
-                    sup.generate([9, 9], CONFIG)
-                except EngineCrashedError:
-                    pass
-                assert _wait_for(lambda: sup.state == "failed")
-                tokens, degraded = sup.generate_ex([1, 2, 3], CONFIG)
+                # The request the crash failed falls back too.
+                tokens, degraded = engine.generate_ex([9, 9], CONFIG)
+                assert degraded and len(tokens) == 4
+                assert engine.state == "failed"
+                tokens, degraded = engine.generate_ex([1, 2, 3], CONFIG)
             assert degraded
             assert tokens == expected  # degraded ≠ different output
             # Streaming has no degraded mode: submit stays unavailable.
             with pytest.raises(EngineUnavailableError):
-                sup.submit([1, 2], CONFIG)
-        assert registry.counter("engine_degraded_requests_total").value >= 1
+                engine.submit([1, 2], CONFIG)
+        assert registry.counter("engine_degraded_requests_total").value == 2
 
     def test_clean_stop_is_not_a_crash(self):
         model = _model()
         registry = MetricsRegistry()
-        sup = _supervisor(model, registry=registry)
-        engine = sup.engine
-        engine.stop()  # external stop of the inner engine, then the sup
-        time.sleep(0.05)  # give the watchdog polls a chance to misfire
-        sup.stop()
+        engine = _engine(model, registry=registry)
+        engine.stop()
+        assert engine.state == "stopped" and engine.crashed is None
         assert registry.counter("engine_crashes_total").value == 0
-        assert sup.restarts == 0
+        assert engine.restarts == 0
 
 
 class TestFailInflight:
@@ -215,8 +175,8 @@ class TestFailInflight:
                 handle = engine.submit([1, 2], CONFIG)
                 with pytest.raises(EngineCrashedError):
                     handle.result(timeout=10)
-            # The engine already failed its own in-flight work; a
-            # supervisor calling again must be a harmless no-op.
+            # The engine already failed its own in-flight work; calling
+            # again must be a harmless no-op.
             assert engine.fail_inflight(EngineCrashedError("again")) == 0
             assert engine.crashed is not None
             assert engine.stats()["crashed"]
@@ -230,8 +190,8 @@ class TestFailInflight:
 
     def test_stats_report_supervisor_block(self):
         model = _model()
-        with _supervisor(model, max_restarts=5) as sup:
-            stats = sup.stats()
+        with _engine(model, max_restarts=5) as engine:
+            stats = engine.stats()
         block = stats["supervisor"]
         assert block["state"] in ("serving", "stopped")
         assert block["max_restarts"] == 5
@@ -242,13 +202,33 @@ class TestFailInflight:
 def _mid_batch_kill(model):
     """Four requests on one batch-2 engine; request 0 (short) retires
     first, and the admission that refills its slot is lookup #2 on the
-    injector's index stream — the fault fires there, killing the engine
-    thread while the other requests are mid-decode."""
+    injector's index stream — the fault fires there, crashing the loop
+    while the other requests are mid-decode."""
     configs = [GenerationConfig(max_new_tokens=4 if i == 0 else 8, seed=0)
                for i in range(4)]
     expected = [_reference(model, [1, 2, 3], config) for config in configs]
     injector = FaultInjector({"prefix_cache.get": FaultSpec(schedule={2})})
     return configs, expected, injector
+
+
+def _gated(model, at_call):
+    """Hold ``model.next_logits`` at its ``at_call``-th call until
+    ``proceed`` is set.  A lone LSTM row makes one call per prompt
+    token (prefill), then one per decode step, after delivering that
+    step's token."""
+    forward = model.next_logits
+    reached, proceed = threading.Event(), threading.Event()
+    calls = [0]
+
+    def gated(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] == at_call:
+            reached.set()
+            proceed.wait(timeout=30)
+        return forward(*args, **kwargs)
+
+    model.next_logits = gated
+    return reached, proceed
 
 
 @pytest.mark.chaos
@@ -257,10 +237,10 @@ class TestRetryOnRestart:
         model = _model()
         registry = MetricsRegistry()
         configs, expected, injector = _mid_batch_kill(model)
-        with _supervisor(model, registry=registry,
-                         engine_config=EngineConfig(max_batch_size=2)) as sup:
+        with _engine(model, registry=registry,
+                     engine_config=EngineConfig(max_batch_size=2)) as engine:
             with inject_faults(injector):
-                handles = [sup.submit([1, 2, 3], config)
+                handles = [engine.submit([1, 2, 3], config)
                            for config in configs]
                 results = [None] * len(handles)
                 # One victim is consumed as a stream: across the restart
@@ -271,107 +251,126 @@ class TestRetryOnRestart:
             # Zero failed requests, every result byte-equal to the
             # unfailed sequential run.
             assert results == expected
-            assert sup.restarts == 1 and sup.state == "serving"
+            assert engine.restarts == 1 and engine.state == "serving"
         assert registry.counter("engine_crashes_total").value == 1
 
     def test_mid_batch_kill_purges_the_cache_and_the_fleet_serves_on(self):
         model = _model()
         configs, expected, injector = _mid_batch_kill(model)
-        with _supervisor(model,
-                         engine_config=EngineConfig(max_batch_size=2)) as sup:
-            first = sup.engine
+        with _engine(model,
+                     engine_config=EngineConfig(max_batch_size=2)) as engine:
+            cache = engine.prefix_cache
             observed = []
-            fail_inflight = first.fail_inflight
+            clear = cache.clear
 
-            def observing(error):
-                # The crashing engine empties its cache before any
-                # caller can see the crash and retry.
-                observed.append(len(first.prefix_cache))
-                return fail_inflight(error)
+            def observing():
+                # The crash empties the cache before anything replays.
+                clear()
+                observed.append(len(cache))
 
-            first.fail_inflight = observing
+            cache.clear = observing
             with inject_faults(injector):
-                handles = [sup.submit([1, 2, 3], config)
+                handles = [engine.submit([1, 2, 3], config)
                            for config in configs]
                 results = [handle.result(timeout=30) for handle in handles]
             assert results == expected
-            assert observed and observed[0] == 0
-            # The replacement serves from a cache of its own.
-            assert sup.engine is not first
-            assert sup.prefix_cache is not first.prefix_cache
-            assert sup.generate([1, 2, 3], CONFIG) == expected[0]
+            assert observed == [0]
+            assert engine.restarts == 1
+            assert engine.generate([1, 2, 3], CONFIG) == expected[0]
 
     def test_failover_budget_exhaustion_surfaces_named_error(self):
-        # Retries are bounded by the restart budget: the engine dies
+        # Replays are bounded by the restart budget: the loop crashes
         # under the request twice, one restart is allowed, and the
-        # *crash* error surfaces — named, not a supervisor internality.
+        # *crash* error surfaces — named, not an engine internality.
         model = _model()
         injector = FaultInjector(
             {"prefix_cache.get": FaultSpec(schedule={0, 1})})
-        with _supervisor(model, max_restarts=1) as sup:
+        with _engine(model, max_restarts=1) as engine:
             with inject_faults(injector):
-                handle = sup.submit([1, 2, 3], CONFIG)
+                handle = engine.submit([1, 2, 3], CONFIG)
                 with pytest.raises(EngineCrashedError):
                     handle.result(timeout=10)
-            assert sup.restarts == 1 and sup.state == "failed"
+            assert engine.restarts == 1 and engine.state == "failed"
             with pytest.raises(EngineUnavailableError):
-                sup.submit([1, 2, 3], CONFIG)
+                engine.submit([1, 2, 3], CONFIG)
 
     def test_cancelled_request_is_not_retried(self):
+        # Cancelled during the restart backoff: the replay never runs,
+        # and the request is counted once, as cancelled.
         model = _model()
         registry = MetricsRegistry()
-        with _supervisor(model, registry=registry) as sup:
+        with _engine(model, registry=registry,
+                     restart_backoff_seconds=0.3) as engine:
             with inject_faults(FaultInjector(
                     {"prefix_cache.get": FaultSpec(schedule={0})})):
-                handle = sup.submit([1, 2, 3], CONFIG)
-                assert _wait_for(lambda: handle.done)  # failed by the crash
+                handle = engine.submit([1, 2, 3], CONFIG)
+                assert _wait_for(lambda: engine.state == "restarting")
                 handle.cancel()
-                with pytest.raises(EngineCrashedError):
-                    handle.result(timeout=10)
-            assert _wait_for(lambda: sup.restarts == 1)
+                assert handle.result(timeout=10) == []
+            assert engine.restarts == 1
             assert registry.counter("engine_requests_total").labels(
-                outcome="failed", strategy="plain").value == 1
+                outcome="cancelled", strategy="plain").value == 1
             assert sum(child.value for _, child in registry.counter(
-                "engine_requests_total").series()) == 1  # nothing resubmitted
+                "engine_requests_total").series()) == 1  # nothing replayed
 
     def test_no_request_outlives_its_deadline_waiting_for_a_restart(self):
-        # The deadline runs on the engines' metrics clock; the factory
-        # blocks, so the restart the retry waits for never comes.
+        # The deadline runs on the engine's metrics clock; it expires
+        # during the backoff, and the request is retired at re-admission
+        # instead of being replayed.
         model = _model()
         clock = ManualClock()
-        registry = MetricsRegistry(clock=clock)
-        release = threading.Event()
-        builds = []
-
-        def factory():
-            builds.append(None)
-            if len(builds) > 1:
-                release.wait(timeout=30)
-            return InferenceEngine(model, registry=registry)
-
-        sup = EngineSupervisor(factory, registry=registry,
-                               backoff_seconds=0.0, poll_seconds=0.005)
-        try:
+        with _engine(model, registry=MetricsRegistry(clock=clock),
+                     restart_backoff_seconds=0.3) as engine:
             with inject_faults(FaultInjector(
                     {"prefix_cache.get": FaultSpec(schedule={0})})):
-                handle = sup.submit([1, 2, 3], CONFIG, deadline_ms=500.0)
-                assert _wait_for(lambda: sup.state == "restarting")
+                handle = engine.submit([1, 2, 3], CONFIG, deadline_ms=500.0)
+                assert _wait_for(lambda: engine.state == "restarting")
                 clock.advance(0.6)
                 with pytest.raises(DeadlineExceededError) as expired:
                     handle.result(timeout=10)
             assert expired.value.deadline_ms == 500.0
+            assert expired.value.tokens == []
+
+    def test_deadline_across_a_crash_keeps_the_delivered_tokens(self):
+        # Regression: a request whose deadline expired while the engine
+        # restarted reported no tokens, although its handle held k — a
+        # "partial" client got a 504 instead of its k tokens.
+        model = _model()
+        config = GenerationConfig(max_new_tokens=12, seed=0)
+        oracle = _reference(model, [1, 2, 3], config)
+        clock = ManualClock()
+        reached, proceed = _gated(model, at_call=3 + 3)
+        try:
+            with _engine(model, registry=MetricsRegistry(clock=clock),
+                         restart_backoff_seconds=0.3) as engine:
+                with inject_faults(FaultInjector(
+                        {"prefix_cache.get": FaultSpec(schedule={1})})):
+                    victim = engine.submit([1, 2, 3], config,
+                                           deadline_ms=500.0)
+                    assert reached.wait(timeout=30)
+                    # Its admission is lookup #1: the crash, with the
+                    # victim three tokens in.
+                    bystander = engine.submit([4, 5], CONFIG)
+                    proceed.set()
+                    assert _wait_for(lambda: engine.state == "restarting")
+                    clock.advance(0.6)
+                    with pytest.raises(DeadlineExceededError) as expired:
+                        victim.result(timeout=10)
+                    assert bystander.result(timeout=10) == _reference(
+                        model, [4, 5])
         finally:
-            release.set()
-            sup.stop()
+            proceed.set()
+            del model.next_logits
+        assert expired.value.tokens == oracle[:3]
 
     def test_validation_errors_are_raised_at_submit_not_retried(self):
         model = _model()
-        with _supervisor(model) as sup:
+        with _engine(model) as engine:
             with pytest.raises(ValueError):
-                sup.submit([], CONFIG)
+                engine.submit([], CONFIG)
             with pytest.raises(ValueError):
-                sup.submit([1, 2], CONFIG, deadline_ms=-1.0)
-            assert sup.restarts == 0
+                engine.submit([1, 2], CONFIG, deadline_ms=-1.0)
+            assert engine.restarts == 0
 
     @pytest.mark.property
     @given(kill=st.integers(0, 5),
@@ -382,7 +381,7 @@ class TestRetryOnRestart:
     @settings(max_examples=12, deadline=None)
     def test_one_kill_anywhere_is_invisible_to_every_caller(
             self, kill, prompts, streamed, deadline_ms):
-        """Kill the engine at any admission (or not at all, when the
+        """Crash the loop at any admission (or not at all, when the
         index is past the last lookup): every request still yields
         exactly the sequential oracle's tokens, each exactly once."""
         model = _model()
@@ -392,14 +391,14 @@ class TestRetryOnRestart:
                     for prompt, config in zip(prompts, configs)]
         injector = FaultInjector(
             {"prefix_cache.get": FaultSpec(schedule={kill})})
-        with _supervisor(model, backoff_seconds=0.001, poll_seconds=0.001,
-                         engine_config=EngineConfig(max_batch_size=2)) as sup:
+        with _engine(model, restart_backoff_seconds=0.001,
+                     engine_config=EngineConfig(max_batch_size=2)) as engine:
             with inject_faults(injector):
-                handles = [sup.submit(prompt, config,
-                                      deadline_ms=deadline_ms)
+                handles = [engine.submit(prompt, config,
+                                         deadline_ms=deadline_ms)
                            for prompt, config in zip(prompts, configs)]
                 results = [list(handle.tokens(timeout=30)) if streamed
                            else handle.result(timeout=30)
                            for handle in handles]
             assert results == expected
-            assert sup.restarts <= 1
+            assert engine.restarts <= 1

@@ -312,7 +312,7 @@ class TestDrainAndShutdown:
 
     def test_shutdown_summary_reports_failed_spill_honestly(self, pipeline,
                                                             tmp_path):
-        # The supervisor's stop() attempts the spill.  When the save
+        # shutdown_gracefully attempts the spill.  When the save
         # fails, the summary must say so instead of claiming a warm
         # snapshot that does not exist.
         from repro.resilience import FaultInjector, FaultSpec, inject_faults
@@ -325,8 +325,8 @@ class TestDrainAndShutdown:
         assert not (tmp_path / "spill" / "CURRENT").exists()
 
     def test_crashed_engine_is_never_spilled(self, pipeline, tmp_path):
-        # One spill writer (EngineSupervisor.stop), one rule: a cache
-        # whose engine crashed is not saved — the crash may have been a
+        # One spill writer (shutdown_gracefully), one rule: the cache
+        # of a failed engine is not saved — the crash may have been a
         # poisoned snapshot.  The previous process's snapshot stays.
         from repro.resilience import (FaultInjector, FaultSpec,
                                       ResilienceConfig, inject_faults)
@@ -342,7 +342,7 @@ class TestDrainAndShutdown:
         injector = FaultInjector({"prefix_cache.get": FaultSpec(rate=1.0)})
         with inject_faults(injector):
             assert _post(app, "/api/generate", PAYLOAD).status == 502
-        assert app.engine.engine.crashed is not None
+        assert app.engine.crashed is not None
         summary = app.shutdown_gracefully(deadline_seconds=30.0)
         assert summary["spilled"] is False
         assert (current.read_bytes(), current.stat().st_mtime_ns) == before

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core import PipelineConfig, Ratatouille
 from repro.models import GenerationConfig, generate
-from repro.obs import MetricsRegistry, NullRegistry, NullTracer
+from repro.obs import ManualClock, MetricsRegistry, NullRegistry, NullTracer
 from repro.resilience import (FaultInjector, FaultSpec, ResilienceConfig,
                               inject_faults)
 from repro.serving import DeadlineExceededError
@@ -174,8 +174,8 @@ class TestDegradedMode:
             payload = {"ingredients": ["garlic"], "max_new_tokens": 8,
                        "seed": 2}
             with inject_faults(injector):
-                # The engine crashes on admission; the supervisor falls
-                # back to the sequential decoder and says so.
+                # The engine crashes on admission with no restart left;
+                # it falls back to the sequential decoder and says so.
                 response = _post(app, "/api/generate", payload)
             assert response.status == 200
             assert _body(response)["degraded"] is True
@@ -195,12 +195,14 @@ class TestDegradedMode:
 
 
 class TestEngineDeathMidRequest:
-    """Kill the one engine while a request is mid-decode.
+    """Crash the one engine while a request is mid-decode.
 
-    The engine thread is held at the victim's third decode forward
+    The engine thread is held at the victim's ``at_call``-th model call
     until a second request is queued behind it; that request's
     admission is lookup #1 on the injector's index stream, where the
-    fault kills the thread — with the victim three tokens in.
+    fault crashes the loop — with the victim at least one token in.
+    The word-LSTM prefills one call per prompt token, then decodes one
+    call per step, after that step's token is delivered.
     """
 
     VICTIM = {"ingredients": ["garlic", "onion"], "strategy": "greedy",
@@ -248,9 +250,11 @@ class TestEngineDeathMidRequest:
         response = _post(app, "/api/generate", payload)
         return response.status, None, _body(response)
 
-    def _kill_mid_decode(self, pipeline, app, transport):
-        """Run VICTIM over ``transport`` and BYSTANDER over
-        ``/api/generate`` across the kill; returns both outcomes."""
+    def _kill_mid_decode(self, pipeline, app, transport, victim=VICTIM,
+                         at_call=3, while_restarting=None):
+        """Run ``victim`` over ``transport`` and BYSTANDER over
+        ``/api/generate`` across the kill, calling ``while_restarting``
+        during the restart backoff; returns both outcomes."""
         model = pipeline.model
         forward = model.next_logits
         reached, proceed = threading.Event(), threading.Event()
@@ -258,7 +262,7 @@ class TestEngineDeathMidRequest:
 
         def gated(*args, **kwargs):
             calls[0] += 1
-            if calls[0] == 3:
+            if calls[0] == at_call:
                 reached.set()
                 proceed.wait(timeout=30)
             return forward(*args, **kwargs)
@@ -269,7 +273,7 @@ class TestEngineDeathMidRequest:
             outcomes[name] = self._send(app, how, payload)
 
         victim = threading.Thread(
-            target=run, args=("victim", transport, self.VICTIM))
+            target=run, args=("victim", transport, victim))
         bystander = threading.Thread(
             target=run, args=("bystander", "sync", self.BYSTANDER))
         model.next_logits = gated
@@ -284,6 +288,11 @@ class TestEngineDeathMidRequest:
                        and time.monotonic() < deadline):
                     time.sleep(0.005)
                 proceed.set()
+                if while_restarting is not None:
+                    while (app.engine.state != "restarting"
+                           and time.monotonic() < deadline):
+                        time.sleep(0.005)
+                    while_restarting()
                 victim.join(timeout=60)
                 bystander.join(timeout=60)
         finally:
@@ -295,8 +304,8 @@ class TestEngineDeathMidRequest:
     @pytest.mark.parametrize("transport", ["sync", "async", "stream"])
     def test_replica_death_mid_request_is_one_retried_response(
             self, pipeline, transport):
-        # A default backend: the death is absorbed by the supervisor's
-        # retry — one 200, equal to the sequential oracle, and on the
+        # A default backend: the crash is absorbed by the engine's
+        # replay — one 200, equal to the sequential oracle, and on the
         # stream every token exactly once.
         tokens, recipe = self._oracle(pipeline, self.VICTIM)
         _, bystander_recipe = self._oracle(pipeline, self.BYSTANDER)
@@ -314,10 +323,72 @@ class TestEngineDeathMidRequest:
             assert "degraded" not in body
             assert {name: other[name]
                     for name in self.FIELDS} == bystander_recipe
-            # The death really happened — once — and was restarted from.
+            # The crash really happened — once — and was restarted from.
             assert registry.counter("engine_crashes_total").value == 1
             assert app.engine.restarts == 1
             assert _body(_get(app, "/api/health"))["status"] == "ok"
+        finally:
+            app.shutdown_gracefully(deadline_seconds=5)
+
+    def test_deadline_across_the_restart_returns_the_delivered_partial(
+            self, pipeline):
+        # Regression: a deadline that expired while the engine restarted
+        # dropped the tokens already generated — a 504, although the
+        # client opted into a partial recipe and its request held k.
+        k = 3
+        victim = {**self.VICTIM, "deadline_ms": 500.0, "partial": True}
+        prompt_text, prompt_ids = pipeline.prepare_prompt(
+            victim["ingredients"], generation=GenerationConfig(
+                strategy="greedy", seed=victim["seed"],
+                max_new_tokens=victim["max_new_tokens"]))[:2]
+        tokens, _ = self._oracle(pipeline, self.VICTIM)
+        partial = pipeline.finish_recipe(prompt_text, tokens[:k],
+                                         victim["ingredients"])
+        clock = ManualClock()
+        app = create_backend(
+            pipeline, registry=MetricsRegistry(clock=clock),
+            resilience=ResilienceConfig(restart_backoff_seconds=0.5))
+        try:
+            (status, _, body), (other_status, _, _) = self._kill_mid_decode(
+                pipeline, app, "sync", victim=victim,
+                at_call=len(prompt_ids) + k,
+                while_restarting=lambda: clock.advance(0.6))
+            assert (status, other_status) == (200, 200)
+            assert body["partial"] is True and body["deadline_ms"] == 500.0
+            assert {name: body[name] for name in self.FIELDS} == {
+                name: getattr(partial, name) for name in self.FIELDS}
+        finally:
+            app.shutdown_gracefully(deadline_seconds=5)
+
+    def test_arrivals_queue_through_a_restart(self, pipeline):
+        # A request submitted during the restart backoff waits for the
+        # restarted loop — it is neither refused nor served degraded,
+        # although a degraded fallback is configured.
+        _, recipe = self._oracle(pipeline, self.BYSTANDER)
+        app = create_backend(
+            pipeline, registry=MetricsRegistry(),
+            resilience=ResilienceConfig(restart_backoff_seconds=0.5,
+                                        degraded_fallback=True))
+        outcome = {}
+        first = threading.Thread(target=lambda: outcome.update(
+            first=self._send(app, "sync", self.VICTIM)))
+        try:
+            with inject_faults(FaultInjector(
+                    {"prefix_cache.get": FaultSpec(schedule={0})})):
+                first.start()
+                deadline = time.monotonic() + 30
+                while (app.engine.state != "restarting"
+                       and time.monotonic() < deadline):
+                    time.sleep(0.005)
+                assert app.engine.state == "restarting"
+                status, _, body = self._send(app, "sync", self.BYSTANDER)
+                first.join(timeout=60)
+            assert status == 200
+            assert {name: body[name] for name in self.FIELDS} == recipe
+            assert "degraded" not in body
+            assert outcome["first"][0] == 200
+            assert "degraded" not in outcome["first"][2]
+            assert app.engine.restarts == 1
         finally:
             app.shutdown_gracefully(deadline_seconds=5)
 
@@ -353,9 +424,30 @@ class TestEngineDeathMidRequest:
             app.shutdown_gracefully(deadline_seconds=5)
 
 
+class TestOneEngineThread:
+    def test_a_backend_runs_the_engine_loop_and_its_job_workers(
+            self, pipeline):
+        # Crash recovery runs on the engine's own thread: no watchdog.
+        before = set(threading.enumerate())
+        app = create_backend(pipeline, registry=MetricsRegistry())
+        started = [thread for thread in threading.enumerate()
+                   if thread not in before]
+        try:
+            assert sorted(thread.name for thread in started) == [
+                "jobqueue-worker-0", "repro-engine"]
+        finally:
+            app.shutdown_gracefully(deadline_seconds=5)
+        assert not [thread.name for thread in started
+                    if thread.name.startswith("repro-") and thread.is_alive()]
+        for thread in started:
+            thread.join(timeout=5)
+        assert not [thread.name for thread in started if thread.is_alive()]
+
+
 class TestResilienceEndpointDisabled:
     def test_defaults_report_disabled(self, pipeline):
-        # No deadline, no gate; the engine is supervised regardless.
+        # No deadline, no gate; the engine recovers from crashes
+        # regardless.
         app = create_backend(pipeline, registry=MetricsRegistry())
         payload = _body(_get(app, "/api/resilience"))
         app.engine.stop()

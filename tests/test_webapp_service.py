@@ -210,9 +210,30 @@ class TestAdmitBeforeRetrieve:
             app.shutdown_gracefully(deadline_seconds=5)
 
 
+SRC = pathlib.Path(__file__).parents[1] / "src" / "repro"
+
+
 def test_webapp_never_asks_which_engine_type_it_holds():
     # One topology; a second cannot creep back in behind an isinstance.
-    webapp = pathlib.Path(__file__).parents[1] / "src" / "repro" / "webapp"
-    assert not [path.name for path in webapp.glob("*.py") if re.search(
-        r"isinstance\([^)]*\b(InferenceEngine|EngineSupervisor)\b",
-        path.read_text("utf-8"))]
+    assert not [path.name for path in (SRC / "webapp").glob("*.py")
+                if re.search(r"isinstance\([^)]*\bInferenceEngine\b",
+                             path.read_text("utf-8"))]
+
+
+def test_engine_recovery_runs_on_the_engine_thread():
+    # Crash recovery lives inside the engine loop: no second thread
+    # watches the engine, and the wrapper it once needed stays deleted.
+    threads = re.compile(r"threading\.Thread\(")
+    assert not [path.name for path in (SRC / "resilience").glob("*.py")
+                if threads.search(path.read_text("utf-8"))]
+    engine = (SRC / "serving" / "engine.py").read_text("utf-8")
+    assert len(threads.findall(engine)) == 1
+    gone = re.compile(r"\b(EngineSupervisor|SupervisedRequest|"
+                      r"sequential_fallback|poll_seconds)\b")
+    # backoff_multiplier stays legal in the HTTP client's RetryPolicy.
+    multiplier = re.compile(r"\bbackoff_multiplier\b")
+    offenders = [str(path.relative_to(SRC)) for path in SRC.rglob("*.py")
+                 if gone.search(path.read_text("utf-8"))
+                 or (path.name != "client.py"
+                     and multiplier.search(path.read_text("utf-8")))]
+    assert not offenders
