@@ -349,13 +349,14 @@ class InferenceKernels:
                     out: np.ndarray, mstat: np.ndarray,
                     vstat: np.ndarray) -> np.ndarray:
         # Mirrors F.layer_norm: mean/var over the last axis, then
-        # ((x - mu) * inv_std) * w + b, all in float32.
+        # ((x - mu) * inv_std) * w + b, all in float32.  The reductions
+        # are the one np.sum dispatches to, minus the wrapper.
         n = x.shape[-1]
-        np.sum(x, axis=-1, keepdims=True, out=mstat)
+        np.add.reduce(x, axis=-1, keepdims=True, out=mstat)
         np.divide(mstat, n, out=mstat)
         np.subtract(x, mstat, out=out)
         np.multiply(out, out, out=out)
-        np.sum(out, axis=-1, keepdims=True, out=vstat)
+        np.add.reduce(out, axis=-1, keepdims=True, out=vstat)
         np.divide(vstat, n, out=vstat)
         np.add(vstat, _LN_EPS, out=vstat)
         np.sqrt(vstat, out=vstat)
@@ -376,8 +377,13 @@ class InferenceKernels:
         np.divide(scores, ssum, out=scores)
 
     def _gelu(self, x: np.ndarray, scratch: np.ndarray) -> None:
-        # Mirrors Tensor.gelu: 0.5 * x * (1 + tanh(c * (x + 0.044715 x^3)))
-        np.power(x, 3, out=scratch)
+        # Mirrors Tensor.gelu: 0.5 * x * (1 + tanh(c * (x + 0.044715 x^3))),
+        # with the cube spelled as both paths spell it, (x * x) * x: two
+        # IEEE multiplies round alike on every CPU, unlike np.power's
+        # SIMD-dispatched float32 loop, at a fraction of its cost
+        # (docs/KERNELS.md §1).
+        np.multiply(x, x, out=scratch)
+        np.multiply(scratch, x, out=scratch)
         np.multiply(scratch, 0.044715, out=scratch)
         np.add(x, scratch, out=scratch)
         np.multiply(scratch, _GELU_C, out=scratch)

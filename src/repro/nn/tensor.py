@@ -454,10 +454,14 @@ class Tensor:
         return Tensor._make(data, (self,), backward)
 
     def gelu(self) -> "Tensor":
-        """Gaussian Error Linear Unit, tanh approximation (as in GPT-2)."""
+        """Gaussian Error Linear Unit, tanh approximation (as in GPT-2).
+
+        The cube is ``(x * x) * x``, the spelling the inference kernels'
+        ``_gelu`` shares bit for bit (``docs/KERNELS.md`` §1).
+        """
         x = self.data
         c = np.float32(np.sqrt(2.0 / np.pi))
-        inner = c * (x + 0.044715 * x ** 3)
+        inner = c * (x + 0.044715 * (x * x * x))
         t = np.tanh(inner)
         data = 0.5 * x * (1.0 + t)
 

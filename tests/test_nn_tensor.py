@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.models import distilgpt2
 from repro.nn import Tensor, no_grad, ones, zeros
 from repro.nn.tensor import DEFAULT_DTYPE, _unbroadcast
 
@@ -223,6 +224,54 @@ class TestNonlinearities:
         x = Tensor(rng.standard_normal(100).astype(np.float32) * 10)
         out = x.sigmoid().data
         assert out.min() >= 0.0 and out.max() <= 1.0
+
+
+def _gelu_grid():
+    """Float32 inputs past what the property suites draw: signed zeros,
+    subnormals, NaN, infinities and |x| >= 7e12, where the cube
+    overflows to +-inf, beside a dense realistic range and random
+    magnitudes from 1e-6 to 1e13."""
+    rng = np.random.default_rng(3)
+    edges = [0.0, -0.0, 1e-45, -1e-45, 1e-40, -2.5e-39, 1.1754942e-38,
+             np.nan, -np.nan, np.inf, -np.inf, 6.9e12, 7e12, -7e12, 1e20,
+             -1e20, 3.4e38, -3.4e38]
+    magnitudes = 10.0 ** rng.uniform(-6, 13, 4096)
+    signs = rng.choice([-1.0, 1.0], 4096)
+    return np.concatenate([np.array(edges), np.linspace(-8, 8, 4001),
+                           signs * magnitudes]).astype(np.float32)
+
+
+def _gelu_reference(x):
+    c = np.float32(np.sqrt(2.0 / np.pi))
+    return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * ((x * x) * x))))
+
+
+class TestGeluBits:
+    """Both forward paths evaluate one formula, cube included, bit for
+    bit (compared as uint32 so -0.0 and NaN payloads count)."""
+
+    @pytest.fixture(autouse=True)
+    def _quiet_overflow(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
+
+    def test_tensor_gelu_is_the_reference_formula(self):
+        x = _gelu_grid()
+        with no_grad():
+            got = Tensor(x).gelu().data
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got.view(np.uint32),
+                                      _gelu_reference(x).view(np.uint32))
+
+    def test_kernels_gelu_equals_tensor_gelu(self):
+        kernels = distilgpt2(vocab_size=8, context_length=8).enable_kernels()
+        x = _gelu_grid()
+        got = x.copy()
+        kernels._gelu(got, np.empty_like(x))
+        with no_grad():
+            want = Tensor(x).gelu().data
+        np.testing.assert_array_equal(got.view(np.uint32),
+                                      want.view(np.uint32))
 
 
 class TestBackward:
