@@ -84,10 +84,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     config = PipelineConfig(
-        model_name="word-lstm",
+        model_name="distilgpt2",
         training=TrainingConfig(max_steps=30, batch_size=4, warmup_steps=5,
                                 eval_every=10**9))
-    pipeline = Ratatouille.quickstart(model_name="word-lstm",
+    pipeline = Ratatouille.quickstart(model_name="distilgpt2",
                                       num_recipes=60, seed=0, config=config)
     catalog = default_catalog()
     registry = MetricsRegistry()

@@ -173,9 +173,9 @@ def _train_checkpoint(directory: str) -> None:
     from repro.training import TrainingConfig
 
     pipeline = Ratatouille.quickstart(
-        model_name="word-lstm", num_recipes=60, seed=0,
+        model_name="distilgpt2", num_recipes=60, seed=0,
         config=PipelineConfig(
-            model_name="word-lstm",
+            model_name="distilgpt2",
             training=TrainingConfig(max_steps=40, batch_size=8,
                                     eval_every=10**9)))
     pipeline.save(directory)

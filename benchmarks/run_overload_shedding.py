@@ -1,6 +1,6 @@
 """Gate benchmark: admission control bounds admitted p99 under overload.
 
-Closed-loop clients hammer one tiny LSTM-backed serving engine through
+Closed-loop clients hammer one small GPT-2 serving engine through
 an :class:`~repro.resilience.AdmissionController` sized at ~1.5x the
 engine's concurrent batch work:
 
@@ -31,8 +31,7 @@ import time
 
 import numpy as np
 
-from repro.models import GenerationConfig
-from repro.models.lstm import LSTMConfig, LSTMLanguageModel
+from repro.models import GenerationConfig, GPT2Model, distilgpt2
 from repro.obs import NullRegistry, NullTracer
 from repro.resilience import AdmissionController, OverloadShedError
 from repro.serving import EngineConfig, InferenceEngine
@@ -51,9 +50,8 @@ MEAN_COST = sum(COSTS) // len(COSTS)
 SHED_BACKOFF_SECONDS = 0.04
 
 
-def _model() -> LSTMLanguageModel:
-    model = LSTMLanguageModel(LSTMConfig(
-        vocab_size=VOCAB, d_embed=8, d_hidden=16, num_layers=1, dropout=0.0))
+def _model() -> GPT2Model:
+    model = distilgpt2(vocab_size=VOCAB)
     model.eval()
     return model
 

@@ -9,7 +9,8 @@ queries, nutrition/health linkage, persistence, and corpus statistics
 Run:  python examples/explore_recipedb.py
 """
 
-import numpy as np
+import os
+import tempfile
 
 from repro.recipedb import (CONTINENTS, COUNTRIES, PROCESSES, REGIONS,
                             RecipeDatabase, export_csv, generate_corpus,
@@ -62,9 +63,11 @@ def main() -> None:
     print(f"  {len(hits)} recipes; first: "
           f"{hits[0].title if hits else '(none)'}\n")
 
-    save_jsonl(recipes, "data/recipedb.jsonl")
-    export_csv(recipes, "data/recipedb.csv")
-    print("Persisted to data/recipedb.jsonl and data/recipedb.csv")
+    with tempfile.TemporaryDirectory() as directory:
+        save_jsonl(recipes, os.path.join(directory, "recipedb.jsonl"))
+        export_csv(recipes, os.path.join(directory, "recipedb.csv"))
+        print(f"Persisted recipedb.jsonl and recipedb.csv to {directory} "
+              f"(a temporary directory, removed on exit)")
 
 
 if __name__ == "__main__":

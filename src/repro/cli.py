@@ -344,13 +344,12 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         raise SystemExit("error: pass --url for a running backend "
                          "or --demo for a local instrumented run")
 
-    from .models import GenerationConfig, generate
-    from .models.lstm import LSTMConfig, LSTMLanguageModel
+    from .models import GenerationConfig, GPT2Config, GPT2Model, generate
 
     registry, tracer = MetricsRegistry(), Tracer()
-    model = LSTMLanguageModel(LSTMConfig(vocab_size=32, d_embed=8,
-                                         d_hidden=16, num_layers=1,
-                                         dropout=0.0))
+    model = GPT2Model(GPT2Config(vocab_size=32, context_length=32,
+                                 d_model=16, num_layers=1, num_heads=2,
+                                 d_ff=32, dropout=0.0))
     for strategy in ("greedy", "sample"):
         generate(model, [1, 2, 3],
                  GenerationConfig(strategy=strategy, max_new_tokens=12),

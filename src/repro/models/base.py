@@ -14,7 +14,7 @@ strategies in :mod:`repro.models.generation` work with every model.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 import numpy as np
 
@@ -110,8 +110,8 @@ class LanguageModel(Module):
             next prompt token during prefill).
         state:
             Whatever :meth:`start_state` / the previous call returned
-            (or, where :attr:`ragged_decode` is set, a list of
-            batch-of-one states, one per id — see there).
+            (GPT-2 also takes a list of batch-of-one states, one per
+            id: :meth:`repro.models.gpt2.GPT2Model.next_logits`).
 
         Returns
         -------
@@ -153,47 +153,6 @@ class LanguageModel(Module):
             logits, state = self.next_logits(np.array([token]), state)
         return logits, state
 
-    def verify_chunk(self, ids: np.ndarray,
-                     state: Any) -> Tuple[np.ndarray, List[Any]]:
-        """Decode a ``(batch, steps)`` chunk of *known* tokens exactly.
-
-        The standalone speculative loop's verify step: every row's
-        logits at every step must be **bit-identical** to walking
-        :meth:`next_logits` one token at a time, because speculative
-        greedy decode is contractually bit-identical to the sequential
-        decode loop (``docs/SERVING.md``).
-
-        Returns ``(logits, states)`` where ``logits`` is ``(batch,
-        steps, vocab)`` (``logits[:, t]`` scores the token *after*
-        chunk token ``t``) and ``states[t]`` is the decoding state
-        after consuming chunk tokens ``0..t`` — callers resume from
-        ``states[a]`` when they accept ``a + 1`` chunk tokens and
-        discard the rest.  Only one returned state may be resumed;
-        the others are invalidated by that resume (they may share
-        buffers).
-
-        A one-row chunk on a :attr:`ragged_decode` model is one
-        list-form :meth:`next_logits` call, and raises ``ValueError``
-        when it does not :meth:`fits` — the caller falls back to plain
-        decode, which slides; otherwise this walks :meth:`next_logits`,
-        exact for every model.
-        """
-        ids = np.asarray(ids)
-        if ids.ndim != 2 or ids.shape[1] == 0:
-            raise ValueError("verify_chunk expects (batch, steps) ids")
-        if self.ragged_decode and ids.shape[0] == 1:
-            if not self.fits(state, ids.shape[1]):
-                raise ValueError("verify chunk exceeds the context window")
-            logits, states = self.next_logits(ids[0], [state] * ids.shape[1])
-            return logits[None], states
-        logits_steps: List[np.ndarray] = []
-        states: List[Any] = []
-        for t in range(ids.shape[1]):
-            logits, state = self.next_logits(ids[:, t], state)
-            logits_steps.append(logits)
-            states.append(self.snapshot_state(state))
-        return np.stack(logits_steps, axis=1), states
-
     def prefill_stacked(self, ids: np.ndarray,
                         state: Any) -> Tuple[np.ndarray, Any]:
         """Refuses: no model prefills stacked rows any more.
@@ -207,30 +166,6 @@ class LanguageModel(Module):
         raise NotImplementedError(
             f"{type(self).__name__} does not support batched prefill")
 
-    # ------------------------------------------------------------------
-    # Batched decoding (the serving engine's continuous batching)
-    # ------------------------------------------------------------------
-    #: Whether :meth:`next_logits` also accepts a **list** of
-    #: batch-of-one states, one per id — sequences of unequal length;
-    #: a run of ids sharing one state object is one row carrying that
-    #: many known tokens — and advances them all in one forward,
-    #: returning ``(logits (N, V), [states])`` with every id
-    #: **bit-identical** to a one-token walk of its row.  The serving
-    #: engine decodes every row of a step in one such call; rows of a
-    #: model that leaves this ``False`` step one by one.
-    ragged_decode = False
-
-    def fits(self, state: Any, tokens: int) -> bool:
-        """Whether ``tokens`` known tokens decode from ``state`` in one
-        row without sliding the context window.
-
-        A pure function of position and token count: the engine demotes
-        a speculative row that no longer fits before the step's one
-        call, exactly when :meth:`verify_chunk` makes the standalone
-        loop fall back.  The default has no window.
-        """
-        return True
-
     def snapshot_state(self, state: Any) -> Any:
         """A frozen copy/alias of ``state`` safe to store and resume from.
 
@@ -241,32 +176,6 @@ class LanguageModel(Module):
         step.
         """
         return state
-
-    def compact_state(self, state: Any) -> Any:
-        """Like :meth:`snapshot_state`, but sharing no memory with ``state``.
-
-        The serving engine's prefix cache stores one of these per
-        prefilled prompt (plus one per chunk boundary the model cannot
-        :meth:`prefix_state` from it), so a stored entry retains exactly
-        its own bytes: a frozen alias would otherwise pin the capacity
-        buffer its live owner keeps appending into, headroom included,
-        while byte accounting sees only the live rows.  The default
-        defers to :meth:`snapshot_state`, correct for models whose
-        states are already self-contained.
-        """
-        return self.snapshot_state(state)
-
-    def prefix_state(self, state: Any, length: int) -> Any:
-        """The state after only the first ``length`` tokens, or ``None``.
-
-        A frozen view cut from ``state`` without recompute, bit-identical
-        to the state a prefill of those tokens at the same chunk
-        boundaries leaves — what lets the prefix cache keep one entry
-        per prompt and serve its chunk-boundary prefixes from it
-        (``docs/SERVING.md`` §4).  The default cannot cut (an LSTM's
-        hidden state has no per-token rows).
-        """
-        return None
 
     # ------------------------------------------------------------------
     # Introspection

@@ -552,7 +552,8 @@ def generate(model: LanguageModel, prompt_ids: Sequence[int],
     :class:`~repro.models.speculative.DraftModel` in ``config.draft``),
     greedy and sampled decode take the speculative fast path: the
     draft proposes ``speculative_k`` tokens per step and the model
-    verifies them in one batched forward.  Greedy output is
+    verifies them in one batched forward (GPT-2 only: a model without
+    ``verify_chunk`` raises ``ValueError``).  Greedy output is
     bit-identical to the sequential loop; sampled output follows the
     same distribution but a different rng stream.  A ``config.draft``
     spec *string* is not resolved here (only the serving layer has a
@@ -565,6 +566,13 @@ def generate(model: LanguageModel, prompt_ids: Sequence[int],
             "mcts is a search driver, not a decode loop; run it through "
             "repro.decoding.MCTSDecoder (it submits greedy/sample "
             "rollouts here)")
+    draft_model = draft if draft is not None else config.draft
+    speculative = (config.strategy != "beam" and config.speculative_k > 0
+                   and isinstance(draft_model, DraftModel))
+    if speculative and not hasattr(model, "verify_chunk"):
+        raise ValueError(
+            f"speculative decoding needs a model with verify_chunk (GPT-2); "
+            f"{type(model).__name__} has none — decode without a draft")
     registry = registry if registry is not None else get_registry()
     tracer = tracer if tracer is not None else get_tracer()
     metrics = _GenerationMetrics(registry, config.strategy)
@@ -574,16 +582,13 @@ def generate(model: LanguageModel, prompt_ids: Sequence[int],
         if config.strategy == "beam":
             generated = _beam_search(model, prompt_ids, config, metrics,
                                      tracer)
+        elif speculative:
+            generated = _speculative_loop(model, prompt_ids, config,
+                                          processors, metrics, tracer,
+                                          draft_model, registry)
         else:
-            draft_model = draft if draft is not None else config.draft
-            if (config.speculative_k > 0
-                    and isinstance(draft_model, DraftModel)):
-                generated = _speculative_loop(model, prompt_ids, config,
-                                              processors, metrics, tracer,
-                                              draft_model, registry)
-            else:
-                generated = _sample_loop(model, prompt_ids, config,
-                                         processors, metrics, tracer)
+            generated = _sample_loop(model, prompt_ids, config, processors,
+                                     metrics, tracer)
     metrics.finish(len(generated), metrics.clock.now() - start)
     return generated
 
@@ -639,7 +644,7 @@ def _speculative_loop(model: LanguageModel, prompt_ids: Sequence[int],
     but not yet fed to the model — ``state`` covers the prompt plus
     ``generated[:-1]``.  Each iteration verifies the chunk
     ``[generated[-1]] + proposals`` in one
-    :meth:`~repro.models.base.LanguageModel.verify_chunk` call, walks
+    :meth:`~repro.models.gpt2.GPT2Model.verify_chunk` call, walks
     the acceptances, and resumes from the state at the last accepted
     position.  If the chunk cannot fit (context window exhausted) the
     loop permanently falls back to plain per-token stepping, which is

@@ -59,7 +59,6 @@ class GPT2Model(LanguageModel):
     """GPT-2: token+position embeddings → blocks → LN → tied head."""
 
     model_type = "gpt2"
-    ragged_decode = True
 
     def __init__(self, config: GPT2Config) -> None:
         config.validate()
@@ -254,7 +253,31 @@ class GPT2Model(LanguageModel):
         return logits, new_states
 
     def fits(self, state: GPT2State, tokens: int) -> bool:
+        """Whether ``tokens`` known tokens decode from ``state`` in one
+        row without sliding: the engine demotes a speculative row
+        exactly when :meth:`verify_chunk` makes the standalone loop
+        fall back."""
         return state.position + tokens <= self.config.context_length
+
+    def verify_chunk(self, ids: np.ndarray, state: GPT2State
+                     ) -> Tuple[np.ndarray, List[GPT2State]]:
+        """Decode a ``(1, steps)`` chunk of *known* tokens in one call.
+
+        The standalone speculative loop's verify step: one list-form
+        :meth:`next_logits` row, so ``logits[0, t]`` — the score of the
+        token after chunk token ``t`` — is bit-identical to a
+        one-token walk, and ``states[t]`` resumes after chunk tokens
+        ``0..t`` (resume from one; later appends overwrite the rest).
+        Raises ``ValueError`` when the chunk does not :meth:`fits`: the
+        caller falls back to plain decode, which slides.
+        """
+        ids = np.asarray(ids)
+        if ids.ndim != 2 or ids.shape[0] != 1 or ids.shape[1] == 0:
+            raise ValueError("verify_chunk expects (1, steps) ids")
+        if not self.fits(state, ids.shape[1]):
+            raise ValueError("verify chunk exceeds the context window")
+        logits, states = self.next_logits(ids[0], [state] * ids.shape[1])
+        return logits[None], states
 
     def prefill(self, ids: np.ndarray, state: GPT2State
                 ) -> Tuple[np.ndarray, GPT2State]:
@@ -291,15 +314,18 @@ class GPT2Model(LanguageModel):
                          position=state.position)
 
     def compact_state(self, state: GPT2State) -> GPT2State:
-        # Frozen deep copies of the live cache regions: retains exactly
-        # the snapshot's own bytes, never the source capacity buffer.
+        """Frozen deep copies of the live cache regions (a prefix-cache
+        entry): retains exactly its own bytes, never the capacity buffer
+        its live owner keeps appending into."""
         return GPT2State(caches=[c.compact() for c in state.caches],
                          position=state.position)
 
     def prefix_state(self, state: GPT2State,
                      length: int) -> Optional[GPT2State]:
-        # Row t of an unslid cache is token t's key/value.  A state at
-        # the context length may have slid (row 0 is no longer token 0).
+        """A frozen view of the state after only the first ``length``
+        tokens, cut without recompute (``docs/SERVING.md`` §4): row
+        ``t`` of an unslid cache is token ``t``'s key/value.  ``None``
+        at the context length, where the state may have slid."""
         if (state.position >= self.config.context_length
                 or not 0 < length <= state.position):
             return None

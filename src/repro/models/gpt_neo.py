@@ -193,12 +193,12 @@ class GPTNeoModel(LanguageModel):
     def config_dict(self) -> dict:
         return {"model_type": self.model_type, **asdict(self.config)}
 
-    # Same KV-cache state as GPT-2, so the same snapshots.  Decode and
-    # prefill stay on the per-row, per-token defaults: the local
-    # attention (windowed cache, windowed mask) was only written for
-    # the full-sequence and single-step cases.
+    # Same KV-cache state as GPT-2, so the same snapshots (beam search
+    # shares a parent state between sibling beams).  Prefill stays on
+    # the per-token default: the local attention (windowed cache,
+    # windowed mask) was only written for the full-sequence and
+    # single-step cases.  Not served by the engine, which is GPT-2's.
     snapshot_state = GPT2Model.snapshot_state
-    compact_state = GPT2Model.compact_state
 
 
 def gpt_neo_small(vocab_size: int, seed: int = 0,

@@ -6,7 +6,7 @@ the regime where a cheap draft model guesses the target model's next
 tokens correctly most of the time.  Speculative decoding exploits
 that: a draft proposes ``k`` tokens, the target model scores the whole
 proposal in **one** batched forward
-(:meth:`~repro.models.base.LanguageModel.verify_chunk`), and the
+(:meth:`~repro.models.gpt2.GPT2Model.verify_chunk`), and the
 longest prefix the target agrees with is accepted.  Each verify
 forward emits between 1 and ``k + 1`` tokens, so the expensive model
 runs far fewer times per token without changing a single output bit

@@ -14,11 +14,12 @@ One background thread owns the model and runs a step loop:
    leave the batch mid-flight; their slot is refilled on the next
    admit pass.
 4. **Forward** — every survivor, whatever its length, advances in
-   **one** ``next_logits(ids, [states])`` call when the model decodes
-   ragged batches (:attr:`~repro.models.base.LanguageModel.
-   ragged_decode`: GPT-2): a plain row feeds one token, a speculative
-   row its whole verify chunk.  Other models' rows (LSTM, GPT-Neo)
-   step one by one.
+   **one** list-form ``next_logits(ids, [states])`` call: a plain row
+   feeds one token, a speculative row its whole verify chunk.
+
+The engine serves GPT-2 (:class:`~repro.models.GPT2Model`) and refuses
+any other model at construction: the LSTM baselines and GPT-Neo decode
+through :func:`repro.models.generate`.
 
 Equality contract: for any request, the engine's token stream is
 **bit-identical** to ``models.generate(model, prompt, config)`` run
@@ -46,7 +47,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..models import (DraftModel, GenerationConfig, LanguageModel,
+from ..models import (DraftModel, GenerationConfig, GPT2Model,
                       LogitsProcessor, PREFILL_CHUNK, SpeculativeMetrics,
                       build_processors, draft_context, generate as
                       sequential_generate, select_next_token,
@@ -365,15 +366,13 @@ class _EngineMetrics:
         self.decode_forwards = registry.counter(
             "engine_decode_forwards_total",
             help="Model decode calls: one next_logits over every row "
-                 "of a step, plain and speculative (one per row for "
-                 "models without ragged decode) — the denominator of "
+                 "of a step, plain and speculative — the denominator of "
                  "tokens-per-forward").labels()
         self.tokens_per_forward = registry.gauge(
             "engine_tokens_per_forward",
             help="Lifetime decode tokens emitted per model decode call: "
-                 "about the batch occupancy for ragged decode, 1.0 for "
-                 "row-by-row models; accepted speculative tokens raise "
-                 "either").labels()
+                 "about the batch occupancy; accepted speculative tokens "
+                 "raise it").labels()
         self.crashes = registry.counter(
             "engine_crashes_total",
             help="Exceptions that escaped the engine loop").labels()
@@ -402,11 +401,13 @@ class _EngineMetrics:
 
 
 class InferenceEngine:
-    """Continuous-batching serving engine around one language model.
+    """Continuous-batching serving engine around one GPT-2 model.
 
-    The engine owns a background thread; the model must not be trained
-    or mutated while the engine is running.  Use as a context manager
-    or call :meth:`stop` explicitly.
+    Any other model raises ``ValueError`` here: decode it with
+    :func:`repro.models.generate`.  The engine owns a background
+    thread; the model must not be trained or mutated while the engine
+    is running.  Use as a context manager or call :meth:`stop`
+    explicitly.
 
     ``resilience`` sets crash recovery: the restart budget over the
     engine's lifetime, the backoff and the degraded fallback
@@ -415,12 +416,17 @@ class InferenceEngine:
     first crash is final.
     """
 
-    def __init__(self, model: LanguageModel,
+    def __init__(self, model: GPT2Model,
                  config: Optional[EngineConfig] = None,
                  registry: Optional[MetricsRegistry] = None,
                  tracer: Optional[Tracer] = None,
                  draft: Optional[DraftModel] = None,
                  resilience: Optional[ResilienceConfig] = None) -> None:
+        if not isinstance(model, GPT2Model):
+            raise ValueError(
+                f"InferenceEngine serves GPT-2 models only, not "
+                f"{type(model).__name__}; decode it with "
+                f"repro.models.generate")
         self.config = config or EngineConfig()
         self.config.validate()
         self.resilience = resilience or ResilienceConfig(max_restarts=0)
@@ -660,7 +666,7 @@ class InferenceEngine:
 
     def stats(self) -> Dict[str, Any]:
         """Point-in-time engine stats (for the CLI and debug endpoints)."""
-        kernels = getattr(self.model, "kernels", None)
+        kernels = self.model.kernels
         return {
             "running": self.running,
             "crashed": self._crashed is not None,
@@ -695,7 +701,7 @@ class InferenceEngine:
         anything it raises (e.g. a prefix_cache.get fault during
         admission) is a crash for :meth:`_recover`."""
         self.model.eval()
-        kernels = getattr(self.model, "kernels", None)
+        kernels = self.model.kernels
         if kernels is not None:
             # Size this thread's workspace arenas for a full batch of
             # decode slots up front, so steady-state serving never
@@ -710,7 +716,7 @@ class InferenceEngine:
                 # sampled at the next one.  Re-fetched each iteration
                 # because kernels may be enabled on a serving model at
                 # runtime.
-                kernels = getattr(self.model, "kernels", None)
+                kernels = self.model.kernels
                 if kernels is not None:
                     kernels.begin_step()
                 self._admit()
@@ -828,7 +834,7 @@ class InferenceEngine:
         warm run replays exactly the trunk calls of a cold run and the
         logits match bit for bit.  Each prompt leaves one cache entry;
         a later prompt resumes from it at full length, or at a chunk
-        boundary cut from it with :meth:`LanguageModel.prefix_state`
+        boundary cut from it with :meth:`GPT2Model.prefix_state`
         (:meth:`_store`, :class:`~repro.serving.prefix_cache.PrefixCache`).
         A prefill that raises fails its own request only.
         """
@@ -864,7 +870,6 @@ class InferenceEngine:
         fault_check("model.forward")
         prompt = seq.request.prompt_ids
         chunk_size = self.config.prefill_chunk
-        boundaries: List[Tuple[int, np.ndarray, Any]] = []
         with self.tracer.span("engine.prefill",
                               request=seq.request.request_id,
                               tokens=len(prompt), cached_tokens=hit_len):
@@ -875,34 +880,24 @@ class InferenceEngine:
                 logits, state = self.model.prefill(
                     np.asarray(prompt[position:chunk_end]), state)
                 position = chunk_end
-                if position < len(prompt):  # O(1) alias, compacted if kept
-                    boundaries.append((position, logits.copy(),
-                                       self.model.snapshot_state(state)))
             if hit_len < len(prompt):
-                self._store(prompt, logits, state, boundaries)
+                self._store(prompt, logits, state)
         seq.logits = logits[0]
         seq.state = state
 
-    def _store(self, prompt: List[int], logits: np.ndarray, state: Any,
-               boundaries: Sequence[Tuple[int, np.ndarray, Any]] = ()
-               ) -> None:
+    def _store(self, prompt: List[int], logits: np.ndarray,
+               state: Any) -> None:
         """Cache a prefilled prompt as one entry.
 
-        Chunk-boundary states are stored too — first, so they are
-        evicted first — when the model cannot cut them from the final
-        state (LSTM, GPT-Neo, a slid GPT-2 state).  Entries are compact
-        copies: a view would pin the capacity buffer the sequence keeps
-        appending into, headroom included, while the budget counts only
-        its live rows.
+        A compact copy: a view would pin the capacity buffer the
+        sequence keeps appending into, headroom included, while the
+        budget counts only its live rows.  A prompt that reaches the
+        context length leaves a slid state nothing is cut from, so a
+        query sharing only a prefix of it misses and prefills cold.
         """
-        kept = [(prompt[:end], end_logits, snap)
-                for end, end_logits, snap in boundaries
-                if self.model.prefix_state(state, end) is None]
-        kept.append((prompt, logits.copy(), state))
-        for key, key_logits, key_state in kept:
-            snap = self.model.compact_state(key_state)
-            self.prefix_cache.insert(key, (key_logits, snap),
-                                     _state_nbytes(snap) + key_logits.nbytes)
+        logits, snap = logits.copy(), self.model.compact_state(state)
+        self.prefix_cache.insert(prompt, (logits, snap),
+                                 _state_nbytes(snap) + logits.nbytes)
 
     def _cut(self, value: Tuple[Any, Any], depth: int) -> Any:
         """The prefix cache's ``cut``: no logits, since prefill resumes."""
@@ -993,13 +988,10 @@ class InferenceEngine:
 
         A row feeds ``generated[-1]`` — emitted but not yet fed — plus,
         for a speculative row, the draft's proposals (:meth:`_draft`).
-        When the model decodes ragged batches (GPT-2), every row, of
-        any length and any token count, goes into **one** list-form
-        ``next_logits`` call: the flat ids, each row's state repeated
-        once per token.  Other models step row by row — plain rows
-        through ``next_logits``, speculative rows through
-        ``verify_chunk``.  Either way every row keeps the bits of its
-        own sequential decode.
+        Every row, of any length and any token count, goes into **one**
+        list-form ``next_logits`` call: the flat ids, each row's state
+        repeated once per token.  Every row keeps the bits of its own
+        sequential decode.
         """
         if not survivors:
             return
@@ -1007,30 +999,22 @@ class InferenceEngine:
         # engine itself keeps serving — plain and verify rows alike.
         fault_check("model.forward")
         plans = [self._draft(seq) for seq in survivors]
-        if self.model.ragged_decode:
-            ids, states = [], []
-            for seq, (proposals, _) in zip(survivors, plans):
-                ids += [seq.generated[-1], *proposals]
-                states += [seq.state] * (len(proposals) + 1)
-            logits, states = self.model.next_logits(np.asarray(ids), states)
-            forwards, start = 1, 0
-            for seq, plan in zip(survivors, plans):
-                end = start + len(plan[0]) + 1
-                self._advance(seq, plan, logits[start:end], states[start:end])
-                start = end
-        else:
-            forwards = len(survivors)
-            for seq, plan in zip(survivors, plans):
-                chunk = np.asarray([seq.generated[-1]] + plan[0])
-                if seq.spec_k:
-                    chunk_logits, states = self.model.verify_chunk(
-                        chunk[None], seq.state)
-                    self._advance(seq, plan, chunk_logits[0], states)
-                else:
-                    logits, state = self.model.next_logits(chunk, seq.state)
-                    self._advance(seq, plan, logits, [state])
-        self._decode_forwards += forwards
-        self.metrics.decode_forwards.inc(forwards)
+        ids, states = [], []
+        for seq, (proposals, _) in zip(survivors, plans):
+            ids += [seq.generated[-1], *proposals]
+            states += [seq.state] * (len(proposals) + 1)
+        logits, states = self.model.next_logits(np.asarray(ids), states)
+        start = 0
+        for seq, (proposals, dists) in zip(survivors, plans):
+            end = start + len(proposals) + 1
+            if seq.spec_k:  # walked next step; states[t] resumes after t
+                seq.spec_chunk = (proposals, dists, logits[start:end],
+                                  states[start:end])
+            else:
+                seq.logits, seq.state = logits[start], states[start]
+            start = end
+        self._decode_forwards += 1
+        self.metrics.decode_forwards.inc()
         self.metrics.tokens_per_forward.set(
             self._emitted_tokens / self._decode_forwards)
 
@@ -1038,7 +1022,7 @@ class InferenceEngine:
         """A row's ``(proposals, draft_dists)``; empty for a plain row.
 
         A speculative row whose chunk no longer fits the context window
-        (:meth:`LanguageModel.fits`, decided before the step's call)
+        (:meth:`GPT2Model.fits`, decided before the step's call)
         turns non-speculative for good (``spec_k = 0``) and takes the
         plain sliding step — the exact fallback the standalone loop
         takes, after the same draft draws.
@@ -1060,18 +1044,6 @@ class InferenceEngine:
             seq.spec_k = 0
             return [], None
         return list(proposals), dists
-
-    @staticmethod
-    def _advance(seq: _Sequence, plan: Tuple[List[int], Any],
-                 logits: np.ndarray, states: Sequence[Any]) -> None:
-        """Hand a row its call results: the next logits of a plain row,
-        or a speculative row's verify result for its walk
-        (``states[t]`` resumes after chunk token ``t``)."""
-        if seq.spec_k:
-            seq.spec_chunk = (plan[0], plan[1], logits, states)
-        else:
-            seq.logits = logits[0]
-            seq.state = states[0]
 
     def _resolve(self, request: EngineRequest,
                  error: Optional[BaseException] = None,

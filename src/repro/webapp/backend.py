@@ -106,8 +106,9 @@ def create_backend(pipeline: Ratatouille,
 
     Generation always decodes through one
     :class:`~repro.serving.InferenceEngine`, ``app.engine``, which
-    recovers from its own crashes in place.  To scale out, run more
-    backend processes (``deploy.scale_out``).
+    recovers from its own crashes in place.  The engine serves GPT-2:
+    a pipeline on any other model raises its ``ValueError`` here.  To
+    scale out, run more backend processes (``deploy.scale_out``).
 
     ``registry``/``tracer`` back ``GET /api/metrics`` and default to the
     process-wide instances.  ``resilience`` (``docs/RESILIENCE.md``)
@@ -134,7 +135,6 @@ def create_backend(pipeline: Ratatouille,
     catalog = catalog or default_catalog()
     registry = registry if registry is not None else get_registry()
     tracer = tracer if tracer is not None else get_tracer()
-    jobs = job_queue or JobQueue(workers=1, max_pending=16, registry=registry)
     if isinstance(draft, str):
         kind, colon, order = draft.partition(":")
         if kind != "ngram":
@@ -147,14 +147,16 @@ def create_backend(pipeline: Ratatouille,
         raise ValueError(f"retrieve_k must be in [0, {MAX_RETRIEVE_K}]")
     if retrieve_k > 0 and retrieval_index is None:
         raise ValueError("retrieve_k > 0 requires a retrieval_index")
-    journal = JobJournal(journal_dir) if journal_dir is not None else None
-    spill = (CacheSpill(spill_dir, model=pipeline.model)
-             if spill_dir is not None else None)
     # "No resilience" and "resilience with nothing set" build the same
     # backend: default restart budget, no deadline, no gate.
     knobs = resilience or ResilienceConfig()
+    # Refuses a model that is not GPT-2 before any thread starts.
     engine = InferenceEngine(pipeline.model, registry=registry,
                              tracer=tracer, draft=draft, resilience=knobs)
+    jobs = job_queue or JobQueue(workers=1, max_pending=16, registry=registry)
+    journal = JobJournal(journal_dir) if journal_dir is not None else None
+    spill = (CacheSpill(spill_dir, model=pipeline.model)
+             if spill_dir is not None else None)
     if spill is not None:
         try:
             spill.load_into(engine.prefix_cache)

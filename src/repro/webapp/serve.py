@@ -1,9 +1,9 @@
 """Service entry point: ``python -m repro.webapp.serve backend|frontend``.
 
 This is the command the deployment Dockerfiles run.  The backend
-serves a trained checkpoint (or trains a small model on the fly when
-none is given — useful for demos); the frontend serves the picker page
-wired to a backend URL.
+serves a trained GPT-2 checkpoint (or trains a small one on the fly
+when none is given — useful for demos; any other model is refused at
+startup); the frontend serves the picker page wired to a backend URL.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ def add_backend_arguments(backend: argparse.ArgumentParser) -> None:
                          help="listen port (0 = pick a free one)")
     backend.add_argument("--host", default="127.0.0.1")
     backend.add_argument("--checkpoint", default=None,
-                         help="checkpoint directory from Ratatouille.save()")
+                         help="GPT-2 checkpoint directory from "
+                              "Ratatouille.save()")
     backend.add_argument("--train-recipes", type=int, default=120,
                          help="corpus size when training on the fly")
     backend.add_argument("--train-steps", type=int, default=200,

@@ -13,8 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.models import GenerationConfig
-from repro.models.lstm import LSTMConfig, LSTMLanguageModel
+from repro.models import GenerationConfig, GPT2Config, GPT2Model
 from repro.obs import MetricsRegistry
 from repro.resilience import (FAULT_POINTS, FaultInjector, FaultSpec,
                               InjectedFault, ResilienceConfig, inject_faults)
@@ -35,8 +34,9 @@ TERMINAL_ERRORS = (InjectedFault, EngineCrashedError, EngineStoppedError,
 
 
 def _model():
-    return LSTMLanguageModel(LSTMConfig(vocab_size=16, d_embed=4, d_hidden=8,
-                                        num_layers=1, dropout=0.0))
+    return GPT2Model(GPT2Config(vocab_size=16, context_length=32, d_model=16,
+                                num_layers=1, num_heads=2, d_ff=32,
+                                dropout=0.0))
 
 
 class TestEveryNamedPoint:
@@ -370,10 +370,10 @@ def _tiny_pipeline():
         from repro.core import PipelineConfig, Ratatouille
         from repro.training import TrainingConfig
         config = PipelineConfig(
-            model_name="word-lstm",
+            model_name="distilgpt2",
             training=TrainingConfig(max_steps=5, batch_size=4,
                                     eval_every=10**9))
-        _PIPELINE = Ratatouille.quickstart(model_name="word-lstm",
+        _PIPELINE = Ratatouille.quickstart(model_name="distilgpt2",
                                            num_recipes=30, seed=0,
                                            config=config)
     return _PIPELINE

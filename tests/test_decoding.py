@@ -65,10 +65,10 @@ def catalog():
 @pytest.fixture(scope="module")
 def pipeline():
     config = PipelineConfig(
-        model_name="word-lstm",
+        model_name="distilgpt2",
         training=TrainingConfig(max_steps=5, batch_size=4,
                                 eval_every=10**9))
-    return Ratatouille.quickstart(model_name="word-lstm", num_recipes=30,
+    return Ratatouille.quickstart(model_name="distilgpt2", num_recipes=30,
                                   seed=0, config=config)
 
 

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro.models import distilgpt2
 from repro.obs import MetricsRegistry
 from repro.webapp import Request
 from repro.webapp.backend import create_backend
@@ -64,18 +65,12 @@ class TestBackpressure:
             queue.shutdown()
 
     def test_backend_returns_429_when_full(self, registry):
-        class FakeModel:
-            def num_parameters(self):
-                return 0
-
-            def eval(self):     # all an idle engine thread asks of it
-                pass
-
         class FakeTokenizer:
-            vocab_size = 1
+            vocab_size = 2
 
         class FakePipeline:
-            model = FakeModel()
+            # The engine serves GPT-2; an idle one never runs it.
+            model = distilgpt2(vocab_size=FakeTokenizer.vocab_size)
             tokenizer = FakeTokenizer()
 
             def generate(self, names, generation=None, checklist=False):

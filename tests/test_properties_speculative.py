@@ -40,6 +40,10 @@ class SeededModel(LanguageModel):
     def next_logits(self, ids: np.ndarray, state):
         return self._table[int(ids[-1]) % self.vocab_size][None, :], state
 
+    def verify_chunk(self, ids: np.ndarray, state):
+        # Stateless: a verify call is one table row per chunk token.
+        return self._table[ids % self.vocab_size], [state] * ids.shape[1]
+
 
 def _run(model, prompt, draft, k, **config_kwargs):
     config = GenerationConfig(max_new_tokens=16, strategy="greedy", seed=0,

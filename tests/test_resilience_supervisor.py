@@ -14,8 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.models import GenerationConfig, generate
-from repro.models.lstm import LSTMConfig, LSTMLanguageModel
+from repro.models import GenerationConfig, GPT2Config, GPT2Model, generate
 from repro.obs import ManualClock, MetricsRegistry, NullRegistry, NullTracer
 from repro.resilience import (FaultInjector, FaultSpec, ResilienceConfig,
                               inject_faults)
@@ -27,8 +26,9 @@ CONFIG = GenerationConfig(max_new_tokens=4, seed=0)
 
 
 def _model():
-    return LSTMLanguageModel(LSTMConfig(vocab_size=16, d_embed=4, d_hidden=8,
-                                        num_layers=1, dropout=0.0))
+    return GPT2Model(GPT2Config(vocab_size=16, context_length=32, d_model=16,
+                                num_layers=1, num_heads=2, d_ff=32,
+                                dropout=0.0))
 
 
 def _engine(model, registry=None, engine_config=None, **knobs):
@@ -212,20 +212,22 @@ def _mid_batch_kill(model):
 
 
 def _gated(model, at_call):
-    """Hold ``model.next_logits`` at its ``at_call``-th call until
-    ``proceed`` is set.  A lone LSTM row makes one call per prompt
-    token (prefill), then one per decode step, after delivering that
-    step's token."""
+    """Hold the engine's ``at_call``-th decode call until ``proceed`` is
+    set.  GPT-2 prefills through ``prefill``, so only decode steps
+    count: one list-form ``next_logits`` call per step, made after
+    delivering that step's token (a lone row's call re-enters
+    ``next_logits`` with its bare state, which is not counted)."""
     forward = model.next_logits
     reached, proceed = threading.Event(), threading.Event()
     calls = [0]
 
-    def gated(*args, **kwargs):
-        calls[0] += 1
-        if calls[0] == at_call:
-            reached.set()
-            proceed.wait(timeout=30)
-        return forward(*args, **kwargs)
+    def gated(ids, state):
+        if isinstance(state, list):
+            calls[0] += 1
+            if calls[0] == at_call:
+                reached.set()
+                proceed.wait(timeout=30)
+        return forward(ids, state)
 
     model.next_logits = gated
     return reached, proceed
@@ -339,7 +341,7 @@ class TestRetryOnRestart:
         config = GenerationConfig(max_new_tokens=12, seed=0)
         oracle = _reference(model, [1, 2, 3], config)
         clock = ManualClock()
-        reached, proceed = _gated(model, at_call=3 + 3)
+        reached, proceed = _gated(model, at_call=3)
         try:
             with _engine(model, registry=MetricsRegistry(clock=clock),
                          restart_backoff_seconds=0.3) as engine:

@@ -13,8 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.models import GenerationConfig, distilgpt2, generate
-from repro.models.lstm import LSTMConfig, LSTMLanguageModel
+from repro.models import (GenerationConfig, GPT2Config, GPT2Model,
+                          distilgpt2, generate)
 from repro.obs import ManualClock, MetricsRegistry, NullRegistry, NullTracer
 from repro.serving import (DeadlineExceededError, EngineConfig,
                            InferenceEngine)
@@ -38,19 +38,20 @@ def _sequential(model, prompt, config):
                     registry=NullRegistry(), tracer=NullTracer())
 
 
-class _GatedModel(LSTMLanguageModel):
-    """LSTM whose forward blocks until the test opens the gate."""
+class _GatedModel(GPT2Model):
+    """Tiny GPT-2 whose prefills block until the test opens the gate."""
 
     def __init__(self):
-        super().__init__(LSTMConfig(vocab_size=16, d_embed=4, d_hidden=8,
-                                    num_layers=1, dropout=0.0))
+        super().__init__(GPT2Config(vocab_size=16, context_length=32,
+                                    d_model=16, num_layers=1, num_heads=2,
+                                    d_ff=32, dropout=0.0))
         self.gate = threading.Event()
         self.entered = threading.Event()
 
-    def next_logits(self, ids, state):
+    def prefill(self, ids, state):
         self.entered.set()
         self.gate.wait(timeout=10)
-        return super().next_logits(ids, state)
+        return super().prefill(ids, state)
 
 
 class TestQueuedExpiry:

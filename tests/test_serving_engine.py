@@ -14,11 +14,10 @@ import threading
 import numpy as np
 import pytest
 
-from repro.models import (GenerationConfig, NGramDraft, distilgpt2,
-                          generate, prefill_prompt)
+from repro.models import (GenerationConfig, GPT2Config, GPT2Model,
+                          NGramDraft, distilgpt2, generate, gpt_neo_small,
+                          prefill_prompt, word_lstm)
 from repro.models.base import LanguageModel
-from repro.models.gpt_neo import gpt_neo_small
-from repro.models.lstm import LSTMConfig, LSTMLanguageModel
 from repro.obs import (ManualClock, MetricsRegistry, NullRegistry,
                        NullTracer, Tracer)
 from repro.serving import (DeadlineExceededError, EngineConfig,
@@ -100,26 +99,6 @@ class TestBatchedEqualsSequential:
         expected = _sequential(model, prompt, config)
         with InferenceEngine(model) as engine:
             assert engine.generate(prompt, config) == expected
-
-    def test_unstackable_model_still_batches_scheduling(self):
-        lstm = _GatedModel()
-        prompts = [[1 + i, 2, 3] for i in range(3)]
-        config = GenerationConfig(max_new_tokens=6, seed=0)
-        lstm.gate.set()
-        expected = [_sequential(lstm, p, config) for p in prompts]
-        lstm.gate.clear()
-        registry = MetricsRegistry()
-        with InferenceEngine(lstm, registry=registry) as engine:
-            # Gate the first prefill so all three requests are queued
-            # before the first decode step runs.
-            handles = [engine.submit(p, config) for p in prompts]
-            assert lstm.entered.wait(timeout=10)
-            lstm.gate.set()
-            assert [h.result(timeout=60) for h in handles] == expected
-        # All three ran in the same decode steps (continuous batching),
-        # even though LSTM states cannot be stacked.
-        occupancy = registry.histogram("engine_batch_occupancy").labels()
-        assert occupancy.percentile(50) == 3
 
     def test_batched_prefill_equals_single(self, model):
         # Equal-length prompts admitted in one wave each prefill as
@@ -500,67 +479,66 @@ class TestOneEntryPerPrompt:
 
     def test_slid_entries_are_never_cut(self):
         # A 100-token prompt on a 64-token context slides: its final
-        # state's row 0 is no longer token 0, so nothing may be cut
-        # from it.  It keeps its boundary entries instead (32, 64, 96)
-        # and the budget here keeps only the two slid ones.
+        # state's row 0 is no longer token 0, so nothing may be cut from
+        # it.  It still leaves exactly one entry, and a query sharing
+        # only a prefix of it misses and prefills cold — the same bits.
         model = distilgpt2(vocab_size=VOCAB, context_length=64)
         prompt = _prompt(502, 100)
-        config = GenerationConfig(max_new_tokens=3, seed=0)
-        with InferenceEngine(model) as probe:
-            probe.generate(prompt, config)
-            sizes = {len(key): nbytes for key, _, nbytes
-                     in probe.prefix_cache.entries_snapshot()}
-        assert sorted(sizes) == [32, 64, 96, 100]
-        budget = sizes[96] + sizes[100]
         query = prompt[:40] + [(t + 1) % VOCAB for t in prompt[40:50]]
-        with InferenceEngine(model, EngineConfig(
-                prefix_cache_bytes=budget)) as engine:
-            engine.generate(prompt, config)
-            assert [len(key) for key, _, _
-                    in engine.prefix_cache.entries_snapshot()] == [96, 100]
+        config = GenerationConfig(max_new_tokens=3, seed=0)
+        with InferenceEngine(model) as engine:
+            assert engine.generate(prompt, config) == _sequential(
+                model, prompt, config)
+            (key, (_, state), _), = engine.prefix_cache.entries_snapshot()
+            assert key == tuple(prompt)
+            assert state.position == model.config.context_length
+            assert all(model.prefix_state(state, depth) is None
+                       for depth in (32, 64, 96))
             assert engine.generate(query, config) == _sequential(
                 model, query, config)
             stats = engine.prefix_cache.stats
             assert (stats.hits, stats.hit_tokens) == (0, 0)
             entries = {key: value for key, value, _
                        in engine.prefix_cache.entries_snapshot()}
+        assert list(entries) == [tuple(prompt), tuple(query)]
         _assert_entry_is_cold_prefill(model, tuple(query),
                                       entries[tuple(query)])
 
-    @pytest.mark.parametrize("family", ["lstm", "gpt_neo"])
-    def test_models_that_cannot_cut_keep_boundary_entries(self, family):
-        if family == "lstm":
-            model = LSTMLanguageModel(LSTMConfig(
-                vocab_size=VOCAB, d_embed=8, d_hidden=16, num_layers=1,
-                dropout=0.0))
-        else:
-            model = gpt_neo_small(vocab_size=VOCAB, context_length=128)
-        assert model.prefix_state(model.start_state(1), 0) is None
-        prompt = _prompt(503, 70)
-        query = prompt[:66] + [(t + 1) % VOCAB for t in prompt[66:70]]
-        config = GenerationConfig(max_new_tokens=4, seed=2)
-        with InferenceEngine(model) as engine:
-            engine.generate(prompt, config)
-            assert [len(key) for key, _, _
-                    in engine.prefix_cache.entries_snapshot()] == [32, 64, 70]
-            assert engine.generate(query, config) == _sequential(
-                model, query, config)
-            assert engine.prefix_cache.stats.hit_tokens == 64
+
+class TestGpt2Only:
+    """The engine serves GPT-2; every other model decodes through
+    ``models.generate`` and is refused at construction."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: word_lstm(vocab_size=VOCAB),
+        lambda: gpt_neo_small(vocab_size=VOCAB, context_length=64),
+    ], ids=["word_lstm", "gpt_neo"])
+    def test_other_models_are_refused(self, build):
+        def engines():
+            return {thread for thread in threading.enumerate()
+                    if thread.name == "repro-engine"}
+
+        before = engines()
+        with pytest.raises(ValueError, match="GPT-2 models only.*"
+                                             "repro.models.generate"):
+            InferenceEngine(build())
+        assert engines() <= before  # refused before its thread started
 
 
-class _GatedModel(LSTMLanguageModel):
-    """LSTM whose first forward blocks until the test opens the gate."""
+class _GatedModel(GPT2Model):
+    """Tiny GPT-2 whose prefills block until the test opens the gate."""
 
     def __init__(self):
-        super().__init__(LSTMConfig(vocab_size=16, d_embed=4, d_hidden=8,
-                                    num_layers=1, dropout=0.0))
+        super().__init__(GPT2Config(vocab_size=16, context_length=32,
+                                    d_model=16, num_layers=1, num_heads=2,
+                                    d_ff=32, dropout=0.0))
         self.gate = threading.Event()
         self.entered = threading.Event()
 
-    def next_logits(self, ids, state):
+    def prefill(self, ids, state):
         self.entered.set()
         self.gate.wait(timeout=10)
-        return super().next_logits(ids, state)
+        return super().prefill(ids, state)
 
 
 class TestBackpressureAndShutdown:

@@ -120,21 +120,17 @@ class TestVerifyChunk:
                                                     seq_state)
             np.testing.assert_array_equal(resumed, expected)
 
-    def test_default_fallback_for_models_without_fast_path(self):
-        # LanguageModel.verify_chunk's default walks next_logits, so
-        # any model (here: LSTM) can sit behind a speculative decoder.
-        lstm = LSTMLanguageModel(LSTMConfig(vocab_size=16, d_embed=4,
+    def test_draft_on_a_model_without_verify_chunk_raises(self, draft):
+        # Only GPT-2 verifies a chunk in one call; an LSTM behind a
+        # draft is refused by name before any prefill runs.
+        lstm = LSTMLanguageModel(LSTMConfig(vocab_size=VOCAB, d_embed=4,
                                             d_hidden=8, num_layers=1,
                                             dropout=0.0))
-        prompt = [1, 2, 3]
-        chunk = [4, 5, 6]
-        _, state = prefill_prompt(lstm, prompt)
-        chunk_logits, states = lstm.verify_chunk(np.asarray([chunk]), state)
-
-        _, walk = prefill_prompt(lstm, prompt)
-        for step, token in enumerate(chunk):
-            logits, walk = lstm.next_logits(np.asarray([token]), walk)
-            np.testing.assert_array_equal(chunk_logits[0, step], logits[0])
+        lstm.prefill = lstm.next_logits = None  # any call would fail
+        config = GenerationConfig(max_new_tokens=8, strategy="greedy",
+                                  speculative_k=3)
+        with pytest.raises(ValueError, match="verify_chunk"):
+            _speculative(lstm, [1, 2, 3], config, draft)
 
     def test_context_overflow_raises(self, model):
         prompt = _prompt(1, 126)

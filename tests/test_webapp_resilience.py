@@ -25,9 +25,9 @@ from repro.webapp import Request, create_backend
 @pytest.fixture(scope="module")
 def pipeline():
     config = PipelineConfig(
-        model_name="word-lstm",
+        model_name="distilgpt2",
         training=TrainingConfig(max_steps=5, batch_size=4, eval_every=10**9))
-    return Ratatouille.quickstart(model_name="word-lstm", num_recipes=30,
+    return Ratatouille.quickstart(model_name="distilgpt2", num_recipes=30,
                                   seed=0, config=config)
 
 
@@ -197,12 +197,14 @@ class TestDegradedMode:
 class TestEngineDeathMidRequest:
     """Crash the one engine while a request is mid-decode.
 
-    The engine thread is held at the victim's ``at_call``-th model call
-    until a second request is queued behind it; that request's
+    The engine thread is held at the victim's ``at_call``-th decode
+    call until a second request is queued behind it; that request's
     admission is lookup #1 on the injector's index stream, where the
-    fault crashes the loop — with the victim at least one token in.
-    The word-LSTM prefills one call per prompt token, then decodes one
-    call per step, after that step's token is delivered.
+    fault crashes the loop — with the victim ``at_call`` tokens in.
+    GPT-2 prefills through ``prefill``, so only decode steps count: one
+    list-form ``next_logits`` call per step, after that step's token is
+    delivered (a lone row's call re-enters ``next_logits`` with its
+    bare state, which is not counted).
     """
 
     VICTIM = {"ingredients": ["garlic", "onion"], "strategy": "greedy",
@@ -251,7 +253,7 @@ class TestEngineDeathMidRequest:
         return response.status, None, _body(response)
 
     def _kill_mid_decode(self, pipeline, app, transport, victim=VICTIM,
-                         at_call=3, while_restarting=None):
+                         at_call=1, while_restarting=None):
         """Run ``victim`` over ``transport`` and BYSTANDER over
         ``/api/generate`` across the kill, calling ``while_restarting``
         during the restart backoff; returns both outcomes."""
@@ -260,12 +262,13 @@ class TestEngineDeathMidRequest:
         reached, proceed = threading.Event(), threading.Event()
         calls = [0]
 
-        def gated(*args, **kwargs):
-            calls[0] += 1
-            if calls[0] == at_call:
-                reached.set()
-                proceed.wait(timeout=30)
-            return forward(*args, **kwargs)
+        def gated(ids, state):
+            if isinstance(state, list):
+                calls[0] += 1
+                if calls[0] == at_call:
+                    reached.set()
+                    proceed.wait(timeout=30)
+            return forward(ids, state)
 
         outcomes = {}
 
@@ -337,10 +340,10 @@ class TestEngineDeathMidRequest:
         # client opted into a partial recipe and its request held k.
         k = 3
         victim = {**self.VICTIM, "deadline_ms": 500.0, "partial": True}
-        prompt_text, prompt_ids = pipeline.prepare_prompt(
+        prompt_text = pipeline.prepare_prompt(
             victim["ingredients"], generation=GenerationConfig(
                 strategy="greedy", seed=victim["seed"],
-                max_new_tokens=victim["max_new_tokens"]))[:2]
+                max_new_tokens=victim["max_new_tokens"]))[0]
         tokens, _ = self._oracle(pipeline, self.VICTIM)
         partial = pipeline.finish_recipe(prompt_text, tokens[:k],
                                          victim["ingredients"])
@@ -351,7 +354,7 @@ class TestEngineDeathMidRequest:
         try:
             (status, _, body), (other_status, _, _) = self._kill_mid_decode(
                 pipeline, app, "sync", victim=victim,
-                at_call=len(prompt_ids) + k,
+                at_call=k,
                 while_restarting=lambda: clock.advance(0.6))
             assert (status, other_status) == (200, 200)
             assert body["partial"] is True and body["deadline_ms"] == 500.0

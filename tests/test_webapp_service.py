@@ -9,9 +9,11 @@ Deadlines run on a clock that ticks once per model decode step, so
 "expires after a few tokens" is exact, not a race against wall time.
 """
 
+import ast
 import json
 import pathlib
 import re
+import threading
 import time
 
 import pytest
@@ -210,6 +212,21 @@ class TestAdmitBeforeRetrieve:
             app.shutdown_gracefully(deadline_seconds=5)
 
 
+def test_backend_refuses_a_model_the_engine_does_not_serve():
+    # `repro serve --checkpoint <lstm>` fails at startup, by name, and
+    # leaves no thread behind: there is no second decode path.
+    config = PipelineConfig(
+        model_name="word-lstm",
+        training=TrainingConfig(max_steps=1, batch_size=4,
+                                eval_every=10**9))
+    pipeline = Ratatouille.quickstart(model_name="word-lstm",
+                                      num_recipes=10, seed=0, config=config)
+    before = set(threading.enumerate())
+    with pytest.raises(ValueError, match="GPT-2 models only"):
+        create_backend(pipeline, registry=MetricsRegistry())
+    assert set(threading.enumerate()) <= before
+
+
 SRC = pathlib.Path(__file__).parents[1] / "src" / "repro"
 
 
@@ -223,13 +240,20 @@ def test_webapp_never_asks_which_engine_type_it_holds():
 def test_engine_recovery_runs_on_the_engine_thread():
     # Crash recovery lives inside the engine loop: no second thread
     # watches the engine, and the wrapper it once needed stays deleted.
+    # The engine serves GPT-2 alone: no row-by-row arm for models that
+    # cannot decode ragged batches, and no base-class serving hooks.
     threads = re.compile(r"threading\.Thread\(")
     assert not [path.name for path in (SRC / "resilience").glob("*.py")
                 if threads.search(path.read_text("utf-8"))]
     engine = (SRC / "serving" / "engine.py").read_text("utf-8")
     assert len(threads.findall(engine)) == 1
+    base = ast.parse((SRC / "models" / "base.py").read_text("utf-8"))
+    defined = {node.name for node in ast.walk(base)
+               if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"fits", "prefix_state", "compact_state",
+                          "verify_chunk"}
     gone = re.compile(r"\b(EngineSupervisor|SupervisedRequest|"
-                      r"sequential_fallback|poll_seconds)\b")
+                      r"sequential_fallback|poll_seconds|ragged_decode)\b")
     # backoff_multiplier stays legal in the HTTP client's RetryPolicy.
     multiplier = re.compile(r"\bbackoff_multiplier\b")
     offenders = [str(path.relative_to(SRC)) for path in SRC.rglob("*.py")
