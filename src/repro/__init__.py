@@ -13,8 +13,12 @@ Quickstart::
     print(app.generate(["chicken breast", "garlic", "rice"]).pretty())
 """
 
-from .core import GeneratedRecipe, PipelineConfig, Ratatouille
+from ._exports import export_lazily
 
 __version__ = "1.0.0"
 
 __all__ = ["GeneratedRecipe", "PipelineConfig", "Ratatouille", "__version__"]
+
+__getattr__, __dir__ = export_lazily(__name__, {
+    "core": ("GeneratedRecipe", "PipelineConfig", "Ratatouille"),
+})

@@ -26,11 +26,10 @@ from typing import List, Optional
 from .core import PipelineConfig, Ratatouille
 from .core.registry import get_spec, model_names
 from .models import GenerationConfig
-from .preprocess import PreprocessConfig, preprocess
-from .recipedb import export_csv, generate_corpus, load_jsonl, save_jsonl
-from .training import TrainingConfig
-from .webapp.framework import Server
-from .webapp.serve import add_backend_arguments, build_backend, serve
+from .webapp.serve import add_backend_arguments
+
+# Corpus synthesis, preprocessing, training and the server loop are
+# imported by the commands that use them.
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -147,6 +146,8 @@ def _read_texts(path: str) -> List[str]:
 
 
 def cmd_corpus(args: argparse.Namespace) -> int:
+    from .recipedb import export_csv, generate_corpus, save_jsonl
+
     recipes = generate_corpus(
         args.num, seed=args.seed, duplicate_rate=args.duplicate_rate,
         incomplete_rate=args.incomplete_rate, oversize_rate=args.oversize_rate)
@@ -159,6 +160,9 @@ def cmd_corpus(args: argparse.Namespace) -> int:
 
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
+    from .preprocess import PreprocessConfig, preprocess
+    from .recipedb import load_jsonl
+
     recipes = load_jsonl(args.input)
     config = PreprocessConfig(
         max_chars=args.max_chars,
@@ -177,6 +181,8 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    from .training import TrainingConfig
+
     texts = _read_texts(args.texts)
     config = PipelineConfig(
         model_name=args.model,
@@ -281,11 +287,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the backend API (``python -m repro.webapp.serve backend``)."""
+    from .webapp.framework import Server
+    from .webapp.serve import build_backend, serve
+
     return serve(Server(build_backend(args), host=args.host, port=args.port))
 
 
 def cmd_index(args: argparse.Namespace) -> int:
     """Build the semantic recipe index and persist it to a directory."""
+    from .recipedb import generate_corpus, load_jsonl
     from .retrieval import RecipeIndex
 
     if args.input:

@@ -3,9 +3,22 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from ..preprocess import PreprocessConfig
-from ..training import TrainingConfig
+if TYPE_CHECKING:
+    from ..preprocess import PreprocessConfig
+    from ..training import TrainingConfig
+
+
+# Built on first use, so importing the config loads neither package.
+def _preprocess_config() -> PreprocessConfig:
+    from ..preprocess import PreprocessConfig
+    return PreprocessConfig()
+
+
+def _training_config() -> TrainingConfig:
+    from ..training import TrainingConfig
+    return TrainingConfig()
 
 
 @dataclass
@@ -23,8 +36,8 @@ class PipelineConfig:
     model_seed: int = 0
     seq_len: int = 128
     val_fraction: float = 0.1
-    preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
-    training: TrainingConfig = field(default_factory=TrainingConfig)
+    preprocess: PreprocessConfig = field(default_factory=_preprocess_config)
+    training: TrainingConfig = field(default_factory=_training_config)
 
     def validate(self) -> None:
         if self.num_recipes < 2:

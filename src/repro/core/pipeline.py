@@ -19,20 +19,32 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..evaluate import corpus_bleu, score_structure
+from ..evaluate import score_structure
 from ..models import ChecklistBonus, GenerationConfig, LanguageModel, generate
-from ..preprocess import (INSTR_START, PreprocessingPipeline, decode_numbers,
-                          encode_numbers, format_prompt, parse_recipe)
-from ..recipedb import generate_corpus
+from ..preprocess import (INSTR_START, decode_numbers, encode_numbers,
+                          format_prompt, parse_recipe)
 from ..tokenizers import Tokenizer
-from ..training import LMDataset, Trainer, TrainingResult, train_val_split
 from .checkpoints import load_checkpoint, save_checkpoint
 from .config import PipelineConfig
 from .registry import get_spec
+
+if TYPE_CHECKING:
+    from ..training import TrainingResult
+
+# Training, corpus synthesis and BLEU are imported by the methods that
+# use them: loading a checkpoint to serve it needs none of them.
+
+
+def _training_corpus(config: PipelineConfig, num_recipes: Optional[int],
+                     seed: Optional[int]) -> list:
+    from ..recipedb import generate_corpus
+    return generate_corpus(
+        num_recipes if num_recipes is not None else config.num_recipes,
+        seed=seed if seed is not None else config.corpus_seed)
 
 
 @dataclass
@@ -68,8 +80,20 @@ class Ratatouille:
                  training_result: Optional[TrainingResult] = None) -> None:
         self.model = model
         self.tokenizer = tokenizer
-        self.config = config or PipelineConfig()
+        self._config = config
         self.training_result = training_result
+
+    @property
+    def config(self) -> PipelineConfig:
+        # A loaded checkpoint carries no config; the default is built on
+        # first read, so serving one never imports training.
+        if self._config is None:
+            self._config = PipelineConfig()
+        return self._config
+
+    @config.setter
+    def config(self, config: PipelineConfig) -> None:
+        self._config = config
 
     # ------------------------------------------------------------------
     # Construction
@@ -78,6 +102,8 @@ class Ratatouille:
     def from_texts(cls, texts: Sequence[str],
                    config: Optional[PipelineConfig] = None) -> "Ratatouille":
         """Train a new pipeline on preprocessed recipe texts."""
+        from ..training import LMDataset, Trainer, train_val_split
+
         config = config or PipelineConfig()
         config.validate()
         spec = get_spec(config.model_name)
@@ -96,6 +122,9 @@ class Ratatouille:
                    num_recipes: int = 300, seed: int = 0,
                    config: Optional[PipelineConfig] = None) -> "Ratatouille":
         """Synthesize a corpus, preprocess it and train, in one call."""
+        from ..preprocess import PreprocessingPipeline
+        from ..recipedb import generate_corpus
+
         config = config or PipelineConfig()
         config.model_name = model_name
         config.num_recipes = num_recipes
@@ -117,10 +146,9 @@ class Ratatouille:
         few seconds even for large corpora.
         """
         from ..models.speculative import NGramDraft
+        from ..preprocess import PreprocessingPipeline
 
-        recipes = generate_corpus(
-            num_recipes if num_recipes is not None else self.config.num_recipes,
-            seed=seed if seed is not None else self.config.corpus_seed)
+        recipes = _training_corpus(self.config, num_recipes, seed)
         texts, _ = PreprocessingPipeline(self.config.preprocess).run(recipes)
         sequences = [self.tokenizer.encode(text) for text in texts]
         return NGramDraft.fit(sequences, self.tokenizer.vocab_size,
@@ -139,9 +167,7 @@ class Ratatouille:
         """
         from ..retrieval import RecipeIndex
 
-        recipes = generate_corpus(
-            num_recipes if num_recipes is not None else self.config.num_recipes,
-            seed=seed if seed is not None else self.config.corpus_seed)
+        recipes = _training_corpus(self.config, num_recipes, seed)
         return RecipeIndex.from_recipes(recipes, embedding=embedding,
                                         registry=registry)
 
@@ -270,6 +296,8 @@ class Ratatouille:
         BLEU compares the generated continuation to the reference one.
         Returns ``(bleu, generated_texts)``.
         """
+        from ..evaluate import corpus_bleu
+
         candidates: List[List[str]] = []
         references: List[List[List[str]]] = []
         generated_texts: List[str] = []

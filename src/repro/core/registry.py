@@ -12,11 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence
 
-from ..models import (GPT2Config, GPT2Model, GPTNeoConfig, GPTNeoModel,
-                      LanguageModel, LSTMConfig, LSTMLanguageModel, char_lstm,
-                      distilgpt2, gpt2_medium, gpt_neo_small, word_lstm)
-from ..tokenizers import (BPETokenizer, CharTokenizer, Tokenizer,
-                          WordTokenizer)
+from ..models import (GPT2Config, GPT2Model, LanguageModel, distilgpt2,
+                      gpt2_medium)
+from ..tokenizers import BPETokenizer, Tokenizer
 
 
 @dataclass(frozen=True)
@@ -62,31 +60,60 @@ def build_from_config(config: dict) -> LanguageModel:
     config = dict(config)
     model_type = config.pop("model_type", None)
     if model_type == "lstm":
+        from ..models import LSTMConfig, LSTMLanguageModel
         return LSTMLanguageModel(LSTMConfig(**config))
     if model_type == "gpt2":
         return GPT2Model(GPT2Config(**config))
     if model_type == "gpt_neo":
+        from ..models import GPTNeoConfig, GPTNeoModel
         return GPTNeoModel(GPTNeoConfig(**config))
     raise ValueError(f"unknown model_type {model_type!r} in checkpoint")
 
 
-register(ModelSpec(
-    name="char-lstm",
-    display_name="Char-level LSTM",
+# The LSTM, GPT-Neo and char/word tokenizer modules are imported only
+# when one of those models is built; serving GPT-2 never loads them.
+def _char_tokenizer(texts: Sequence[str]) -> Tokenizer:
+    from ..tokenizers import CharTokenizer
     # atomic_specials keeps structure tags whole; natural text is still
     # character-by-character.  The paper's char-LSTM trained to
     # convergence on an A100 and could learn to spell the tags; at
     # CPU-scale budgets that alone consumes the model (BLEU pins to 0),
     # so tags-as-symbols is the documented substitution (DESIGN.md).
-    build_tokenizer=lambda texts: CharTokenizer(texts, atomic_specials=True),
-    build_model=lambda vocab, seed: char_lstm(vocab, seed=seed),
+    return CharTokenizer(texts, atomic_specials=True)
+
+
+def _word_tokenizer(texts: Sequence[str]) -> Tokenizer:
+    from ..tokenizers import WordTokenizer
+    return WordTokenizer(texts)
+
+
+def _char_lstm(vocab: int, seed: int) -> LanguageModel:
+    from ..models import char_lstm
+    return char_lstm(vocab, seed=seed)
+
+
+def _word_lstm(vocab: int, seed: int) -> LanguageModel:
+    from ..models import word_lstm
+    return word_lstm(vocab, seed=seed)
+
+
+def _gpt_neo_small(vocab: int, seed: int) -> LanguageModel:
+    from ..models import gpt_neo_small
+    return gpt_neo_small(vocab, seed=seed)
+
+
+register(ModelSpec(
+    name="char-lstm",
+    display_name="Char-level LSTM",
+    build_tokenizer=_char_tokenizer,
+    build_model=_char_lstm,
     paper_bleu=0.347,
 ))
 register(ModelSpec(
     name="word-lstm",
     display_name="Word-level LSTM",
-    build_tokenizer=lambda texts: WordTokenizer(texts),
-    build_model=lambda vocab, seed: word_lstm(vocab, seed=seed),
+    build_tokenizer=_word_tokenizer,
+    build_model=_word_lstm,
     paper_bleu=0.412,
 ))
 register(ModelSpec(
@@ -107,6 +134,6 @@ register(ModelSpec(
     name="gpt-neo",
     display_name="GPT-Neo (future work)",
     build_tokenizer=lambda texts: BPETokenizer(texts, num_merges=800),
-    build_model=lambda vocab, seed: gpt_neo_small(vocab, seed=seed),
+    build_model=_gpt_neo_small,
     paper_bleu=float("nan"),
 ))

@@ -17,15 +17,7 @@ Three cooperating layers over the serving stack:
 backend and the CLI call.
 """
 
-from .constraints import (Constraints, DIET_RULES, DIETS,
-                          MAX_CONSTRAINT_NAMES, PhraseBlocker,
-                          apply_constraints_to_prompt, estimate_calories,
-                          parse_constraints, violations)
-from .driver import (build_constrained_processors, grammar_for,
-                     run_constrained_generation)
-from .grammar import MIN_BUDGET, GrammarMask, RecipeGrammar
-from .mcts import EXPANSION_CHUNK, MAX_CHILDREN, MCTSDecoder, SearchResult
-from .reward import NEUTRAL_NOVELTY, RecipeReward, RewardBreakdown, WEIGHTS
+from .._exports import export_lazily
 
 __all__ = [
     "Constraints", "DIET_RULES", "DIETS", "MAX_CONSTRAINT_NAMES",
@@ -37,3 +29,16 @@ __all__ = [
     "EXPANSION_CHUNK", "MAX_CHILDREN", "MCTSDecoder", "SearchResult",
     "NEUTRAL_NOVELTY", "RecipeReward", "RewardBreakdown", "WEIGHTS",
 ]
+
+__getattr__, __dir__ = export_lazily(__name__, {
+    "constraints": ("Constraints", "DIET_RULES", "DIETS",
+                    "MAX_CONSTRAINT_NAMES", "PhraseBlocker",
+                    "apply_constraints_to_prompt", "estimate_calories",
+                    "parse_constraints", "violations"),
+    "driver": ("build_constrained_processors", "grammar_for",
+               "run_constrained_generation"),
+    "grammar": ("MIN_BUDGET", "GrammarMask", "RecipeGrammar"),
+    "mcts": ("EXPANSION_CHUNK", "MAX_CHILDREN", "MCTSDecoder", "SearchResult"),
+    "reward": ("NEUTRAL_NOVELTY", "RecipeReward", "RewardBreakdown",
+               "WEIGHTS"),
+})

@@ -13,11 +13,7 @@ Three pieces, layered under ``repro serve``:
   implemented in ``repro.webapp`` on top of the two primitives above.
 """
 
-from .atomic import (atomic_write_bytes, atomic_write_json,
-                     atomic_write_text, fsync_dir, fsync_file)
-from .journal import (COMPLETION_STATUSES, JobJournal, JournalError,
-                      JournalState)
-from .spill import CacheSpill, SpillError, model_fingerprint
+from .._exports import export_lazily
 
 __all__ = [
     "COMPLETION_STATUSES",
@@ -33,3 +29,11 @@ __all__ = [
     "fsync_file",
     "model_fingerprint",
 ]
+
+__getattr__, __dir__ = export_lazily(__name__, {
+    "atomic": ("atomic_write_bytes", "atomic_write_json", "atomic_write_text",
+               "fsync_dir", "fsync_file"),
+    "journal": ("COMPLETION_STATUSES", "JobJournal", "JournalError",
+                "JournalState"),
+    "spill": ("CacheSpill", "SpillError", "model_fingerprint"),
+})

@@ -1,16 +1,6 @@
 """Evaluation: BLEU (Table I), perplexity, diversity, structure."""
 
-from .bleu import BleuResult, brevity_penalty, corpus_bleu, ngrams, sentence_bleu
-from .diversity import corpus_novelty, distinct_n, novelty, self_bleu
-from .perplexity import bits_per_token, perplexity
-from .report import (EvaluationReport, ModelEvaluation,
-                     attach_retrieval_novelty)
-from .significance import (BootstrapResult, PermutationResult,
-                           bootstrap_interval, paired_permutation_test,
-                           segment_bleu_scores)
-from .rouge import RougeScore, corpus_rouge, rouge_l, rouge_n
-from .structure import (StructureScore, content_words, score_structure,
-                        validity_rate)
+from .._exports import export_lazily
 
 __all__ = [
     "BleuResult", "EvaluationReport", "ModelEvaluation", "StructureScore",
@@ -22,3 +12,18 @@ __all__ = [
     "paired_permutation_test", "segment_bleu_scores",
     "score_structure", "self_bleu", "sentence_bleu", "validity_rate",
 ]
+
+__getattr__, __dir__ = export_lazily(__name__, {
+    "bleu": ("BleuResult", "brevity_penalty", "corpus_bleu", "ngrams",
+             "sentence_bleu"),
+    "diversity": ("corpus_novelty", "distinct_n", "novelty", "self_bleu"),
+    "perplexity": ("bits_per_token", "perplexity"),
+    "report": ("EvaluationReport", "ModelEvaluation",
+               "attach_retrieval_novelty"),
+    "significance": ("BootstrapResult", "PermutationResult",
+                     "bootstrap_interval", "paired_permutation_test",
+                     "segment_bleu_scores"),
+    "rouge": ("RougeScore", "corpus_rouge", "rouge_l", "rouge_n"),
+    "structure": ("StructureScore", "content_words", "score_structure",
+                  "validity_rate"),
+})

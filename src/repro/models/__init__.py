@@ -9,21 +9,7 @@ plus the future-work :mod:`repro.models.gpt_neo` extension and the
 decoding strategies in :mod:`repro.models.generation`.
 """
 
-from .base import LanguageModel
-from .generation import (PREFILL_CHUNK, ChecklistBonus, GenerationConfig,
-                         LogitsProcessor, RepetitionPenalty, SpecWalkOutcome,
-                         build_processors, draft_context, generate,
-                         prefill_prompt, sampling_distribution,
-                         select_next_token, speculative_walk)
-from .gpt2 import GPT2Config, GPT2Model, GPT2State, distilgpt2, gpt2_medium
-from .gpt_neo import GPTNeoConfig, GPTNeoModel, gpt_neo_small
-from .lstm import LSTMConfig, LSTMLanguageModel, char_lstm, word_lstm
-from .ngram import NGramLanguageModel
-from .speculative import (DraftModel, NGramDraft, SpeculativeMetrics,
-                          resolve_draft)
-from .inspection import (attention_maps, render_attention_ascii, surprisal,
-                         top_next_tokens)
-from .summary import group_by_top_level, memory_megabytes, summarize
+from .._exports import export_lazily
 
 __all__ = [
     "ChecklistBonus", "DraftModel", "GenerationConfig", "GPT2Config",
@@ -38,3 +24,22 @@ __all__ = [
     "top_next_tokens", "group_by_top_level", "memory_megabytes",
     "summarize", "gpt2_medium", "gpt_neo_small", "word_lstm",
 ]
+
+__getattr__, __dir__ = export_lazily(__name__, {
+    "base": ("LanguageModel",),
+    "generation": ("PREFILL_CHUNK", "ChecklistBonus", "GenerationConfig",
+                   "LogitsProcessor", "RepetitionPenalty", "SpecWalkOutcome",
+                   "build_processors", "draft_context", "generate",
+                   "prefill_prompt", "sampling_distribution",
+                   "select_next_token", "speculative_walk"),
+    "gpt2": ("GPT2Config", "GPT2Model", "GPT2State", "distilgpt2",
+             "gpt2_medium"),
+    "gpt_neo": ("GPTNeoConfig", "GPTNeoModel", "gpt_neo_small"),
+    "lstm": ("LSTMConfig", "LSTMLanguageModel", "char_lstm", "word_lstm"),
+    "ngram": ("NGramLanguageModel",),
+    "speculative": ("DraftModel", "NGramDraft", "SpeculativeMetrics",
+                    "resolve_draft"),
+    "inspection": ("attention_maps", "render_attention_ascii", "surprisal",
+                   "top_next_tokens"),
+    "summary": ("group_by_top_level", "memory_megabytes", "summarize"),
+})

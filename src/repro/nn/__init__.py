@@ -8,16 +8,7 @@ attention (:mod:`repro.nn.attention`), optimizers
 (:mod:`repro.nn.optim`) and LR schedules (:mod:`repro.nn.schedule`).
 """
 
-from . import functional
-from .attention import CausalSelfAttention, KVCache, MLP, TransformerBlock
-from .kernels import InferenceKernels, WeightStore
-from .layers import Dropout, Embedding, LayerNorm, Linear, Sequential
-from .module import Module, ModuleList, Parameter
-from .optim import Adam, AdamW, Optimizer, SGD, clip_grad_norm
-from .rnn import LSTM, LSTMCell, LSTMState
-from .schedule import (ConstantLR, CosineWarmupLR, LinearWarmupLR, LRSchedule,
-                       schedule_from_name)
-from .tensor import Tensor, is_grad_enabled, no_grad, ones, tensor, zeros
+from .._exports import export_lazily
 
 __all__ = [
     "Adam", "AdamW", "CausalSelfAttention", "ConstantLR", "CosineWarmupLR",
@@ -28,3 +19,17 @@ __all__ = [
     "clip_grad_norm", "functional", "is_grad_enabled", "no_grad", "ones",
     "schedule_from_name", "tensor", "zeros",
 ]
+
+__getattr__, __dir__ = export_lazily(__name__, {
+    "functional": ("functional",),
+    "attention": ("CausalSelfAttention", "KVCache", "MLP", "TransformerBlock"),
+    "kernels": ("InferenceKernels", "WeightStore"),
+    "layers": ("Dropout", "Embedding", "LayerNorm", "Linear", "Sequential"),
+    "module": ("Module", "ModuleList", "Parameter"),
+    "optim": ("Adam", "AdamW", "Optimizer", "SGD", "clip_grad_norm"),
+    "rnn": ("LSTM", "LSTMCell", "LSTMState"),
+    "schedule": ("ConstantLR", "CosineWarmupLR", "LinearWarmupLR",
+                 "LRSchedule", "schedule_from_name"),
+    "tensor": ("Tensor", "is_grad_enabled", "no_grad", "ones", "tensor",
+               "zeros"),
+})

@@ -14,12 +14,7 @@ Instrumented modules default to the process-wide :func:`get_registry`
 to turn recording off on a call-by-call basis.
 """
 
-from .clock import Clock, ManualClock, SystemClock
-from .export import render_json, render_json_text, render_text
-from .metrics import (Counter, Gauge, Histogram, MetricFamily,
-                      MetricsRegistry, NullRegistry, get_registry,
-                      set_registry)
-from .trace import NullTracer, Span, Tracer, get_tracer, set_tracer
+from .._exports import export_lazily
 
 __all__ = [
     "Clock", "Counter", "Gauge", "Histogram", "ManualClock", "MetricFamily",
@@ -27,3 +22,12 @@ __all__ = [
     "Tracer", "get_registry", "get_tracer", "render_json",
     "render_json_text", "render_text", "set_registry", "set_tracer",
 ]
+
+__getattr__, __dir__ = export_lazily(__name__, {
+    "clock": ("Clock", "ManualClock", "SystemClock"),
+    "export": ("render_json", "render_json_text", "render_text"),
+    "metrics": ("Counter", "Gauge", "Histogram", "MetricFamily",
+                "MetricsRegistry", "NullRegistry", "get_registry",
+                "set_registry"),
+    "trace": ("NullTracer", "Span", "Tracer", "get_tracer", "set_tracer"),
+})

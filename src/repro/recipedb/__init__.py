@@ -9,24 +9,7 @@ a grammar-based corpus generator (:mod:`~repro.recipedb.generator`)
 and an indexed in-memory database (:mod:`~repro.recipedb.database`).
 """
 
-from .crawl import render_crawl_corpus, render_crawl_text
-from .substitutions import (DIET_RULES, Substitution, SubstitutionEngine,
-                            available_diets)
-from .analysis import (ZipfFit, cooccurrence, corpus_report,
-                       pmi_pairs, process_distribution,
-                       region_distribution, zipf_fit)
-from .database import CorpusStats, RecipeDatabase
-from .generator import CorpusConfig, RecipeGenerator, generate_corpus
-from .ingredients import (CATEGORIES, IngredientCatalog, default_catalog,
-                          full_scale_catalog)
-from .io import export_csv, load_jsonl, save_jsonl
-from .pairing import PairingGraph
-from .processes import PROCESSES, PROCESS_KIND, processes_of_kind, validate_processes
-from .regions import (CONTINENTS, COUNTRIES, REGIONS, REGION_TABLE,
-                      continent_of, countries_of, locate_country,
-                      validate_taxonomy)
-from .schema import (Ingredient, Instruction, NutritionProfile, Quantity,
-                     Recipe, RecipeIngredient)
+from .._exports import export_lazily
 
 __all__ = [
     "CATEGORIES", "CONTINENTS", "COUNTRIES", "CorpusConfig", "CorpusStats",
@@ -42,3 +25,24 @@ __all__ = [
     "DIET_RULES", "Substitution", "SubstitutionEngine", "available_diets",
     "render_crawl_corpus", "render_crawl_text",
 ]
+
+__getattr__, __dir__ = export_lazily(__name__, {
+    "crawl": ("render_crawl_corpus", "render_crawl_text"),
+    "substitutions": ("DIET_RULES", "Substitution", "SubstitutionEngine",
+                      "available_diets"),
+    "analysis": ("ZipfFit", "cooccurrence", "corpus_report", "pmi_pairs",
+                 "process_distribution", "region_distribution", "zipf_fit"),
+    "database": ("CorpusStats", "RecipeDatabase"),
+    "generator": ("CorpusConfig", "RecipeGenerator", "generate_corpus"),
+    "ingredients": ("CATEGORIES", "IngredientCatalog", "default_catalog",
+                    "full_scale_catalog"),
+    "io": ("export_csv", "load_jsonl", "save_jsonl"),
+    "pairing": ("PairingGraph",),
+    "processes": ("PROCESSES", "PROCESS_KIND", "processes_of_kind",
+                  "validate_processes"),
+    "regions": ("CONTINENTS", "COUNTRIES", "REGIONS", "REGION_TABLE",
+                "continent_of", "countries_of", "locate_country",
+                "validate_taxonomy"),
+    "schema": ("Ingredient", "Instruction", "NutritionProfile", "Quantity",
+               "Recipe", "RecipeIngredient"),
+})

@@ -25,10 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .admission import AdmissionController, OverloadShedError
-from .faults import (FAULT_POINTS, FaultInjector, FaultSpec, InjectedFault,
-                     fault_check, get_fault_injector, inject_faults,
-                     set_fault_injector)
+from .._exports import export_lazily
 
 __all__ = [
     "AdmissionController",
@@ -43,6 +40,13 @@ __all__ = [
     "inject_faults",
     "set_fault_injector",
 ]
+
+__getattr__, __dir__ = export_lazily(__name__, {
+    "admission": ("AdmissionController", "OverloadShedError"),
+    "faults": ("FAULT_POINTS", "FaultInjector", "FaultSpec", "InjectedFault",
+               "fault_check", "get_fault_injector", "inject_faults",
+               "set_fault_injector"),
+})
 
 
 @dataclass

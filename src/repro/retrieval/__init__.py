@@ -9,11 +9,7 @@ nearest-neighbour novelty / memorization scoring for generated recipes
 — lives in :mod:`repro.webapp.backend`.
 """
 
-from .embedding import EmbeddingConfig, TextEmbedder
-from .index import (LAYOUT_VERSION, RecipeIndex, SearchHit, exact_top_k,
-                    exists_on_disk, query_from_ingredients, recipe_document)
-from .novelty import (MEMORIZED_NOVELTY_THRESHOLD, NoveltyReport,
-                      NoveltySummary, summarize_novelty)
+from .._exports import export_lazily
 
 __all__ = [
     "EmbeddingConfig", "LAYOUT_VERSION", "MEMORIZED_NOVELTY_THRESHOLD",
@@ -21,3 +17,11 @@ __all__ = [
     "TextEmbedder", "exact_top_k", "exists_on_disk",
     "query_from_ingredients", "recipe_document", "summarize_novelty",
 ]
+
+__getattr__, __dir__ = export_lazily(__name__, {
+    "embedding": ("EmbeddingConfig", "TextEmbedder"),
+    "index": ("LAYOUT_VERSION", "RecipeIndex", "SearchHit", "exact_top_k",
+              "exists_on_disk", "query_from_ingredients", "recipe_document"),
+    "novelty": ("MEMORIZED_NOVELTY_THRESHOLD", "NoveltyReport",
+                "NoveltySummary", "summarize_novelty"),
+})

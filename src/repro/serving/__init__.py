@@ -7,13 +7,17 @@ bit-identical to the sequential :func:`repro.models.generate`.  See
 ``docs/SERVING.md`` for the design and its float-determinism rules.
 """
 
-from .engine import (DeadlineExceededError, EngineConfig, EngineCrashedError,
-                     EngineQueueFullError, EngineRequest, EngineStoppedError,
-                     EngineUnavailableError, InferenceEngine)
-from .prefix_cache import PrefixCache, PrefixCacheStats
+from .._exports import export_lazily
 
 __all__ = [
     "DeadlineExceededError", "EngineConfig", "EngineCrashedError",
     "EngineQueueFullError", "EngineRequest", "EngineStoppedError",
     "EngineUnavailableError", "InferenceEngine", "PrefixCache", "PrefixCacheStats",
 ]
+
+__getattr__, __dir__ = export_lazily(__name__, {
+    "engine": ("DeadlineExceededError", "EngineConfig", "EngineCrashedError",
+               "EngineQueueFullError", "EngineRequest", "EngineStoppedError",
+               "EngineUnavailableError", "InferenceEngine"),
+    "prefix_cache": ("PrefixCache", "PrefixCacheStats"),
+})

@@ -5,14 +5,19 @@ word-LSTM, and the GPT-2 variants.  All share the control/special
 token registry in :mod:`repro.tokenizers.special`.
 """
 
-from .base import Tokenizer, load_any
-from .bpe import BPETokenizer
-from .charlevel import CharTokenizer
-from .special import BOS, CONTROL_TOKENS, EOS, PAD, UNK, is_special, special_tokens
-from .wordlevel import WordTokenizer
+from .._exports import export_lazily
 
 __all__ = [
     "BOS", "BPETokenizer", "CONTROL_TOKENS", "CharTokenizer", "EOS", "PAD",
     "Tokenizer", "UNK", "WordTokenizer", "is_special", "load_any",
     "special_tokens",
 ]
+
+__getattr__, __dir__ = export_lazily(__name__, {
+    "base": ("Tokenizer", "load_any"),
+    "bpe": ("BPETokenizer",),
+    "charlevel": ("CharTokenizer",),
+    "special": ("BOS", "CONTROL_TOKENS", "EOS", "PAD", "UNK", "is_special",
+                "special_tokens"),
+    "wordlevel": ("WordTokenizer",),
+})

@@ -1,10 +1,6 @@
 """Training: packed LM dataset, trainer loop, callbacks."""
 
-from .callbacks import (Callback, CheckpointCallback, EarlyStopping,
-                        LossLogger, MetricsCallback)
-from .experiments import (ExperimentResult, Grid, RunRecord, run_experiment)
-from .dataset import LMDataset, train_val_split
-from .trainer import Trainer, TrainingConfig, TrainingResult
+from .._exports import export_lazily
 
 __all__ = [
     "Callback", "CheckpointCallback", "EarlyStopping", "LMDataset",
@@ -12,3 +8,11 @@ __all__ = [
     "TrainingConfig", "TrainingResult", "train_val_split",
     "ExperimentResult", "Grid", "RunRecord", "run_experiment",
 ]
+
+__getattr__, __dir__ = export_lazily(__name__, {
+    "callbacks": ("Callback", "CheckpointCallback", "EarlyStopping",
+                  "LossLogger", "MetricsCallback"),
+    "experiments": ("ExperimentResult", "Grid", "RunRecord", "run_experiment"),
+    "dataset": ("LMDataset", "train_val_split"),
+    "trainer": ("Trainer", "TrainingConfig", "TrainingResult"),
+})

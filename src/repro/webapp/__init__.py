@@ -6,16 +6,7 @@ static ingredient-picker frontend (ReactJS in the paper) — plus the
 dockerized-deployment config emitter (:mod:`.deploy`).
 """
 
-from .backend import create_backend
-from .client import (ApiError, CircuitBreaker, CircuitOpenError,
-                     RatatouilleClient, RetryPolicy, StreamInterrupted)
-from .deploy import (DeploymentConfig, ServiceSpec, render_compose,
-                     render_dockerfile, scale_out, write_deployment)
-from .framework import App, Request, Response, Server
-from .jobs import SHUTDOWN_ERROR, Job, JobQueue, JobStatus, QueueFullError
-from .middleware import (AccessRecord, MetricsMiddleware, RateLimiter,
-                         RequestLog)
-from .frontend import create_frontend, render_page
+from .._exports import export_lazily
 
 __all__ = [
     "ApiError", "App", "CircuitBreaker", "CircuitOpenError",
@@ -27,3 +18,17 @@ __all__ = [
     "render_compose", "render_dockerfile", "render_page", "scale_out",
     "write_deployment",
 ]
+
+__getattr__, __dir__ = export_lazily(__name__, {
+    "backend": ("create_backend",),
+    "client": ("ApiError", "CircuitBreaker", "CircuitOpenError",
+               "RatatouilleClient", "RetryPolicy", "StreamInterrupted"),
+    "deploy": ("DeploymentConfig", "ServiceSpec", "render_compose",
+               "render_dockerfile", "scale_out", "write_deployment"),
+    "framework": ("App", "Request", "Response", "Server"),
+    "jobs": ("SHUTDOWN_ERROR", "Job", "JobQueue", "JobStatus",
+             "QueueFullError"),
+    "middleware": ("AccessRecord", "MetricsMiddleware", "RateLimiter",
+                   "RequestLog"),
+    "frontend": ("create_frontend", "render_page"),
+})

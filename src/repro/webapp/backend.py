@@ -31,22 +31,26 @@ from __future__ import annotations
 
 import threading
 import uuid
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from ..core.pipeline import Ratatouille
-from ..durability import CacheSpill, JobJournal, JournalError
 from ..obs import (MetricsRegistry, Tracer, get_registry, get_tracer,
                    render_json, render_text)
-from ..recipedb import IngredientCatalog, PairingGraph, default_catalog
+from ..recipedb import IngredientCatalog, default_catalog
 from ..resilience import (AdmissionController, OverloadShedError,
                           ResilienceConfig)
-from ..retrieval import query_from_ingredients
 from ..serving import InferenceEngine
 from .framework import App, Handler, Request, Response
 from .jobs import JobQueue, QueueFullError
 from .service import (ERROR_STATUS, MAX_INGREDIENTS, MAX_MCTS_ROLLOUTS,
                       MAX_NEW_TOKENS_CAP, MAX_RETRIEVE_K, MAX_SPECULATIVE_K,
                       GenerationRequest, GenerationService, json_object)
+
+if TYPE_CHECKING:
+    from ..recipedb import PairingGraph
+
+# Durability, retrieval and flavour pairing are imported where a backend
+# turns them on: a plain server never loads them.
 
 #: Server-side ceiling on ``/api/search`` result count.
 MAX_SEARCH_K = 50
@@ -154,10 +158,13 @@ def create_backend(pipeline: Ratatouille,
     engine = InferenceEngine(pipeline.model, registry=registry,
                              tracer=tracer, draft=draft, resilience=knobs)
     jobs = job_queue or JobQueue(workers=1, max_pending=16, registry=registry)
-    journal = JobJournal(journal_dir) if journal_dir is not None else None
-    spill = (CacheSpill(spill_dir, model=pipeline.model)
-             if spill_dir is not None else None)
-    if spill is not None:
+    journal = spill = None
+    if journal_dir is not None:
+        from ..durability import JobJournal
+        journal = JobJournal(journal_dir)
+    if spill_dir is not None:
+        from ..durability import CacheSpill
+        spill = CacheSpill(spill_dir, model=pipeline.model)
         try:
             spill.load_into(engine.prefix_cache)
         except Exception:  # noqa: BLE001 - corrupt spill => cold start
@@ -362,6 +369,7 @@ def create_backend(pipeline: Ratatouille,
             _forget_idempotency(idem_key, job_id)
             raise
         if journal is not None:
+            from ..durability import JournalError
             try:
                 journal.append_accepted(job_id, payload,
                                         idempotency_key=idem_key)
@@ -421,6 +429,7 @@ def create_backend(pipeline: Ratatouille,
             if len(selected) > MAX_INGREDIENTS:
                 raise ValueError(
                     f"at most {MAX_INGREDIENTS} ingredients supported")
+            from ..retrieval import query_from_ingredients
             query = query_from_ingredients([str(name) for name in selected])
             if not query:
                 raise ValueError("'ingredients' normalized to an empty query")
@@ -516,6 +525,7 @@ def create_backend(pipeline: Ratatouille,
             return Response.error("'ingredients' must be a non-empty list")
         limit = _parse_limit(payload.get("limit", 5))
         if pairing is None:
+            from ..recipedb import PairingGraph
             pairing = PairingGraph(catalog)
         suggestions = pairing.suggest([str(s) for s in selected], limit=limit)
         return Response.json({

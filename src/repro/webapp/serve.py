@@ -14,10 +14,8 @@ from typing import List, Optional
 
 from ..core import PipelineConfig, Ratatouille
 from ..resilience import ResilienceConfig
-from ..training import TrainingConfig
 from .backend import MAX_MCTS_ROLLOUTS, create_backend
 from .framework import App, Server
-from .frontend import create_frontend
 
 
 def add_backend_arguments(backend: argparse.ArgumentParser) -> None:
@@ -41,9 +39,9 @@ def add_backend_arguments(backend: argparse.ArgumentParser) -> None:
                               "decode tokens; beyond it requests shed with "
                               "503 + Retry-After")
     backend.add_argument("--max-restarts", type=int, default=3,
-                         help="engine restart budget: a crashed engine is "
-                              "rebuilt, and the requests it was serving "
-                              "retried, at most this many times")
+                         help="engine restart budget: a crashed engine "
+                              "restarts in place and replays the requests "
+                              "it was serving, at most this many times")
     backend.add_argument("--degraded-fallback",
                          action=argparse.BooleanOptionalAction, default=False,
                          help="serve sequential (slow, marked degraded) "
@@ -145,6 +143,8 @@ def build_backend(args: argparse.Namespace) -> App:
     if args.checkpoint:
         pipeline = Ratatouille.load(args.checkpoint)
     else:
+        from ..training import TrainingConfig
+
         print(f"no --checkpoint given; training a demo model "
               f"({args.train_recipes} recipes, {args.train_steps} steps)",
               file=sys.stderr)
@@ -189,8 +189,11 @@ def build_server(argv: List[str]) -> Server:
     and stop the service programmatically.
     """
     args = build_parser().parse_args(argv)
-    app = (build_backend(args) if args.service == "backend"
-           else create_frontend(args.backend_url))
+    if args.service == "backend":
+        app = build_backend(args)
+    else:
+        from .frontend import create_frontend
+        app = create_frontend(args.backend_url)
     return Server(app, host=args.host, port=args.port)
 
 

@@ -13,9 +13,6 @@ from dataclasses import dataclass
 from typing import Any, Iterator, List, Optional
 
 from ..core.pipeline import Ratatouille
-from ..decoding import (MIN_BUDGET, apply_constraints_to_prompt,
-                        build_constrained_processors, parse_constraints,
-                        run_constrained_generation, violations)
 from ..models import GenerationConfig
 from ..obs import MetricsRegistry
 from ..recipedb import IngredientCatalog
@@ -23,6 +20,9 @@ from ..resilience import AdmissionController, OverloadShedError
 from ..serving import (DeadlineExceededError, EngineCrashedError,
                        EngineQueueFullError, EngineStoppedError,
                        EngineUnavailableError, InferenceEngine)
+
+# repro.decoding is imported by the branches that take a request with
+# ``constraints`` or ``strategy: "mcts"``; plain requests never load it.
 
 MAX_INGREDIENTS = 20
 
@@ -136,6 +136,7 @@ def _parse_generation_request(payload: dict,
             f"(got {config.speculative_k})")
     raw_constraints = payload.get("constraints")
     if raw_constraints is not None:
+        from ..decoding import apply_constraints_to_prompt, parse_constraints
         constraints = parse_constraints(raw_constraints)
         if config.strategy == "beam":
             raise ValueError(
@@ -145,6 +146,7 @@ def _parse_generation_request(payload: dict,
         names = apply_constraints_to_prompt(names, constraints, catalog,
                                             MAX_INGREDIENTS)
     if config.constraints is not None or config.strategy == "mcts":
+        from ..decoding import MIN_BUDGET
         if config.max_new_tokens < MIN_BUDGET:
             raise ValueError(
                 f"constrained decoding needs max_new_tokens >= "
@@ -350,6 +352,7 @@ class GenerationService:
         prompt_text, extra = None, {}
         try:
             if constrained:
+                from ..decoding import run_constrained_generation
                 start = self.registry.clock.now()
                 prompt_text, new_ids, config, extra = (
                     run_constrained_generation(
@@ -380,6 +383,7 @@ class GenerationService:
             recipe, body = self._body(request, prompt_text, exc.tokens, start,
                                       exemplars, retrieval_degraded)
             if constrained:
+                from ..decoding import violations
                 body["constraints_satisfied"] = not violations(
                     config.constraints, recipe.raw_text, self.catalog)
             body["partial"] = True
@@ -424,6 +428,7 @@ class GenerationService:
                         request.names, generation=config,
                         checklist=request.checklist, exemplars=exemplars))
                 if config.constraints is not None:
+                    from ..decoding import build_constrained_processors
                     processors = build_constrained_processors(
                         tokenizer, config, config.constraints,
                         catalog=self.catalog, registry=self.registry,
@@ -452,6 +457,7 @@ class GenerationService:
                             request, prompt_text, handle.result(), start,
                             exemplars, retrieval_degraded)
                         if config.constraints is not None:
+                            from ..decoding import violations
                             problems = violations(config.constraints,
                                                   recipe.raw_text,
                                                   self.catalog)
