@@ -78,7 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["greedy", "sample", "beam", "mcts"],
                      help="decoding strategy (default: sample, or greedy "
                           "with --greedy; mcts = search-guided decoding, "
-                          "docs/DECODING.md)")
+                          "docs/DECODING.md; beam is a local decode only, "
+                          "the server does not serve it)")
     gen.add_argument("--constraints-json", default=None,
                      help='hard constraints as JSON, e.g. \'{"diet": '
                           '"vegan", "exclude_ingredients": ["peanut"]}\' '

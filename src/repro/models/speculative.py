@@ -22,12 +22,14 @@ acceptance walk itself lives in :mod:`repro.models.generation`
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..obs import MetricsRegistry
-from .ngram import NGramLanguageModel
+
+if TYPE_CHECKING:
+    from .ngram import NGramLanguageModel
 
 
 class DraftModel:
@@ -71,7 +73,7 @@ class NGramDraft(DraftModel):
     high acceptance rate against targets trained on the same corpus.
     """
 
-    def __init__(self, model: NGramLanguageModel) -> None:
+    def __init__(self, model: "NGramLanguageModel") -> None:
         self.model = model
         self.context_window = max(model.order - 1, 1)
 
@@ -79,6 +81,8 @@ class NGramDraft(DraftModel):
     def fit(cls, sequences: Sequence[Sequence[int]], vocab_size: int,
             order: int = 3) -> "NGramDraft":
         """Count n-grams over token-id sequences and wrap them."""
+        from .ngram import NGramLanguageModel
+
         return cls(NGramLanguageModel(vocab_size, order=order).fit(sequences))
 
     def _walk(self, context: Sequence[int], k: int,

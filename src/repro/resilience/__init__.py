@@ -11,8 +11,9 @@ package adds the failure-handling layer:
   with 503 + ``Retry-After`` beyond a high-water mark;
 - :class:`ResilienceConfig` — the knobs, among them the restart budget
   the engine spends recovering from its own crashes in place
-  (:meth:`repro.serving.InferenceEngine._recover`) and its optional
-  degraded sequential fallback.
+  (:meth:`repro.serving.InferenceEngine._recover`).  Past that budget
+  the engine is ``failed``: the requests its last crash failed get a
+  502, later ones a 503.
 
 Request *deadlines* live in the engine itself
 (:class:`repro.serving.DeadlineExceededError` carries the partial
@@ -74,8 +75,6 @@ class ResilienceConfig:
     #: (n - 1)``.
     max_restarts: int = 3
     restart_backoff_seconds: float = 0.05
-    #: Serve sequential degraded responses once the budget is spent.
-    degraded_fallback: bool = False
 
     def __post_init__(self) -> None:
         if (self.default_deadline_ms is not None

@@ -49,8 +49,7 @@ import numpy as np
 
 from ..models import (DraftModel, GenerationConfig, GPT2Model,
                       LogitsProcessor, PREFILL_CHUNK, SpeculativeMetrics,
-                      build_processors, draft_context, generate as
-                      sequential_generate, select_next_token,
+                      build_processors, draft_context, select_next_token,
                       speculative_walk)
 from ..nn import no_grad
 from ..obs import (MetricsRegistry, Tracer, get_registry, get_tracer)
@@ -81,9 +80,7 @@ class EngineCrashedError(RuntimeError):
 
 class EngineUnavailableError(EngineCrashedError):
     """Raised by :meth:`InferenceEngine.submit` on a ``failed`` engine,
-    which takes no new work (HTTP 503).  With ``degraded_fallback`` set,
-    :meth:`InferenceEngine.generate` answers from the sequential decoder
-    instead."""
+    which takes no new work (HTTP 503)."""
 
 
 class DeadlineExceededError(RuntimeError):
@@ -379,10 +376,6 @@ class _EngineMetrics:
         self.restarts = registry.counter(
             "engine_restarts_total",
             help="In-place engine restarts after a crash").labels()
-        self.degraded = registry.counter(
-            "engine_degraded_requests_total",
-            help="Requests served by the sequential decoder while the "
-                 "engine is failed").labels()
 
     def outcome(self, outcome: str, strategy: str = "plain"):
         """The ``engine_requests_total`` child for one final outcome.
@@ -410,10 +403,9 @@ class InferenceEngine:
     explicitly.
 
     ``resilience`` sets crash recovery: the restart budget over the
-    engine's lifetime, the backoff and the degraded fallback
-    (``max_restarts``, ``restart_backoff_seconds``,
-    ``degraded_fallback``; ``docs/RESILIENCE.md`` §3).  Without one the
-    first crash is final.
+    engine's lifetime and the backoff (``max_restarts``,
+    ``restart_backoff_seconds``; ``docs/RESILIENCE.md`` §3).  Without
+    one the first crash is final.
     """
 
     def __init__(self, model: GPT2Model,
@@ -484,17 +476,16 @@ class InferenceEngine:
         ``max_queue`` requests are already waiting,
         :class:`EngineStoppedError` after :meth:`stop`, and
         :class:`EngineUnavailableError` once the engine is ``failed``.
-        A request submitted while the engine restarts queues.
-        Beam search is not batched — use
-        :meth:`generate`, which falls back to the sequential decoder.
+        A request submitted while the engine restarts queues.  Beam
+        search is not served: :func:`repro.models.generate` runs it.
         """
         self._check_serving()
         config = config or GenerationConfig()
         config.validate()
         if config.strategy == "beam":
             raise ValueError(
-                "beam search is not continuously batched; use "
-                "InferenceEngine.generate() for the sequential fallback")
+                "beam search is not continuously batched; run it with "
+                "repro.models.generate")
         if config.strategy == "mcts":
             raise ValueError(
                 "mcts is a search driver, not a batchable decode; run it "
@@ -554,41 +545,8 @@ class InferenceEngine:
                  processors: Sequence[LogitsProcessor] = (),
                  deadline_ms: Optional[float] = None) -> List[int]:
         """Synchronous façade: submit, wait, return the new token ids."""
-        return self.generate_ex(prompt_ids, config, processors,
-                                deadline_ms=deadline_ms)[0]
-
-    def generate_ex(self, prompt_ids: Sequence[int],
-                    config: Optional[GenerationConfig] = None,
-                    processors: Sequence[LogitsProcessor] = (),
-                    deadline_ms: Optional[float] = None
-                    ) -> Tuple[List[int], bool]:
-        """:meth:`generate`, returning ``(tokens, degraded)``.
-
-        Beam-search configs bypass the batch and run the sequential
-        decoder (beam state is not continuously batchable; it also
-        ignores ``deadline_ms``, since only the batched decode loop can
-        retire requests mid-flight).  So does every request once the
-        engine is ``failed``, when ``degraded_fallback`` is set — the
-        model is sound, only the loop is gone — and ``degraded`` says
-        so.  Any other error propagates unchanged.
-        """
-        config = config or GenerationConfig()
-        try:
-            if config.strategy != "beam":
-                return self.submit(prompt_ids, config, processors,
-                                   deadline_ms=deadline_ms).result(), False
-            config.validate()
-            self._check_serving()
-            degraded = False
-        except EngineCrashedError:
-            if (not self.resilience.degraded_fallback
-                    or self._stop_event.is_set()):
-                raise
-            self.metrics.degraded.inc()
-            degraded = True
-        return sequential_generate(self.model, prompt_ids, config,
-                                   processors, registry=self.registry,
-                                   tracer=self.tracer), degraded
+        return self.submit(prompt_ids, config, processors,
+                           deadline_ms=deadline_ms).result()
 
     def stop(self, timeout: float = 5.0) -> None:
         """Shut the engine thread down and fail all unfinished requests."""
@@ -679,7 +637,6 @@ class InferenceEngine:
                 "state": self.state,
                 "restarts": self._restarts,
                 "max_restarts": self.resilience.max_restarts,
-                "degraded_available": self.resilience.degraded_fallback,
             },
         }
 

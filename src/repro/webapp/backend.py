@@ -116,8 +116,8 @@ def create_backend(pipeline: Ratatouille,
 
     ``registry``/``tracer`` back ``GET /api/metrics`` and default to the
     process-wide instances.  ``resilience`` (``docs/RESILIENCE.md``)
-    sets request deadlines, admission control (``app.admission``), the
-    restart budget and the degraded fallback.  ``draft`` (a
+    sets request deadlines, admission control (``app.admission``) and
+    the restart budget.  ``draft`` (a
     :class:`~repro.models.DraftModel` or a spec like ``"ngram:3"``) and
     ``speculative_k`` enable speculative decoding (``docs/SERVING.md``);
     ``kernels="fp32"`` (``docs/KERNELS.md``) freezes the weights and
@@ -241,7 +241,7 @@ def create_backend(pipeline: Ratatouille,
                 "spill": spill is not None,
             },
             "decoding": {
-                "strategies": ["greedy", "sample", "beam", "mcts"],
+                "strategies": ["greedy", "sample", "mcts"],
                 "max_mcts_rollouts": max_mcts_rollouts,
                 "constraints": ["include_ingredients",
                                 "exclude_ingredients", "diet",
@@ -399,8 +399,6 @@ def create_backend(pipeline: Ratatouille,
     @_service_errors
     def generate_stream(request: Request) -> Response:
         generation = service.parse(request.json())
-        if generation.config.strategy == "beam":
-            raise ValueError("beam search cannot stream; use /api/generate")
         service.admit(generation.cost)
         return Response.event_stream(service.stream(generation))
 

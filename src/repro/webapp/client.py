@@ -254,13 +254,14 @@ class RatatouilleClient:
         """Generate a recipe; see ``docs/DECODING.md`` for the knobs.
 
         ``strategy`` selects the decode loop (``greedy`` / ``sample`` /
-        ``beam`` / ``mcts`` — the last is grammar-constrained tree
-        search).  ``constraints`` is a dict of hard constraints
-        (``include_ingredients``, ``exclude_ingredients``, ``diet``,
-        ``max_calories``); the server validates it and answers an
-        unsatisfiable request with HTTP 400 carrying a named error
-        code (``unknown_diet: ...``, ``conflicting_constraints: ...``)
-        raised here as :class:`ApiError`.
+        ``mcts`` — the last is grammar-constrained tree search; the
+        server answers ``beam`` with HTTP 400).  ``constraints`` is a
+        dict of hard constraints (``include_ingredients``,
+        ``exclude_ingredients``, ``diet``, ``max_calories``); the server
+        validates it and answers an unsatisfiable request with HTTP 400
+        carrying a named error code (``unknown_diet: ...``,
+        ``conflicting_constraints: ...``) raised here as
+        :class:`ApiError`.
         """
         payload = {"ingredients": ingredients, **options}
         if strategy is not None:

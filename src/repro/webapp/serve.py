@@ -42,10 +42,6 @@ def add_backend_arguments(backend: argparse.ArgumentParser) -> None:
                          help="engine restart budget: a crashed engine "
                               "restarts in place and replays the requests "
                               "it was serving, at most this many times")
-    backend.add_argument("--degraded-fallback",
-                         action=argparse.BooleanOptionalAction, default=False,
-                         help="serve sequential (slow, marked degraded) "
-                              "responses while the engine is down")
     backend.add_argument("--speculative",
                          action=argparse.BooleanOptionalAction, default=False,
                          help="enable speculative decoding: an n-gram draft "
@@ -158,8 +154,7 @@ def build_backend(args: argparse.Namespace) -> App:
     resilience = ResilienceConfig(
         default_deadline_ms=args.deadline_ms,
         shed_watermark_tokens=args.shed_watermark,
-        max_restarts=args.max_restarts,
-        degraded_fallback=args.degraded_fallback)
+        max_restarts=args.max_restarts)
     draft = None
     if args.speculative:
         print(f"fitting ngram:{args.draft_order} speculative draft on "

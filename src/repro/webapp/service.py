@@ -69,8 +69,6 @@ _CONFIG_FIELDS = (
     ("temperature", float, 0.8),
     ("top_k", int, 20),
     ("top_p", float, 1.0),
-    ("beam_size", int, 4),
-    ("length_penalty", float, 0.7),
     ("repetition_penalty", float, 1.0),
     ("seed", int, 0),
     ("speculative_k", int, 0),
@@ -126,6 +124,10 @@ def _parse_generation_request(payload: dict,
                 f"'{name}' must be a {cast.__name__}, got {raw!r}") from None
     config = GenerationConfig(**values)
     config.validate()
+    if config.strategy == "beam":
+        raise ValueError(
+            "beam search is not served; use greedy, sample or mcts "
+            "(beam runs locally: repro generate --strategy beam)")
     if config.max_new_tokens > max_new_tokens_cap:
         raise ValueError(
             f"max_new_tokens is capped at {max_new_tokens_cap} "
@@ -138,10 +140,6 @@ def _parse_generation_request(payload: dict,
     if raw_constraints is not None:
         from ..decoding import apply_constraints_to_prompt, parse_constraints
         constraints = parse_constraints(raw_constraints)
-        if config.strategy == "beam":
-            raise ValueError(
-                "constrained decoding does not support beam search; "
-                "use greedy, sample, or mcts")
         config.constraints = constraints
         names = apply_constraints_to_prompt(names, constraints, catalog,
                                             MAX_INGREDIENTS)
@@ -162,9 +160,10 @@ def _parse_generation_request(payload: dict,
 def _admission_cost(config: GenerationConfig) -> int:
     """Token-equivalents one request may cost the serving engine.
 
-    MCTS decodes up to ``mcts_rollouts`` full rollouts plus the
-    degraded-fallback decode, so it is charged the whole tree, not one
-    decode — otherwise a saturated server would admit a request that
+    MCTS decodes up to ``mcts_rollouts`` full rollouts plus, when a
+    reward fault stops the search, the constrained greedy decode of
+    MCTS's own ``_degrade`` — so it is charged the whole tree, not one
+    decode; otherwise a saturated server would admit a request that
     costs 13x what the gate thinks.
     """
     if config.strategy == "mcts":
@@ -273,17 +272,6 @@ class GenerationService:
         if self.admission is not None:
             self.admission.release(cost)
 
-    def _decode(self, prompt_ids, config, processors, deadline_ms,
-                stream: bool = False):
-        """``(tokens | handle, degraded)`` from the engine: a streamable
-        handle, or the finished tokens — which only the sequential
-        fallback of a ``failed`` engine marks ``"degraded": true``."""
-        if stream:
-            return self.engine.submit(prompt_ids, config, processors,
-                                      deadline_ms=deadline_ms), False
-        return self.engine.generate_ex(prompt_ids, config, processors,
-                                       deadline_ms=deadline_ms)
-
     def _fetch_exemplars(self, request: GenerationRequest):
         """RAG exemplar texts as ``(texts, degraded)``.  Any retrieval
         failure degrades to un-conditioned generation (``(None, True)``)
@@ -340,15 +328,6 @@ class GenerationService:
         exemplars, retrieval_degraded = self._fetch_exemplars(request)
         constrained = (config.constraints is not None
                        or config.strategy == "mcts")
-        degraded = False
-
-        def submit(prompt_ids, cfg, processors, deadline_ms):
-            nonlocal degraded
-            new_ids, fell_back = self._decode(prompt_ids, cfg, processors,
-                                              deadline_ms)
-            degraded = degraded or fell_back
-            return new_ids
-
         prompt_text, extra = None, {}
         try:
             if constrained:
@@ -358,7 +337,7 @@ class GenerationService:
                     run_constrained_generation(
                         self.pipeline, request.names, config,
                         checklist=request.checklist, exemplars=exemplars,
-                        submit=submit, catalog=self.catalog,
+                        submit=self.engine.generate, catalog=self.catalog,
                         retrieval_index=self.retrieval_index,
                         registry=self.registry,
                         deadline_ms=request.deadline_ms))
@@ -368,8 +347,9 @@ class GenerationService:
                         request.names, generation=config,
                         checklist=request.checklist, exemplars=exemplars))
                 start = self.registry.clock.now()
-                new_ids = submit(prompt_ids, config, processors,
-                                 request.deadline_ms)
+                new_ids = self.engine.generate(
+                    prompt_ids, config, processors,
+                    deadline_ms=request.deadline_ms)
         except DeadlineExceededError as exc:
             if not (allow_partial and exc.tokens):
                 raise
@@ -392,8 +372,6 @@ class GenerationService:
         _, body = self._body(request, prompt_text, new_ids, start,
                              exemplars, retrieval_degraded)
         body.update(extra)
-        if degraded:
-            body["degraded"] = True
         return new_ids, body
 
     def run(self, request: GenerationRequest) -> dict:
@@ -433,8 +411,8 @@ class GenerationService:
                         tokenizer, config, config.constraints,
                         catalog=self.catalog, registry=self.registry,
                         user_processors=processors)
-                handle, _ = self._decode(prompt_ids, config, processors,
-                                         request.deadline_ms, stream=True)
+                handle = self.engine.submit(prompt_ids, config, processors,
+                                            deadline_ms=request.deadline_ms)
         except BaseException:
             self.release(request.cost)
             raise

@@ -1,5 +1,5 @@
 """Engine crash recovery: in-place restarts, replay of the requests a
-crash interrupted, the lifetime restart budget, degraded mode.
+crash interrupted, the lifetime restart budget, the failed state.
 
 The crash vector throughout is the ``prefix_cache.get`` fault point —
 it fires inside the engine's admission loop and escapes it, which is
@@ -132,27 +132,6 @@ class TestCrashRecovery:
             with pytest.raises(EngineUnavailableError):
                 engine.generate([1, 2], CONFIG)
 
-    def test_degraded_fallback_serves_while_down(self):
-        model = _model()
-        registry = MetricsRegistry()
-        injector = FaultInjector({"prefix_cache.get": FaultSpec(rate=1.0)})
-        expected = generate(model, [1, 2, 3], CONFIG,
-                            registry=NullRegistry(), tracer=NullTracer())
-        with _engine(model, registry=registry, max_restarts=0,
-                     degraded_fallback=True) as engine:
-            with inject_faults(injector):
-                # The request the crash failed falls back too.
-                tokens, degraded = engine.generate_ex([9, 9], CONFIG)
-                assert degraded and len(tokens) == 4
-                assert engine.state == "failed"
-                tokens, degraded = engine.generate_ex([1, 2, 3], CONFIG)
-            assert degraded
-            assert tokens == expected  # degraded ≠ different output
-            # Streaming has no degraded mode: submit stays unavailable.
-            with pytest.raises(EngineUnavailableError):
-                engine.submit([1, 2], CONFIG)
-        assert registry.counter("engine_degraded_requests_total").value == 2
-
     def test_clean_stop_is_not_a_crash(self):
         model = _model()
         registry = MetricsRegistry()
@@ -196,7 +175,6 @@ class TestFailInflight:
         assert block["state"] in ("serving", "stopped")
         assert block["max_restarts"] == 5
         assert block["restarts"] == 0
-        assert block["degraded_available"] is False
 
 
 def _mid_batch_kill(model):

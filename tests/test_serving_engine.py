@@ -278,16 +278,19 @@ class TestBatchedEqualsSequential:
         assert 0 < walked < len(expected[0]) - 1
         _assert_one_call_per_step(registry)
 
-    def test_beam_rejected_by_submit_but_served_by_generate(self, model):
+    def test_beam_rejected_by_submit_and_generate(self, model):
+        # Beam search decodes through models.generate only (its oracle
+        # tests live in test_models_generation.py); the engine refuses it
+        # on both entry points, since generate is submit().result().
         prompt = _prompt(1, 6)
         config = GenerationConfig(strategy="beam", beam_size=2,
                                   max_new_tokens=6)
-        expected = _sequential(model, prompt, config)
         with InferenceEngine(model, registry=NullRegistry(),
                              tracer=NullTracer()) as engine:
-            with pytest.raises(ValueError, match="beam"):
+            with pytest.raises(ValueError, match="repro.models.generate"):
                 engine.submit(prompt, config)
-            assert engine.generate(prompt, config) == expected
+            with pytest.raises(ValueError, match="repro.models.generate"):
+                engine.generate(prompt, config)
 
 
 class TestStreaming:

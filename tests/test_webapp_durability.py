@@ -202,16 +202,23 @@ class TestRestartReplay:
         finally:
             reborn.shutdown_gracefully()
 
-    def test_malformed_journal_record_resolves_failed(self, pipeline,
-                                                      tmp_path):
+    @pytest.mark.parametrize("request_payload, reason", [
+        ({"ingredients": []}, "ingredients"),
+        # Journaled by a process that still served beam search.
+        ({"ingredients": ["egg"], "strategy": "beam", "beam_size": 2},
+         "beam"),
+    ], ids=["empty", "beam"])
+    def test_malformed_journal_record_resolves_failed(
+            self, pipeline, tmp_path, request_payload, reason):
         with JobJournal(tmp_path / "journal") as journal:
-            journal.append_accepted("bad-job", {"ingredients": []})
+            journal.append_accepted("bad-job", request_payload)
         app = _backend(pipeline, tmp_path)
         try:
             assert app.replay_summary["replay_failed"] == 1
             body = _body(_get(app, "/api/job", {"id": ["bad-job"]}))
             assert body["status"] == "failed"
-            assert "replay rejected" in body["error"]
+            assert body["error"].startswith("replay rejected: ")
+            assert reason in body["error"]
         finally:
             app.shutdown_gracefully()
 

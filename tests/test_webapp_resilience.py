@@ -1,4 +1,4 @@
-"""HTTP-layer resilience: shedding, deadline mapping, degraded mode.
+"""HTTP-layer resilience: shedding, deadline mapping, engine death.
 
 Engine-level deadline/crash semantics are covered in
 ``test_serving_deadlines.py`` and ``test_resilience_supervisor.py``;
@@ -109,7 +109,7 @@ class TestDeadlineHttpMapping:
         def expired(*args, **kwargs):
             raise DeadlineExceededError(0, 25.0, [])
 
-        monkeypatch.setattr(app.engine, "generate_ex", expired)
+        monkeypatch.setattr(app.engine, "generate", expired)
         response = _post(app, "/api/generate",
                          {"ingredients": ["garlic"], "partial": True})
         assert response.status == 504
@@ -120,7 +120,7 @@ class TestDeadlineHttpMapping:
         def expired(*args, **kwargs):
             raise DeadlineExceededError(0, 25.0, [2, 3, 4])
 
-        monkeypatch.setattr(app.engine, "generate_ex", expired)
+        monkeypatch.setattr(app.engine, "generate", expired)
         response = _post(app, "/api/generate", {"ingredients": ["garlic"]})
         assert response.status == 504
 
@@ -128,7 +128,7 @@ class TestDeadlineHttpMapping:
         def expired(*args, **kwargs):
             raise DeadlineExceededError(0, 25.0, [2, 3, 4])
 
-        monkeypatch.setattr(app.engine, "generate_ex", expired)
+        monkeypatch.setattr(app.engine, "generate", expired)
         response = _post(app, "/api/generate",
                          {"ingredients": ["garlic"], "partial": True})
         assert response.status == 200
@@ -139,13 +139,13 @@ class TestDeadlineHttpMapping:
 
     def test_server_default_deadline_is_forwarded(self, app, monkeypatch):
         seen = {}
-        original = app.engine.generate_ex
+        original = app.engine.generate
 
         def spy(*args, **kwargs):
             seen["deadline_ms"] = kwargs.get("deadline_ms")
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(app.engine, "generate_ex", spy)
+        monkeypatch.setattr(app.engine, "generate", spy)
         payload = {"ingredients": ["garlic"], "max_new_tokens": 8, "seed": 1}
         assert _post(app, "/api/generate", payload).status == 200
         assert seen["deadline_ms"] == 60_000.0  # the configured default
@@ -159,39 +159,6 @@ class TestDeadlineHttpMapping:
                          {"ingredients": ["garlic"], "deadline_ms": bad})
         assert response.status == 400
         assert "deadline_ms" in _body(response)["error"]
-
-
-class TestDegradedMode:
-    def test_crash_past_budget_serves_degraded(self, pipeline):
-        registry = MetricsRegistry()
-        app = create_backend(
-            pipeline, registry=registry,
-            resilience=ResilienceConfig(max_restarts=0,
-                                        degraded_fallback=True))
-        try:
-            injector = FaultInjector(
-                {"prefix_cache.get": FaultSpec(rate=1.0)})
-            payload = {"ingredients": ["garlic"], "max_new_tokens": 8,
-                       "seed": 2}
-            with inject_faults(injector):
-                # The engine crashes on admission with no restart left;
-                # it falls back to the sequential decoder and says so.
-                response = _post(app, "/api/generate", payload)
-            assert response.status == 200
-            assert _body(response)["degraded"] is True
-            assert "title" in _body(response)
-            deadline = time.monotonic() + 10
-            while app.engine.state != "failed" and time.monotonic() < deadline:
-                time.sleep(0.01)
-            block = _body(_get(app, "/api/resilience"))["supervisor"]
-            assert block["state"] == "failed"
-            assert block["degraded_available"] is True
-            # Degraded requests keep working after the budget is gone.
-            after = _post(app, "/api/generate", payload)
-            assert after.status == 200
-            assert _body(after)["degraded"] is True
-        finally:
-            app.engine.stop()
 
 
 class TestEngineDeathMidRequest:
@@ -323,7 +290,6 @@ class TestEngineDeathMidRequest:
                 assert body.get("done") is True
                 body = body["recipe"]
             assert {name: body[name] for name in self.FIELDS} == recipe
-            assert "degraded" not in body
             assert {name: other[name]
                     for name in self.FIELDS} == bystander_recipe
             # The crash really happened — once — and was restarted from.
@@ -365,13 +331,11 @@ class TestEngineDeathMidRequest:
 
     def test_arrivals_queue_through_a_restart(self, pipeline):
         # A request submitted during the restart backoff waits for the
-        # restarted loop — it is neither refused nor served degraded,
-        # although a degraded fallback is configured.
+        # restarted loop — it is not refused.
         _, recipe = self._oracle(pipeline, self.BYSTANDER)
         app = create_backend(
             pipeline, registry=MetricsRegistry(),
-            resilience=ResilienceConfig(restart_backoff_seconds=0.5,
-                                        degraded_fallback=True))
+            resilience=ResilienceConfig(restart_backoff_seconds=0.5))
         outcome = {}
         first = threading.Thread(target=lambda: outcome.update(
             first=self._send(app, "sync", self.VICTIM)))
@@ -388,9 +352,7 @@ class TestEngineDeathMidRequest:
                 first.join(timeout=60)
             assert status == 200
             assert {name: body[name] for name in self.FIELDS} == recipe
-            assert "degraded" not in body
             assert outcome["first"][0] == 200
-            assert "degraded" not in outcome["first"][2]
             assert app.engine.restarts == 1
         finally:
             app.shutdown_gracefully(deadline_seconds=5)
@@ -457,4 +419,4 @@ class TestResilienceEndpointDisabled:
         assert payload == {
             "default_deadline_ms": None, "admission": None,
             "supervisor": {"state": "serving", "restarts": 0,
-                           "max_restarts": 3, "degraded_available": False}}
+                           "max_restarts": 3}}

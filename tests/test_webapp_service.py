@@ -237,6 +237,87 @@ def test_webapp_never_asks_which_engine_type_it_holds():
                              path.read_text("utf-8"))]
 
 
+#: The engine methods that call the model, all run by the engine thread
+#: (reached from ``_run``): admission, prefill, the prefix-cache store
+#: and cut, the batched forward and the speculative draft fit check.
+ENGINE_THREAD_MODEL_CALLERS = {"_serve", "_prefill_admitted", "_prefill_one",
+                               "_store", "_cut", "_forward", "_draft"}
+
+
+def test_no_model_call_off_the_engine_thread():
+    # Every served decode goes through InferenceEngine.submit: the
+    # sequential decoder is the oracle, never a serving path.
+    # ``generate`` (any alias) from ``models`` / ``models.generation``,
+    # or the module itself, from which ``.generate`` is one dot away.
+    spellings = {("models", "generate"), ("models", "generation"),
+                 ("models.generation", "generate"), ("", "models"),
+                 ("", "models.generation")}
+    offenders = []
+    for package in ("serving", "webapp"):
+        for path in (SRC / package).glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+                if isinstance(node, ast.Import):
+                    imported = {("", alias.name.removeprefix("repro."))
+                                for alias in node.names}
+                elif isinstance(node, ast.ImportFrom):
+                    module = (node.module or "").removeprefix("repro")
+                    imported = {(module.lstrip("."), alias.name)
+                                for alias in node.names}
+                else:
+                    continue
+                if imported & spellings:
+                    offenders.append(f"{package}/{path.name}:{node.lineno}")
+    assert not offenders
+
+    tree = ast.parse((SRC / "serving" / "engine.py").read_text("utf-8"))
+    engine = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef)
+                  and node.name == "InferenceEngine")
+    methods = {node.name: node for node in engine.body
+               if isinstance(node, ast.FunctionDef)}
+
+    def self_attrs(method, through=None):
+        """Names ``X`` of every ``self.X``, or with ``through`` of every
+        ``self.<through>.X(...)`` call, in one method body."""
+        names = set()
+        for node in ast.walk(method):
+            if through is not None:
+                if not (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)):
+                    continue
+                node = node.func
+                if not (isinstance(node.value, ast.Attribute)
+                        and node.value.attr == through):
+                    continue
+                owner = node.value.value
+            elif isinstance(node, ast.Attribute):
+                owner = node.value
+            else:
+                continue
+            if isinstance(owner, ast.Name) and owner.id == "self":
+                names.add(node.attr)
+        return names
+
+    callers = {name for name, method in methods.items()
+               if self_attrs(method, through="model")}
+    assert callers == ENGINE_THREAD_MODEL_CALLERS
+    # Reached from the thread's target: called, or handed on as a
+    # callback (``_cut`` goes to the prefix cache).
+    reached, frontier = set(), ["_run"]
+    while frontier:
+        name = frontier.pop()
+        if name in reached or name not in methods:
+            continue
+        reached.add(name)
+        frontier.extend(self_attrs(methods[name]))
+    assert ENGINE_THREAD_MODEL_CALLERS <= reached
+
+    gone = re.compile(r"\b(generate_ex|degraded_fallback|"
+                      r"engine_degraded_requests_total|degraded_available)\b")
+    assert not [str(path.relative_to(SRC)) for path in SRC.rglob("*.py")
+                if gone.search(path.read_text("utf-8"))]
+
+
 def test_engine_recovery_runs_on_the_engine_thread():
     # Crash recovery lives inside the engine loop: no second thread
     # watches the engine, and the wrapper it once needed stays deleted.

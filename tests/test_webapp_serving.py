@@ -61,10 +61,9 @@ class TestValidation:
         {"ingredients": ["x"], "max_new_tokens": MAX_NEW_TOKENS_CAP + 1},
         {"ingredients": ["x"], "max_new_tokens": None},
         {"ingredients": ["x"], "strategy": "magic"},
-        {"ingredients": ["x"], "length_penalty": 3.0},
         {"ingredients": ["x"], "repetition_penalty": 0.5},
-        {"ingredients": ["x"], "beam_size": 0},
         {"ingredients": ["x"] * 21},
+        {"ingredients": ["x"], "strategy": "beam"},
         [1],
         "x",
     ])
@@ -111,13 +110,6 @@ class TestValidation:
             {"ingredients": ["x"], "max_new_tokens": MAX_NEW_TOKENS_CAP})
         assert config.max_new_tokens == MAX_NEW_TOKENS_CAP
 
-    def test_length_penalty_round_trips(self):
-        _, config, _ = _parse_generation_request(
-            {"ingredients": ["x"], "strategy": "beam", "beam_size": 2,
-             "length_penalty": 1.1})
-        assert config.length_penalty == 1.1
-        config.validate()
-
 
 class TestEngineBackedGeneration:
     def test_generate_round_trip(self, client):
@@ -131,10 +123,20 @@ class TestEngineBackedGeneration:
         assert a["title"] == b["title"]
         assert a["instructions"] == b["instructions"]
 
-    def test_beam_request_served_via_fallback(self, client):
-        recipe = client.generate(["garlic"], strategy="beam", beam_size=2,
-                                 max_new_tokens=12, length_penalty=1.0)
-        assert "instructions" in recipe
+    def test_beam_is_one_named_400_on_every_transport(self, backend):
+        # Beam search is not served: sync, job and stream all refuse it
+        # at parse time with the same message, before any model work.
+        body = json.dumps({"ingredients": ["garlic"],
+                           "strategy": "beam"}).encode("utf-8")
+        errors = set()
+        for path in ("/api/generate", "/api/generate_async",
+                     "/api/generate_stream"):
+            response = backend.app.dispatch(
+                Request("POST", path, {}, {}, body))
+            assert response.status == 400, path
+            errors.add(json.loads(response.body)["error"])
+        assert len(errors) == 1
+        assert "beam search is not served" in errors.pop()
 
     def test_stream_endpoint_matches_blocking_endpoint(self, client):
         options = {"seed": 21, "max_new_tokens": 25}
