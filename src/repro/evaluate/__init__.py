@@ -6,10 +6,6 @@ __all__ = [
     "BleuResult", "EvaluationReport", "ModelEvaluation", "StructureScore",
     "bits_per_token", "brevity_penalty", "content_words", "corpus_bleu",
     "corpus_novelty", "distinct_n", "ngrams", "novelty", "perplexity",
-    "RougeScore", "corpus_rouge", "rouge_l", "rouge_n",
-    "BootstrapResult", "PermutationResult", "attach_retrieval_novelty",
-    "bootstrap_interval",
-    "paired_permutation_test", "segment_bleu_scores",
     "score_structure", "self_bleu", "sentence_bleu", "validity_rate",
 ]
 
@@ -18,12 +14,7 @@ __getattr__, __dir__ = export_lazily(__name__, {
              "sentence_bleu"),
     "diversity": ("corpus_novelty", "distinct_n", "novelty", "self_bleu"),
     "perplexity": ("bits_per_token", "perplexity"),
-    "report": ("EvaluationReport", "ModelEvaluation",
-               "attach_retrieval_novelty"),
-    "significance": ("BootstrapResult", "PermutationResult",
-                     "bootstrap_interval", "paired_permutation_test",
-                     "segment_bleu_scores"),
-    "rouge": ("RougeScore", "corpus_rouge", "rouge_l", "rouge_n"),
+    "report": ("EvaluationReport", "ModelEvaluation"),
     "structure": ("StructureScore", "content_words", "score_structure",
                   "validity_rate"),
 })

@@ -26,29 +26,6 @@ class ModelEvaluation:
     extra: Dict[str, float] = field(default_factory=dict)
 
 
-def attach_retrieval_novelty(evaluation: ModelEvaluation, index,
-                             generated_texts: Sequence[str]
-                             ) -> ModelEvaluation:
-    """Fill a row's ``novelty`` from the retrieval index.
-
-    Scores each generated text against its nearest corpus neighbour in
-    ``index`` (a :class:`~repro.retrieval.RecipeIndex`, see
-    ``docs/RETRIEVAL.md``) — the embedding-space memorization measure —
-    and records the aggregate: ``novelty`` becomes the mean, and
-    ``extra`` gains ``min_novelty`` and ``memorized_fraction``
-    (renderable as table columns).  Distinct from the n-gram
-    ``corpus_novelty`` in :mod:`.diversity`: that asks "are these
-    n-grams new", this asks "is any *whole recipe* a near-copy".
-    """
-    from ..retrieval import summarize_novelty
-
-    summary = summarize_novelty(index.novelty_batch(list(generated_texts)))
-    evaluation.novelty = summary.mean_novelty
-    evaluation.extra["min_novelty"] = summary.min_novelty
-    evaluation.extra["memorized_fraction"] = summary.memorized_fraction
-    return evaluation
-
-
 @dataclass
 class EvaluationReport:
     """An ordered collection of model evaluations."""

@@ -21,8 +21,7 @@ __all__ = [
     "draft_context", "generate", "prefill_prompt",
     "render_attention_ascii", "resolve_draft", "sampling_distribution",
     "select_next_token", "speculative_walk", "surprisal",
-    "top_next_tokens", "group_by_top_level", "memory_megabytes",
-    "summarize", "gpt2_medium", "gpt_neo_small", "word_lstm",
+    "top_next_tokens", "gpt2_medium", "gpt_neo_small", "word_lstm",
 ]
 
 __getattr__, __dir__ = export_lazily(__name__, {
@@ -41,5 +40,4 @@ __getattr__, __dir__ = export_lazily(__name__, {
                     "resolve_draft"),
     "inspection": ("attention_maps", "render_attention_ascii", "surprisal",
                    "top_next_tokens"),
-    "summary": ("group_by_top_level", "memory_megabytes", "summarize"),
 })

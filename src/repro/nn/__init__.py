@@ -14,7 +14,7 @@ __all__ = [
     "Adam", "AdamW", "CausalSelfAttention", "ConstantLR", "CosineWarmupLR",
     "Dropout", "Embedding", "InferenceKernels", "KVCache", "LayerNorm",
     "Linear", "LinearWarmupLR", "LRSchedule", "LSTM", "LSTMCell", "LSTMState",
-    "MLP", "Module", "ModuleList", "Optimizer", "Parameter", "SGD",
+    "MLP", "Module", "ModuleList", "Optimizer", "Parameter",
     "Sequential", "Tensor", "TransformerBlock", "WeightStore",
     "clip_grad_norm", "functional", "is_grad_enabled", "no_grad", "ones",
     "schedule_from_name", "tensor", "zeros",
@@ -26,7 +26,7 @@ __getattr__, __dir__ = export_lazily(__name__, {
     "kernels": ("InferenceKernels", "WeightStore"),
     "layers": ("Dropout", "Embedding", "LayerNorm", "Linear", "Sequential"),
     "module": ("Module", "ModuleList", "Parameter"),
-    "optim": ("Adam", "AdamW", "Optimizer", "SGD", "clip_grad_norm"),
+    "optim": ("Adam", "AdamW", "Optimizer", "clip_grad_norm"),
     "rnn": ("LSTM", "LSTMCell", "LSTMState"),
     "schedule": ("ConstantLR", "CosineWarmupLR", "LinearWarmupLR",
                  "LRSchedule", "schedule_from_name"),

@@ -1,14 +1,13 @@
-"""Optimizers and gradient utilities: SGD, Adam, AdamW, clipping.
+"""Optimizers and gradient utilities: Adam, AdamW, clipping.
 
 AdamW (decoupled weight decay) is the optimizer the paper's
-HuggingFace fine-tuning used under the hood, so it is the default for
-transformer training here; plain Adam/SGD serve the LSTM baselines and
-tests.
+HuggingFace fine-tuning used under the hood, and the trainer's for
+every model here; plain Adam is its base class.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 import numpy as np
 
@@ -33,31 +32,6 @@ class Optimizer:
 
     def step(self) -> None:
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, params: Iterable[Parameter], lr: float,
-                 momentum: float = 0.0) -> None:
-        super().__init__(params, lr)
-        self.momentum = momentum
-        self._velocity: Optional[List[np.ndarray]] = None
-        if momentum:
-            self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        self.step_count += 1
-        for index, param in enumerate(self.params):
-            if param.grad is None:
-                continue
-            update = param.grad
-            if self._velocity is not None:
-                vel = self._velocity[index]
-                vel *= self.momentum
-                vel += update
-                update = vel
-            param.data -= self.lr * update
 
 
 class Adam(Optimizer):

@@ -1,13 +1,14 @@
 """Process-wide metrics: counters, gauges, histograms, labeled series.
 
 The registry is the single place the serving stack reports numbers to:
-the HTTP middleware, the job queue, the decode loop and the trainer all
-write here, and ``GET /api/metrics`` / ``repro metrics`` read from it.
+the inference engine, admission control, the job queue, the decode
+loop and the trainer write here, and ``GET /api/metrics`` /
+``repro metrics`` read from it.
 
 Design points:
 
-* **Families and labels.**  ``registry.counter("http_requests_total")``
-  returns a family; ``family.labels(route="/api/generate", status="200")``
+* **Families and labels.**  ``registry.counter("engine_requests_total")``
+  returns a family; ``family.labels(outcome="completed", strategy="mcts")``
   returns the child series for that label set.  A family used without
   labels acts as its own single unlabeled series, so simple metrics
   stay one-liners.

@@ -8,7 +8,11 @@ replacements that (a) satisfy the constraint, (b) play the same
 culinary role (category-compatible) and (c) are flavor-compatible
 (shared FlavorDB molecules).
 
-Used by the substitution example and exposed through the web backend.
+Only ``examples/dietary_substitution.py`` uses it; the web backend
+does not.  The diets a served request may ask for are
+:data:`repro.decoding.constraints.DIET_RULES`, a second table that
+bans ingredients by other rules and spells ``gluten_free`` where this
+one spells ``gluten-free`` (an open ``docs/LEDGER.md`` row).
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ serialized to JSON for checkpointing alongside model weights.
 
 from __future__ import annotations
 
+import importlib
 import json
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
@@ -135,15 +136,19 @@ class Tokenizer:
         return tokenizer
 
 
-def load_any(path: PathLike) -> Tokenizer:
-    """Load a tokenizer of whatever kind the checkpoint declares."""
-    from .bpe import BPETokenizer
-    from .charlevel import CharTokenizer
-    from .wordlevel import WordTokenizer
+#: checkpoint ``kind`` -> (submodule, class) that loads it.
+_KINDS = {"char": ("charlevel", "CharTokenizer"),
+          "word": ("wordlevel", "WordTokenizer"),
+          "bpe": ("bpe", "BPETokenizer")}
 
+
+def load_any(path: PathLike) -> Tokenizer:
+    """Load a tokenizer of whatever kind the checkpoint declares,
+    importing only that kind's module."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    kinds = {"char": CharTokenizer, "word": WordTokenizer, "bpe": BPETokenizer}
     kind = payload.get("kind")
-    if kind not in kinds:
+    if kind not in _KINDS:
         raise ValueError(f"unknown tokenizer kind {kind!r} in {path}")
-    return kinds[kind].load(path)
+    submodule, name = _KINDS[kind]
+    module = importlib.import_module(f"{__package__}.{submodule}")
+    return getattr(module, name).load(path)

@@ -9,26 +9,21 @@ dockerized-deployment config emitter (:mod:`.deploy`).
 from .._exports import export_lazily
 
 __all__ = [
-    "ApiError", "App", "CircuitBreaker", "CircuitOpenError",
-    "DeploymentConfig", "RatatouilleClient", "Request",
+    "ApiError", "App", "DeploymentConfig", "RatatouilleClient", "Request",
     "Response", "RetryPolicy", "SHUTDOWN_ERROR", "Server", "ServiceSpec",
     "StreamInterrupted", "create_backend", "create_frontend",
-    "AccessRecord", "Job", "JobQueue", "JobStatus", "MetricsMiddleware",
-    "QueueFullError", "RateLimiter", "RequestLog",
-    "render_compose", "render_dockerfile", "render_page", "scale_out",
-    "write_deployment",
+    "Job", "JobQueue", "JobStatus", "QueueFullError", "render_compose",
+    "render_dockerfile", "render_page", "scale_out", "write_deployment",
 ]
 
 __getattr__, __dir__ = export_lazily(__name__, {
     "backend": ("create_backend",),
-    "client": ("ApiError", "CircuitBreaker", "CircuitOpenError",
-               "RatatouilleClient", "RetryPolicy", "StreamInterrupted"),
+    "client": ("ApiError", "RatatouilleClient", "RetryPolicy",
+               "StreamInterrupted"),
     "deploy": ("DeploymentConfig", "ServiceSpec", "render_compose",
                "render_dockerfile", "scale_out", "write_deployment"),
     "framework": ("App", "Request", "Response", "Server"),
     "jobs": ("SHUTDOWN_ERROR", "Job", "JobQueue", "JobStatus",
              "QueueFullError"),
-    "middleware": ("AccessRecord", "MetricsMiddleware", "RateLimiter",
-                   "RequestLog"),
     "frontend": ("create_frontend", "render_page"),
 })

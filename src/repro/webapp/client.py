@@ -11,9 +11,6 @@ The client carries its share of the resilience layer
   5xx, and *any* method on 503 (the backend sheds with 503 +
   ``Retry-After`` precisely because shed requests did no work and are
   safe to resend — the hint is honored);
-* **circuit breaker** — after ``threshold`` consecutive failures the
-  client fails fast with :class:`CircuitOpenError` for
-  ``cooldown_seconds``, then lets one probe through (half-open);
 * **typed stream interruption** — a mid-stream disconnect surfaces as
   :class:`StreamInterrupted` carrying the tokens received so far,
   instead of a silent truncation the caller cannot distinguish from a
@@ -45,10 +42,6 @@ class ApiError(RuntimeError):
         self.status = status
         self.message = message
         self.retry_after = retry_after
-
-
-class CircuitOpenError(RuntimeError):
-    """The client's circuit breaker is open; no request was attempted."""
 
 
 class StreamInterrupted(RuntimeError):
@@ -86,72 +79,23 @@ class RetryPolicy:
         return computed
 
 
-class CircuitBreaker:
-    """Consecutive-failure breaker with a half-open probe.
-
-    Closed → open after ``threshold`` consecutive failures; open →
-    half-open after ``cooldown_seconds`` (one request allowed through);
-    the probe's outcome closes or re-opens the circuit.
-    """
-
-    def __init__(self, threshold: int = 5, cooldown_seconds: float = 5.0,
-                 clock: Callable[[], float] = time.monotonic) -> None:
-        if threshold < 1:
-            raise ValueError("threshold must be >= 1")
-        if cooldown_seconds < 0:
-            raise ValueError("cooldown_seconds must be >= 0")
-        self.threshold = threshold
-        self.cooldown_seconds = cooldown_seconds
-        self._clock = clock
-        self._failures = 0
-        self._state = "closed"  # closed | open | half-open
-        self._opened_at = 0.0
-
-    @property
-    def state(self) -> str:
-        return self._state
-
-    def allow(self) -> bool:
-        if self._state == "closed":
-            return True
-        if self._state == "open":
-            if self._clock() - self._opened_at >= self.cooldown_seconds:
-                self._state = "half-open"
-                return True
-            return False
-        return True  # half-open: the probe is in flight
-
-    def record_success(self) -> None:
-        self._failures = 0
-        self._state = "closed"
-
-    def record_failure(self) -> None:
-        self._failures += 1
-        if self._state == "half-open" or self._failures >= self.threshold:
-            self._state = "open"
-            self._opened_at = self._clock()
-
-
 class RatatouilleClient:
     """Thin JSON client bound to one backend base URL.
 
-    ``retry=None`` disables retries; ``breaker=None`` (the default)
-    disables the circuit breaker.  ``sleep`` is injectable so tests can
-    run retry schedules without real waiting.
+    ``retry=None`` disables retries.  ``sleep`` is injectable so tests
+    can run retry schedules without real waiting.
     """
 
     def __init__(self, base_url: str, timeout: float = 30.0,
                  retry: Optional[RetryPolicy] = RetryPolicy(),
-                 breaker: Optional[CircuitBreaker] = None,
                  sleep: Callable[[float], None] = time.sleep) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
         self.retry = retry
-        self.breaker = breaker
         self._sleep = sleep
 
     # ------------------------------------------------------------------
-    # Transport with retries + breaker
+    # Transport with retries
     # ------------------------------------------------------------------
     def _open(self, method: str, path: str, payload: Optional[dict]):
         url = f"{self.base_url}{path}"
@@ -197,29 +141,19 @@ class RatatouilleClient:
 
     def _with_resilience(self, method: str, attempt_fn: Callable[[], Any]
                          ) -> Any:
-        if self.breaker is not None and not self.breaker.allow():
-            raise CircuitOpenError(
-                "circuit breaker is open; backend presumed down")
         attempts = (self.retry.max_retries if self.retry is not None else 0)
         attempt = 0
         while True:
             try:
                 result = attempt_fn()
             except Exception as exc:  # noqa: BLE001 - classified below
-                retryable = self._should_retry(method, exc)
-                if self.breaker is not None and (
-                        retryable or not isinstance(exc, ApiError)):
-                    # 4xx responses are the *server working correctly*;
-                    # only availability failures count against the circuit.
-                    self.breaker.record_failure()
-                if not retryable or attempt >= attempts:
+                if (not self._should_retry(method, exc)
+                        or attempt >= attempts):
                     raise
                 retry_after = getattr(exc, "retry_after", None)
                 self._sleep(self.retry.delay(attempt, retry_after))
                 attempt += 1
                 continue
-            if self.breaker is not None:
-                self.breaker.record_success()
             return result
 
     def _request(self, method: str, path: str,

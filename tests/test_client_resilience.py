@@ -1,4 +1,4 @@
-"""Client-side resilience: retries, circuit breaker, stream interruption.
+"""Client-side resilience: retries and stream interruption.
 
 Transport is stubbed (no sockets): tests monkeypatch
 ``RatatouilleClient._open`` and inject a recording sleeper, so retry
@@ -12,8 +12,8 @@ from urllib.error import HTTPError, URLError
 
 import pytest
 
-from repro.webapp import (ApiError, CircuitBreaker, CircuitOpenError,
-                          RatatouilleClient, RetryPolicy, StreamInterrupted)
+from repro.webapp import (ApiError, RatatouilleClient, RetryPolicy,
+                          StreamInterrupted)
 
 
 def _http_error(code, message="boom", retry_after=None):
@@ -54,11 +54,9 @@ class _ScriptedTransport:
         return _FakeResponse(step)
 
 
-def _client(steps, retry=RetryPolicy(max_retries=2, backoff_seconds=0.1),
-            breaker=None):
+def _client(steps, retry=RetryPolicy(max_retries=2, backoff_seconds=0.1)):
     slept = []
-    client = RatatouilleClient("http://test", retry=retry, breaker=breaker,
-                               sleep=slept.append)
+    client = RatatouilleClient("http://test", retry=retry, sleep=slept.append)
     transport = _ScriptedTransport(steps)
     client._open = transport
     return client, transport, slept
@@ -139,60 +137,6 @@ class TestRetries:
             client.health()
         assert excinfo.value.status == 429
         assert transport.calls == 1
-
-
-class TestCircuitBreaker:
-    def test_opens_after_threshold_and_fails_fast(self):
-        clock = [0.0]
-        breaker = CircuitBreaker(threshold=2, cooldown_seconds=5.0,
-                                 clock=lambda: clock[0])
-        client, transport, _ = _client([URLError("down")] * 10, retry=None,
-                                       breaker=breaker)
-        for _ in range(2):
-            with pytest.raises(URLError):
-                client.health()
-        assert breaker.state == "open"
-        with pytest.raises(CircuitOpenError):
-            client.health()
-        assert transport.calls == 2  # the open circuit never hit transport
-
-    def test_half_open_probe_closes_on_success(self):
-        clock = [0.0]
-        breaker = CircuitBreaker(threshold=1, cooldown_seconds=5.0,
-                                 clock=lambda: clock[0])
-        client, transport, _ = _client(
-            [URLError("down"), b'{"status": "ok"}'], retry=None,
-            breaker=breaker)
-        with pytest.raises(URLError):
-            client.health()
-        assert breaker.state == "open"
-        clock[0] = 6.0  # cooldown elapsed → half-open probe allowed
-        assert client.health() == {"status": "ok"}
-        assert breaker.state == "closed"
-
-    def test_half_open_probe_reopens_on_failure(self):
-        clock = [0.0]
-        breaker = CircuitBreaker(threshold=1, cooldown_seconds=5.0,
-                                 clock=lambda: clock[0])
-        client, _, _ = _client([URLError("down")] * 3, retry=None,
-                               breaker=breaker)
-        with pytest.raises(URLError):
-            client.health()
-        clock[0] = 6.0
-        with pytest.raises(URLError):
-            client.health()  # the probe
-        assert breaker.state == "open"
-        with pytest.raises(CircuitOpenError):
-            client.health()
-
-    def test_4xx_does_not_trip_the_breaker(self):
-        breaker = CircuitBreaker(threshold=1)
-        client, _, _ = _client([_http_error(400), b'{"status": "ok"}'],
-                               retry=None, breaker=breaker)
-        with pytest.raises(ApiError):
-            client.health()
-        assert breaker.state == "closed"
-        assert client.health() == {"status": "ok"}
 
 
 class _FakeStream:

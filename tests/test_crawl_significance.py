@@ -1,12 +1,7 @@
-"""Tests for crawl rendering/parsing, significance tests, checkpoints."""
+"""Tests for crawl rendering/parsing and training checkpoints."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.evaluate import (bootstrap_interval, paired_permutation_test,
-                            segment_bleu_scores)
 from repro.preprocess import (crawl_corpus_to_texts, crawl_to_training_text,
                               normalize_text, parse_crawl_text,
                               structure_errors)
@@ -80,78 +75,6 @@ class TestCrawlParsing:
         texts, dropped = crawl_corpus_to_texts(pages)
         assert len(texts) == len(recipes)
         assert dropped == 1
-
-
-class TestBootstrap:
-    def test_interval_contains_estimate(self):
-        rng = np.random.default_rng(0)
-        scores = rng.normal(0.4, 0.1, size=50)
-        result = bootstrap_interval(scores, seed=1)
-        assert result.lower <= result.estimate <= result.upper
-        assert result.estimate == pytest.approx(scores.mean())
-
-    def test_interval_narrows_with_more_data(self):
-        rng = np.random.default_rng(0)
-        small = bootstrap_interval(rng.normal(0.5, 0.1, 10), seed=1)
-        large = bootstrap_interval(rng.normal(0.5, 0.1, 500), seed=1)
-        assert (large.upper - large.lower) < (small.upper - small.lower)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            bootstrap_interval([0.5])
-        with pytest.raises(ValueError):
-            bootstrap_interval([0.1, 0.2], confidence=1.5)
-        with pytest.raises(ValueError):
-            bootstrap_interval([0.1, 0.2], resamples=5)
-
-    def test_str_rendering(self):
-        text = str(bootstrap_interval([0.3, 0.4, 0.5], seed=0))
-        assert "CI" in text
-
-
-class TestPermutationTest:
-    def test_identical_systems_not_significant(self):
-        scores = np.random.default_rng(0).random(40)
-        result = paired_permutation_test(scores, scores, permutations=200)
-        assert result.p_value > 0.9
-        assert not result.significant()
-
-    def test_clearly_different_systems_significant(self):
-        rng = np.random.default_rng(1)
-        a = rng.normal(0.6, 0.05, size=40)
-        b = rng.normal(0.3, 0.05, size=40)
-        result = paired_permutation_test(a, b, permutations=500)
-        assert result.significant(0.05)
-        assert result.observed_difference == pytest.approx(
-            float(a.mean() - b.mean()))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            paired_permutation_test([1.0], [1.0])
-        with pytest.raises(ValueError):
-            paired_permutation_test([1, 2], [1, 2, 3])
-        with pytest.raises(ValueError):
-            paired_permutation_test([1, 2], [1, 2], permutations=10)
-
-    @given(st.lists(st.floats(0, 1), min_size=5, max_size=20))
-    @settings(max_examples=20, deadline=None)
-    def test_p_value_bounds_property(self, scores):
-        result = paired_permutation_test(scores, list(reversed(scores)),
-                                         permutations=100)
-        assert 0.0 < result.p_value <= 1.0
-
-
-class TestSegmentBleu:
-    def test_vector_shape_and_values(self):
-        cands = [list("abcd"), list("wxyz")]
-        refs = [[list("abcd")], [list("abcd")]]
-        scores = segment_bleu_scores(cands, refs)
-        assert scores.shape == (2,)
-        assert scores[0] > scores[1]
-
-    def test_alignment_check(self):
-        with pytest.raises(ValueError):
-            segment_bleu_scores([list("ab")], [])
 
 
 class TestCheckpointCallback:

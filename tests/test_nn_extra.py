@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import (Adam, SGD, Tensor, clip_grad_norm, no_grad, Parameter)
+from repro.nn import (Adam, Tensor, clip_grad_norm, no_grad, Parameter)
 from repro.nn import functional as F
 
 
@@ -78,10 +78,11 @@ class TestOptimizerEdges:
         opt.step()
         assert opt.step_count == 2
 
-    def test_sgd_lr_mutation_respected(self):
-        """Schedules mutate optimizer.lr between steps."""
+    def test_lr_mutation_respected(self):
+        """Schedules mutate optimizer.lr between steps; under a constant
+        gradient each Adam step moves a parameter by about ``lr``."""
         p = Parameter(np.zeros(1))
-        opt = SGD([p], lr=1.0)
+        opt = Adam([p], lr=1.0)
         p.grad = np.ones(1, dtype=np.float32)
         opt.step()
         first = p.data.copy()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import (Adam, AdamW, ConstantLR, CosineWarmupLR, LinearWarmupLR,
-                      Parameter, SGD, clip_grad_norm, schedule_from_name)
+                      Parameter, clip_grad_norm, schedule_from_name)
 
 
 def quadratic_loss_param(start=5.0):
@@ -17,32 +17,6 @@ def step_quadratic(optimizer, param, n_steps):
         param.grad = (2.0 * (param.data - 2.0)).astype(np.float32)
         optimizer.step()
         param.grad = None
-
-
-class TestSGD:
-    def test_converges_on_quadratic(self):
-        p = quadratic_loss_param()
-        step_quadratic(SGD([p], lr=0.1), p, 100)
-        assert p.data[0] == pytest.approx(2.0, abs=1e-3)
-
-    def test_momentum_accelerates(self):
-        plain = quadratic_loss_param()
-        momentum = quadratic_loss_param()
-        step_quadratic(SGD([plain], lr=0.01), plain, 20)
-        step_quadratic(SGD([momentum], lr=0.01, momentum=0.9), momentum, 20)
-        assert abs(momentum.data[0] - 2.0) < abs(plain.data[0] - 2.0)
-
-    def test_skips_none_grads(self):
-        p = Parameter(np.ones(2))
-        opt = SGD([p], lr=0.1)
-        opt.step()  # no grad set
-        np.testing.assert_array_equal(p.data, np.ones(2))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SGD([], lr=0.1)
-        with pytest.raises(ValueError):
-            SGD([Parameter(np.ones(1))], lr=0.0)
 
 
 class TestAdam:
@@ -69,6 +43,18 @@ class TestAdam:
             opt.step()
         assert a.data[0] == pytest.approx(1.0)
         assert b.data[0] < 1.0
+
+    def test_skips_none_grads(self):
+        p = Parameter(np.ones(2))
+        opt = Adam([p], lr=0.1)
+        opt.step()  # no grad set
+        np.testing.assert_array_equal(p.data, np.ones(2))
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            Adam([], lr=0.1)
+        with pytest.raises(ValueError):
+            Adam([Parameter(np.ones(1))], lr=0.0)
 
 
 class TestAdamW:
@@ -144,7 +130,7 @@ class TestSchedules:
 
     def test_apply_writes_lr(self):
         p = Parameter(np.zeros(1))
-        opt = SGD([p], lr=1.0)
+        opt = Adam([p], lr=1.0)
         sched = LinearWarmupLR(1.0, warmup_steps=10, total_steps=20)
         sched.apply(opt, 0)
         assert opt.lr == pytest.approx(0.1)

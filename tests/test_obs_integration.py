@@ -1,5 +1,5 @@
 """The obs layer threaded through the stack: generation spans/metrics,
-HTTP middleware, the /api/metrics endpoint, trainer callback, CLI."""
+the job queue, trainer callback, CLI."""
 
 import json
 
@@ -11,7 +11,6 @@ from repro.models.base import LanguageModel
 from repro.obs import (ManualClock, MetricsRegistry, NullRegistry,
                        NullTracer, Tracer)
 from repro.training import MetricsCallback
-from repro.webapp import App, MetricsMiddleware, Request, Response
 from repro.webapp.jobs import JobQueue
 
 
@@ -28,10 +27,6 @@ class ToyModel(LanguageModel):
         base = np.arange(self.vocab_size, dtype=np.float64)
         logits = np.roll(base, int(ids[-1]))[None, :]
         return logits, state
-
-
-def _request(path="/ping", method="GET"):
-    return Request(method=method, path=path, query={}, headers={})
 
 
 class TestGenerationObservability:
@@ -100,53 +95,6 @@ class TestGenerationObservability:
         b = generate(ToyModel(), [1], config,
                      registry=NullRegistry(), tracer=NullTracer())
         assert a == b
-
-
-class TestMetricsMiddleware:
-    def _app(self):
-        app = App()
-
-        @app.route("/ping")
-        def ping(request):
-            return Response.json({"pong": True})
-
-        @app.route("/boom")
-        def boom(request):
-            raise ValueError("nope")
-
-        return app
-
-    def test_counts_by_route_and_status(self):
-        registry = MetricsRegistry(clock=ManualClock())
-        app = self._app()
-        MetricsMiddleware(app, registry=registry)
-        app.dispatch(_request("/ping"))
-        app.dispatch(_request("/ping"))
-        app.dispatch(_request("/boom"))
-        app.dispatch(_request("/missing"))
-        reqs = registry.counter("http_requests_total")
-        assert reqs.labels(route="/ping", status="200").value == 2
-        assert reqs.labels(route="/boom", status="400").value == 1
-        assert reqs.labels(route="/missing", status="404").value == 1
-        latency = registry.histogram("http_request_seconds")
-        assert latency.labels(route="/ping").summary()["count"] == 2
-        assert registry.gauge("http_inflight_requests").value == 0
-
-    def test_latency_uses_registry_clock(self):
-        clock = ManualClock()
-        registry = MetricsRegistry(clock=clock)
-        app = App()
-
-        @app.route("/slow")
-        def slow(request):
-            clock.advance(0.75)
-            return Response.json({})
-
-        MetricsMiddleware(app, registry=registry)
-        app.dispatch(_request("/slow"))
-        summary = registry.histogram("http_request_seconds").labels(
-            route="/slow").summary()
-        assert summary["max"] == pytest.approx(0.75)
 
 
 class TestJobQueueMetrics:
