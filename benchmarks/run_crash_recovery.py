@@ -3,7 +3,7 @@
 The write-ahead journal's whole contract in one drill, run against
 real ``repro.webapp.serve`` subprocesses over real HTTP:
 
-1. **crash** — a backend with ``--journal-dir``/``--spill-dir`` takes
+1. **crash** — a backend with ``--journal-dir`` takes
    a batch of async generation jobs (each acknowledged with a 202 only
    after its journal record is fsync'd), and is SIGKILLed while the
    batch is mid-execution;
@@ -98,12 +98,12 @@ def _wait_healthy(base_url: str, proc, timeout: float) -> float:
     raise TimeoutError(f"server at {base_url} not healthy in {timeout}s")
 
 
-def _spawn(checkpoint: str, port: int, journal_dir: str, spill_dir: str,
+def _spawn(checkpoint: str, port: int, journal_dir: str,
            log_path: pathlib.Path):
     argv = [sys.executable, "-m", "repro.webapp.serve", "backend",
             "--checkpoint", checkpoint, "--host", "127.0.0.1",
             "--port", str(port), "--journal-dir", journal_dir,
-            "--spill-dir", spill_dir, "--drain-deadline", "20"]
+            "--drain-deadline", "20"]
     repo_root = pathlib.Path(__file__).parent.parent
     env = dict(os.environ)
     src = str(repo_root / "src")
@@ -191,7 +191,6 @@ def main(argv=None) -> int:
     work = pathlib.Path(tempfile.mkdtemp(prefix="repro-crash-bench-"))
     checkpoint = str(work / "checkpoint")
     journal_dir = str(work / "journal")
-    spill_dir = str(work / "spill")
     log_path = work / "server.log"
     print(f"training throwaway checkpoint in {checkpoint}", file=sys.stderr)
     _train_checkpoint(checkpoint)
@@ -202,8 +201,7 @@ def main(argv=None) -> int:
         # --- phase 1: crash -----------------------------------------
         port_a = _free_port()
         url_a = f"http://127.0.0.1:{port_a}"
-        server_a = _spawn(checkpoint, port_a, journal_dir, spill_dir,
-                          log_path)
+        server_a = _spawn(checkpoint, port_a, journal_dir, log_path)
         try:
             _wait_healthy(url_a, server_a, STARTUP_TIMEOUT)
             job_ids = _submit_jobs(url_a, JOBS)
@@ -224,8 +222,7 @@ def main(argv=None) -> int:
         port_b = _free_port()
         url_b = f"http://127.0.0.1:{port_b}"
         recovery_start = time.perf_counter()
-        server_b = _spawn(checkpoint, port_b, journal_dir, spill_dir,
-                          log_path)
+        server_b = _spawn(checkpoint, port_b, journal_dir, log_path)
         graceful_returncode = None
         try:
             startup_seconds = _wait_healthy(url_b, server_b,
@@ -273,9 +270,8 @@ def main(argv=None) -> int:
         ref_work = work / "reference"
         port_c = _free_port()
         url_c = f"http://127.0.0.1:{port_c}"
-        server_c = _spawn(checkpoint, port_c,
-                          str(ref_work / "journal"),
-                          str(ref_work / "spill"), log_path)
+        server_c = _spawn(checkpoint, port_c, str(ref_work / "journal"),
+                          log_path)
         try:
             _wait_healthy(url_c, server_c, STARTUP_TIMEOUT)
             ref_ids = _submit_jobs(url_c, JOBS)

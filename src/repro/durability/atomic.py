@@ -18,10 +18,9 @@ plus, at worst, an orphaned ``*.tmp-*`` file the next writer ignores.
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
-from typing import Any, Union
+from typing import Union
 
 PathLike = Union[str, os.PathLike]
 
@@ -52,16 +51,6 @@ def atomic_write_bytes(path: PathLike, data: bytes) -> None:
         os.fsync(handle.fileno())
     os.replace(tmp, path)
     fsync_dir(path.parent)
-
-
-def atomic_write_text(path: PathLike, text: str,
-                      encoding: str = "utf-8") -> None:
-    atomic_write_bytes(path, text.encode(encoding))
-
-
-def atomic_write_json(path: PathLike, payload: Any) -> None:
-    atomic_write_bytes(
-        path, json.dumps(payload, ensure_ascii=False).encode("utf-8"))
 
 
 def fsync_file(path: PathLike) -> None:

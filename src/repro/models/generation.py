@@ -10,6 +10,7 @@ related work).
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
@@ -107,6 +108,12 @@ class GenerationConfig:
     def validate(self) -> None:
         if self.strategy not in ("greedy", "sample", "beam", "mcts"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
+        # NaN passes every ``<`` / ``<=`` bound below, and inf passes the
+        # one-sided ones; either would reach the shared engine step.
+        for name in ("temperature", "top_p", "length_penalty",
+                     "repetition_penalty", "mcts_c_puct"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.max_new_tokens < 1:
             raise ValueError("max_new_tokens must be >= 1")
         if self.temperature <= 0:

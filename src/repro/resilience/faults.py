@@ -31,9 +31,6 @@ Registered failure points (see ``docs/RESILIENCE.md``):
                         that cannot be made durable is refused with 503 +
                         Retry-After *before* the 202, never acknowledged
                         and then lost;
-``spill.save``          a prefix-cache spill snapshot — a failed spill
-                        degrades the *next* restart to a cold cache, it
-                        never fails shutdown, swap, or serving;
 ``decoding.reward``     an MCTS rollout-reward evaluation — the search
                         degrades to constrained greedy decoding with
                         ``"search_degraded": true``, never a failed or
@@ -64,7 +61,6 @@ FAULT_POINTS: Tuple[str, ...] = (
     "framework.write",
     "retrieval.search",
     "journal.append",
-    "spill.save",
     "decoding.reward",
 )
 

@@ -24,10 +24,10 @@ from an entry stored under that trie node — exact, because every
 prompt through the node ran the same chunk calls over those tokens.
 
 Every method takes the cache lock and snapshots are frozen
-(copy-on-append), so readers on other threads (``/api/engine``, the
-spill) see a consistent trie.  The cache counts what is the cache's —
-evictions, bytes, hit rate — itself, at the point of change; the engine
-counts only the outcome of its own lookups.
+(copy-on-append), so readers on other threads (``/api/engine``,
+``/api/metrics``) see a consistent trie.  The cache counts what is the
+cache's — evictions, bytes, hit rate — itself, at the point of change;
+the engine counts only the outcome of its own lookups.
 """
 
 from __future__ import annotations
@@ -242,9 +242,9 @@ class PrefixCache:
     def entries_snapshot(self) -> "list[Tuple[Tuple[int, ...], Any, int]]":
         """Every entry as ``(key, value, nbytes)``, oldest (LRU) first.
 
-        Taken under the cache lock so the spill layer
-        (:class:`repro.durability.CacheSpill`) sees a consistent cut;
-        re-inserting the tuples in order reproduces the LRU ordering.
+        Taken under the cache lock, so a reader off the engine thread
+        sees a consistent cut; re-inserting the tuples in order
+        reproduces the LRU ordering.
         """
         with self._lock:
             return [(key, entry.value, entry.nbytes)
@@ -255,9 +255,9 @@ class PrefixCache:
 
         The metrics path must use this rather than reading
         ``self.stats`` fields directly: a concurrent insert/evict (from
-        any of the engines sharing the cache) can otherwise interleave
-        between field reads and tear a rate's numerator from its
-        denominator.
+        the engine thread, the cache's one writer) can otherwise
+        interleave between field reads and tear a rate's numerator from
+        its denominator.
         """
         with self._lock:
             return self.stats.as_dict()

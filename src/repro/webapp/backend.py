@@ -104,7 +104,6 @@ def create_backend(pipeline: Ratatouille,
                    retrieval_index=None,
                    retrieve_k: int = 0,
                    journal_dir=None,
-                   spill_dir=None,
                    max_mcts_rollouts: int = MAX_MCTS_ROLLOUTS) -> App:
     """Build the backend :class:`~repro.webapp.framework.App`.
 
@@ -124,10 +123,10 @@ def create_backend(pipeline: Ratatouille,
     decodes through the inference kernels.
     ``retrieval_index`` (``docs/RETRIEVAL.md``) enables
     ``POST /api/search``, ``retrieve_k`` exemplars per prompt and a
-    ``novelty`` score on every generation.  ``journal_dir`` /
-    ``spill_dir`` (``docs/DURABILITY.md``) enable the write-ahead job
-    journal (replayed before the app is returned) and the prefix-cache
-    spill (loaded here, once); ``app.shutdown_gracefully`` flushes both.
+    ``novelty`` score on every generation.  ``journal_dir``
+    (``docs/DURABILITY.md``) enables the write-ahead job journal,
+    replayed before the app is returned; ``app.shutdown_gracefully``
+    rotates and closes it.
     ``speculative_k`` and ``retrieve_k`` are server defaults payloads
     override; ``max_new_tokens_cap`` and ``max_mcts_rollouts``
     (``docs/DECODING.md``) cap the payload knobs of the same name.
@@ -158,17 +157,10 @@ def create_backend(pipeline: Ratatouille,
     engine = InferenceEngine(pipeline.model, registry=registry,
                              tracer=tracer, draft=draft, resilience=knobs)
     jobs = job_queue or JobQueue(workers=1, max_pending=16, registry=registry)
-    journal = spill = None
+    journal = None
     if journal_dir is not None:
         from ..durability import JobJournal
         journal = JobJournal(journal_dir)
-    if spill_dir is not None:
-        from ..durability import CacheSpill
-        spill = CacheSpill(spill_dir, model=pipeline.model)
-        try:
-            spill.load_into(engine.prefix_cache)
-        except Exception:  # noqa: BLE001 - corrupt spill => cold start
-            pass
     retrieval_shed = None
     if retrieval_index is not None:
         retrieval_index.set_registry(registry)
@@ -197,7 +189,6 @@ def create_backend(pipeline: Ratatouille,
     app.admission = admission
     app.retrieval_index = retrieval_index
     app.journal = journal
-    app.spill = spill
 
     #: ``Idempotency-Key`` → ``{"job_id", "committed"}``.  A claim is
     #: provisional (``committed=False``) until the submit sticks
@@ -236,10 +227,7 @@ def create_backend(pipeline: Ratatouille,
                               if retrieval_index is not None else 0),
                 "default_k": retrieve_k,
             },
-            "durability": {
-                "journal": journal is not None,
-                "spill": spill is not None,
-            },
+            "durability": {"journal": journal is not None},
             "decoding": {
                 "strategies": ["greedy", "sample", "mcts"],
                 "max_mcts_rollouts": max_mcts_rollouts,
@@ -604,7 +592,7 @@ def create_backend(pipeline: Ratatouille,
         service.draining = True
 
     def shutdown_gracefully(deadline_seconds: float = 10.0) -> dict:
-        """SIGTERM path: drain, flush durable state, stop the engine.
+        """SIGTERM path: drain, stop the engine, close the journal.
 
         1. stop admission — every new request sheds with 503 +
            ``Retry-After`` while the drain runs;
@@ -612,11 +600,8 @@ def create_backend(pipeline: Ratatouille,
            leftovers are failed with the named shutdown error — their
            journal records stay incomplete, so the *next* process
            replays them;
-        3. stop the engine, then spill its prefix cache — after the
-           stop, so no engine thread writes while the snapshot is
-           taken; never the cache of a ``failed`` engine, whose crash
-           may have been a poisoned entry;
-        4. compact + close the journal.
+        3. stop the engine;
+        4. rotate (compact) + close the journal.
 
         Idempotent: a second call returns the first call's summary.
         """
@@ -628,13 +613,6 @@ def create_backend(pipeline: Ratatouille,
         leftover = jobs.unfinished
         jobs.shutdown()
         engine.stop()
-        spilled = False
-        if spill is not None and engine.crashed is None:
-            try:
-                spill.save(engine.prefix_cache)
-                spilled = True
-            except Exception:  # noqa: BLE001 - the next start is cold
-                pass
         journal_stats = None
         if journal is not None:
             try:
@@ -644,7 +622,6 @@ def create_backend(pipeline: Ratatouille,
             journal_stats = journal.stats()
             journal.close()
         shutdown_summary = {"drained": drained, "jobs_abandoned": leftover,
-                            "spilled": spilled,
                             "journal": journal_stats}
         return shutdown_summary
 

@@ -78,10 +78,6 @@ def add_backend_arguments(backend: argparse.ArgumentParser) -> None:
                          help="write-ahead job journal directory: async "
                               "jobs are fsync'd before the 202 and "
                               "replayed on restart (docs/DURABILITY.md)")
-    backend.add_argument("--spill-dir", default=None,
-                         help="prefix-cache spill directory: the KV cache "
-                              "is snapshotted on clean shutdown and "
-                              "mmap-reloaded on the next start")
     backend.add_argument("--max-mcts-rollouts", type=int,
                          default=MAX_MCTS_ROLLOUTS,
                          help="cap on per-request mcts_rollouts for "
@@ -91,8 +87,8 @@ def add_backend_arguments(backend: argparse.ArgumentParser) -> None:
     backend.add_argument("--drain-deadline", type=float, default=10.0,
                          help="graceful-shutdown budget in seconds: "
                               "SIGTERM stops admission, waits this long "
-                              "for in-flight jobs, then flushes journal "
-                              "and cache spill and exits 0")
+                              "for in-flight jobs, then stops the engine, "
+                              "closes the journal and exits 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -171,7 +167,6 @@ def build_backend(args: argparse.Namespace) -> App:
                          retrieval_index=retrieval_index,
                          retrieve_k=args.retrieve_k,
                          journal_dir=args.journal_dir,
-                         spill_dir=args.spill_dir,
                          max_mcts_rollouts=args.max_mcts_rollouts)
     app.drain_deadline = args.drain_deadline
     return app
@@ -197,8 +192,8 @@ def serve(server: Server) -> int:
 
     The graceful path (``docs/DURABILITY.md``): stop admission (new
     requests shed 503 + ``Retry-After``), drain in-flight jobs under
-    ``--drain-deadline``, spill the prefix cache, compact + close the
-    journal, stop the engine, exit 0 — so an orchestrator's ordinary
+    ``--drain-deadline``, stop the engine, compact + close the journal,
+    exit 0 — so an orchestrator's ordinary
     ``SIGTERM; wait; SIGKILL`` rollout never loses acknowledged work
     and never trips the kill escalation.
     """

@@ -9,6 +9,7 @@ JSON, job or SSE envelope (``docs/ARCHITECTURE.md``, "The request path").
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Iterator, List, Optional
 
@@ -234,8 +235,8 @@ class GenerationService:
             except (TypeError, ValueError):
                 raise ValueError("'deadline_ms' must be a number, got "
                                  f"{deadline_ms!r}") from None
-            if deadline_ms <= 0:
-                raise ValueError("'deadline_ms' must be > 0")
+            if not (math.isfinite(deadline_ms) and deadline_ms > 0):
+                raise ValueError("'deadline_ms' must be a finite number > 0")
         retrieve_k = payload.get("retrieve_k")
         if retrieve_k is None:
             retrieve_k = self.default_retrieve_k

@@ -194,24 +194,6 @@ class TestEveryNamedPoint:
                 journal.append_accepted("fine", {"ingredients": ["x"]})
             assert "fine" in journal.replay().accepted
 
-    def test_spill_save_fault_degrades_to_cold_start(self, tmp_path):
-        from repro.durability import CacheSpill, SpillError
-        from repro.serving import PrefixCache
-
-        cache = PrefixCache(max_bytes=1024)
-        cache.insert([1, 2], "snapshot", nbytes=8)
-        spill = CacheSpill(tmp_path / "spill")
-        injector = FaultInjector({"spill.save": FaultSpec(schedule={0})})
-        with inject_faults(injector):
-            with pytest.raises(SpillError):
-                spill.save(cache)
-            # Nothing half-written became live: the next start is a
-            # clean cold start, not a torn snapshot.
-            assert spill.load_into(PrefixCache(max_bytes=1024)) == 0
-            # Recovery: the next save succeeds and loads warm.
-            spill.save(cache)
-        assert spill.load_into(PrefixCache(max_bytes=1024)) == 1
-
     def test_decoding_reward_fault_degrades_search_not_request(self):
         # A reward failure mid-search must *degrade* the MCTS request
         # to constrained greedy — flagged, 200 — never 500 or hang;
@@ -255,7 +237,7 @@ class TestEveryNamedPoint:
         assert set(FAULT_POINTS) == {"model.forward", "prefix_cache.get",
                                      "jobs.worker", "framework.write",
                                      "retrieval.search", "journal.append",
-                                     "spill.save", "decoding.reward"}
+                                     "decoding.reward"}
 
 
 class TestSpeculativeUnderFaults:

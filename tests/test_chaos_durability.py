@@ -5,9 +5,9 @@ engine crashes under a backend running ``--kernels fp32`` AND
 ``--retrieval`` at once, the restarted loop must re-attach the
 one frozen weight store (the shared model object), the retrieval
 surface must keep serving, and generation after the restart — and
-after a spill → warm reload — must be bit-identical to the sequential
-decoder (``models.generate``), plus the warm spill/journal paths must
-still engage on the eventual clean stop.
+after a stop and a fresh (cold) backend on the same weights — must be
+bit-identical to the sequential decoder (``models.generate``), plus
+the journal must still compact on the eventual clean stop.
 """
 
 import json
@@ -86,7 +86,7 @@ def test_supervised_restart_with_kernels_and_retrieval(pipeline, oracle,
         resilience=ResilienceConfig(max_restarts=3,
                                     restart_backoff_seconds=0.01),
         kernels="fp32", retrieval_index=index,
-        journal_dir=tmp_path / "journal", spill_dir=tmp_path / "spill")
+        journal_dir=tmp_path / "journal")
     try:
         assert pipeline.model.kernels is not None  # kernel path attached
 
@@ -131,9 +131,8 @@ def test_supervised_restart_with_kernels_and_retrieval(pipeline, oracle,
         assert status["status"] == "done"
     finally:
         summary = app.shutdown_gracefully(deadline_seconds=30.0)
-    # The clean stop of the *restarted* engine still spilled warm
-    # state and compacted the journal.
-    assert summary["spilled"] is True
+    # The clean stop of the *restarted* engine still compacted the
+    # journal.
     assert summary["journal"]["rotations"] == 1
 
 
@@ -144,8 +143,7 @@ def test_restart_and_warm_reload_bit_identical_on_one_weight_store(
             pipeline, registry=MetricsRegistry(),
             resilience=ResilienceConfig(max_restarts=2,
                                         restart_backoff_seconds=0.01),
-            kernels="fp32", journal_dir=tmp_path / "journal",
-            spill_dir=tmp_path / "spill")
+            kernels="fp32", journal_dir=tmp_path / "journal")
 
     def served_tokens(app):
         return app.engine.generate(oracle["prompt_ids"], oracle["config"])
@@ -167,17 +165,19 @@ def test_restart_and_warm_reload_bit_identical_on_one_weight_store(
         assert (_recipe(_body(_post(app, "/api/generate", PAYLOAD)))
                 == oracle["recipe"])
     finally:
-        assert app.shutdown_gracefully()["spilled"] is True
+        assert app.shutdown_gracefully()["journal"]["rotations"] == 1
 
-    # Warm reload: KV state spilled by the stopped server is served by
-    # the next one, and what it decodes from is still the oracle's.
+    # The next process starts cold on the same weights: its first
+    # decode is a cache miss, its second resumes from the entry the
+    # first stored, and both are still the oracle's.
     reborn = backend()
     try:
         cache = reborn.engine.prefix_cache
-        assert cache.stats.entries > 0
+        assert cache.stats.entries == 0
         assert served_tokens(reborn) == oracle["tokens"]
-        assert cache.stats.hit_tokens > 0
+        assert cache.stats.hit_tokens == 0
         assert (_recipe(_body(_post(reborn, "/api/generate", PAYLOAD)))
                 == oracle["recipe"])
+        assert cache.stats.hit_tokens > 0
     finally:
         reborn.shutdown_gracefully()

@@ -1,7 +1,7 @@
 """Crash-recovery gate (slow tier).
 
 Runs ``benchmarks/run_crash_recovery.py`` — a real ``repro serve``
-subprocess with ``--journal-dir``/``--spill-dir`` is SIGKILLed
+subprocess with ``--journal-dir`` is SIGKILLed
 mid-batch; the restarted process must lose zero acknowledged jobs,
 append zero duplicate completions, replay to bit-identical results,
 and exit 0 on SIGTERM.  Excluded from the tier-1 default run; invoke

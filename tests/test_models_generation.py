@@ -31,6 +31,10 @@ class TestConfigValidation:
         {"top_p": 1.5},
         {"beam_size": 0},
         {"repetition_penalty": 0.5},
+        {"temperature": float("nan")},
+        {"temperature": float("inf")},
+        {"repetition_penalty": float("nan")},
+        {"repetition_penalty": float("inf")},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):

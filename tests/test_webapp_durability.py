@@ -1,9 +1,9 @@
 """HTTP-layer durability: journaled 202s, idempotency keys, restart
 replay, draining and graceful shutdown (docs/DURABILITY.md).
 
-Everything runs in-process through ``app.dispatch`` against real
-journal/spill directories — the same code paths ``repro serve
---journal-dir --spill-dir`` exercises, minus the socket.
+Everything runs in-process through ``app.dispatch`` against a real
+journal directory — the same code paths ``repro serve --journal-dir``
+exercises, minus the socket.
 """
 
 import json
@@ -83,10 +83,10 @@ class TestJournaledAcknowledgement:
             app.shutdown_gracefully()
 
     def test_health_reports_durability(self, pipeline, tmp_path):
-        app = _backend(pipeline, tmp_path, spill_dir=tmp_path / "spill")
+        app = _backend(pipeline, tmp_path)
         try:
             body = _body(_get(app, "/api/health"))
-            assert body["durability"] == {"journal": True, "spill": True}
+            assert body["durability"] == {"journal": True}
             assert body["lifecycle"] == "serving"
         finally:
             app.shutdown_gracefully()
@@ -305,63 +305,14 @@ class TestDrainAndShutdown:
 
     def test_graceful_shutdown_flushes_and_is_idempotent(self, pipeline,
                                                          tmp_path):
-        app = _backend(pipeline, tmp_path, spill_dir=tmp_path / "spill")
+        app = _backend(pipeline, tmp_path)
         job_id = _body(_post(app, "/api/generate_async", PAYLOAD))["job_id"]
         summary = app.shutdown_gracefully(deadline_seconds=30.0)
         assert summary["drained"] is True
         assert summary["jobs_abandoned"] == 0
-        assert summary["spilled"] is True
         assert summary["journal"]["rotations"] == 1
         # Idempotent: the SIGTERM handler racing an atexit hook is fine.
         assert app.shutdown_gracefully() is summary
         # The in-flight job completed before the engine stopped.
         assert _audit(tmp_path).completed[job_id]["status"] == "done"
 
-    def test_shutdown_summary_reports_failed_spill_honestly(self, pipeline,
-                                                            tmp_path):
-        # shutdown_gracefully attempts the spill.  When the save
-        # fails, the summary must say so instead of claiming a warm
-        # snapshot that does not exist.
-        from repro.resilience import FaultInjector, FaultSpec, inject_faults
-
-        app = _backend(pipeline, tmp_path, spill_dir=tmp_path / "spill")
-        injector = FaultInjector({"spill.save": FaultSpec(rate=1.0)})
-        with inject_faults(injector):
-            summary = app.shutdown_gracefully(deadline_seconds=30.0)
-        assert summary["spilled"] is False
-        assert not (tmp_path / "spill" / "CURRENT").exists()
-
-    def test_crashed_engine_is_never_spilled(self, pipeline, tmp_path):
-        # One spill writer (shutdown_gracefully), one rule: the cache
-        # of a failed engine is not saved — the crash may have been a
-        # poisoned snapshot.  The previous process's snapshot stays.
-        from repro.resilience import (FaultInjector, FaultSpec,
-                                      ResilienceConfig, inject_faults)
-
-        first = _backend(pipeline, tmp_path, spill_dir=tmp_path / "spill")
-        assert _post(first, "/api/generate", PAYLOAD).status == 200
-        assert first.shutdown_gracefully()["spilled"] is True
-        current = tmp_path / "spill" / "CURRENT"
-        before = (current.read_bytes(), current.stat().st_mtime_ns)
-
-        app = _backend(pipeline, tmp_path, spill_dir=tmp_path / "spill",
-                       resilience=ResilienceConfig(max_restarts=0))
-        injector = FaultInjector({"prefix_cache.get": FaultSpec(rate=1.0)})
-        with inject_faults(injector):
-            assert _post(app, "/api/generate", PAYLOAD).status == 502
-        assert app.engine.crashed is not None
-        summary = app.shutdown_gracefully(deadline_seconds=30.0)
-        assert summary["spilled"] is False
-        assert (current.read_bytes(), current.stat().st_mtime_ns) == before
-
-    def test_warm_cache_after_restart(self, pipeline, tmp_path):
-        app = _backend(pipeline, tmp_path, spill_dir=tmp_path / "spill")
-        for _ in range(2):
-            assert _post(app, "/api/generate", PAYLOAD).status == 200
-        app.shutdown_gracefully()
-
-        reborn = _backend(pipeline, tmp_path, spill_dir=tmp_path / "spill")
-        try:
-            assert reborn.engine.prefix_cache.stats.entries > 0
-        finally:
-            reborn.shutdown_gracefully()

@@ -212,6 +212,48 @@ class TestAdmitBeforeRetrieve:
             app.shutdown_gracefully(deadline_seconds=5)
 
 
+class TestNonFiniteKnobs:
+    """NaN passes every ``<`` / ``<=`` bound and inf the one-sided ones.
+    A knob that got past parsing would reach the engine step it shares
+    with other requests and fail them too, for a knob they never sent."""
+
+    CLEAN = {"ingredients": ["onion", "tomato"], "strategy": "sample",
+             "max_new_tokens": 60, "seed": 5, "temperature": 0.8,
+             "top_k": 20}
+
+    @pytest.mark.parametrize("knob, value", [
+        ("temperature", "nan"), ("temperature", "inf"),
+        ("repetition_penalty", "nan"), ("repetition_penalty", "inf"),
+        ("deadline_ms", "nan"), ("deadline_ms", "inf")])
+    def test_is_a_400_and_a_concurrent_request_decodes_clean(
+            self, app, pipeline, knob, value):
+        from repro.models import GenerationConfig, generate
+        from repro.obs import NullRegistry, NullTracer
+
+        _, prompt_ids, config, processors = pipeline.prepare_prompt(
+            self.CLEAN["ingredients"], generation=GenerationConfig(
+                **{name: self.CLEAN[name] for name in
+                   ("strategy", "max_new_tokens", "seed", "temperature",
+                    "top_k")}))
+        oracle = generate(pipeline.model, prompt_ids, config,
+                          processors=processors, registry=NullRegistry(),
+                          tracer=NullTracer())
+
+        # The clean request is decoding (its first token is out) when
+        # the bad one arrives.
+        response = _post(app, "/api/generate_stream", self.CLEAN)
+        assert response.status == 200
+        frames = iter(response.stream)
+        events = [json.loads(next(frames).decode("utf-8")[len("data: "):])]
+        bad = _post(app, "/api/generate", {**self.CLEAN, knob: value})
+        assert bad.status == 400
+        assert knob in json.loads(bad.body)["error"]
+        events += [json.loads(frame.decode("utf-8")[len("data: "):])
+                   for frame in frames]
+        assert events[-1].get("done") is True
+        assert [event["token"] for event in events[:-1]] == oracle
+
+
 def test_backend_refuses_a_model_the_engine_does_not_serve():
     # `repro serve --checkpoint <lstm>` fails at startup, by name, and
     # leaves no thread behind: there is no second decode path.
