@@ -115,10 +115,13 @@ def _spawn(checkpoint: str, port: int, journal_dir: str,
 
 
 def _job_payload(index: int) -> dict:
+    # Async jobs decode in one engine batch, so equal lengths would all
+    # finish together; staggered lengths (6 .. MAX_NEW_TOKENS) leave the
+    # longer jobs mid-decode when the kill lands after the short ones.
     return {
         "ingredients": INGREDIENT_SETS[index % len(INGREDIENT_SETS)],
         "strategy": "greedy",
-        "max_new_tokens": MAX_NEW_TOKENS,
+        "max_new_tokens": MAX_NEW_TOKENS * (index + 1) // JOBS,
         "seed": index,
     }
 

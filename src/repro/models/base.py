@@ -161,7 +161,7 @@ class LanguageModel(Module):
         (:meth:`prefill`).  This default survives only because the
         ``benchmarks/e2e`` harness wraps ``model.prefill_stacked`` by
         name (``spans.py``); it goes when the harness stops spelling it
-        (ROADMAP item 5(d)).
+        (ROADMAP item 1).
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not support batched prefill")

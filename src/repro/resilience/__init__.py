@@ -17,8 +17,8 @@ package adds the failure-handling layer:
 
 Request *deadlines* live in the engine itself
 (:class:`repro.serving.DeadlineExceededError` carries the partial
-generation) and in :meth:`repro.webapp.jobs.JobQueue.wait`; this
-package configures them via :class:`ResilienceConfig`.
+generation); this package configures them via
+:class:`ResilienceConfig`.
 """
 
 from __future__ import annotations

@@ -18,8 +18,9 @@ Registered failure points (see ``docs/RESILIENCE.md``):
                         the engine loop — a *crash*, which the engine
                         recovers from in place while its restart budget
                         lasts (``InferenceEngine._recover``);
-``jobs.worker``         a job-queue worker about to run a job — the job
-                        resolves ``FAILED`` with a named error;
+``jobs.worker``         the job thread about to finish a job — the job
+                        resolves ``FAILED`` with a named error, its
+                        decode cancelled and its cost released;
 ``framework.write``     an HTTP response write — simulates a client that
                         disconnected mid-stream;
 ``retrieval.search``    a retrieval-index lookup (search, RAG exemplar

@@ -590,7 +590,7 @@ class InferenceEngine:
         Exists only because the ``benchmarks/e2e`` harness spells
         ``app.engine.engine`` (``measure.py``, ``spans.py``) from when
         ``app.engine`` was a wrapper around the engine; it goes when the
-        harness stops spelling it (ROADMAP item 5(d)).
+        harness stops spelling it (ROADMAP item 1).
         """
         return self
 

@@ -41,10 +41,11 @@ from ..resilience import (AdmissionController, OverloadShedError,
                           ResilienceConfig)
 from ..serving import InferenceEngine
 from .framework import App, Handler, Request, Response
-from .jobs import JobQueue, QueueFullError
+from .jobs import SHUTDOWN_ERROR, JobQueue, QueueFullError
 from .service import (ERROR_STATUS, MAX_INGREDIENTS, MAX_MCTS_ROLLOUTS,
                       MAX_NEW_TOKENS_CAP, MAX_RETRIEVE_K, MAX_SPECULATIVE_K,
-                      GenerationRequest, GenerationService, json_object)
+                      GenerationRequest, GenerationService, StartedRequest,
+                      json_object)
 
 if TYPE_CHECKING:
     from ..recipedb import PairingGraph
@@ -93,7 +94,6 @@ def _service_errors(handler: Handler) -> Handler:
 def create_backend(pipeline: Ratatouille,
                    catalog: Optional[IngredientCatalog] = None,
                    pairing: Optional[PairingGraph] = None,
-                   job_queue: Optional[JobQueue] = None,
                    registry: Optional[MetricsRegistry] = None,
                    tracer: Optional[Tracer] = None,
                    max_new_tokens_cap: int = MAX_NEW_TOKENS_CAP,
@@ -156,7 +156,7 @@ def create_backend(pipeline: Ratatouille,
     # Refuses a model that is not GPT-2 before any thread starts.
     engine = InferenceEngine(pipeline.model, registry=registry,
                              tracer=tracer, draft=draft, resilience=knobs)
-    jobs = job_queue or JobQueue(workers=1, max_pending=16, registry=registry)
+    jobs = JobQueue(registry=registry)
     journal = None
     if journal_dir is not None:
         from ..durability import JobJournal
@@ -298,21 +298,32 @@ def create_backend(pipeline: Ratatouille,
         except Exception:  # noqa: BLE001
             pass
 
-    def _make_work(job_id: str, generation: GenerationRequest):
-        """The queued callable for a live submit or a journal replay.
-        ``service.run`` releases the admission cost when the job
-        resolves, not when it is queued: queued-but-unstarted jobs are
-        exactly the backlog admission control must count."""
+    def _job(job_id: str, generation: GenerationRequest,
+             started: Optional[StartedRequest] = None) -> dict:
+        """``jobs.submit`` kwargs for one job: a live submit passes the
+        request it started, a replayed job starts on the job thread.
+
+        The cost is released when the job resolves, not when it is
+        queued: unfinished jobs are the backlog admission counts.
+        Every failure — the decode raised, the ``jobs.worker`` fault,
+        shutdown — takes ``on_fail``: cancel the decode, release the
+        cost, journal ``failed`` unless shutdown abandoned the job
+        (that one stays incomplete for the next process to replay).
+        """
         def work():
-            try:
-                result = service.run(generation)
-            except Exception as exc:
-                _journal_completion(job_id, "failed",
-                                    error=f"{type(exc).__name__}: {exc}")
-                raise
+            nonlocal started
+            if started is None:
+                started = service.start(generation)
+            result = started.finish()[1]
             _journal_completion(job_id, "done", result=result)
             return result
-        return work
+
+        def on_fail(error: str) -> None:
+            if started is not None:
+                started.close()
+            if error != SHUTDOWN_ERROR:
+                _journal_completion(job_id, "failed", error=error)
+        return {"func": work, "job_id": job_id, "on_fail": on_fail}
 
     @app.route("/api/generate_async", methods=("POST",))
     @_service_errors
@@ -370,9 +381,19 @@ def create_backend(pipeline: Ratatouille,
                     f"journal unavailable: {exc}", status=503,
                     headers={"Retry-After": "1"})
         try:
-            jobs.submit(_make_work(job_id, generation), job_id=job_id)
+            # The decode joins the engine's batch now; the job thread
+            # only waits for it and builds the body.
+            started = service.start(generation)
+        except Exception as exc:
+            # start released the cost; ERROR_STATUS (or a ValueError's
+            # 400) names the refusal.
+            _forget_idempotency(idem_key, job_id)
+            _journal_completion(job_id, "rejected", error=str(exc))
+            raise
+        try:
+            jobs.submit(**_job(job_id, generation, started))
         except (QueueFullError, RuntimeError, ValueError) as exc:
-            service.release(generation.cost)
+            started.close()
             _forget_idempotency(idem_key, job_id)
             # Journaled but never queued: a "rejected" completion stops
             # replay from resurrecting work the client was refused.
@@ -525,14 +546,14 @@ def create_backend(pipeline: Ratatouille,
     # Journal replay: resurrect the previous process's state.
     # ------------------------------------------------------------------
     def _replay_journal() -> dict:
-        """Fold the journal into live state; re-submit incomplete jobs.
+        """Fold the journal into live state; requeue incomplete jobs.
 
         Completed jobs become ``restored`` snapshots (results stay
-        fetchable); accepted-but-incomplete jobs re-enter the queue in
-        acceptance order and execute exactly once *here* — engine
-        output is deterministic, so even a job that did run before the
-        crash (but lost its completion record) re-executes to the
-        identical result.
+        fetchable); accepted-but-incomplete jobs re-enter the queue
+        whole, in acceptance order, and execute exactly once on the job
+        thread, one at a time — engine output is deterministic, so even
+        a job that did run before the crash (but lost its completion
+        record) re-executes to the identical result.
         """
         state = journal.replay()
         with idempotency_lock:
@@ -571,10 +592,7 @@ def create_backend(pipeline: Ratatouille,
             # The original process's admission died with it.
             generation.cost = 0
             try:
-                # block=True: a backlog larger than max_pending must
-                # re-enqueue completely, not lose its tail to a 429.
-                jobs.submit(_make_work(jid, generation), job_id=jid,
-                            block=True)
+                jobs.requeue(**_job(jid, generation))
                 replayed += 1
             except Exception as exc:  # noqa: BLE001
                 fail(jid, f"replay submit failed: {type(exc).__name__}: {exc}")

@@ -1,21 +1,22 @@
 """Background job queue for asynchronous generation.
 
 Sec. VI motivates the decoupled backend with load: "To handle more
-user requests and prevents breakage of application".  Synchronous
-generation holds an HTTP worker for the full decode; this module adds
-the standard fix — a bounded job queue with worker threads — which the
-backend exposes as ``POST /api/generate_async`` + ``GET /api/job``.
+user requests and prevents breakage of application".  The backend
+exposes ``POST /api/generate_async`` + ``GET /api/job``: an accepted
+job's decode is already an engine request (it rides the engine's
+batch), and this queue's one thread only finishes jobs in acceptance
+order — waits for the decode, builds the body, journals the outcome.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 import uuid
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Deque, Dict, Optional
 
 from ..obs import MetricsRegistry, get_registry
 from ..resilience.faults import fault_check
@@ -24,6 +25,12 @@ from ..resilience.faults import fault_check
 #: polling ``GET /api/job`` see it verbatim and can tell "the service
 #: restarted" apart from "your recipe failed".
 SHUTDOWN_ERROR = "JobQueueShutdown: queue shut down before job ran"
+
+#: Live submissions beyond this many waiting jobs raise
+#: :class:`QueueFullError` — the HTTP layer's 429.  With token
+#: admission off (the default) it is the only cap on a backlog of
+#: constrained / MCTS jobs, whose decodes start on the job thread.
+MAX_PENDING = 16
 
 
 class JobStatus(str, Enum):
@@ -39,6 +46,10 @@ class Job:
 
     job_id: str
     func: Callable[[], Any]
+    #: Called with the error string whenever the job resolves FAILED —
+    #: ``func`` raised, the ``jobs.worker`` fault fired, or shutdown
+    #: abandoned it — before the status becomes visible.
+    on_fail: Optional[Callable[[str], None]] = None
     status: JobStatus = JobStatus.PENDING
     result: Any = None
     error: Optional[str] = None
@@ -62,37 +73,18 @@ class Job:
 
 
 class JobQueue:
-    """A bounded FIFO queue drained by daemon worker threads.
+    """A FIFO of jobs run one at a time on one daemon thread.
 
-    Parameters
-    ----------
-    workers:
-        Number of worker threads (1 is the right choice for CPU-bound
-        generation on one core; more only helps with I/O).
-    max_pending:
-        Submissions beyond this raise :class:`QueueFullError` — the
-        backpressure signal the HTTP layer turns into a 429.
-    registry:
-        Metrics sink (defaults to the process-wide registry): queue
-        depth gauge, submit/reject/complete counters, wait/run-time
-        histograms — the numbers ``GET /api/metrics`` exposes.
-    clock:
-        Timestamp source for job lifecycle durations; inject a
-        :class:`~repro.obs.ManualClock` for deterministic tests.
+    ``registry`` (default: the process-wide one) receives the queue
+    depth gauge, submit/reject/complete counters and wait/run-time
+    histograms — the numbers ``GET /api/metrics`` exposes.
     """
 
-    def __init__(self, workers: int = 1, max_pending: int = 16,
-                 registry: Optional[MetricsRegistry] = None,
-                 clock: Optional[Callable[[], float]] = None) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if max_pending < 1:
-            raise ValueError("max_pending must be >= 1")
-        self._queue: "queue.Queue[Job]" = queue.Queue(maxsize=max_pending)
+    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
+        self._pending: Deque[Job] = deque()
         self._jobs: Dict[str, Job] = {}
-        self._lock = threading.Lock()
+        self._cond = threading.Condition()
         self._shutdown = False
-        self._clock = clock or time.time
         registry = registry if registry is not None else get_registry()
         self._depth = registry.gauge(
             "jobs_queue_depth", help="Jobs waiting in the queue")
@@ -106,111 +98,65 @@ class JobQueue:
             "jobs_wait_seconds", help="Queue wait (submit to start)")
         self._run_seconds = registry.histogram(
             "jobs_run_seconds", help="Execution time (start to finish)")
-        self._threads = [
-            threading.Thread(target=self._worker, daemon=True,
-                             name=f"jobqueue-worker-{i}")
-            for i in range(workers)
-        ]
-        for thread in self._threads:
-            thread.start()
+        self._thread = threading.Thread(target=self._worker, daemon=True,
+                                        name="jobqueue-worker-0")
+        self._thread.start()
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
     def submit(self, func: Callable[[], Any], job_id: Optional[str] = None,
-               block: bool = False, block_timeout: float = 30.0) -> str:
+               on_fail: Optional[Callable[[str], None]] = None) -> str:
         """Queue ``func``; returns the job id.
 
-        Parameters
-        ----------
-        job_id:
-            Caller-chosen id (the durability layer journals the id
-            *before* submitting, so the journal and queue must agree).
-            Defaults to a fresh ``uuid4`` fragment.  Re-using a live id
-            raises :class:`ValueError`.
-        block / block_timeout:
-            With ``block=True`` a full queue waits up to
-            ``block_timeout`` seconds instead of raising — the journal
-            replay path uses this so a backlog larger than
-            ``max_pending`` re-enqueues completely.
-
-        Raises
-        ------
-        QueueFullError
-            When ``max_pending`` jobs are already waiting (and the wait
-            expired, if blocking).
-        RuntimeError
-            After :meth:`shutdown`.
+        ``job_id`` is the caller's (the durability layer journals the
+        id *before* submitting, so the journal and queue must agree)
+        or a fresh ``uuid4`` fragment; re-using a live id raises
+        :class:`ValueError`.  Raises :class:`QueueFullError` when
+        :data:`MAX_PENDING` jobs are already waiting and
+        ``RuntimeError`` after :meth:`shutdown`.
         """
-        if self._shutdown:
-            raise RuntimeError("queue is shut down")
-        job = Job(job_id=job_id or uuid.uuid4().hex[:12], func=func,
-                  submitted_at=self._clock())
-        with self._lock:
+        return self._put(Job(job_id or uuid.uuid4().hex[:12], func, on_fail),
+                         bounded=True)
+
+    def requeue(self, func: Callable[[], Any], job_id: str,
+                on_fail: Optional[Callable[[str], None]] = None) -> str:
+        """Queue a job an earlier process accepted (journal replay).
+
+        Never refused for :data:`MAX_PENDING`, which bounds live
+        submissions only: a replayed backlog re-enters whole, in the
+        order it is requeued, without waiting for any of it to run.
+        """
+        return self._put(Job(job_id, func, on_fail), bounded=False)
+
+    def _put(self, job: Job, bounded: bool) -> str:
+        with self._cond:
+            if self._shutdown:
+                raise RuntimeError("queue is shut down")
             if job.job_id in self._jobs:
                 raise ValueError(f"job id {job.job_id!r} already exists")
+            if bounded and len(self._pending) >= MAX_PENDING:
+                self._rejected.inc()
+                raise QueueFullError(
+                    f"job queue full ({MAX_PENDING} pending)")
             self._jobs[job.job_id] = job
-        try:
-            if block:
-                self._queue.put(job, timeout=block_timeout)
-            else:
-                self._queue.put_nowait(job)
-        except (queue.Full, TimeoutError):
-            with self._lock:
-                del self._jobs[job.job_id]
-            self._rejected.inc()
-            raise QueueFullError(
-                f"job queue full ({self._queue.maxsize} pending)") from None
-        if self._shutdown:
-            # Lost the race with shutdown(): the drain may already have
-            # passed our job by.  Fail it here (idempotently — the
-            # worker/drain skips non-PENDING jobs) rather than leave a
-            # job id that never resolves.
-            self._fail_pending(job)
-            raise RuntimeError("queue is shut down")
-        self._submitted.inc()
-        self._depth.set(self._queue.qsize())
+            self._pending.append(job)
+            self._depth.set(len(self._pending))
+            self._submitted.inc()
+            self._cond.notify()
         return job.job_id
 
     def get(self, job_id: str) -> Job:
-        with self._lock:
+        with self._cond:
             try:
                 return self._jobs[job_id]
             except KeyError:
                 raise KeyError(f"unknown job {job_id!r}") from None
 
-    def wait(self, job_id: str, timeout: float = 60.0,
-             poll: float = 0.02) -> Job:
-        """Block until the job finishes (or ``timeout`` seconds pass).
-
-        The budget is measured against a monotonic deadline, so wall
-        clock adjustments (NTP steps) can neither cut the wait short
-        nor extend it.
-        """
-        deadline = time.monotonic() + timeout
-        while True:
-            job = self.get(job_id)
-            if job.status in (JobStatus.DONE, JobStatus.FAILED):
-                return job
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            time.sleep(min(poll, remaining))
-        raise TimeoutError(f"job {job_id} still {self.get(job_id).status.value} "
-                           f"after {timeout}s")
-
-    @property
-    def pending(self) -> int:
-        return self._queue.qsize()
-
     @property
     def unfinished(self) -> int:
-        """Jobs not yet DONE/FAILED — queued *and* running.
-
-        ``pending`` only counts the queue; the graceful-shutdown drain
-        needs to wait for in-flight work too.
-        """
-        with self._lock:
+        """Jobs not yet DONE/FAILED — queued *and* running."""
+        with self._cond:
             return sum(job.status in (JobStatus.PENDING, JobStatus.RUNNING)
                        for job in self._jobs.values())
 
@@ -231,88 +177,59 @@ class JobQueue:
     def shutdown(self) -> None:
         """Stop accepting work and fail every still-pending job.
 
-        Pre-fix behaviour left queued jobs ``PENDING`` forever — a
-        client polling ``GET /api/job`` after a restart would wait
-        until its own timeout with no signal.  Now each undrained job
-        resolves ``FAILED`` with the named :data:`SHUTDOWN_ERROR`.
-        One sentinel suffices regardless of worker count: each exiting
-        worker re-posts it for the next (a bounded queue may not have
-        room for one sentinel per worker).
+        Each undrained job resolves ``FAILED`` with the named
+        :data:`SHUTDOWN_ERROR` (its ``on_fail`` sees that error), so a
+        client polling ``GET /api/job`` learns its fate.  A running
+        job finishes; then the thread exits.  Idempotent.
         """
-        self._shutdown = True
-        # Drain jobs still waiting; a worker may race us for any given
-        # job — whoever dequeues it resolves it, and _fail_pending /
-        # the RUNNING transition are both under the lock so exactly one
-        # side wins.
-        while True:
-            try:
-                job = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if job is None:
-                continue
-            self._fail_pending(job)
-            self._queue.task_done()
-        self._depth.set(0)
-        try:
-            self._queue.put_nowait(None)  # type: ignore[arg-type]
-        except queue.Full:
-            pass  # a worker will drain and re-post; shutdown flag is set
+        with self._cond:
+            self._shutdown = True
+            abandoned = list(self._pending)
+            self._pending.clear()
+            self._depth.set(0)
+            self._cond.notify()
+        for job in abandoned:
+            self._resolve(job, JobStatus.FAILED, SHUTDOWN_ERROR)
 
-    def _fail_pending(self, job: Job) -> None:
-        """Resolve a never-started job as FAILED (shutdown path)."""
-        with self._lock:
-            if job.status is not JobStatus.PENDING:
-                return
-            job.status = JobStatus.FAILED
-        job.error = SHUTDOWN_ERROR
-        job.finished_at = self._clock()
-        self._completed.labels(status=JobStatus.FAILED.value).inc()
+    def _resolve(self, job: Job, status: JobStatus,
+                 error: Optional[str] = None) -> None:
+        """Account for a finished job; the status is written last, so a
+        poller that sees it also sees the failure handled and counted."""
+        if error is not None and job.on_fail is not None:
+            try:
+                job.on_fail(error)
+            except Exception:  # noqa: BLE001 - the job fails regardless
+                pass
+        job.error = error
+        job.finished_at = time.time()
+        if job.started_at is not None:
+            self._run_seconds.observe(job.finished_at - job.started_at)
+        self._completed.labels(status=status.value).inc()
+        job.status = status
 
     # ------------------------------------------------------------------
     # Worker loop
     # ------------------------------------------------------------------
     def _worker(self) -> None:
         while True:
-            job = self._queue.get()
-            if job is None:
-                # Re-post the sentinel so one wakes every worker even
-                # when the bounded queue could not hold one per thread.
-                try:
-                    self._queue.put_nowait(None)  # type: ignore[arg-type]
-                except queue.Full:
-                    pass
-                return
-            self._depth.set(self._queue.qsize())
-            with self._lock:
-                if job.status is not JobStatus.PENDING:
-                    # shutdown() already failed it while it sat queued
-                    self._queue.task_done()
-                    continue
-                if self._shutdown:
-                    job.status = JobStatus.FAILED
-                else:
-                    job.status = JobStatus.RUNNING
-            if job.status is JobStatus.FAILED:
-                job.error = SHUTDOWN_ERROR
-                job.finished_at = self._clock()
-                self._completed.labels(status=JobStatus.FAILED.value).inc()
-                self._queue.task_done()
-                continue
-            job.started_at = self._clock()
+            with self._cond:
+                while not self._pending and not self._shutdown:
+                    self._cond.wait()
+                if not self._pending:
+                    return  # shut down; shutdown() failed the backlog
+                job = self._pending.popleft()
+                self._depth.set(len(self._pending))
+                job.status = JobStatus.RUNNING
+            job.started_at = time.time()
             self._wait_seconds.observe(job.started_at - job.submitted_at)
             try:
                 fault_check("jobs.worker")
                 job.result = job.func()
-                job.status = JobStatus.DONE
             except Exception as exc:  # noqa: BLE001 - job errors are data
-                job.error = f"{type(exc).__name__}: {exc}"
-                job.status = JobStatus.FAILED
-            finally:
-                job.finished_at = self._clock()
-                self._run_seconds.observe(job.finished_at - job.started_at)
-                self._completed.labels(status=job.status.value).inc()
-                self._queue.task_done()
+                self._resolve(job, JobStatus.FAILED,
+                              f"{type(exc).__name__}: {exc}")
+            else:
+                self._resolve(job, JobStatus.DONE)
 
 
 class QueueFullError(RuntimeError):

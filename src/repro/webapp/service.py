@@ -2,7 +2,10 @@
 
 :class:`GenerationService` parses a payload once (``ValueError`` → 400
 before any model work) and, once the transport admitted it, takes it
-through retrieve → prepare → decode → response body.  :mod:`.backend`
+through :meth:`~GenerationService.start` (retrieve → prepare → engine
+submit) and :meth:`StartedRequest.finish` (wait → response body) —
+back to back for a sync request, on the job thread for an async job's
+``finish``.  :mod:`.backend`
 only maps the result — or an exception in :data:`ERROR_STATUS` — onto a
 JSON, job or SSE envelope (``docs/ARCHITECTURE.md``, "The request path").
 """
@@ -10,7 +13,7 @@ JSON, job or SSE envelope (``docs/ARCHITECTURE.md``, "The request path").
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Iterator, List, Optional
 
 from ..core.pipeline import Ratatouille
@@ -20,7 +23,8 @@ from ..recipedb import IngredientCatalog
 from ..resilience import AdmissionController, OverloadShedError
 from ..serving import (DeadlineExceededError, EngineCrashedError,
                        EngineQueueFullError, EngineStoppedError,
-                       EngineUnavailableError, InferenceEngine)
+                       EngineRequest, EngineUnavailableError,
+                       InferenceEngine)
 
 # repro.decoding is imported by the branches that take a request with
 # ``constraints`` or ``strategy: "mcts"``; plain requests never load it.
@@ -260,8 +264,7 @@ class GenerationService:
         """Admit ``cost`` tokens of work or raise ``OverloadShedError``.
 
         Every successful ``admit`` is paired with one :meth:`release` —
-        by :meth:`run` / :meth:`stream` once they have the request,
-        else by the caller.
+        by :meth:`start`'s request once it has one, else by the caller.
         """
         if self.draining:
             # Retrying clients land on the replacement process.
@@ -287,100 +290,49 @@ class GenerationService:
             self._retrieval_degradations.inc()
             return None, True
 
-    def _body(self, request: GenerationRequest, prompt_text: str, new_ids,
-              start: float, exemplars, retrieval_degraded: bool) -> tuple:
-        """``(recipe, body)``: the parsed recipe plus the retrieval
-        surface (payload-only: the novelty score and flags never alter
-        the generation)."""
-        recipe = self.pipeline.finish_recipe(
-            prompt_text, new_ids, request.names,
-            elapsed=self.registry.clock.now() - start)
-        body = {
-            "title": recipe.title,
-            "ingredients": recipe.ingredients,
-            "instructions": recipe.instructions,
-            "is_valid": recipe.is_valid,
-            "ingredient_coverage": recipe.ingredient_coverage,
-            "generation_seconds": recipe.generation_seconds,
-        }
-        if self.retrieval_index is None:
-            return recipe, body
-        try:
-            body["novelty"] = self.retrieval_index.novelty(
-                recipe.raw_text).to_dict()
-        except Exception:  # noqa: BLE001 - degrade, never fail the request
-            self._retrieval_degradations.inc()
-            retrieval_degraded = True
-        body["retrieved_k"] = len(exemplars) if exemplars else 0
-        if retrieval_degraded:
-            body["retrieval_degraded"] = True
-        return recipe, body
+    def start(self, request: GenerationRequest, live: bool = False
+              ) -> "StartedRequest":
+        """Begin an admitted request on the caller's thread.
 
-    def _complete(self, request: GenerationRequest, allow_partial: bool
-                  ) -> tuple:
-        """Decode to completion; returns ``(new_ids, body)``.
-
-        Plain requests are one decode call; constrained and MCTS ones
-        issue their rollouts and retries through the same call.
-        Deadline expiry becomes a partial body (when opted in and
-        tokens exist) or propagates: 504 / failed job / terminal event.
+        A plain request fetches its exemplars, prepares its prompt and
+        is submitted to the engine here, so its decode joins the batch
+        (and its ``deadline_ms`` runs) from this call.  A constrained
+        or MCTS request is a sequential driver that runs in
+        :meth:`StartedRequest.finish`; ``live`` (streaming) instead
+        submits a constrained, non-MCTS request token-live through its
+        masks.  The request owns its admission cost from here: a raise
+        releases it, else ``finish`` or ``close`` does.
         """
-        config = request.config
-        exemplars, retrieval_degraded = self._fetch_exemplars(request)
-        constrained = (config.constraints is not None
-                       or config.strategy == "mcts")
-        prompt_text, extra = None, {}
         try:
-            if constrained:
-                from ..decoding import run_constrained_generation
-                start = self.registry.clock.now()
-                prompt_text, new_ids, config, extra = (
-                    run_constrained_generation(
-                        self.pipeline, request.names, config,
-                        checklist=request.checklist, exemplars=exemplars,
-                        submit=self.engine.generate, catalog=self.catalog,
-                        retrieval_index=self.retrieval_index,
-                        registry=self.registry,
-                        deadline_ms=request.deadline_ms))
-            else:
-                prompt_text, prompt_ids, config, processors = (
-                    self.pipeline.prepare_prompt(
-                        request.names, generation=config,
-                        checklist=request.checklist, exemplars=exemplars))
-                start = self.registry.clock.now()
-                new_ids = self.engine.generate(
-                    prompt_ids, config, processors,
-                    deadline_ms=request.deadline_ms)
-        except DeadlineExceededError as exc:
-            if not (allow_partial and exc.tokens):
-                raise
-            if prompt_text is None:
-                # The constrained driver raised before returning the
-                # prompt; re-derive it (prepare_prompt is deterministic
-                # given the exemplars).
-                prompt_text = self.pipeline.prepare_prompt(
+            config = request.config
+            started = StartedRequest(self, request, config,
+                                     *self._fetch_exemplars(request))
+            if config.strategy == "mcts" or (config.constraints is not None
+                                             and not live):
+                return started
+            started.prompt_text, prompt_ids, started.config, processors = (
+                self.pipeline.prepare_prompt(
                     request.names, generation=config,
-                    checklist=request.checklist, exemplars=exemplars)[0]
-            recipe, body = self._body(request, prompt_text, exc.tokens, start,
-                                      exemplars, retrieval_degraded)
-            if constrained:
-                from ..decoding import violations
-                body["constraints_satisfied"] = not violations(
-                    config.constraints, recipe.raw_text, self.catalog)
-            body["partial"] = True
-            body["deadline_ms"] = exc.deadline_ms
-            return exc.tokens, body
-        _, body = self._body(request, prompt_text, new_ids, start,
-                             exemplars, retrieval_degraded)
-        body.update(extra)
-        return new_ids, body
+                    checklist=request.checklist,
+                    exemplars=started.exemplars))
+            if started.config.constraints is not None:
+                from ..decoding import build_constrained_processors
+                processors = build_constrained_processors(
+                    self.pipeline.tokenizer, started.config,
+                    started.config.constraints, catalog=self.catalog,
+                    registry=self.registry, user_processors=processors)
+            started.started_at = self.registry.clock.now()
+            started.handle = self.engine.submit(
+                prompt_ids, started.config, processors,
+                deadline_ms=request.deadline_ms)
+            return started
+        except BaseException:
+            self.release(request.cost)
+            raise
 
     def run(self, request: GenerationRequest) -> dict:
         """Response body for an admitted request; releases its cost."""
-        try:
-            return self._complete(request, request.allow_partial)[1]
-        finally:
-            self.release(request.cost)
+        return self.start(request).finish()[1]
 
     def stream(self, request: GenerationRequest) -> Iterator[dict]:
         """Event iterator for an admitted request; releases its cost.
@@ -395,36 +347,17 @@ class GenerationService:
         search has no tokens until it picks a winner, so it runs to
         completion and replays them — SSE keeps one wire format.
         """
-        config = request.config
+        started = self.start(replace(request, allow_partial=False),
+                             live=True)
+        handle = started.handle
         tokenizer = self.pipeline.tokenizer
-        handle = None
-        try:
-            if config.strategy != "mcts":
-                exemplars, retrieval_degraded = self._fetch_exemplars(request)
-                start = self.registry.clock.now()
-                prompt_text, prompt_ids, config, processors = (
-                    self.pipeline.prepare_prompt(
-                        request.names, generation=config,
-                        checklist=request.checklist, exemplars=exemplars))
-                if config.constraints is not None:
-                    from ..decoding import build_constrained_processors
-                    processors = build_constrained_processors(
-                        tokenizer, config, config.constraints,
-                        catalog=self.catalog, registry=self.registry,
-                        user_processors=processors)
-                handle = self.engine.submit(prompt_ids, config, processors,
-                                            deadline_ms=request.deadline_ms)
-        except BaseException:
-            self.release(request.cost)
-            raise
 
         def events():
             emitted = 0
             try:
                 try:
                     if handle is None:
-                        tokens, body = self._complete(request,
-                                                      allow_partial=False)
+                        tokens, body = started.finish()
                     else:
                         tokens = handle.tokens()
                     for token in tokens:
@@ -432,17 +365,7 @@ class GenerationService:
                         yield {"token": int(token),
                                "text": tokenizer.decode([int(token)])}
                     if handle is not None:
-                        recipe, body = self._body(
-                            request, prompt_text, handle.result(), start,
-                            exemplars, retrieval_degraded)
-                        if config.constraints is not None:
-                            from ..decoding import violations
-                            problems = violations(config.constraints,
-                                                  recipe.raw_text,
-                                                  self.catalog)
-                            body["constraints_satisfied"] = not problems
-                            if problems:
-                                body["constraint_violations"] = problems
+                        body = started.finish()[1]
                 except DeadlineExceededError as exc:
                     yield {"error": str(exc), "deadline_exceeded": True,
                            "tokens_emitted": emitted}
@@ -457,8 +380,124 @@ class GenerationService:
                 # cancel so the engine does not keep decoding to
                 # max_new_tokens in a batch slot nobody is reading,
                 # and return the admitted work to the gate.
-                self.release(request.cost)
-                if handle is not None and not handle.done:
-                    handle.cancel()
+                started.close()
 
         return events()
+
+
+@dataclass
+class StartedRequest:
+    """An admitted request between :meth:`GenerationService.start` and
+    its body: ``handle`` is its engine request, or ``None`` while a
+    constrained / MCTS driver waits to run in :meth:`finish`."""
+
+    service: GenerationService
+    request: GenerationRequest
+    config: GenerationConfig
+    exemplars: Optional[List[str]]
+    retrieval_degraded: bool
+    handle: Optional[EngineRequest] = None
+    prompt_text: Optional[str] = None
+    started_at: float = 0.0
+    released: bool = False
+
+    def finish(self) -> tuple:
+        """Wait for the decode (or run the driver); ``(new_ids, body)``.
+
+        Deadline expiry becomes a partial body (when the request opted
+        in and tokens exist) or propagates: 504 / failed job / terminal
+        event.  Releases the admission cost.
+        """
+        service, request = self.service, self.request
+        extra = {}
+        try:
+            try:
+                if self.handle is None:
+                    from ..decoding import run_constrained_generation
+                    self.started_at = service.registry.clock.now()
+                    self.prompt_text, new_ids, self.config, extra = (
+                        run_constrained_generation(
+                            service.pipeline, request.names, self.config,
+                            checklist=request.checklist,
+                            exemplars=self.exemplars,
+                            submit=service.engine.generate,
+                            catalog=service.catalog,
+                            retrieval_index=service.retrieval_index,
+                            registry=service.registry,
+                            deadline_ms=request.deadline_ms))
+                else:
+                    new_ids = self.handle.result()
+            except DeadlineExceededError as exc:
+                if not (request.allow_partial and exc.tokens):
+                    raise
+                if self.prompt_text is None:
+                    # The constrained driver raised before returning the
+                    # prompt; re-derive it (prepare_prompt is
+                    # deterministic given the exemplars).
+                    self.prompt_text = service.pipeline.prepare_prompt(
+                        request.names, generation=self.config,
+                        checklist=request.checklist,
+                        exemplars=self.exemplars)[0]
+                recipe, body = self._body(exc.tokens)
+                if self.handle is None:
+                    from ..decoding import violations
+                    body["constraints_satisfied"] = not violations(
+                        self.config.constraints, recipe.raw_text,
+                        service.catalog)
+                body["partial"] = True
+                body["deadline_ms"] = exc.deadline_ms
+                return exc.tokens, body
+            recipe, body = self._body(new_ids)
+            if self.handle is not None and self.config.constraints is not None:
+                from ..decoding import violations
+                problems = violations(self.config.constraints,
+                                      recipe.raw_text, service.catalog)
+                body["constraints_satisfied"] = not problems
+                if problems:
+                    body["constraint_violations"] = problems
+            body.update(extra)
+            return new_ids, body
+        finally:
+            self.close()
+
+    def _body(self, new_ids) -> tuple:
+        """``(recipe, body)``: the parsed recipe plus the retrieval
+        surface (payload-only: the novelty score and flags never alter
+        the generation)."""
+        service = self.service
+        recipe = service.pipeline.finish_recipe(
+            self.prompt_text, new_ids, self.request.names,
+            elapsed=service.registry.clock.now() - self.started_at)
+        body = {
+            "title": recipe.title,
+            "ingredients": recipe.ingredients,
+            "instructions": recipe.instructions,
+            "is_valid": recipe.is_valid,
+            "ingredient_coverage": recipe.ingredient_coverage,
+            "generation_seconds": recipe.generation_seconds,
+        }
+        if service.retrieval_index is None:
+            return recipe, body
+        retrieval_degraded = self.retrieval_degraded
+        try:
+            body["novelty"] = service.retrieval_index.novelty(
+                recipe.raw_text).to_dict()
+        except Exception:  # noqa: BLE001 - degrade, never fail the request
+            service._retrieval_degradations.inc()
+            retrieval_degraded = True
+        body["retrieved_k"] = len(self.exemplars) if self.exemplars else 0
+        if retrieval_degraded:
+            body["retrieval_degraded"] = True
+        return recipe, body
+
+    def close(self) -> None:
+        """Give the request up: cancel a decode still running and
+        release the admission cost.  Idempotent; :meth:`finish` closes.
+        One thread at a time owns a started request (the transport, or
+        the job thread once the job queue handed it over), so the
+        ``released`` check needs no lock."""
+        if self.handle is not None and not self.handle.done:
+            self.handle.cancel()
+        if not self.released:
+            self.released = True
+            self.service.release(self.request.cost)

@@ -22,6 +22,8 @@ from repro.serving import (DeadlineExceededError, EngineCrashedError,
                            InferenceEngine)
 from repro.webapp import JobQueue, JobStatus
 
+from .test_jobs_concurrency import settle
+
 pytestmark = pytest.mark.chaos
 
 CONFIG = GenerationConfig(max_new_tokens=4, seed=0)
@@ -74,15 +76,15 @@ class TestEveryNamedPoint:
 
     def test_jobs_worker_fault_fails_job_named(self):
         registry = MetricsRegistry()
-        jobs = JobQueue(workers=1, max_pending=4, registry=registry)
+        jobs = JobQueue(registry=registry)
         try:
             injector = FaultInjector(
                 {"jobs.worker": FaultSpec(schedule={0})})
             with inject_faults(injector):
                 doomed = jobs.submit(lambda: "never")
                 survivor = jobs.submit(lambda: "ran")
-                failed = jobs.wait(doomed, timeout=10)
-                done = jobs.wait(survivor, timeout=10)
+                failed = settle(jobs, doomed)
+                done = settle(jobs, survivor)
             assert failed.status is JobStatus.FAILED
             assert "InjectedFault" in failed.error
             assert done.status is JobStatus.DONE and done.result == "ran"

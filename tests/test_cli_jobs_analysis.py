@@ -11,7 +11,10 @@ from repro.recipedb import (RecipeDatabase, cooccurrence, corpus_report,
                             generate_corpus, pmi_pairs, region_distribution,
                             zipf_fit)
 from repro.webapp import JobQueue, JobStatus, QueueFullError
+from repro.webapp.jobs import MAX_PENDING
 from repro.webapp.serve import build_server
+
+from .test_jobs_concurrency import settle
 
 
 @pytest.fixture(scope="module")
@@ -58,35 +61,35 @@ class TestAnalysis:
 
 class TestJobQueue:
     def test_submit_and_wait(self):
-        queue = JobQueue(workers=1)
+        queue = JobQueue()
         job_id = queue.submit(lambda: 40 + 2)
-        job = queue.wait(job_id, timeout=5)
+        job = settle(queue, job_id, timeout=5)
         assert job.status is JobStatus.DONE
         assert job.result == 42
         assert "seconds" in job.snapshot()
 
     def test_failure_captured(self):
-        queue = JobQueue(workers=1)
+        queue = JobQueue()
 
         def boom():
             raise RuntimeError("kitchen fire")
 
-        job = queue.wait(queue.submit(boom), timeout=5)
+        job = settle(queue, queue.submit(boom), timeout=5)
         assert job.status is JobStatus.FAILED
         assert "kitchen fire" in job.error
         assert "error" in job.snapshot()
 
     def test_backpressure(self):
-        queue = JobQueue(workers=1, max_pending=1)
+        queue = JobQueue()
         blocker = queue.submit(lambda: time.sleep(0.4))
-        # fill the single pending slot, then overflow
-        filled = False
+        # fill the pending slots, then overflow
+        filled = 0
         with pytest.raises(QueueFullError):
-            for _ in range(5):
+            for _ in range(MAX_PENDING + 2):
                 queue.submit(lambda: None)
-                filled = True
-        assert filled or queue.pending >= 1
-        queue.wait(blocker, timeout=5)
+                filled += 1
+        assert filled >= MAX_PENDING - 1
+        settle(queue, blocker, timeout=5)
 
     def test_unknown_job(self):
         queue = JobQueue()
@@ -94,23 +97,17 @@ class TestJobQueue:
             queue.get("nope")
 
     def test_shutdown_rejects_new_work(self):
-        queue = JobQueue(workers=1)
+        queue = JobQueue()
         queue.shutdown()
         with pytest.raises(RuntimeError):
             queue.submit(lambda: 1)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            JobQueue(workers=0)
-        with pytest.raises(ValueError):
-            JobQueue(max_pending=0)
-
     def test_fifo_ordering(self):
-        queue = JobQueue(workers=1)
+        queue = JobQueue()
         results = []
         ids = [queue.submit(lambda i=i: results.append(i)) for i in range(5)]
         for job_id in ids:
-            queue.wait(job_id, timeout=5)
+            settle(queue, job_id, timeout=5)
         assert results == [0, 1, 2, 3, 4]
 
 

@@ -13,6 +13,8 @@ from repro.obs import (ManualClock, MetricsRegistry, NullRegistry,
 from repro.training import MetricsCallback
 from repro.webapp.jobs import JobQueue
 
+from .test_jobs_concurrency import settle
+
 
 class ToyModel(LanguageModel):
     """Deterministic stateless model: logits depend on the last token."""
@@ -100,9 +102,9 @@ class TestGenerationObservability:
 class TestJobQueueMetrics:
     def test_lifecycle_durations_with_manual_clock(self):
         registry = MetricsRegistry()
-        queue = JobQueue(workers=1, max_pending=4, registry=registry)
+        queue = JobQueue(registry=registry)
         job_id = queue.submit(lambda: 42)
-        job = queue.wait(job_id, timeout=5)
+        job = settle(queue, job_id, timeout=5)
         assert job.result == 42
         completed = registry.counter("jobs_completed_total")
         assert completed.labels(status="done").value == 1

@@ -96,6 +96,21 @@ class TestAdmissionAtHttpLayer:
         assert payload["supervisor"]["state"] == "serving"
 
 
+class _Expired:
+    """An engine request whose deadline expired with ``tokens`` in hand."""
+
+    done = True
+
+    def __init__(self, tokens):
+        self.tokens = tokens
+
+    def result(self):
+        raise DeadlineExceededError(0, 25.0, self.tokens)
+
+    def cancel(self):
+        pass
+
+
 class TestDeadlineHttpMapping:
     @pytest.fixture(scope="class")
     def app(self, pipeline):
@@ -106,10 +121,8 @@ class TestDeadlineHttpMapping:
         app.engine.stop()
 
     def test_expiry_with_no_tokens_is_504(self, app, monkeypatch):
-        def expired(*args, **kwargs):
-            raise DeadlineExceededError(0, 25.0, [])
-
-        monkeypatch.setattr(app.engine, "generate", expired)
+        monkeypatch.setattr(app.engine, "submit",
+                            lambda *args, **kwargs: _Expired([]))
         response = _post(app, "/api/generate",
                          {"ingredients": ["garlic"], "partial": True})
         assert response.status == 504
@@ -117,18 +130,14 @@ class TestDeadlineHttpMapping:
 
     def test_expiry_without_opt_in_is_504_even_with_tokens(self, app,
                                                            monkeypatch):
-        def expired(*args, **kwargs):
-            raise DeadlineExceededError(0, 25.0, [2, 3, 4])
-
-        monkeypatch.setattr(app.engine, "generate", expired)
+        monkeypatch.setattr(app.engine, "submit",
+                            lambda *args, **kwargs: _Expired([2, 3, 4]))
         response = _post(app, "/api/generate", {"ingredients": ["garlic"]})
         assert response.status == 504
 
     def test_partial_opt_in_returns_200_with_flag(self, app, monkeypatch):
-        def expired(*args, **kwargs):
-            raise DeadlineExceededError(0, 25.0, [2, 3, 4])
-
-        monkeypatch.setattr(app.engine, "generate", expired)
+        monkeypatch.setattr(app.engine, "submit",
+                            lambda *args, **kwargs: _Expired([2, 3, 4]))
         response = _post(app, "/api/generate",
                          {"ingredients": ["garlic"], "partial": True})
         assert response.status == 200
@@ -139,13 +148,13 @@ class TestDeadlineHttpMapping:
 
     def test_server_default_deadline_is_forwarded(self, app, monkeypatch):
         seen = {}
-        original = app.engine.generate
+        original = app.engine.submit
 
         def spy(*args, **kwargs):
             seen["deadline_ms"] = kwargs.get("deadline_ms")
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(app.engine, "generate", spy)
+        monkeypatch.setattr(app.engine, "submit", spy)
         payload = {"ingredients": ["garlic"], "max_new_tokens": 8, "seed": 1}
         assert _post(app, "/api/generate", payload).status == 200
         assert seen["deadline_ms"] == 60_000.0  # the configured default
