@@ -428,6 +428,8 @@ def select_next_token(logits: np.ndarray, generated: List[int],
     contract).
     """
     if config.strategy == "greedy":
+        if not processors:  # the float64 cast is exact and monotone
+            return int(logits.argmax())
         return int(_processed_scores(logits, generated, processors).argmax())
     probs = sampling_distribution(logits, generated, config, processors)
     return int(rng.choice(probs.shape[0], p=probs))

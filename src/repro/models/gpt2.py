@@ -21,6 +21,7 @@ import numpy as np
 
 from ..nn import (Dropout, Embedding, KVCache, LayerNorm, ModuleList, Tensor,
                   TransformerBlock, is_grad_enabled)
+from ..nn.attention import linear_rows, padded_head
 from ..nn.kernels import InferenceKernels, WeightStore
 from .base import LanguageModel
 
@@ -101,6 +102,13 @@ class GPT2Model(LanguageModel):
         """Weight-tied output projection: ``hidden @ wteᵀ``."""
         return hidden @ self.wte.weight.swapaxes(0, 1)
 
+    def _project_rows(self, hidden: Tensor) -> np.ndarray:
+        """The tied head for ``(N, 1, d)`` rows the decoder reads, with
+        batch-invariant bits: one GEMM against the padded ``wteᵀ`` copy
+        the kernels' weight store holds (docs/KERNELS.md §1b)."""
+        logits = linear_rows(hidden, padded_head(self.wte.weight.data))
+        return logits.data[:, 0, :self.config.vocab_size]
+
     # ------------------------------------------------------------------
     # Inference kernels
     # ------------------------------------------------------------------
@@ -177,17 +185,18 @@ class GPT2Model(LanguageModel):
         any, unequal lengths — advance in one forward, returning
         ``(logits (N, V), [states])`` where ``states[i]`` is its row's
         state after id ``i``: the position-independent ops (LayerNorm,
-        QKV, out-proj, MLP, tied head) run once at ``(N, 1, d)``, which
-        numpy evaluates as ``N`` separate ``(1, d)`` GEMMs, and
+        QKV, out-proj, MLP, tied head) run once over all ids as
+        batch-invariant ``(N, d)`` GEMMs (``docs/KERNELS.md`` §1b), and
         attention walks each row's own KV cache, so every id gets the
-        bits of a sequential one-token ``next_logits`` walk of its row
-        (see ``docs/SERVING.md`` §2).  A one-token row slides past the
-        context window like a single-state step; a longer row that does
-        not :meth:`fits` raises ``ValueError``.  The states within a
-        row are length-truncated handles onto one appended cache: resume
-        from one of them, and later appends overwrite the rest.  A list
-        of one state for one id is that state's own step (same bits,
-        none of the ragged bookkeeping: decode at concurrency 1).
+        bits of a sequential one-token ``next_logits`` walk of its row,
+        in any batch (``docs/SERVING.md`` §2).  A one-token row slides
+        past the context window like a single-state step; a longer row
+        that does not :meth:`fits` raises ``ValueError``.  The states
+        within a row are length-truncated handles onto one appended
+        cache: resume from one of them, and later appends overwrite the
+        rest.  A single state is a batch of one; it, or a list of one
+        state for one id, takes that state's own step (same bits, none
+        of the ragged bookkeeping: decode at concurrency 1).
         """
         ids = np.asarray(ids).reshape(-1, 1)  # (N, 1)
         if isinstance(state, list):
@@ -195,16 +204,16 @@ class GPT2Model(LanguageModel):
                 return self._next_logits_rows(ids, state)
             logits, state = self.next_logits(ids, state[0])
             return logits, [state]
-        caches, position = self._slide(state)
         kernels = self._active_kernels()
-        if kernels is not None:
-            logits, new_caches = kernels.decode_step(ids, caches, position)
-            return logits, GPT2State(caches=new_caches, position=position + 1)
-        hidden, new_caches = self._trunk(ids, position_offset=position,
-                                         caches=caches)
-        logits = self._project(hidden)
-        new_state = GPT2State(caches=new_caches, position=position + 1)
-        return logits.data[:, 0, :], new_state
+        if (kernels is None or ids.shape[0] != 1
+                or state.caches[0].k.shape[0] != 1):
+            # One ragged row; it refuses anything but one id for a
+            # batch-of-one state (ValueError).
+            logits, (state,) = self._next_logits_rows(ids, [state])
+            return logits, state
+        caches, position = self._slide(state)
+        logits, new_caches = kernels.decode_step(ids, caches, position)
+        return logits, GPT2State(caches=new_caches, position=position + 1)
 
     def _next_logits_rows(self, ids: np.ndarray, states: List[GPT2State]
                           ) -> Tuple[np.ndarray, List[GPT2State]]:
@@ -240,7 +249,7 @@ class GPT2Model(LanguageModel):
                 x, new_caches = block.forward_rows(
                     x, [caches[index] for caches in rows], counts)
                 layers.append(new_caches)
-            logits = self._project(self.ln_f(x)).data[:, 0, :]
+            logits = self._project_rows(self.ln_f(x))
             new_rows = [list(row) for row in zip(*layers)]
         new_states = []
         for caches, count, start in zip(new_rows, counts, starts):
@@ -283,15 +292,18 @@ class GPT2Model(LanguageModel):
                 ) -> Tuple[np.ndarray, GPT2State]:
         """One trunk pass over a whole prompt chunk (batch of 1).
 
-        Falls back to the per-token sliding-window path when the chunk
-        would overflow the context; the criterion is a pure function of
-        position and chunk length, so every caller that splits a prompt
-        at the same boundaries takes the same path (bit-reproducible).
+        Only the last position goes through the tied head, as a decode
+        row does; a one-token chunk is a decode step.  Falls back to the
+        per-token sliding-window path when the chunk would overflow the
+        context; the criterion is a pure function of position and chunk
+        length, so every caller that splits a prompt at the same
+        boundaries takes the same path (bit-reproducible).
         """
         ids = np.asarray(ids).reshape(-1)
         if ids.size == 0:
             raise ValueError("prefill requires at least one token")
-        if state.position + ids.size > self.config.context_length:
+        if (ids.size == 1
+                or state.position + ids.size > self.config.context_length):
             return super().prefill(ids, state)
         kernels = self._active_kernels()
         if kernels is not None:
@@ -303,8 +315,7 @@ class GPT2Model(LanguageModel):
         hidden, caches = self._trunk(ids.reshape(1, -1),
                                      position_offset=state.position,
                                      caches=state.caches)
-        logits = self._project(hidden)
-        return (logits.data[:, -1, :],
+        return (self._project_rows(hidden[:, -1:]),
                 GPT2State(caches=caches, position=state.position + ids.size))
 
     def snapshot_state(self, state: GPT2State) -> GPT2State:

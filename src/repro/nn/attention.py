@@ -10,6 +10,7 @@ O(T^2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,6 +30,79 @@ MASK_VALUE = -1e9
 # token per decode step reallocates every _CACHE_HEADROOM steps instead
 # of copying the whole cache every step.
 _CACHE_HEADROOM = 64
+
+
+# -- batch-invariant dense ops for decode rows (docs/KERNELS.md §1b) ----
+@lru_cache(maxsize=None)
+def row_class_limit(k: int, n: int) -> int:
+    """The largest ``M <= 32`` such that every float32 GEMM of ``2..M``
+    rows against a ``(k, n)`` matrix gives each row the bits it gets in
+    a GEMM of 2 rows: BLAS picks its kernels by ``M`` (one row is a
+    GEMV).  Probed once per shape and process, so a different BLAS
+    cannot silently break batch invariance."""
+    top = 32  # the most rows probed: bigger steps run in chunks
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((top, k), dtype=np.float32)
+    w = rng.standard_normal((k, n), dtype=np.float32)
+    pairs = np.empty((top, n), np.float32)
+    for i in range(0, top, 2):
+        np.matmul(a[i:i + 2], w, out=pairs[i:i + 2])
+    out = np.empty_like(pairs)
+    for m in range(3, top + 1):
+        np.matmul(a[:m], w, out=out[:m])
+        if not np.array_equal(out[:m], pairs[:m]):
+            return m - 1
+    return top
+
+
+@lru_cache(maxsize=256)
+def row_chunks(rows: int, limit: int) -> Tuple[slice, ...]:
+    """``rows >= 2`` split evenly into the fewest chunks of at most
+    ``limit`` rows.  A chunk is never one row: at ``limit == 2`` an odd
+    last row is computed again beside its neighbour (same bits)."""
+    count = -(-rows // limit)
+    bounds = [-(-rows * i // count) for i in range(count + 1)]
+    return tuple(slice(min(lo, hi - 2), hi)
+                 for lo, hi in zip(bounds, bounds[1:]))
+
+
+def matmul_rows(x: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``x @ w`` for ``(R, k)`` rows, ``R >= 2``, as GEMMs whose row
+    counts all fall in the ``M = 2`` class: a row's bits are those it
+    gets in any batch."""
+    limit = row_class_limit(*w.shape)
+    if x.shape[0] <= limit:
+        return np.matmul(x, w, out=out)
+    for rows in row_chunks(x.shape[0], limit):
+        np.matmul(x[rows], w, out=out[rows])
+    return out
+
+
+def padded_head(wte: np.ndarray) -> np.ndarray:
+    """The tied head's weights: a read-only contiguous ``(d, V_pad)``
+    copy of ``wteᵀ``, ``V`` rounded up to a multiple of 16 with zero
+    columns (a ``wteᵀ`` view costs ~5x per GEMM; unpadded, the head's
+    row class can stop at ``M = 3``)."""
+    vocab, d = wte.shape
+    head = np.zeros((d, -(-vocab // 16) * 16), dtype=wte.dtype)
+    head[:, :vocab] = wte.T
+    head.flags.writeable = False
+    return head
+
+
+def linear_rows(x: Tensor, w: np.ndarray,
+                b: Optional[np.ndarray] = None) -> Tensor:
+    """``x @ w (+ b)`` for ``(N, 1, k)`` decode rows as batch-invariant
+    GEMMs, a lone row padded by a zero row: the Tensor path's twin of
+    the kernels' dense ops (no gradient)."""
+    rows = x.shape[0]
+    flat = x.data.reshape(rows, -1)
+    if rows == 1:
+        flat = np.concatenate([flat, np.zeros_like(flat)])
+    out = matmul_rows(flat, w, np.empty((len(flat), w.shape[1]), np.float32))
+    if b is not None:
+        np.add(out, b, out=out)
+    return Tensor(out[:rows].reshape(rows, 1, -1))
 
 
 @dataclass
@@ -186,18 +260,19 @@ class CausalSelfAttention(Module):
 
         ``x`` is ``(N, 1, D)``, the rows' tokens in order; ``caches[r]``
         is row ``r``'s own batch-of-one cache.  The qkv/proj projections
-        run once over all tokens — per-slice ``(1, D)`` GEMMs — and
-        token ``t`` of row ``r`` attends over row ``r``'s cache plus its
-        own tokens ``<= t`` exactly as :meth:`forward` does for one token
-        at batch 1 (including the empty-cache mask arm), so every token
-        is **bit-identical** to a sequential one-token call.  Returns
-        each row's cache appended by all its tokens.  Generation-only:
-        gradients do not flow, and attention runs as the plain numpy ops
-        :meth:`forward`'s graph performs (no attention dropout), so a
-        verify chunk's many one-token walks build no graph nodes.
+        run once over all tokens as batch-invariant ``(N, D)`` GEMMs
+        (:func:`linear_rows`), and token ``t`` of row ``r`` attends over
+        row ``r``'s cache plus its own tokens ``<= t`` exactly as
+        :meth:`forward` does for one token at batch 1 (including the
+        empty-cache mask arm), so every token's bits are those of its
+        row decoded alone, in any batch.  Returns each row's cache
+        appended by all its tokens.  Generation-only: gradients do not
+        flow, and attention runs as the plain numpy ops :meth:`forward`'s
+        graph performs (no attention dropout), so a verify chunk's many
+        one-token walks build no graph nodes.
         """
         tokens = x.shape[0]
-        qkv = self.qkv(x)  # (N, 1, 3D)
+        qkv = linear_rows(x, self.qkv.weight.data, self.qkv.bias.data)
         q = self._split_heads(qkv[:, :, :self.d_model], tokens, 1).data
         k = self._split_heads(qkv[:, :, self.d_model:2 * self.d_model],
                               tokens, 1).data
@@ -227,8 +302,9 @@ class CausalSelfAttention(Module):
             start = end
         merged = np.concatenate(contexts).transpose(0, 2, 1, 3).reshape(
             tokens, 1, self.d_model)
-        out = self.resid_dropout(self.proj(Tensor(merged)))
-        return out, new_caches
+        out = linear_rows(Tensor(merged), self.proj.weight.data,
+                          self.proj.bias.data)
+        return self.resid_dropout(out), new_caches
 
 
 class MLP(Module):
@@ -274,5 +350,7 @@ class TransformerBlock(Module):
         attn_out, new_caches = self.attn.forward_rows(self.ln1(x), caches,
                                                       counts)
         x = x + attn_out
-        x = x + self.mlp(self.ln2(x))
-        return x, new_caches
+        fc, proj = self.mlp.fc, self.mlp.proj
+        hidden = linear_rows(self.ln2(x), fc.weight.data, fc.bias.data)
+        out = linear_rows(hidden.gelu(), proj.weight.data, proj.bias.data)
+        return x + self.mlp.dropout(out), new_caches

@@ -41,7 +41,8 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .attention import KVCache, MASK_VALUE
+from .attention import (KVCache, MASK_VALUE, matmul_rows, padded_head,
+                        row_class_limit)
 
 __all__ = [
     "InferenceKernels",
@@ -86,6 +87,9 @@ class WeightStore:
     a crashing engine into an immediate error instead of silent
     corruption of every later request; :meth:`release` restores
     writability (for example, before resuming training).
+
+    Its one copy, ``head`` (an always read-only ``padded_head``), is
+    taken once: rebuild the kernels after training the weights.
     """
 
     def __init__(self, meta: Dict[str, int], wte: np.ndarray, wpe: np.ndarray,
@@ -97,6 +101,7 @@ class WeightStore:
         self.blocks = list(blocks)
         self.ln_f_w = ln_f_w
         self.ln_f_b = ln_f_b
+        self.head = padded_head(wte)
         self._frozen: List[np.ndarray] = []
         if freeze:
             self.freeze()
@@ -159,6 +164,7 @@ class WeightStore:
                 yield getattr(bw, name)
         yield self.ln_f_w
         yield self.ln_f_b
+        yield self.head
 
     @property
     def fp32_nbytes(self) -> int:
@@ -257,6 +263,11 @@ class InferenceKernels:
         self._wpe = store.wpe
         self._wte = store.wte
         self._blocks = store.blocks
+        # The decode GEMMs' row-class probe, once per weight shape.
+        shapes = {w.shape for bw in store.blocks
+                  for w in (bw.qkv_w, bw.proj_w, bw.fc_w, bw.out_w)}
+        self.row_class_limits = {shape: row_class_limit(*shape)
+                                 for shape in shapes | {store.head.shape}}
         self._ws = _Workspaces()
         self._alloc_lock = threading.Lock()
         self._alloc_count = 0
@@ -293,12 +304,12 @@ class InferenceKernels:
 
     def _workspace_floats(self, batch: int, time: int) -> int:
         """Upper bound on arena floats one forward call can consume."""
-        d, h, ff, v = self.d_model, self.num_heads, self.d_ff, self.vocab_size
-        total = self.context_length
-        return (
-            batch * time * (3 * d + 2 * ff + 3 * d + v + 3)  # x/pos/ln/qkv/ff/...
-            + batch * h * time * (total + self.head_dim + 2)  # scores/ctx/stats
-            + batch * time * d)  # merged
+        d, h, ff = self.d_model, self.num_heads, self.d_ff
+        rows = batch * time + 1  # a lone decode row's dummy row
+        # decode_rows keeps its flat scores and their spread side by side.
+        scores = (2 if time == 1 else 1) * self.context_length
+        return rows * (9 * d + 2 * ff + 2 + self.store.head.shape[1]
+                       + h * (scores + 2))  # dense/head buffers, scores
 
     def _note_alloc(self, nbytes: int) -> None:
         with self._alloc_lock:
@@ -318,6 +329,9 @@ class InferenceKernels:
             "workspace_bytes": self._alloc_bytes,
             "weights_frozen": self.store.frozen,
             "weight_fp32_bytes": self.store.fp32_nbytes,
+            "head_bytes": self.store.head.nbytes,
+            "row_class_limits": {f"{k}x{n}": limit for (k, n), limit
+                                 in self.row_class_limits.items()},
         }
 
     # -- arena helpers ---------------------------------------------------
@@ -341,7 +355,13 @@ class InferenceKernels:
     # -- fused ops (bit-identical to the Tensor-path op sequences) -------
     def _linear(self, x: np.ndarray, w: np.ndarray, b: np.ndarray,
                 out: np.ndarray) -> np.ndarray:
-        np.matmul(x, w, out=out)
+        # 2-D operands are decode rows: batch-invariant GEMMs, the Tensor
+        # path's linear_rows.  3-D ones are prefill / full-sequence
+        # chunks: numpy's per-slice GEMMs, the Tensor path's Linear.
+        if x.ndim == 2:
+            matmul_rows(x, w, out)
+        else:
+            np.matmul(x, w, out=out)
         np.add(out, b, out=out)
         return out
 
@@ -407,16 +427,43 @@ class InferenceKernels:
         np.add(x, self._wpe[position:position + time], out=x)
         return x
 
+    def _rows(self, ids: np.ndarray, pos: np.ndarray
+              ) -> Tuple[np.ndarray, ...]:
+        """A decode step's ``(R, d)`` rows — a lone token carries one zero
+        dummy row, so every dense op is a GEMM of 2 rows (docs/KERNELS.md
+        §1b): ``(x, qkv (N, 1, 3d) view, dense buffers, ctx (N, H, 1,
+        hd), merged (R, d) view of ctx)``."""
+        self._check_ids(ids)
+        tokens, d = ids.shape[0], self.d_model
+        x = self._take((max(tokens, 2), d))
+        live = x[:tokens]
+        self._wte.take(ids.reshape(-1), 0, live, "clip")
+        np.add(live, pos, out=live)
+        x[tokens:] = 0
+        dense = self._dense_buffers(x.shape[0])
+        ctxb = self._take((x.shape[0], self.num_heads, 1, self.head_dim))
+        ctxb[tokens:] = 0
+        return (x, dense[1].reshape(x.shape[0], 1, 3 * d)[:tokens], dense,
+                ctxb[:tokens], ctxb.reshape(x.shape[0], d))
+
+    def _head(self, ln: np.ndarray, rows: int) -> np.ndarray:
+        """The tied head for the first ``rows`` of the ``(R, d)`` rows
+        ``ln`` (``R >= 2``): one batch-invariant GEMM against the store's
+        padded ``wteᵀ`` copy, sliced back to ``(rows, V)``."""
+        logits = self._take((ln.shape[0], self.store.head.shape[1]))
+        matmul_rows(ln, self.store.head, logits)
+        return logits[:rows, :self.vocab_size]
+
     def _project(self, hidden: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Weight-tied head: ``hidden @ wte.T``."""
         np.matmul(hidden, self._wte.swapaxes(0, 1), out=out)
         return out
 
-    def _dense_buffers(self, batch: int, time: int) -> Tuple[np.ndarray, ...]:
+    def _dense_buffers(self, *lead: int) -> Tuple[np.ndarray, ...]:
         """``(ln, qkv, mstat, vstat, attn, ff, gelu_ws)`` for the
-        position-independent ops at ``(batch, time)``."""
+        position-independent ops, each ``(*lead, width)``."""
         d, ff = self.d_model, self.d_ff
-        return tuple(self._take((batch, time, width))
+        return tuple(self._take((*lead, width))
                      for width in (d, 3 * d, 1, 1, d, ff, ff))
 
     def _block_tail(self, bw: _BlockWeights, x: np.ndarray,
@@ -438,11 +485,14 @@ class InferenceKernels:
     def _forward_cached(self, ids: np.ndarray,
                         caches: Optional[Sequence[KVCache]], position: int
                         ) -> Tuple[np.ndarray, List[Optional[KVCache]]]:
-        """The trunk + head at ``(batch, time)``, updating KV caches.
+        """The trunk + final LayerNorm at ``(batch, time)``, updating KV
+        caches.
 
-        Transliterates ``GPT2Model._trunk`` + ``_project`` op by op:
-        same shapes, same strides, same numpy calls — only the output
-        buffers come from the arena instead of fresh allocations.
+        Transliterates ``GPT2Model._trunk`` op by op: same shapes, same
+        strides, same numpy calls — only the output buffers come from
+        the arena instead of fresh allocations.  A one-token step with
+        caches is a decode step: its dense ops run on ``(R, d)`` rows
+        (:meth:`_rows`), as the Tensor path's ragged rows of one token do.
         """
         batch, time = ids.shape
         if position + time > self.context_length:
@@ -453,15 +503,19 @@ class InferenceKernels:
         past = caches[0].seq_len if caches is not None else 0
         total = past + time
 
-        x = self._embed(ids, position)
-        ln, qkv, mstat, vstat, attn, ff, gelu_ws = self._dense_buffers(
-            batch, time)
+        if time == 1 and caches is not None:
+            x, qkv3, dense, ctxb, merged = self._rows(ids, self._wpe[position])
+        else:
+            x = self._embed(ids, position)
+            dense = self._dense_buffers(batch, time)
+            qkv3 = dense[1]
+            ctxb = self._take((batch, h, time, hd))
+            merged = (ctxb.transpose(0, 2, 1, 3).reshape(batch, time, d)
+                      if time == 1 else self._take((batch, time, d)))
+        ln, qkv, mstat, vstat, attn, ff, gelu_ws = dense
         scores = self._take((batch, h, time, total))
         smax = self._take((batch, h, time, 1))
         ssum = self._take((batch, h, time, 1))
-        ctxb = self._take((batch, h, time, hd))
-        merged = (ctxb.transpose(0, 2, 1, 3).reshape(batch, time, d)
-                  if time == 1 else self._take((batch, time, d)))
 
         new_caches: List[Optional[KVCache]] = []
         for index, bw in enumerate(self._blocks):
@@ -470,11 +524,8 @@ class InferenceKernels:
             self._linear(ln, bw.qkv_w, bw.qkv_b, qkv)
             # (B, T, 3D) -> three (B, H, T, hd) views: the same strided
             # views the Tensor path's reshape/transpose produces.
-            q = qkv[:, :, :d].reshape(batch, time, h, hd).transpose(0, 2, 1, 3)
-            k = qkv[:, :, d:2 * d].reshape(batch, time, h,
-                                           hd).transpose(0, 2, 1, 3)
-            v = qkv[:, :, 2 * d:].reshape(batch, time, h,
-                                          hd).transpose(0, 2, 1, 3)
+            q, k, v = (qkv3[:, :, lo:lo + d].reshape(batch, time, h, hd)
+                       .transpose(0, 2, 1, 3) for lo in (0, d, 2 * d))
             new_cache = None
             if cache is not None:
                 new_cache = cache.append(k, v, reserve=self.context_length)
@@ -496,9 +547,7 @@ class InferenceKernels:
 
         self._layer_norm(x, self.store.ln_f_w, self.store.ln_f_b, ln,
                          mstat, vstat)
-        logits = self._take((batch, time, self.vocab_size))
-        self._project(ln, logits)
-        return logits, new_caches
+        return ln, new_caches
 
     def decode_step(self, ids: np.ndarray, caches: Sequence[KVCache],
                     position: int
@@ -506,8 +555,8 @@ class InferenceKernels:
         """One token per sequence: ``next_logits`` minus the state
         wrapper.  Returns ``(logits (B, V), new_caches)``."""
         copy = self._enter()
-        logits, new_caches = self._forward_cached(ids, caches, position)
-        out = logits[:, 0, :]
+        ln, new_caches = self._forward_cached(ids, caches, position)
+        out = self._head(ln, ids.shape[0])
         return (out.copy() if copy else out), new_caches
 
     def decode_rows(self, ids: np.ndarray,
@@ -519,45 +568,50 @@ class InferenceKernels:
         ``ids`` is ``(N, 1)``: row ``r``'s ``counts[r]`` tokens, rows in
         order; ``caches_per_row[r]`` is row ``r``'s own per-layer
         batch-of-one caches, ``positions`` ``(N,)`` each token's
-        position.  The dense ops run once at ``(N, 1, d)`` — to numpy,
-        ``N`` separate ``(1, d)`` GEMMs, :meth:`decode_step`'s shape on
-        one token — and only attention walks the tokens: token ``t`` of
-        row ``r`` attends over row ``r``'s cache plus its own tokens
-        ``<= t``, so every token gets the bits of its own single-row
-        step and caches are never concatenated.  Returns ``(logits
+        position.  The dense ops and the tied head run once over all
+        tokens as batch-invariant ``(N, d)`` GEMMs (docs/KERNELS.md
+        §1b); attention walks the tokens: token ``t`` of row ``r``
+        attends over row ``r``'s cache plus its own tokens ``<= t``, into
+        a slice of one flat scores buffer whose softmax runs once.  So
+        every token gets the bits of its own single-row step, in any
+        batch, and caches are never concatenated.  Returns ``(logits
         (N, V), new_caches_per_row)``, each row appended by all its
         tokens.
         """
         copy = self._enter()
-        self._check_ids(ids)
         tokens = ids.shape[0]
         d, h, hd = self.d_model, self.num_heads, self.head_dim
-        x = self._take((tokens, 1, d))
-        np.take(self._wte, ids, axis=0, out=x)
-        pos = self._take((tokens, 1, d))
-        np.take(self._wpe, positions.reshape(tokens, 1), axis=0, out=pos)
-        np.add(x, pos, out=x)
-        ln, qkv, mstat, vstat, attn, ff, gelu_ws = self._dense_buffers(
-            tokens, 1)
-        smax = self._take((1, h, 1, 1))
-        ssum = self._take((1, h, 1, 1))
-        ctxb = self._take((tokens, h, 1, hd))
-        merged = ctxb.transpose(0, 2, 1, 3).reshape(tokens, 1, d)
-        # Per-token views and score buffers, built once for all layers:
-        # each is what _forward_cached sees at batch 1 (same strides, a
-        # contiguous (1, H, 1, past + 1) scores buffer of its own).
-        q, k, v = (qkv[:, :, lo:lo + d].reshape(tokens, 1, h, hd)
+        pos = self._take((tokens, d))
+        self._wpe.take(positions, 0, pos, "clip")
+        x, qkv3, dense, ctxb, merged = self._rows(ids, pos)
+        ln, qkv, mstat, vstat, attn, ff, gelu_ws = dense
+        # Per-token views, built once for all layers: each is what
+        # _forward_cached sees at batch 1 (same strides; a contiguous
+        # (1, H, 1, past + 1) scores slice of one flat buffer).
+        q, k, v = (qkv3[:, :, lo:lo + d].reshape(tokens, 1, h, hd)
                    .transpose(0, 2, 1, 3) for lo in (0, d, 2 * d))
         # (N, H, 1, hd) -> (1, H, N, hd): a row appends its token slice.
         k_all, v_all = k.transpose(2, 1, 0, 3), v.transpose(2, 1, 0, 3)
+        pasts = [caches[0].seq_len + t for caches, count
+                 in zip(caches_per_row, counts) for t in range(count)]
+        lengths = np.add(pasts, 1).repeat(h)  # per (token, head)
+        starts = lengths.cumsum() - lengths
+        spread_at = np.arange(lengths.size).repeat(lengths)
+        flat = self._take((int(lengths.sum()),))
+        spread = self._take(flat.shape)
+        smax = self._take((lengths.size,))
+        ssum = self._take((lengths.size,))
         rows, start = [], 0
-        for caches, count in zip(caches_per_row, counts):
+        for count in counts:
             end = start + count
             views = []
             for i in range(start, end):
-                past = caches[0].seq_len + i - start
+                lo, past = int(starts[i * h]), pasts[i]
                 views.append((past, q[i:i + 1], k[i:i + 1], v[i:i + 1],
-                              self._take((1, h, 1, past + 1)), ctxb[i:i + 1]))
+                              flat[lo:lo + h * (past + 1)].reshape(
+                                  1, h, 1, past + 1),
+                              ssum[i * h:(i + 1) * h].reshape(1, h, 1, 1),
+                              ctxb[i:i + 1]))
             rows.append((k_all[:, :, start:end], v_all[:, :, start:end],
                          views))
             start = end
@@ -566,28 +620,38 @@ class InferenceKernels:
         for index, bw in enumerate(self._blocks):
             self._layer_norm(x, bw.ln1_w, bw.ln1_b, ln, mstat, vstat)
             self._linear(ln, bw.qkv_w, bw.qkv_b, qkv)
-            for r, (k_row, v_row, views) in enumerate(rows):
+            views = []
+            for r, (k_row, v_row, row_views) in enumerate(rows):
                 new_cache = caches_per_row[r][index].append(
                     k_row, v_row, reserve=self.context_length)
                 new_rows[r].append(new_cache)
-                for past, q_i, k_i, v_i, scores, ctx_i in views:
+                for past, q_i, k_i, v_i, scores, ssum_i, ctx_i in row_views:
                     if past:
                         k_i = new_cache.k[:, :, :past + 1]
                         v_i = new_cache.v[:, :, :past + 1]
                     np.matmul(q_i, k_i.swapaxes(-1, -2), out=scores)
-                    np.multiply(scores, self._scale, out=scores)
-                    if past == 0:
-                        np.add(scores, self._mask[:1, :1], out=scores)
-                    self._softmax(scores, smax, ssum)
-                    np.matmul(scores, v_i, out=ctx_i)
+                    views.append((scores, ssum_i, v_i, ctx_i))
+            # One softmax pass over every token's scores; only the sums
+            # stay per token (reduceat's sum is not pairwise).  A lone
+            # score's weight is 1 whatever its mask, so past == 0 needs
+            # none.
+            np.multiply(flat, self._scale, out=flat)
+            np.maximum.reduceat(flat, starts, out=smax)
+            smax.take(spread_at, None, spread, "clip")
+            np.subtract(flat, spread, out=flat)
+            np.exp(flat, out=flat)
+            for scores, ssum_i, _, _ in views:
+                np.add.reduce(scores, axis=-1, keepdims=True, out=ssum_i)
+            ssum.take(spread_at, None, spread, "clip")
+            np.divide(flat, spread, out=flat)
+            for scores, _, v_i, ctx_i in views:
+                np.matmul(scores, v_i, out=ctx_i)
             self._block_tail(bw, x, merged, ln, mstat, vstat, attn, ff,
                              gelu_ws)
 
         self._layer_norm(x, self.store.ln_f_w, self.store.ln_f_b, ln,
                          mstat, vstat)
-        logits = self._take((tokens, 1, self.vocab_size))
-        self._project(ln, logits)
-        out = logits[:, 0, :]
+        out = self._head(ln, tokens)
         return (out.copy() if copy else out), new_rows
 
     def prefill_batch(self, ids: np.ndarray, caches: Sequence[KVCache],
@@ -595,18 +659,21 @@ class InferenceKernels:
                       ) -> Tuple[np.ndarray, List[KVCache]]:
         """Whole-chunk prefill; returns ``(last_logits (B, V), caches)``.
 
-        Note the head projects *all* chunk positions before slicing
-        the last one — matching the Tensor path's GEMM shape exactly
-        is part of the bit-identity contract (BLAS must not see a
-        different ``M``).
+        Only the last position goes through the head, as a decode row
+        does (:meth:`_head`): its logits are what the decoder reads.
         """
         copy = self._enter()
-        logits, new_caches = self._forward_cached(ids, caches, position)
-        out = logits[:, -1, :]
+        ln, new_caches = self._forward_cached(ids, caches, position)
+        last = self._take((max(ln.shape[0], 2), self.d_model))
+        last[:ln.shape[0]] = ln[:, -1]
+        last[ln.shape[0]:] = 0
+        out = self._head(last, ln.shape[0])
         return (out.copy() if copy else out), new_caches
 
     def full_forward(self, ids: np.ndarray) -> np.ndarray:
         """Cache-less full-sequence logits ``(B, T, V)`` (evaluation)."""
         copy = self._enter()
-        logits, _ = self._forward_cached(ids, None, 0)
+        ln, _ = self._forward_cached(ids, None, 0)
+        logits = self._take((*ids.shape, self.vocab_size))
+        self._project(ln, logits)
         return logits.copy() if copy else logits

@@ -2,15 +2,19 @@
 
 Covers the pieces the property suite treats as a black box:
 :class:`WeightStore` sharing and freeze semantics, unmanaged copy-out
-safety, sliding-window equality, and the zero-allocation workspace
-regression gate.
+safety, sliding-window equality, the row-class probe and the even row
+split, and the zero-allocation workspace regression gate.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro.models import GenerationConfig, distilgpt2, generate, word_lstm
-from repro.nn import WeightStore
+from repro.models import (GenerationConfig, distilgpt2, generate,
+                          gpt2_medium, word_lstm)
+from repro.nn import WeightStore, attention
+from repro.nn.attention import row_chunks
 from repro.obs import NullRegistry, NullTracer
 from repro.serving import EngineConfig, InferenceEngine
 
@@ -88,6 +92,19 @@ class TestKernelDispatch:
         loss.backward()
         model.eval()
         assert model._active_kernels() is not None
+
+    def test_a_single_state_decodes_one_row(self):
+        # A batch decodes as a list of batch-of-one states; a state of
+        # batch 2, or two ids for one state, is refused on both paths.
+        for kernels in (False, True):
+            model = _model()
+            model.eval()
+            if kernels:
+                model.enable_kernels("fp32")
+            for batch in (1, 2):
+                with pytest.raises(ValueError, match="batch-of-one"):
+                    model.next_logits(np.array([1, 2]),
+                                      model.start_state(batch))
 
     def test_out_of_range_token_raises_like_tensor_path(self):
         model = _model()
@@ -175,3 +192,64 @@ class TestWorkspaceReuse:
             for r, state in zip(live, new_states):
                 states[r] = state
         assert kernels.allocation_count == settled
+
+    @pytest.mark.parametrize("rows", [1, 8])
+    def test_steps_allocate_nothing_from_the_first(self, rows):
+        # preallocate(8) covers every decode step from the first: a
+        # lone row (with its dummy row), a full batch, and a batch whose
+        # speculative row pushes the step past the probed row-class
+        # limit (forced to 3 here), so its GEMMs run in chunks.
+        model = _model()
+        kernels = model.enable_kernels("fp32")
+        rng = np.random.default_rng(rows)
+        states = [model.prefill(rng.integers(0, VOCAB, size=40 + r),
+                                model.start_state(1))[1]
+                  for r in range(rows)]
+        kernels.preallocate(8)
+        settled = kernels.allocation_count
+        with mock.patch.object(attention, "row_class_limit",
+                               lambda k, n: 3):
+            for step in range(6):
+                kernels.begin_step()
+                if rows == 1:
+                    _, state = model.next_logits(
+                        rng.integers(0, VOCAB, size=1), states[0])
+                    states = [state]
+                    continue
+                spec = 5 if step % 2 else 1  # one row verifies 4 drafts
+                ids = rng.integers(0, VOCAB, size=rows - 1 + spec)
+                _, new_states = model.next_logits(
+                    ids, [states[0]] * spec + states[1:])
+                states = [new_states[spec - 1]] + new_states[spec:]
+        assert kernels.allocation_count == settled
+
+
+class TestRowClassProbe:
+    @pytest.mark.parametrize("preset", [distilgpt2, gpt2_medium])
+    def test_every_shape_has_a_class_of_at_least_two_rows(self, preset):
+        kernels = preset(vocab_size=657).enable_kernels("fp32")
+        limits = kernels.row_class_limits
+        assert len(limits) == 5  # qkv, out-proj, MLP up, MLP down, head
+        assert all(2 <= limit <= 32 for limit in limits.values())
+        stats = kernels.stats()
+        assert stats["row_class_limits"] == {
+            f"{k}x{n}": limit for (k, n), limit in limits.items()}
+        # The padded head: V = 657 rounded up to 672 columns.
+        assert kernels.store.head.shape == (kernels.d_model, 672)
+        assert stats["head_bytes"] == kernels.d_model * 672 * 4
+        assert not kernels.store.head.flags.writeable
+
+    @pytest.mark.parametrize("limit", [2, 3, 6, 15, 32])
+    def test_rows_split_evenly_into_the_fewest_chunks(self, limit):
+        for rows in range(2, 100):
+            chunks = row_chunks(rows, limit)
+            assert len(chunks) == -(-rows // limit)
+            sizes = [c.stop - c.start for c in chunks]
+            assert all(2 <= size <= limit for size in sizes)
+            assert chunks[0].start == 0 and chunks[-1].stop == rows
+            # Contiguous and even; only at limit 2 does an odd last
+            # row share its chunk with the row before it.
+            for a, b in zip(chunks, chunks[1:]):
+                assert b.start == a.stop or (limit == 2 and b.start
+                                             == a.stop - 1)
+            assert max(sizes) - min(sizes) <= 1

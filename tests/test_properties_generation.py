@@ -6,15 +6,20 @@ The invariants the serving path relies on:
 * the top-p nucleus carries probability mass >= p;
 * ``repetition_penalty=1.0`` is the identity;
 * the same seed produces the same sampled continuation;
-* beam search is deterministic across runs.
+* beam search is deterministic across runs;
+* a processor-free greedy pick is the float32 row's argmax, one row or
+  a whole step's rows at once, equal to the float64 cast's on ties,
+  ±0, ±inf and NaN.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from repro.models import GenerationConfig, RepetitionPenalty, generate
+from repro.models import (GenerationConfig, RepetitionPenalty, generate,
+                          select_next_token)
 from repro.models.base import LanguageModel
 from repro.models.generation import _filter_top_k, _filter_top_p, _softmax
 from repro.obs import NullRegistry, NullTracer
@@ -29,6 +34,15 @@ _logits = st.lists(_finite, min_size=2, max_size=64).map(
 _tied_logits = st.lists(st.integers(min_value=-3, max_value=3),
                         min_size=2, max_size=32).map(
     lambda values: np.asarray(values, dtype=np.float64))
+
+
+# float32 logits rich in the values where a pick could part: repeated
+# maxima, both zeros, both infinities and NaN.
+_edge_logits = hnp.arrays(
+    np.float32, st.tuples(st.integers(1, 6), st.integers(1, 24)),
+    elements=st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan]),
+        st.floats(width=32)))
 
 
 class SeededModel(LanguageModel):
@@ -181,3 +195,16 @@ class TestGenerateDeterminism:
                                           max_new_tokens=6),
                          registry=NullRegistry(), tracer=NullTracer())
         assert greedy == again
+
+
+class TestGreedyPick:
+    @given(logits=_edge_logits)
+    @settings(max_examples=300, deadline=None)
+    def test_float32_argmax_is_the_float64_pick(self, logits):
+        config = GenerationConfig(strategy="greedy")
+        rng = np.random.default_rng(0)
+        step = logits.argmax(axis=1)  # the engine's one argmax per step
+        for row, pick in zip(logits, step):
+            old = int(row.astype(np.float64).argmax())
+            assert select_next_token(row, [], config, [], rng) == old
+            assert int(pick) == old

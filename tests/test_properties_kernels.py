@@ -13,12 +13,15 @@ path (buffer reuse across engine iterations) is exercised, not just
 the conservative copy-out path.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.models import GenerationConfig, distilgpt2, generate
+from repro.nn import attention
 from repro.obs import NullRegistry, NullTracer
 from repro.serving import EngineConfig, InferenceEngine
 
@@ -227,3 +230,37 @@ class TestRaggedDecode:
             per_path
         assert np.array_equal(tensor_logits, kernel_logits)
         assert np.array_equal(tensor_resumed, kernel_resumed)
+
+
+class TestBatchInvariance:
+    """A decoded row's bits do not depend on the batch: not on how many
+    rows share its step (1..40), what they carry (plain or several
+    known tokens, any cache length) or where it sits among them.  The
+    probed row-class limit is forced to 3 so that chunking runs on
+    distilgpt2's shapes (docs/KERNELS.md §1)."""
+
+    @given(seed=st.integers(min_value=0, max_value=2 ** 20),
+           rows=st.integers(min_value=1, max_value=40))
+    @settings(max_examples=20, deadline=None)
+    def test_row_bits_do_not_depend_on_the_batch(self, seed, rows):
+        rng = np.random.default_rng(seed)
+        model = KERNEL_MODEL
+        with mock.patch.object(attention, "row_class_limit",
+                               lambda k, n: 3):
+            states, _ = _ragged_states(model, seed, rows)
+            target = int(rng.integers(0, rows))
+            counts = [1 if r == target else int(rng.integers(1, 4))
+                      for r in range(rows)]
+            ids = [rng.integers(0, VOCAB, size=n) for n in counts]
+            alone, after = model.next_logits(
+                ids[target], model.snapshot_state(states[target]))
+            logits, batch_states = model.next_logits(
+                np.concatenate(ids),
+                [model.snapshot_state(state) if r == target else state
+                 for r, (state, n) in enumerate(zip(states, counts))
+                 for _ in range(n)])
+        row = sum(counts[:target])
+        assert np.array_equal(logits[row], alone[0])
+        for mine, solo in zip(batch_states[row].caches, after.caches):
+            assert np.array_equal(mine.keys, solo.keys)
+            assert np.array_equal(mine.values, solo.values)
