@@ -15,7 +15,7 @@ the Table-I benchmark documents the scaling.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -75,6 +75,7 @@ class GPT2Model(LanguageModel):
             for _ in range(config.num_layers)
         ])
         self.ln_f = LayerNorm(config.d_model)
+        self._head: Optional[np.ndarray] = None  # see _project_rows
 
     # ------------------------------------------------------------------
     # Shared trunk
@@ -104,10 +105,29 @@ class GPT2Model(LanguageModel):
 
     def _project_rows(self, hidden: Tensor) -> np.ndarray:
         """The tied head for ``(N, 1, d)`` rows the decoder reads, with
-        batch-invariant bits: one GEMM against the padded ``wteᵀ`` copy
-        the kernels' weight store holds (docs/KERNELS.md §1b)."""
-        logits = linear_rows(hidden, padded_head(self.wte.weight.data))
+        batch-invariant bits: one GEMM against a padded ``wteᵀ`` copy
+        (docs/KERNELS.md §1b), kept until the weights may move."""
+        head = self._head
+        if head is None:
+            head = padded_head(self.wte.weight.data)
+            if not self.training:
+                self._head = head
+        logits = linear_rows(hidden, head)
         return logits.data[:, 0, :self.config.vocab_size]
+
+    def train(self, mode: bool = True) -> "GPT2Model":
+        if mode:  # training moves the weights
+            self._drop_heads()
+        return super().train(mode)
+
+    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
+        super().load_state_dict(state)
+        self._drop_heads()
+
+    def _drop_heads(self) -> None:  # and the kernels' copy
+        self._head = None
+        if self._kernels is not None:
+            self._kernels.store.drop_head()
 
     # ------------------------------------------------------------------
     # Inference kernels
@@ -194,9 +214,9 @@ class GPT2Model(LanguageModel):
         that does not :meth:`fits` raises ``ValueError``.  The states
         within a row are length-truncated handles onto one appended
         cache: resume from one of them, and later appends overwrite the
-        rest.  A single state is a batch of one; it, or a list of one
-        state for one id, takes that state's own step (same bits, none
-        of the ragged bookkeeping: decode at concurrency 1).
+        rest.  A single state (a batch of one) or a list of one state
+        for one id is that state's own step (same bits, none of the
+        ragged bookkeeping: decode at concurrency 1).
         """
         ids = np.asarray(ids).reshape(-1, 1)  # (N, 1)
         if isinstance(state, list):
@@ -292,12 +312,12 @@ class GPT2Model(LanguageModel):
                 ) -> Tuple[np.ndarray, GPT2State]:
         """One trunk pass over a whole prompt chunk (batch of 1).
 
-        Only the last position goes through the tied head, as a decode
-        row does; a one-token chunk is a decode step.  Falls back to the
-        per-token sliding-window path when the chunk would overflow the
-        context; the criterion is a pure function of position and chunk
-        length, so every caller that splits a prompt at the same
-        boundaries takes the same path (bit-reproducible).
+        The tied head takes the last position as a decode row (a
+        one-token chunk is a decode step).  Falls back to the per-token
+        sliding-window path when the chunk would overflow the context;
+        the criterion is a pure function of position and chunk length,
+        so every caller that splits a prompt at the same boundaries
+        takes the same path (bit-reproducible).
         """
         ids = np.asarray(ids).reshape(-1)
         if ids.size == 0:

@@ -44,13 +44,9 @@ def row_class_limit(k: int, n: int) -> int:
     rng = np.random.default_rng(0)
     a = rng.standard_normal((top, k), dtype=np.float32)
     w = rng.standard_normal((k, n), dtype=np.float32)
-    pairs = np.empty((top, n), np.float32)
-    for i in range(0, top, 2):
-        np.matmul(a[i:i + 2], w, out=pairs[i:i + 2])
-    out = np.empty_like(pairs)
+    pairs = np.concatenate([a[i:i + 2] @ w for i in range(0, top, 2)])
     for m in range(3, top + 1):
-        np.matmul(a[:m], w, out=out[:m])
-        if not np.array_equal(out[:m], pairs[:m]):
+        if not np.array_equal(a[:m] @ w, pairs[:m]):
             return m - 1
     return top
 

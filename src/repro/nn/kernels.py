@@ -80,16 +80,13 @@ class _BlockWeights:
 class WeightStore:
     """One read-only copy of a GPT-2 model's inference weights.
 
-    Holds *references* to the model's parameter arrays (no copy), so
-    N models attaching kernels through the same store keep exactly
-    one weight copy alive between them.  ``freeze=True`` additionally
-    marks the arrays read-only, which turns any accidental write from
-    a crashing engine into an immediate error instead of silent
-    corruption of every later request; :meth:`release` restores
+    Holds *references* to the model's parameter arrays (no copy but
+    :attr:`head`), so N models attaching kernels through the same store
+    keep exactly one weight copy alive between them.  ``freeze=True``
+    additionally marks the arrays read-only, which turns any accidental
+    write from a crashing engine into an immediate error instead of
+    silent corruption of every later request; :meth:`release` restores
     writability (for example, before resuming training).
-
-    Its one copy, ``head`` (an always read-only ``padded_head``), is
-    taken once: rebuild the kernels after training the weights.
     """
 
     def __init__(self, meta: Dict[str, int], wte: np.ndarray, wpe: np.ndarray,
@@ -101,7 +98,7 @@ class WeightStore:
         self.blocks = list(blocks)
         self.ln_f_w = ln_f_w
         self.ln_f_b = ln_f_b
-        self.head = padded_head(wte)
+        self._head: Optional[np.ndarray] = None  # see head
         self._frozen: List[np.ndarray] = []
         if freeze:
             self.freeze()
@@ -148,10 +145,23 @@ class WeightStore:
         """Restore writability to arrays :meth:`freeze` locked."""
         while self._frozen:
             self._frozen.pop().flags.writeable = True
+        self.drop_head()  # the weights may move from here on
 
     @property
     def frozen(self) -> bool:
         return bool(self._frozen)
+
+    @property
+    def head(self) -> np.ndarray:
+        """The tied head's read-only :func:`padded_head` copy of ``wte``,
+        retaken after :meth:`drop_head` (``GPT2Model.train`` calls it)."""
+        if self._head is None:
+            self._head = padded_head(self.wte)
+        return self._head
+
+    def drop_head(self) -> None:
+        if not self.frozen:  # frozen weights cannot move
+            self._head = None
 
     # -- accounting -----------------------------------------------------
     def weight_arrays(self) -> Iterator[np.ndarray]:
@@ -355,9 +365,7 @@ class InferenceKernels:
     # -- fused ops (bit-identical to the Tensor-path op sequences) -------
     def _linear(self, x: np.ndarray, w: np.ndarray, b: np.ndarray,
                 out: np.ndarray) -> np.ndarray:
-        # 2-D operands are decode rows: batch-invariant GEMMs, the Tensor
-        # path's linear_rows.  3-D ones are prefill / full-sequence
-        # chunks: numpy's per-slice GEMMs, the Tensor path's Linear.
+        # Decode rows (2-D) as linear_rows, chunks (3-D) as Linear.
         if x.ndim == 2:
             matmul_rows(x, w, out)
         else:
@@ -429,10 +437,8 @@ class InferenceKernels:
 
     def _rows(self, ids: np.ndarray, pos: np.ndarray
               ) -> Tuple[np.ndarray, ...]:
-        """A decode step's ``(R, d)`` rows — a lone token carries one zero
-        dummy row, so every dense op is a GEMM of 2 rows (docs/KERNELS.md
-        §1b): ``(x, qkv (N, 1, 3d) view, dense buffers, ctx (N, H, 1,
-        hd), merged (R, d) view of ctx)``."""
+        """A decode step's ``(x, qkv (N, 1, 3d), dense, ctx (N, H, 1, hd),
+        merged)`` on ``R`` rows, a lone token's dummy row zeroed (§1b)."""
         self._check_ids(ids)
         tokens, d = ids.shape[0], self.d_model
         x = self._take((max(tokens, 2), d))
@@ -447,17 +453,11 @@ class InferenceKernels:
                 ctxb[:tokens], ctxb.reshape(x.shape[0], d))
 
     def _head(self, ln: np.ndarray, rows: int) -> np.ndarray:
-        """The tied head for the first ``rows`` of the ``(R, d)`` rows
-        ``ln`` (``R >= 2``): one batch-invariant GEMM against the store's
-        padded ``wteᵀ`` copy, sliced back to ``(rows, V)``."""
+        """``(rows, V)`` logits of ``ln``'s first ``rows`` of ``R >= 2``:
+        batch-invariant GEMMs against the store's padded ``wteᵀ``."""
         logits = self._take((ln.shape[0], self.store.head.shape[1]))
         matmul_rows(ln, self.store.head, logits)
         return logits[:rows, :self.vocab_size]
-
-    def _project(self, hidden: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Weight-tied head: ``hidden @ wte.T``."""
-        np.matmul(hidden, self._wte.swapaxes(0, 1), out=out)
-        return out
 
     def _dense_buffers(self, *lead: int) -> Tuple[np.ndarray, ...]:
         """``(ln, qkv, mstat, vstat, attn, ff, gelu_ws)`` for the
@@ -485,14 +485,12 @@ class InferenceKernels:
     def _forward_cached(self, ids: np.ndarray,
                         caches: Optional[Sequence[KVCache]], position: int
                         ) -> Tuple[np.ndarray, List[Optional[KVCache]]]:
-        """The trunk + final LayerNorm at ``(batch, time)``, updating KV
-        caches.
+        """The trunk + final LN at ``(batch, time)``, updating KV caches.
 
         Transliterates ``GPT2Model._trunk`` op by op: same shapes, same
         strides, same numpy calls — only the output buffers come from
-        the arena instead of fresh allocations.  A one-token step with
-        caches is a decode step: its dense ops run on ``(R, d)`` rows
-        (:meth:`_rows`), as the Tensor path's ragged rows of one token do.
+        the arena instead of fresh allocations.  A decode step (one token,
+        caches) runs on :meth:`_rows`, as the Tensor path's rows do.
         """
         batch, time = ids.shape
         if position + time > self.context_length:
@@ -582,7 +580,7 @@ class InferenceKernels:
         tokens = ids.shape[0]
         d, h, hd = self.d_model, self.num_heads, self.head_dim
         pos = self._take((tokens, d))
-        self._wpe.take(positions, 0, pos, "clip")
+        self._wpe.take(positions, 0, pos)  # raises out of range
         x, qkv3, dense, ctxb, merged = self._rows(ids, pos)
         ln, qkv, mstat, vstat, attn, ff, gelu_ws = dense
         # Per-token views, built once for all layers: each is what
@@ -631,10 +629,8 @@ class InferenceKernels:
                         v_i = new_cache.v[:, :, :past + 1]
                     np.matmul(q_i, k_i.swapaxes(-1, -2), out=scores)
                     views.append((scores, ssum_i, v_i, ctx_i))
-            # One softmax pass over every token's scores; only the sums
-            # stay per token (reduceat's sum is not pairwise).  A lone
-            # score's weight is 1 whatever its mask, so past == 0 needs
-            # none.
+            # One softmax pass over all scores, but per-token sums (a
+            # reduceat sum is not pairwise).  A lone score needs no mask.
             np.multiply(flat, self._scale, out=flat)
             np.maximum.reduceat(flat, starts, out=smax)
             smax.take(spread_at, None, spread, "clip")
@@ -659,15 +655,16 @@ class InferenceKernels:
                       ) -> Tuple[np.ndarray, List[KVCache]]:
         """Whole-chunk prefill; returns ``(last_logits (B, V), caches)``.
 
-        Only the last position goes through the head, as a decode row
-        does (:meth:`_head`): its logits are what the decoder reads.
+        Only the last two positions go through the head (:meth:`_head`,
+        a 2-row GEMM, as a decode row): the last one's logits are what
+        the decoder reads.  A one-token chunk is a decode step.
         """
+        if ids.shape[1] < 2:
+            raise ValueError("prefill_batch needs a chunk of >= 2 tokens")
         copy = self._enter()
         ln, new_caches = self._forward_cached(ids, caches, position)
-        last = self._take((max(ln.shape[0], 2), self.d_model))
-        last[:ln.shape[0]] = ln[:, -1]
-        last[ln.shape[0]:] = 0
-        out = self._head(last, ln.shape[0])
+        out = self._head(ln[:, -2:].reshape(-1, self.d_model),
+                         2 * len(ln))[1::2]
         return (out.copy() if copy else out), new_caches
 
     def full_forward(self, ids: np.ndarray) -> np.ndarray:
@@ -675,5 +672,5 @@ class InferenceKernels:
         copy = self._enter()
         ln, _ = self._forward_cached(ids, None, 0)
         logits = self._take((*ids.shape, self.vocab_size))
-        self._project(ln, logits)
+        np.matmul(ln, self._wte.swapaxes(0, 1), out=logits)  # the tied head
         return logits.copy() if copy else logits

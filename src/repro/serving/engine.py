@@ -9,9 +9,7 @@ One background thread owns the model and runs a step loop:
 2. **Sample** — every active sequence picks its next token with the
    *same* :func:`repro.models.select_next_token` the sequential
    :func:`repro.models.generate` loop uses, driven by its own
-   per-request ``default_rng(config.seed)`` and processor chain
-   (processor-free greedy rows share one ``argmax`` over the step's
-   logits: the same pick).
+   per-request ``default_rng(config.seed)`` and processor chain.
 3. **Retire** — sequences that hit their stop token or token budget
    leave the batch mid-flight; their slot is refilled on the next
    admit pass.
@@ -27,9 +25,7 @@ Equality contract: for any request, the engine's token stream is
 **bit-identical** to ``models.generate(model, prompt, config)`` run
 alone — regardless of what else shares the batch, and regardless of
 prefix-cache hits.  The pieces that make that true: batched transformer
-decode runs its dense ops and tied head as batch-invariant GEMMs — row
-counts chunked to the class of a 2-row GEMM, a lone row padded with a
-dummy one, so a row's bits never depend on the batch — and its
+decode runs its dense ops and tied head as batch-invariant GEMMs and its
 attention row by row over each sequence's own KV cache; prefill
 chunking is aligned to absolute positions; sampling state is
 per-request.  Property-tested in ``tests/test_properties_serving.py``.
@@ -288,9 +284,6 @@ class _Sequence:
     #: ``chunk_logits`` is ``(len(proposals) + 1, vocab)`` and
     #: ``states[t]`` resumes after accepting ``t`` proposals.
     spec_chunk: Optional[tuple] = None
-    #: A processor-free greedy row's next token, from the step's one
-    #: ``argmax`` over every row's logits (set by each forward).
-    pick: Optional[int] = None
 
 
 def _state_nbytes(obj: Any, _seen: Optional[set] = None) -> int:
@@ -896,9 +889,8 @@ class InferenceEngine:
                     continue  # finished (stop token or budget) mid-walk
                 survivors.append(seq)
                 continue
-            token = (seq.pick if seq.pick is not None else
-                     select_next_token(seq.logits, seq.generated, seq.config,
-                                       seq.processors, seq.rng))
+            token = select_next_token(seq.logits, seq.generated, seq.config,
+                                      seq.processors, seq.rng)
             seq.generated.append(token)
             self._deliver(seq, token)
             stopped = (seq.config.stop_token_id is not None
@@ -969,7 +961,7 @@ class InferenceEngine:
             ids += [seq.generated[-1], *proposals]
             states += [seq.state] * (len(proposals) + 1)
         logits, states = self.model.next_logits(np.asarray(ids), states)
-        picks, start = logits.argmax(axis=1), 0
+        start = 0
         for seq, (proposals, dists) in zip(survivors, plans):
             end = start + len(proposals) + 1
             if seq.spec_k:  # walked next step; states[t] resumes after t
@@ -977,9 +969,6 @@ class InferenceEngine:
                                   states[start:end])
             else:
                 seq.logits, seq.state = logits[start], states[start]
-                # select_next_token's pick, one argmax for all rows.
-                seq.pick = (int(picks[start]) if not seq.processors
-                            and seq.config.strategy == "greedy" else None)
             start = end
         self._decode_forwards += 1
         self.metrics.decode_forwards.inc()

@@ -2,8 +2,9 @@
 
 Covers the pieces the property suite treats as a black box:
 :class:`WeightStore` sharing and freeze semantics, unmanaged copy-out
-safety, sliding-window equality, the row-class probe and the even row
-split, and the zero-allocation workspace regression gate.
+safety, sliding-window equality, the tied head's padded copy following
+the weights, the row-class probe and the even row split, and the
+zero-allocation workspace regression gate.
 """
 
 from unittest import mock
@@ -13,7 +14,7 @@ import pytest
 
 from repro.models import (GenerationConfig, distilgpt2, generate,
                           gpt2_medium, word_lstm)
-from repro.nn import WeightStore, attention
+from repro.nn import Adam, WeightStore, attention
 from repro.nn.attention import row_chunks
 from repro.obs import NullRegistry, NullTracer
 from repro.serving import EngineConfig, InferenceEngine
@@ -132,6 +133,68 @@ class TestKernelDispatch:
         prompt = [1, 2, 3, 4, 5]
         assert (_generate(kernel_model, prompt, max_new_tokens=60)
                 == _generate(tensor_model, prompt, max_new_tokens=60))
+
+
+def _head_logits(model, prompt=(1, 2, 3)):
+    """A prefill chunk's and one decode step's logits: both read the
+    tied head's padded copy."""
+    logits, state = model.prefill(np.array(prompt), model.start_state(1))
+    step, _ = model.next_logits(np.array([4]), state)
+    return np.concatenate([logits, step])
+
+
+class TestHeadCopy:
+    @pytest.mark.parametrize("kernels", [False, True])
+    def test_decode_after_training_reads_the_trained_weights(self, kernels):
+        model = _model()
+        model.eval()
+        if kernels:
+            model.enable_kernels("fp32")  # unfrozen: training may resume
+        before = _head_logits(model)  # takes the head copy
+        model.train()
+        optimizer = Adam(model.parameters(), lr=1e-2)
+        for _ in range(3):
+            optimizer.zero_grad()
+            model(np.array([[1, 2, 3, 4]])).sum().backward()
+            optimizer.step()
+        model.eval()
+        assert (model._active_kernels() is not None) == kernels
+        trained = _model()
+        trained.load_state_dict(model.state_dict())
+        trained.eval()
+        after = _head_logits(model)
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, _head_logits(trained))
+
+    @pytest.mark.parametrize("kernels", [False, True])
+    def test_load_state_dict_retakes_the_head(self, kernels):
+        model = _model()
+        model.eval()
+        if kernels:
+            model.enable_kernels("fp32")
+        _head_logits(model)
+        other = _model(seed=1)
+        other.eval()
+        model.load_state_dict(other.state_dict())
+        assert np.array_equal(_head_logits(model), _head_logits(other))
+
+    def test_prefill_batch_refuses_a_one_token_chunk(self):
+        model = _model()
+        kernels = model.enable_kernels("fp32")
+        state = model.start_state(1)
+        with pytest.raises(ValueError, match=">= 2 tokens"):
+            kernels.prefill_batch(np.array([[1]]), state.caches, 0)
+        # GPT2Model.prefill takes a one-token chunk as a decode step.
+        logits, _ = model.prefill(np.array([1]), state)
+        assert logits.shape == (1, VOCAB)
+
+    def test_decode_rows_refuses_a_position_past_the_context(self):
+        model = _model()
+        kernels = model.enable_kernels("fp32")
+        caches = model.start_state(1).caches
+        with pytest.raises(IndexError):
+            kernels.decode_rows(np.array([[1]]), [caches],
+                                np.array([model.config.context_length]), [1])
 
 
 class TestWorkspaceReuse:
