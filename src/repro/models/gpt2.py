@@ -106,17 +106,14 @@ class GPT2Model(LanguageModel):
     def _project_rows(self, hidden: Tensor) -> np.ndarray:
         """The tied head for ``(N, 1, d)`` rows the decoder reads, with
         batch-invariant bits: one GEMM against a padded ``wteᵀ`` copy
-        (docs/KERNELS.md §1b), kept until the weights may move."""
-        head = self._head
-        if head is None:
-            head = padded_head(self.wte.weight.data)
-            if not self.training:
-                self._head = head
-        logits = linear_rows(hidden, head)
+        (docs/KERNELS.md §1b), kept while the model is in eval mode."""
+        if self._head is None or self.training:
+            self._head = padded_head(self.wte.weight.data)
+        logits = linear_rows(hidden, self._head)
         return logits.data[:, 0, :self.config.vocab_size]
 
     def train(self, mode: bool = True) -> "GPT2Model":
-        if mode:  # training moves the weights
+        if mode or self.training:  # the weights may move, or have moved
             self._drop_heads()
         return super().train(mode)
 

@@ -154,6 +154,7 @@ class TestHeadCopy:
         model.train()
         optimizer = Adam(model.parameters(), lr=1e-2)
         for _ in range(3):
+            _head_logits(model)  # a decode before each step, in train mode
             optimizer.zero_grad()
             model(np.array([[1, 2, 3, 4]])).sum().backward()
             optimizer.step()
