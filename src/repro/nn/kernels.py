@@ -160,6 +160,7 @@ class WeightStore:
         return self._head
 
     def drop_head(self) -> None:
+        """Retake :attr:`head` on next use: ``wte`` may have moved."""
         if not self.frozen:  # frozen weights cannot move
             self._head = None
 
@@ -365,7 +366,9 @@ class InferenceKernels:
     # -- fused ops (bit-identical to the Tensor-path op sequences) -------
     def _linear(self, x: np.ndarray, w: np.ndarray, b: np.ndarray,
                 out: np.ndarray) -> np.ndarray:
-        # Decode rows (2-D) as linear_rows, chunks (3-D) as Linear.
+        # 2-D operands are decode rows: batch-invariant GEMMs, the Tensor
+        # path's linear_rows.  3-D ones are prefill / full-sequence
+        # chunks: numpy's per-slice GEMMs, the Tensor path's Linear.
         if x.ndim == 2:
             matmul_rows(x, w, out)
         else:
@@ -437,8 +440,10 @@ class InferenceKernels:
 
     def _rows(self, ids: np.ndarray, pos: np.ndarray
               ) -> Tuple[np.ndarray, ...]:
-        """A decode step's ``(x, qkv (N, 1, 3d), dense, ctx (N, H, 1, hd),
-        merged)`` on ``R`` rows, a lone token's dummy row zeroed (§1b)."""
+        """A decode step's ``(R, d)`` rows — a lone token carries one zero
+        dummy row, so every dense op is a GEMM of 2 rows (docs/KERNELS.md
+        §1b): ``(x, qkv (N, 1, 3d) view, dense buffers, ctx (N, H, 1,
+        hd), merged (R, d) view of ctx)``."""
         self._check_ids(ids)
         tokens, d = ids.shape[0], self.d_model
         x = self._take((max(tokens, 2), d))
@@ -629,8 +634,10 @@ class InferenceKernels:
                         v_i = new_cache.v[:, :, :past + 1]
                     np.matmul(q_i, k_i.swapaxes(-1, -2), out=scores)
                     views.append((scores, ssum_i, v_i, ctx_i))
-            # One softmax pass over all scores, but per-token sums (a
-            # reduceat sum is not pairwise).  A lone score needs no mask.
+            # One softmax pass over every token's scores; only the sums
+            # stay per token (reduceat's sum is not pairwise).  A lone
+            # score's weight is 1 whatever its mask, so past == 0 needs
+            # none.
             np.multiply(flat, self._scale, out=flat)
             np.maximum.reduceat(flat, starts, out=smax)
             smax.take(spread_at, None, spread, "clip")
