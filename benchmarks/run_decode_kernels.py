@@ -6,7 +6,7 @@ Replays the same greedy workload (8 requests of unequal prompt length,
 * **baseline** — the continuous-batching engine decoding through the
   Tensor autograd graph (``no_grad``, but every op still builds
   ``Tensor`` nodes and allocates fresh buffers);
-* **kernels** — the same engine with ``enable_kernels("fp32")``: raw
+* **kernels** — the same engine with ``enable_kernels()``: raw
   ndarray forward over a frozen :class:`~repro.nn.WeightStore`, all
   intermediates carved from preallocated per-step workspace arenas
   (zero allocation after warmup).
@@ -157,7 +157,7 @@ def main(argv=None) -> int:
     base_model = distilgpt2(vocab_size=VOCAB, context_length=256)
     base_model.eval()
     kernel_model = distilgpt2(vocab_size=VOCAB, context_length=256)
-    kernel_model.enable_kernels("fp32", freeze=True)
+    kernel_model.enable_kernels()
     prompts = [_prompt(seed) for seed in range(NUM_REQUESTS)]
 
     # Reference outputs from the sequential Tensor-path decoder: both

@@ -35,7 +35,7 @@ class LanguageModel(Module):
         self._kernels = None
 
     # ------------------------------------------------------------------
-    # Inference kernels (optional fast path)
+    # Inference kernels
     # ------------------------------------------------------------------
     @property
     def kernels(self):
@@ -43,7 +43,7 @@ class LanguageModel(Module):
         or ``None`` when the model runs the Tensor-graph path."""
         return self._kernels
 
-    def enable_kernels(self, mode: str = "fp32", store=None, freeze=False):
+    def enable_kernels(self, mode: str = "fp32", freeze: bool = True):
         """Attach the inference-only kernel forward path.
 
         Models with a kernel implementation (the transformer) override
@@ -52,27 +52,6 @@ class LanguageModel(Module):
         """
         raise NotImplementedError(
             f"{type(self).__name__} has no inference-kernel implementation")
-
-    def disable_kernels(self) -> None:
-        """Detach kernels and return to the Tensor-graph forward.
-
-        Releases any read-only freeze this model's own ``enable_kernels``
-        call put on the weights (a store the caller supplied is left
-        alone — other models may still rely on it).
-        """
-        kernels = self._kernels
-        self._kernels = None
-        if kernels is not None and getattr(kernels, "_owns_freeze", False):
-            kernels.store.release()
-
-    def _active_kernels(self):
-        """Kernels to dispatch to, or ``None``.
-
-        Kernels are inference-only: a model put back in training mode
-        transparently falls back to the autograd path.
-        """
-        kernels = self._kernels
-        return kernels if (kernels is not None and not self.training) else None
 
     # ------------------------------------------------------------------
     # Training path

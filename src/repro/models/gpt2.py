@@ -55,6 +55,12 @@ class GPT2State:
     caches: List[KVCache]
     position: int
 
+    @property
+    def nbytes(self) -> int:
+        """The live keys' and values' bytes: what a prefix-cache entry
+        (a :meth:`GPT2Model.compact_state`) retains."""
+        return sum(c.keys.nbytes + c.values.nbytes for c in self.caches)
+
 
 class GPT2Model(LanguageModel):
     """GPT-2: token+position embeddings → blocks → LN → tied head."""
@@ -113,44 +119,48 @@ class GPT2Model(LanguageModel):
         return logits.data[:, 0, :self.config.vocab_size]
 
     def train(self, mode: bool = True) -> "GPT2Model":
-        if mode or self.training:  # the weights may move, or have moved
-            self._drop_heads()
+        if mode:  # the weights may move
+            self.disable_kernels()
+        if mode or self.training:  # ... or have moved
+            self._head = None
         return super().train(mode)
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
+        self.disable_kernels()
         super().load_state_dict(state)
-        self._drop_heads()
-
-    def _drop_heads(self) -> None:  # and the kernels' copy
         self._head = None
-        if self._kernels is not None:
-            self._kernels.store.drop_head()
 
     # ------------------------------------------------------------------
     # Inference kernels
     # ------------------------------------------------------------------
-    def enable_kernels(self, mode: str = "fp32", store: Optional[WeightStore]
-                       = None, freeze: bool = False) -> InferenceKernels:
-        """Attach the buffer-reusing inference kernels.
+    def enable_kernels(self, mode: str = "fp32",
+                       freeze: bool = True) -> InferenceKernels:
+        """Attach the buffer-reusing inference kernels, or return the
+        attached ones.
 
-        ``store`` shares one weight copy across model objects: pass
-        the store from another model's kernels (or a
-        :meth:`~repro.nn.kernels.WeightStore.from_model` result) and
-        this model serves from the same read-only arrays.  ``freeze``
-        (only honored when the store is created here) marks the weights
-        read-only so no holder can corrupt the shared copy.  Kernels
-        are inference-only, so this switches the model to eval mode;
-        ``train()`` transparently falls back to the autograd path.
+        The kernels read the weights through a :class:`WeightStore`
+        that freezes them read-only, and switch the model to eval mode:
+        attached kernels and frozen weights go together, so the store's
+        head copy cannot go stale.  ``train()`` and ``load_state_dict``
+        detach them (:meth:`disable_kernels`).  ``mode="fp32",
+        freeze=True`` is the one configuration; the benchmark harness
+        spells it, and it selects nothing (``docs/LEDGER.md``).
         """
-        owns_freeze = False
-        if store is None:
-            store = WeightStore.from_model(self, freeze=freeze)
-            owns_freeze = freeze
-        kernels = InferenceKernels(store, mode=mode)
-        kernels._owns_freeze = owns_freeze
-        self._kernels = kernels
-        self.eval()
-        return kernels
+        if (mode, freeze) != ("fp32", True):
+            raise ValueError(
+                f"the kernels run fp32 over frozen weights only, not "
+                f"mode={mode!r}, freeze={freeze!r}")
+        if self._kernels is None:
+            self.eval()
+            self._kernels = InferenceKernels(WeightStore.from_model(self))
+        return self._kernels
+
+    def disable_kernels(self) -> None:
+        """Detach the kernels and thaw the weights: decode returns to
+        the Tensor graph."""
+        kernels, self._kernels = self._kernels, None
+        if kernels is not None:
+            kernels.store.release()
 
     # ------------------------------------------------------------------
     # Training path
@@ -159,7 +169,7 @@ class GPT2Model(LanguageModel):
         ids = np.asarray(ids)
         if ids.ndim != 2:
             raise ValueError(f"expected (batch, time) ids, got shape {ids.shape}")
-        kernels = self._active_kernels()
+        kernels = self._kernels
         if kernels is not None and not is_grad_enabled():
             return Tensor(kernels.full_forward(ids))
         hidden, _ = self._trunk(ids, position_offset=0)
@@ -221,7 +231,7 @@ class GPT2Model(LanguageModel):
                 return self._next_logits_rows(ids, state)
             logits, state = self.next_logits(ids, state[0])
             return logits, [state]
-        kernels = self._active_kernels()
+        kernels = self._kernels
         if (kernels is None or ids.shape[0] != 1
                 or state.caches[0].k.shape[0] != 1):
             # One ragged row; it refuses anything but one id for a
@@ -255,7 +265,7 @@ class GPT2Model(LanguageModel):
             starts.append(position)
             positions.append(position)
         positions = np.array(positions)
-        kernels = self._active_kernels()
+        kernels = self._kernels
         if kernels is not None:
             logits, new_rows = kernels.decode_rows(ids, rows, positions,
                                                    counts)
@@ -319,10 +329,12 @@ class GPT2Model(LanguageModel):
         ids = np.asarray(ids).reshape(-1)
         if ids.size == 0:
             raise ValueError("prefill requires at least one token")
+        if state.caches[0].k.shape[0] != 1:
+            raise ValueError("prefill expects a batch-of-one state")
         if (ids.size == 1
                 or state.position + ids.size > self.config.context_length):
             return super().prefill(ids, state)
-        kernels = self._active_kernels()
+        kernels = self._kernels
         if kernels is not None:
             logits, caches = kernels.prefill_batch(ids.reshape(1, -1),
                                                    state.caches,

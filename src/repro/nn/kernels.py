@@ -1,4 +1,4 @@
-"""Inference-only decode kernels: raw-ndarray forward, shared weights.
+"""Inference-only decode kernels: raw-ndarray forward, frozen weights.
 
 The serving stack (continuous batching, speculative verify, in-place
 crash recovery) schedules work well, but every decode step still walked the
@@ -7,9 +7,9 @@ result in a fresh ``Tensor`` and allocates a fresh ndarray.  This
 module provides the hot-path replacement:
 
 ``WeightStore``
-    One read-only copy of a model's inference weights, shareable by
-    reference across any number of engines (a restarted engine
-    re-attaches to it; ``docs/LEDGER.md`` questions the rest).
+    A model's inference weights, referenced and frozen read-only for as
+    long as the kernels are attached (a restarted engine re-attaches to
+    it), plus the tied head's padded copy, taken once.
 
 ``InferenceKernels``
     The forward pass re-implemented on raw ndarrays with ``out=``
@@ -46,14 +46,8 @@ from .attention import (KVCache, MASK_VALUE, matmul_rows, padded_head,
 
 __all__ = [
     "InferenceKernels",
-    "KERNEL_MODES",
     "WeightStore",
 ]
-
-# One mode.  The name survives because callers spell it
-# (``enable_kernels(mode="fp32")``, ``--kernels fp32``); it selects
-# nothing.
-KERNEL_MODES = ("fp32",)
 
 _LN_EPS = 1e-5
 _GELU_C = np.float32(np.sqrt(2.0 / np.pi))
@@ -75,38 +69,43 @@ class _BlockWeights:
 
 
 # ----------------------------------------------------------------------
-# Shared weight store
+# Weight store
 # ----------------------------------------------------------------------
 class WeightStore:
-    """One read-only copy of a GPT-2 model's inference weights.
+    """A GPT-2 model's inference weights, frozen read-only.
 
     Holds *references* to the model's parameter arrays (no copy but
-    :attr:`head`), so N models attaching kernels through the same store
-    keep exactly one weight copy alive between them.  ``freeze=True``
-    additionally marks the arrays read-only, which turns any accidental
+    :attr:`head`) and marks them read-only, which turns any accidental
     write from a crashing engine into an immediate error instead of
-    silent corruption of every later request; :meth:`release` restores
-    writability (for example, before resuming training).
+    silent corruption of every later request.  Frozen weights cannot
+    move, so the tied head's padded copy is taken once, here.
+    :meth:`release` restores writability;
+    ``GPT2Model.disable_kernels`` calls it before the weights may move
+    (``train()``, ``load_state_dict``).
     """
 
     def __init__(self, meta: Dict[str, int], wte: np.ndarray, wpe: np.ndarray,
                  blocks: Sequence[_BlockWeights], ln_f_w: np.ndarray,
-                 ln_f_b: np.ndarray, freeze: bool = False) -> None:
+                 ln_f_b: np.ndarray) -> None:
         self.meta = dict(meta)
         self.wte = wte
         self.wpe = wpe
         self.blocks = list(blocks)
         self.ln_f_w = ln_f_w
         self.ln_f_b = ln_f_b
-        self._head: Optional[np.ndarray] = None  # see head
+        #: The tied head's read-only :func:`padded_head` copy of ``wte``.
+        self.head = padded_head(wte)
         self._frozen: List[np.ndarray] = []
-        if freeze:
-            self.freeze()
+        for arr in self.weight_arrays():
+            if arr.flags.writeable:
+                arr.flags.writeable = False
+                self._frozen.append(arr)
 
     # -- construction ---------------------------------------------------
     @classmethod
-    def from_model(cls, model: Any, freeze: bool = False) -> "WeightStore":
-        """Capture a :class:`~repro.models.gpt2.GPT2Model`'s weights."""
+    def from_model(cls, model: Any) -> "WeightStore":
+        """Capture (and freeze) a
+        :class:`~repro.models.gpt2.GPT2Model`'s weights."""
         config = model.config
         meta = {
             "vocab_size": config.vocab_size,
@@ -131,43 +130,22 @@ class WeightStore:
         ]
         return cls(meta, wte=model.wte.weight.data, wpe=model.wpe.weight.data,
                    blocks=blocks, ln_f_w=model.ln_f.weight.data,
-                   ln_f_b=model.ln_f.bias.data, freeze=freeze)
+                   ln_f_b=model.ln_f.bias.data)
 
     # -- read-only enforcement ------------------------------------------
-    def freeze(self) -> None:
-        """Mark every referenced weight array read-only (idempotent)."""
-        for arr in self.weight_arrays():
-            if arr.flags.writeable:
-                arr.flags.writeable = False
-                self._frozen.append(arr)
-
     def release(self) -> None:
-        """Restore writability to arrays :meth:`freeze` locked."""
+        """Restore writability to the arrays this store froze."""
         while self._frozen:
             self._frozen.pop().flags.writeable = True
-        self.drop_head()  # the weights may move from here on
 
     @property
     def frozen(self) -> bool:
         return bool(self._frozen)
 
-    @property
-    def head(self) -> np.ndarray:
-        """The tied head's read-only :func:`padded_head` copy of ``wte``,
-        retaken after :meth:`drop_head` (``GPT2Model.train`` calls it)."""
-        if self._head is None:
-            self._head = padded_head(self.wte)
-        return self._head
-
-    def drop_head(self) -> None:
-        """Retake :attr:`head` on next use: ``wte`` may have moved."""
-        if not self.frozen:  # frozen weights cannot move
-            self._head = None
-
     # -- accounting -----------------------------------------------------
     def weight_arrays(self) -> Iterator[np.ndarray]:
-        """Every weight array the store references (for memory
-        accounting: unique ids across models measure true footprint)."""
+        """Every weight array the store references, :attr:`head`
+        included (what it freezes and :attr:`fp32_nbytes` sums)."""
         yield self.wte
         yield self.wpe
         for bw in self.blocks:
@@ -250,12 +228,8 @@ class InferenceKernels:
     Tensor-graph path.
     """
 
-    def __init__(self, store: WeightStore, mode: str = "fp32") -> None:
-        if mode not in KERNEL_MODES:
-            raise ValueError(
-                f"unknown kernel mode {mode!r}; expected one of {KERNEL_MODES}")
+    def __init__(self, store: WeightStore) -> None:
         self.store = store
-        self.mode = mode
         meta = store.meta
         self.vocab_size = meta["vocab_size"]
         self.context_length = meta["context_length"]
@@ -335,7 +309,6 @@ class InferenceKernels:
 
     def stats(self) -> Dict[str, Any]:
         return {
-            "mode": self.mode,
             "workspace_allocations": self._alloc_count,
             "workspace_bytes": self._alloc_bytes,
             "weights_frozen": self.store.frozen,

@@ -286,35 +286,6 @@ class _Sequence:
     spec_chunk: Optional[tuple] = None
 
 
-def _state_nbytes(obj: Any, _seen: Optional[set] = None) -> int:
-    """Recursive byte count of the numpy arrays reachable from ``obj``.
-
-    Each distinct array object is counted once: decode states routinely
-    alias one buffer from several handles (a snapshot beside its live
-    owner, speculative verify states at successive truncation depths of
-    one KV buffer), and double-counting them would blow
-    admission-control and prefix-cache byte budgets.  The ``id()``
-    dedup also makes cyclic state graphs terminate, replacing the old
-    fixed depth cap that silently under-counted deep nests.  Distinct
-    array objects viewing one base buffer still count separately —
-    this is object-level, not page-level, accounting.
-    """
-    if _seen is None:
-        _seen = set()
-    if obj is None or id(obj) in _seen:
-        return 0
-    _seen.add(id(obj))
-    if isinstance(obj, np.ndarray):
-        return obj.nbytes
-    if isinstance(obj, (list, tuple)):
-        return sum(_state_nbytes(item, _seen) for item in obj)
-    if isinstance(obj, dict):
-        return sum(_state_nbytes(item, _seen) for item in obj.values())
-    if hasattr(obj, "__dict__"):
-        return _state_nbytes(vars(obj), _seen)
-    return 0
-
-
 class _EngineMetrics:
     """Engine metric handles, resolved once at construction.
 
@@ -854,7 +825,7 @@ class InferenceEngine:
         """
         logits, snap = logits.copy(), self.model.compact_state(state)
         self.prefix_cache.insert(prompt, (logits, snap),
-                                 _state_nbytes(snap) + logits.nbytes)
+                                 snap.nbytes + logits.nbytes)
 
     def _cut(self, value: Tuple[Any, Any], depth: int) -> Any:
         """The prefix cache's ``cut``: no logits, since prefill resumes."""

@@ -34,6 +34,7 @@ import uuid
 from typing import TYPE_CHECKING, Dict, Optional
 
 from ..core.pipeline import Ratatouille
+from ..models.gpt2 import GPT2Model
 from ..obs import (MetricsRegistry, Tracer, get_registry, get_tracer,
                    render_json, render_text)
 from ..recipedb import IngredientCatalog, default_catalog
@@ -100,7 +101,7 @@ def create_backend(pipeline: Ratatouille,
                    resilience: Optional[ResilienceConfig] = None,
                    draft=None,
                    speculative_k: int = 0,
-                   kernels: Optional[str] = None,
+                   kernels: str = "fp32",
                    retrieval_index=None,
                    retrieve_k: int = 0,
                    journal_dir=None,
@@ -110,17 +111,18 @@ def create_backend(pipeline: Ratatouille,
     Generation always decodes through one
     :class:`~repro.serving.InferenceEngine`, ``app.engine``, which
     recovers from its own crashes in place.  The engine serves GPT-2:
-    a pipeline on any other model raises its ``ValueError`` here.  To
-    scale out, run more backend processes (``deploy.scale_out``).
+    a pipeline on any other model raises its ``ValueError`` here.  It
+    decodes through the inference kernels over frozen weights
+    (``docs/KERNELS.md``); ``kernels="fp32"``, the benchmark harness's
+    spelling, selects nothing (``docs/LEDGER.md``).  To scale out, run
+    more backend processes (``deploy.scale_out``).
 
     ``registry``/``tracer`` back ``GET /api/metrics`` and default to the
     process-wide instances.  ``resilience`` (``docs/RESILIENCE.md``)
     sets request deadlines, admission control (``app.admission``) and
     the restart budget.  ``draft`` (a
     :class:`~repro.models.DraftModel` or a spec like ``"ngram:3"``) and
-    ``speculative_k`` enable speculative decoding (``docs/SERVING.md``);
-    ``kernels="fp32"`` (``docs/KERNELS.md``) freezes the weights and
-    decodes through the inference kernels.
+    ``speculative_k`` enable speculative decoding (``docs/SERVING.md``).
     ``retrieval_index`` (``docs/RETRIEVAL.md``) enables
     ``POST /api/search``, ``retrieve_k`` exemplars per prompt and a
     ``novelty`` score on every generation.  ``journal_dir``
@@ -133,8 +135,11 @@ def create_backend(pipeline: Ratatouille,
     """
     if max_mcts_rollouts < 1:
         raise ValueError("max_mcts_rollouts must be >= 1")
-    if kernels is not None:
-        pipeline.model.enable_kernels(mode=kernels, freeze=True)
+    if kernels != "fp32":
+        raise ValueError(f"the backend serves fp32 kernels only, not "
+                         f"kernels={kernels!r}")
+    if isinstance(pipeline.model, GPT2Model):  # the engine refuses others
+        pipeline.model.enable_kernels()
     catalog = catalog or default_catalog()
     registry = registry if registry is not None else get_registry()
     tracer = tracer if tracer is not None else get_tracer()

@@ -53,12 +53,10 @@ def add_backend_arguments(backend: argparse.ArgumentParser) -> None:
                               "overrides per request)")
     backend.add_argument("--draft-order", type=int, default=3,
                          help="n-gram order of the speculative draft model")
-    backend.add_argument("--kernels", choices=["off", "fp32"],
-                         default="off",
-                         help="fp32 decodes through the preallocated "
-                              "buffer-reusing inference kernels with "
-                              "frozen shared weights (bit-identical to "
-                              "off)")
+    backend.add_argument("--kernels", choices=["fp32"], default="fp32",
+                         help="selects nothing: the backend always decodes "
+                              "through the fp32 inference kernels "
+                              "(accepted for the benchmark harness)")
     backend.add_argument("--retrieval",
                          action=argparse.BooleanOptionalAction, default=False,
                          help="build (or load, with --index-dir) the "
@@ -162,8 +160,6 @@ def build_backend(args: argparse.Namespace) -> App:
     app = create_backend(pipeline, resilience=resilience, draft=draft,
                          speculative_k=(args.speculative_k
                                         if args.speculative else 0),
-                         kernels=(None if args.kernels == "off"
-                                  else args.kernels),
                          retrieval_index=retrieval_index,
                          retrieve_k=args.retrieve_k,
                          journal_dir=args.journal_dir,

@@ -1,10 +1,11 @@
 """Unit battery for the inference kernels (``repro.nn.kernels``).
 
 Covers the pieces the property suite treats as a black box:
-:class:`WeightStore` sharing and freeze semantics, unmanaged copy-out
-safety, sliding-window equality, the tied head's padded copy following
-the weights, the row-class probe and the even row split, and the
-zero-allocation workspace regression gate.
+:class:`WeightStore` freeze semantics, attached kernels going with
+frozen weights, unmanaged copy-out safety, sliding-window equality,
+the tied head's padded copy following the weights, the row-class probe
+and the even row split, and the zero-allocation workspace regression
+gate.
 """
 
 from unittest import mock
@@ -49,7 +50,6 @@ class TestWeightStore:
     def test_freeze_and_release(self):
         model = _model()
         store = WeightStore.from_model(model)
-        store.freeze()
         assert store.frozen
         assert not model.wte.weight.data.flags.writeable
         with pytest.raises(ValueError):
@@ -58,25 +58,23 @@ class TestWeightStore:
         assert not store.frozen
         assert model.wte.weight.data.flags.writeable
 
-    def test_two_models_can_share_one_store(self):
-        owner = _model()
-        store = WeightStore.from_model(owner, freeze=True)
-        twin = _model()
-        twin.enable_kernels("fp32", store=store)
-        assert twin.kernels.store is store
-        # Sharing a store must not have copied any weight bytes.
-        shared = {id(a) for a in store.weight_arrays()}
-        assert id(owner.wte.weight.data) in shared
-        # disable_kernels on the borrower leaves the owner's freeze.
-        twin.disable_kernels()
-        assert store.frozen
-        store.release()
-
 
 class TestKernelDispatch:
     def test_enable_kernels_rejects_unknown_mode(self):
+        # fp32 over frozen weights is the one configuration; its
+        # spelling is accepted, any other refused.
         with pytest.raises(ValueError):
             _model().enable_kernels("fp16")
+        with pytest.raises(ValueError):
+            _model().enable_kernels(freeze=False)
+        model = _model()
+        assert model.enable_kernels(mode="fp32", freeze=True).store.frozen
+
+    def test_enable_kernels_returns_the_attached_kernels(self):
+        model = _model()
+        kernels = model.enable_kernels()
+        assert model.enable_kernels() is kernels
+        assert model.kernels is kernels and not model.training
 
     def test_lstm_has_no_kernel_implementation(self):
         with pytest.raises(NotImplementedError):
@@ -84,38 +82,43 @@ class TestKernelDispatch:
 
     def test_training_mode_falls_back_to_tensor_path(self):
         model = _model()
-        model.enable_kernels("fp32")
-        assert model._active_kernels() is not None
-        model.train()
-        assert model._active_kernels() is None
+        kernels = model.enable_kernels()
+        assert not model.wte.weight.data.flags.writeable
+        model.train()  # detaches the kernels and thaws the weights
+        assert model.kernels is None and not kernels.store.frozen
+        assert model.wte.weight.data.flags.writeable
         # Gradients still flow on the fallback path.
         loss = model(np.array([[1, 2, 3]])).sum()
         loss.backward()
         model.eval()
-        assert model._active_kernels() is not None
+        assert model.kernels is None
 
     def test_a_single_state_decodes_one_row(self):
         # A batch decodes as a list of batch-of-one states; a state of
-        # batch 2, or two ids for one state, is refused on both paths.
+        # batch 2, or two ids for one state, is refused on both paths,
+        # and so is a prompt prefilled into a state of batch 2.
         for kernels in (False, True):
             model = _model()
             model.eval()
             if kernels:
-                model.enable_kernels("fp32")
+                model.enable_kernels()
             for batch in (1, 2):
                 with pytest.raises(ValueError, match="batch-of-one"):
                     model.next_logits(np.array([1, 2]),
                                       model.start_state(batch))
+            for prompt in ([1], [1, 2, 3]):
+                with pytest.raises(ValueError, match="batch-of-one"):
+                    model.prefill(np.array(prompt), model.start_state(2))
 
     def test_out_of_range_token_raises_like_tensor_path(self):
         model = _model()
-        model.enable_kernels("fp32")
+        model.enable_kernels()
         with pytest.raises(IndexError, match="token id out of range"):
             model(np.array([[VOCAB]]))
 
     def test_unmanaged_outputs_are_defensive_copies(self):
         model = _model()
-        model.enable_kernels("fp32")
+        model.enable_kernels()
         first = model(np.array([[1, 2, 3]])).data
         snapshot = first.copy()
         # A second call reuses the workspace arenas; the first result
@@ -129,7 +132,7 @@ class TestKernelDispatch:
         tensor_model = _model(context_length=32)
         tensor_model.eval()
         kernel_model = _model(context_length=32)
-        kernel_model.enable_kernels("fp32")
+        kernel_model.enable_kernels()
         prompt = [1, 2, 3, 4, 5]
         assert (_generate(kernel_model, prompt, max_new_tokens=60)
                 == _generate(tensor_model, prompt, max_new_tokens=60))
@@ -149,9 +152,10 @@ class TestHeadCopy:
         model = _model()
         model.eval()
         if kernels:
-            model.enable_kernels("fp32")  # unfrozen: training may resume
+            model.enable_kernels()
         before = _head_logits(model)  # takes the head copy
-        model.train()
+        model.train()  # detaches the kernels and thaws the weights
+        assert model.kernels is None
         optimizer = Adam(model.parameters(), lr=1e-2)
         for _ in range(3):
             _head_logits(model)  # a decode before each step, in train mode
@@ -159,7 +163,8 @@ class TestHeadCopy:
             model(np.array([[1, 2, 3, 4]])).sum().backward()
             optimizer.step()
         model.eval()
-        assert (model._active_kernels() is not None) == kernels
+        if kernels:
+            model.enable_kernels()  # a fresh store takes the trained head
         trained = _model()
         trained.load_state_dict(model.state_dict())
         trained.eval()
@@ -172,16 +177,19 @@ class TestHeadCopy:
         model = _model()
         model.eval()
         if kernels:
-            model.enable_kernels("fp32")
+            model.enable_kernels()
         _head_logits(model)
         other = _model(seed=1)
         other.eval()
-        model.load_state_dict(other.state_dict())
+        model.load_state_dict(other.state_dict())  # detaches the kernels
+        assert model.kernels is None
+        if kernels:
+            model.enable_kernels()
         assert np.array_equal(_head_logits(model), _head_logits(other))
 
     def test_prefill_batch_refuses_a_one_token_chunk(self):
         model = _model()
-        kernels = model.enable_kernels("fp32")
+        kernels = model.enable_kernels()
         state = model.start_state(1)
         with pytest.raises(ValueError, match=">= 2 tokens"):
             kernels.prefill_batch(np.array([[1]]), state.caches, 0)
@@ -191,7 +199,7 @@ class TestHeadCopy:
 
     def test_decode_rows_refuses_a_position_past_the_context(self):
         model = _model()
-        kernels = model.enable_kernels("fp32")
+        kernels = model.enable_kernels()
         caches = model.start_state(1).caches
         with pytest.raises(IndexError):
             kernels.decode_rows(np.array([[1]]), [caches],
@@ -201,7 +209,7 @@ class TestHeadCopy:
 class TestWorkspaceReuse:
     def test_allocations_stable_across_hundred_requests(self):
         model = _model()
-        kernels = model.enable_kernels("fp32")
+        kernels = model.enable_kernels()
         engine = InferenceEngine(
             model, EngineConfig(max_batch_size=4, prefix_cache_bytes=0,
                                 max_queue=128),
@@ -224,7 +232,7 @@ class TestWorkspaceReuse:
             burst(100)
             assert kernels.allocation_count == settled
             stats = engine.stats()["kernels"]
-            assert stats["mode"] == "fp32"
+            assert stats["weights_frozen"]
             assert stats["workspace_allocations"] == settled
         finally:
             engine.stop()
@@ -234,7 +242,7 @@ class TestWorkspaceReuse:
         # embeddings and per-row score buffers included — whatever
         # rows share it.
         model = _model()
-        kernels = model.enable_kernels("fp32")
+        kernels = model.enable_kernels()
         rng = np.random.default_rng(0)
 
         def fresh_row():
@@ -264,7 +272,7 @@ class TestWorkspaceReuse:
         # speculative row pushes the step past the probed row-class
         # limit (forced to 3 here), so its GEMMs run in chunks.
         model = _model()
-        kernels = model.enable_kernels("fp32")
+        kernels = model.enable_kernels()
         rng = np.random.default_rng(rows)
         states = [model.prefill(rng.integers(0, VOCAB, size=40 + r),
                                 model.start_state(1))[1]
@@ -291,7 +299,7 @@ class TestWorkspaceReuse:
 class TestRowClassProbe:
     @pytest.mark.parametrize("preset", [distilgpt2, gpt2_medium])
     def test_every_shape_has_a_class_of_at_least_two_rows(self, preset):
-        kernels = preset(vocab_size=657).enable_kernels("fp32")
+        kernels = preset(vocab_size=657).enable_kernels()
         limits = kernels.row_class_limits
         assert len(limits) == 5  # qkv, out-proj, MLP up, MLP down, head
         assert all(2 <= limit <= 32 for limit in limits.values())

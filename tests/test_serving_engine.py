@@ -400,7 +400,6 @@ class TestPrefixCache:
         # buffer, pinning the whole batch alive while the byte budget
         # accounted one row.  Every stored array must own exactly the
         # bytes the cache charged for it.
-        from repro.serving.engine import _state_nbytes
         requests = [(_prompt(200 + i, 40),
                      GenerationConfig(max_new_tokens=2, seed=i))
                     for i in range(4)]
@@ -412,12 +411,31 @@ class TestPrefixCache:
         assert entries
         for entry in entries:
             logits, state = entry.value
-            assert _state_nbytes(entry.value) == entry.nbytes
+            assert entry.nbytes == logits.nbytes + sum(
+                cache.k.nbytes + cache.v.nbytes for cache in state.caches)
             assert logits.base is None
             for cache in state.caches:
                 assert cache.k.base is None          # owns its buffer
                 assert cache.k.shape[0] == 1         # one row, not a batch
                 assert cache.k.shape[2] == cache.length  # no headroom
+
+
+    def test_an_entry_is_charged_its_kv_and_logits_bytes(self, model):
+        # The budget counts an entry's float32 keys and values — layers
+        # x (k, v) x heads x prompt tokens x head_dim — plus its one row
+        # of logits, and nothing else.
+        prompt = _prompt(300, 40)
+        config = GenerationConfig(max_new_tokens=2, seed=0)
+        with InferenceEngine(model) as engine:
+            engine.generate(prompt, config)
+            entries = list(engine.prefix_cache._entries.values())
+            charged = engine.prefix_cache.stats.bytes
+        cfg = model.config
+        kv = (cfg.num_layers * 2 * cfg.num_heads * len(prompt)
+              * (cfg.d_model // cfg.num_heads) * 4)
+        assert [entry.nbytes for entry in entries] == [
+            kv + cfg.vocab_size * 4]
+        assert charged == kv + cfg.vocab_size * 4
 
 
 def _assert_entry_is_cold_prefill(model, key, value):

@@ -25,7 +25,6 @@ from repro.models.lstm import LSTMConfig, LSTMLanguageModel
 from repro.models.ngram import NGramLanguageModel
 from repro.obs import MetricsRegistry, NullRegistry, NullTracer, render_text
 from repro.serving import EngineConfig, InferenceEngine
-from repro.serving.engine import _state_nbytes
 from repro.webapp.service import MAX_SPECULATIVE_K, _parse_generation_request
 
 VOCAB = 32
@@ -259,25 +258,6 @@ class TestEngineSpeculative:
         acceptance = registry.histogram("spec_acceptance_rate").labels(
             path="engine")
         assert acceptance.count == 0
-
-
-class TestStateNbytes:
-    def test_shared_arrays_counted_once(self):
-        array = np.zeros(1024, dtype=np.float64)
-        assert _state_nbytes([array, array]) == array.nbytes
-        assert _state_nbytes({"a": array, "b": [array, array]}) \
-            == array.nbytes
-
-    def test_distinct_arrays_summed(self):
-        a = np.zeros(100, dtype=np.float64)
-        b = np.zeros(50, dtype=np.float32)
-        assert _state_nbytes([a, b]) == a.nbytes + b.nbytes
-
-    def test_cyclic_state_terminates(self):
-        array = np.ones(10)
-        cyclic = [array]
-        cyclic.append(cyclic)
-        assert _state_nbytes(cyclic) == array.nbytes
 
 
 def _reference_repetition(logits, generated, penalty):
