@@ -39,12 +39,9 @@ if TYPE_CHECKING:
 # use them: loading a checkpoint to serve it needs none of them.
 
 
-def _training_corpus(config: PipelineConfig, num_recipes: Optional[int],
-                     seed: Optional[int]) -> list:
+def _training_corpus(config: PipelineConfig) -> list:
     from ..recipedb import generate_corpus
-    return generate_corpus(
-        num_recipes if num_recipes is not None else config.num_recipes,
-        seed=seed if seed is not None else config.corpus_seed)
+    return generate_corpus(config.num_recipes, seed=config.corpus_seed)
 
 
 @dataclass
@@ -133,9 +130,7 @@ class Ratatouille:
         texts, _ = PreprocessingPipeline(config.preprocess).run(recipes)
         return cls.from_texts(texts, config=config)
 
-    def build_draft(self, order: int = 3,
-                    num_recipes: Optional[int] = None,
-                    seed: Optional[int] = None) -> "NGramDraft":
+    def build_draft(self, order: int = 3) -> "NGramDraft":
         """Fit an n-gram draft model for speculative decoding.
 
         Regenerates the training corpus from the pipeline's recorded
@@ -148,15 +143,13 @@ class Ratatouille:
         from ..models.speculative import NGramDraft
         from ..preprocess import PreprocessingPipeline
 
-        recipes = _training_corpus(self.config, num_recipes, seed)
+        recipes = _training_corpus(self.config)
         texts, _ = PreprocessingPipeline(self.config.preprocess).run(recipes)
         sequences = [self.tokenizer.encode(text) for text in texts]
         return NGramDraft.fit(sequences, self.tokenizer.vocab_size,
                               order=order)
 
-    def build_retrieval_index(self, num_recipes: Optional[int] = None,
-                              seed: Optional[int] = None,
-                              embedding=None, registry=None):
+    def build_retrieval_index(self, registry=None):
         """Build a :class:`~repro.retrieval.RecipeIndex` over the corpus.
 
         Like :meth:`build_draft`, regenerates the training corpus from
@@ -167,8 +160,7 @@ class Ratatouille:
         """
         from ..retrieval import RecipeIndex
 
-        recipes = _training_corpus(self.config, num_recipes, seed)
-        return RecipeIndex.from_recipes(recipes, embedding=embedding,
+        return RecipeIndex.from_recipes(_training_corpus(self.config),
                                         registry=registry)
 
     # ------------------------------------------------------------------
@@ -246,7 +238,6 @@ class Ratatouille:
     def generate(self, ingredients: Sequence[str],
                  generation: Optional[GenerationConfig] = None,
                  checklist: bool = False,
-                 engine=None,
                  exemplars: Optional[Sequence[str]] = None
                  ) -> GeneratedRecipe:
         """Generate a recipe from an ingredient list.
@@ -260,11 +251,6 @@ class Ratatouille:
         checklist:
             Enable the checklist-coverage extension (boost prompt
             ingredients the generation has not mentioned yet).
-        engine:
-            Optional :class:`~repro.serving.InferenceEngine` to decode
-            through (continuous batching + prefix-cache reuse).  The
-            engine's output is bit-identical to the in-process path,
-            so this only changes throughput, never recipes.
         exemplars:
             Retrieved recipe texts to condition on (see
             :meth:`prepare_prompt`); ``None`` generates unconditioned.
@@ -273,12 +259,8 @@ class Ratatouille:
             ingredients, generation=generation, checklist=checklist,
             exemplars=exemplars)
         start = time.perf_counter()
-        if engine is not None:
-            new_ids = engine.generate(prompt_ids, config,
-                                      processors=processors)
-        else:
-            new_ids = generate(self.model, prompt_ids, config,
-                               processors=processors)
+        new_ids = generate(self.model, prompt_ids, config,
+                           processors=processors)
         elapsed = time.perf_counter() - start
         return self.finish_recipe(prompt_text, new_ids, ingredients, elapsed)
 

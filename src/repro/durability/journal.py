@@ -56,6 +56,14 @@ _HEADER = struct.Struct("<2sII")  # magic, payload length, payload crc32
 #: replay must not resurrect it.
 COMPLETION_STATUSES = ("done", "failed", "rejected")
 
+#: Soft ceiling on the active segment's size: past it,
+#: :meth:`JobJournal.maybe_rotate` compacts.
+ROTATE_BYTES = 4 * 1024 * 1024
+
+#: Completions a rotation keeps (the newest), so results stay fetchable
+#: across restarts without unbounded growth.
+KEEP_COMPLETED = 256
+
 
 @dataclass
 class JournalState:
@@ -90,37 +98,16 @@ class JournalError(RuntimeError):
 class JobJournal:
     """Append-only, CRC-framed, fsync'd journal over segment files.
 
-    Parameters
-    ----------
-    directory:
-        Journal home; created if missing.  Segments are
-        ``wal-000001.log``, ``wal-000002.log``, … — appends always go
-        to the highest-numbered one.
-    fsync:
-        ``True`` (the default, and what serving uses) syncs every
-        append before returning.  Tests on throwaway state may disable
-        it; the framing and replay logic are unchanged.
-    rotate_bytes:
-        Soft ceiling on live segment size; once exceeded *and* there
-        are dead records to drop, :meth:`maybe_rotate` compacts.
-    keep_completed:
-        Completions retained across a rotation (newest first) so
-        results stay fetchable across restarts without unbounded
-        growth.
+    ``directory`` is the journal home, created if missing.  Segments are
+    ``wal-000001.log``, ``wal-000002.log``, … — appends always go to the
+    highest-numbered one.  Every append is fsync'd before it returns;
+    rotation compacts past :data:`ROTATE_BYTES` and keeps the
+    :data:`KEEP_COMPLETED` newest completions.
     """
 
-    def __init__(self, directory, fsync: bool = True,
-                 rotate_bytes: int = 4 * 1024 * 1024,
-                 keep_completed: int = 256) -> None:
-        if rotate_bytes < 1:
-            raise ValueError("rotate_bytes must be >= 1")
-        if keep_completed < 0:
-            raise ValueError("keep_completed must be >= 0")
+    def __init__(self, directory) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.fsync = fsync
-        self.rotate_bytes = rotate_bytes
-        self.keep_completed = keep_completed
         self._lock = threading.Lock()
         self._handle = None
         self._appends = 0
@@ -198,8 +185,7 @@ class JobJournal:
             try:
                 self._handle.write(frame)
                 self._handle.flush()
-                if self.fsync:
-                    os.fsync(self._handle.fileno())
+                os.fsync(self._handle.fileno())
             except OSError as exc:
                 raise JournalError(f"journal append failed: {exc}") from exc
             self._appends += 1
@@ -244,8 +230,7 @@ class JobJournal:
             with open(path, "r+b") as handle:
                 handle.truncate(valid)
                 handle.flush()
-                if self.fsync:
-                    os.fsync(handle.fileno())
+                os.fsync(handle.fileno())
 
     @staticmethod
     def _read_one(path: Path, state: JournalState) -> int:
@@ -305,7 +290,7 @@ class JobJournal:
         segment is complete and fsync'd *before* any old segment is
         unlinked, so a crash anywhere in between replays both (records
         are idempotent per job id — duplicates fold away).  Live state
-        is every incomplete acceptance plus the ``keep_completed``
+        is every incomplete acceptance plus the :data:`KEEP_COMPLETED`
         newest completions (and their acceptances, so results stay
         resolvable).
         """
@@ -313,17 +298,12 @@ class JobJournal:
             if self._handle is None:
                 raise JournalError("journal is closed")
             self._handle.flush()
-            if self.fsync:
-                os.fsync(self._handle.fileno())
+            os.fsync(self._handle.fileno())
             old_segments = self._segment_paths()
             state = JournalState()
             for path in old_segments:
                 self._read_one(path, state)
-            keep_completed = list(state.completed.items())
-            if self.keep_completed:
-                keep_completed = keep_completed[-self.keep_completed:]
-            else:
-                keep_completed = []
+            keep_completed = list(state.completed.items())[-KEEP_COMPLETED:]
             kept_ids = {job_id for job_id, _ in keep_completed}
             live: List[dict] = []
             for job_id, record in state.accepted.items():
@@ -360,7 +340,7 @@ class JobJournal:
             self._rotations += 1
 
     def maybe_rotate(self) -> bool:
-        """Rotate when the active segment outgrew ``rotate_bytes``."""
+        """Rotate when the active segment outgrew :data:`ROTATE_BYTES`."""
         with self._lock:
             if self._handle is None:
                 return False
@@ -368,7 +348,7 @@ class JobJournal:
                 size = self._handle.tell()
             except (OSError, ValueError):
                 return False
-        if size < self.rotate_bytes:
+        if size < ROTATE_BYTES:
             return False
         self.rotate()
         return True
@@ -380,11 +360,10 @@ class JobJournal:
         with self._lock:
             if self._handle is not None:
                 self._handle.flush()
-                if self.fsync:
-                    try:
-                        os.fsync(self._handle.fileno())
-                    except OSError:
-                        pass
+                try:
+                    os.fsync(self._handle.fileno())
+                except OSError:
+                    pass
                 self._handle.close()
                 self._handle = None
 
@@ -397,7 +376,6 @@ class JobJournal:
                          if path.exists()),
             "appends": self._appends,
             "rotations": self._rotations,
-            "fsync": self.fsync,
         }
 
     def __enter__(self) -> "JobJournal":

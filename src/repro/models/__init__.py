@@ -15,8 +15,8 @@ __all__ = [
     "ChecklistBonus", "DraftModel", "GenerationConfig", "GPT2Config",
     "GPT2Model", "GPT2State", "GPTNeoConfig", "GPTNeoModel",
     "LanguageModel", "LogitsProcessor", "LSTMConfig", "LSTMLanguageModel",
-    "NGramDraft", "NGramLanguageModel", "PREFILL_CHUNK",
-    "RepetitionPenalty", "SpecWalkOutcome", "SpeculativeMetrics",
+    "NGramDraft", "NGramLanguageModel", "RepetitionPenalty",
+    "SpecWalkOutcome", "SpeculativeMetrics",
     "attention_maps", "build_processors", "char_lstm", "distilgpt2",
     "draft_context", "generate", "prefill_prompt",
     "render_attention_ascii", "resolve_draft", "sampling_distribution",
@@ -26,7 +26,7 @@ __all__ = [
 
 __getattr__, __dir__ = export_lazily(__name__, {
     "base": ("LanguageModel",),
-    "generation": ("PREFILL_CHUNK", "ChecklistBonus", "GenerationConfig",
+    "generation": ("ChecklistBonus", "GenerationConfig",
                    "LogitsProcessor", "RepetitionPenalty", "SpecWalkOutcome",
                    "build_processors", "draft_context", "generate",
                    "prefill_prompt", "sampling_distribution",

@@ -18,6 +18,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..nn import no_grad
+from ..nn.attention import PREFILL_CHUNK
 from ..obs import MetricsRegistry, Span, Tracer, get_registry, get_tracer
 from .base import LanguageModel
 from .speculative import DraftModel, SpeculativeMetrics
@@ -83,12 +84,6 @@ class GenerationConfig:
     #: Draft tokens proposed per speculative verify step; 0 disables
     #: speculative decoding.  Ignored by beam search.
     speculative_k: int = 0
-    #: Draft model for speculative decoding: a
-    #: :class:`~repro.models.speculative.DraftModel` instance, or a
-    #: spec string (``"ngram"`` / ``"ngram:<order>"``) that the
-    #: serving layer resolves against its training corpus.  ``None``
-    #: means "use the caller's / engine's default draft".
-    draft: Optional[object] = None
     #: Hard generation constraints: a
     #: :class:`repro.decoding.Constraints` instance (parsed/validated
     #: by the API layer).  ``None`` — the default — leaves every decode
@@ -130,9 +125,6 @@ class GenerationConfig:
             raise ValueError("repetition_penalty must be >= 1.0")
         if not 0 <= self.speculative_k <= 64:
             raise ValueError("speculative_k must be in [0, 64]")
-        if self.draft is not None and not isinstance(self.draft,
-                                                     (DraftModel, str)):
-            raise ValueError("draft must be a DraftModel or a spec string")
         if not 1 <= self.mcts_rollouts <= 256:
             raise ValueError("mcts_rollouts must be in [1, 256]")
         if not 0.0 < self.mcts_c_puct <= 10.0:
@@ -335,21 +327,13 @@ def _softmax(logits: np.ndarray,
     return out
 
 
-#: Default prompt-chunk size for :func:`prefill_prompt`.  A tuning
-#: knob, not a correctness one — but every caller that wants outputs
-#: bit-identical to another caller must use the same value, because
-#: different chunking produces different BLAS shapes and therefore
-#: different float rounding.
-PREFILL_CHUNK = 32
-
-
 def prefill_prompt(model: LanguageModel, prompt_ids: Sequence[int],
-                   state=None, start_position: int = 0,
-                   chunk_size: int = PREFILL_CHUNK):
+                   state=None, start_position: int = 0):
     """Chunked prefill: feed the prompt in fixed position-aligned chunks.
 
-    Chunks always end at absolute multiples of ``chunk_size`` (plus a
-    final partial chunk), regardless of ``start_position``.  That makes
+    Chunks always end at absolute multiples of
+    :data:`~repro.nn.attention.PREFILL_CHUNK` (plus a final partial
+    chunk), regardless of ``start_position``.  That makes
     the sequence of :meth:`~repro.models.base.LanguageModel.prefill`
     calls — and hence the float rounding — a pure function of the
     *absolute* token positions: a serving-engine prefix-cache hit at a
@@ -359,8 +343,6 @@ def prefill_prompt(model: LanguageModel, prompt_ids: Sequence[int],
     Returns ``(logits, state)`` where ``logits`` is ``(1, vocab)`` for
     the last prompt token.
     """
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
     ids = np.asarray(list(prompt_ids))
     if ids.size == 0:
         raise ValueError("prompt must contain at least one token")
@@ -370,7 +352,8 @@ def prefill_prompt(model: LanguageModel, prompt_ids: Sequence[int],
     position = start_position
     end_position = start_position + ids.size
     while position < end_position:
-        chunk_end = min(end_position, (position // chunk_size + 1) * chunk_size)
+        chunk_end = min(end_position,
+                        (position // PREFILL_CHUNK + 1) * PREFILL_CHUNK)
         chunk = ids[position - start_position:chunk_end - start_position]
         logits, state = model.prefill(chunk, state)
         position = chunk_end
@@ -556,17 +539,13 @@ def generate(model: LanguageModel, prompt_ids: Sequence[int],
     :class:`~repro.obs.NullRegistry` / :class:`~repro.obs.NullTracer`
     to disable recording).
 
-    When ``config.speculative_k > 0`` and a draft model is available
-    (the ``draft`` argument, or a
-    :class:`~repro.models.speculative.DraftModel` in ``config.draft``),
+    When ``config.speculative_k > 0`` and a ``draft`` model is given,
     greedy and sampled decode take the speculative fast path: the
     draft proposes ``speculative_k`` tokens per step and the model
     verifies them in one batched forward (GPT-2 only: a model without
     ``verify_chunk`` raises ``ValueError``).  Greedy output is
     bit-identical to the sequential loop; sampled output follows the
-    same distribution but a different rng stream.  A ``config.draft``
-    spec *string* is not resolved here (only the serving layer has a
-    corpus to fit it on) and falls back to sequential decode.
+    same distribution but a different rng stream.
     """
     config = config or GenerationConfig()
     config.validate()
@@ -575,9 +554,8 @@ def generate(model: LanguageModel, prompt_ids: Sequence[int],
             "mcts is a search driver, not a decode loop; run it through "
             "repro.decoding.MCTSDecoder (it submits greedy/sample "
             "rollouts here)")
-    draft_model = draft if draft is not None else config.draft
     speculative = (config.strategy != "beam" and config.speculative_k > 0
-                   and isinstance(draft_model, DraftModel))
+                   and draft is not None)
     if speculative and not hasattr(model, "verify_chunk"):
         raise ValueError(
             f"speculative decoding needs a model with verify_chunk (GPT-2); "
@@ -594,7 +572,7 @@ def generate(model: LanguageModel, prompt_ids: Sequence[int],
         elif speculative:
             generated = _speculative_loop(model, prompt_ids, config,
                                           processors, metrics, tracer,
-                                          draft_model, registry)
+                                          draft, registry)
         else:
             generated = _sample_loop(model, prompt_ids, config, processors,
                                      metrics, tracer)

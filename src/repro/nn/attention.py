@@ -31,6 +31,13 @@ MASK_VALUE = -1e9
 # of copying the whole cache every step.
 _CACHE_HEADROOM = 64
 
+#: Prompt-chunk size of every prefill.  Chunks end at absolute multiples
+#: of it, so the prefill calls -- and their BLAS shapes, and so their
+#: float rounding -- are a function of token positions alone: the
+#: serving engine's prefix-cache hits and ``models.generate`` meet the
+#: same bits only because both chunk by this one value.
+PREFILL_CHUNK = 32
+
 
 # -- batch-invariant dense ops for decode rows (docs/KERNELS.md §1b) ----
 @lru_cache(maxsize=None)

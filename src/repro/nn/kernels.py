@@ -41,8 +41,8 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .attention import (KVCache, MASK_VALUE, matmul_rows, padded_head,
-                        row_class_limit)
+from .attention import (KVCache, MASK_VALUE, PREFILL_CHUNK, matmul_rows,
+                        padded_head, row_class_limit)
 
 __all__ = [
     "InferenceKernels",
@@ -271,16 +271,16 @@ class InferenceKernels:
         ws.parity ^= 1
         ws.arenas[ws.parity].reset()
 
-    def preallocate(self, max_batch: int, chunk: int = 32) -> None:
+    def preallocate(self, max_batch: int) -> None:
         """Prime both arenas for up to ``max_batch`` concurrent slots.
 
         Sizes for the worst of a full-context decode step and a
         prefill chunk, so steady-state serving allocates nothing.
         """
         batch = max(1, int(max_batch))
+        chunk = min(PREFILL_CHUNK, self.context_length)
         need = max(self._workspace_floats(batch, 1),
-                   self._workspace_floats(batch, min(chunk,
-                                                     self.context_length)))
+                   self._workspace_floats(batch, chunk))
         ws = self._ws
         for arena in ws.arenas:
             arena.reset()

@@ -64,8 +64,6 @@ class ResilienceConfig:
     default_deadline_ms: Optional[float] = None
     #: Queued-work ceiling for admission control (tokens); None = off.
     shed_watermark_tokens: Optional[int] = None
-    #: Decode-rate hint used for ``Retry-After`` estimates.
-    tokens_per_second_hint: float = 200.0
     #: Accepted and ignored: every backend's engine recovers from its
     #: own crashes, and there is nothing to switch on.  Kept because
     #: ``benchmarks/e2e/inprocess.py`` spells ``supervise=True``.

@@ -28,6 +28,11 @@ from typing import Any, Dict, Optional
 
 from ..obs import MetricsRegistry, get_registry
 
+#: Rough decode throughput, in tokens per second, that turns excess
+#: backlog into a ``Retry-After`` hint.  Precision does not matter —
+#: the hint only needs the right order of magnitude.
+RETRY_TOKENS_PER_SECOND = 200.0
+
 
 class OverloadShedError(RuntimeError):
     """Request refused by admission control (HTTP layer: 503).
@@ -51,10 +56,6 @@ class AdmissionController:
         beyond this is shed — unless the gate is completely idle, in
         which case one oversized request is still admitted (a request
         larger than the watermark must not starve forever).
-    tokens_per_second_hint:
-        Rough decode throughput used to turn excess backlog into a
-        ``Retry-After`` hint.  Precision does not matter — the hint
-        only needs the right order of magnitude.
     registry:
         Metrics sink; exposes ``admission_admitted_total``,
         ``admission_shed_total`` and the ``admission_queued_tokens``
@@ -62,14 +63,10 @@ class AdmissionController:
     """
 
     def __init__(self, watermark_tokens: int,
-                 tokens_per_second_hint: float = 200.0,
                  registry: Optional[MetricsRegistry] = None) -> None:
         if watermark_tokens < 1:
             raise ValueError("watermark_tokens must be >= 1")
-        if tokens_per_second_hint <= 0:
-            raise ValueError("tokens_per_second_hint must be > 0")
         self.watermark_tokens = watermark_tokens
-        self.tokens_per_second_hint = tokens_per_second_hint
         self._queued = 0
         self._lock = threading.Lock()
         registry = registry if registry is not None else get_registry()
@@ -115,19 +112,13 @@ class AdmissionController:
     def _retry_after_locked(self, cost_tokens: int) -> int:
         backlog = self._queued + cost_tokens - self.watermark_tokens
         drain = max(backlog, self._queued - self.watermark_tokens // 2)
-        return max(1, math.ceil(drain / self.tokens_per_second_hint))
+        return max(1, math.ceil(drain / RETRY_TOKENS_PER_SECOND))
 
     # ------------------------------------------------------------------
     @property
     def queued_tokens(self) -> int:
         with self._lock:
             return self._queued
-
-    def would_shed(self, cost_tokens: int) -> bool:
-        """Read-only probe: would :meth:`try_acquire` shed this cost?"""
-        with self._lock:
-            return (self._queued > 0
-                    and self._queued + cost_tokens > self.watermark_tokens)
 
     def stats(self) -> Dict[str, Any]:
         with self._lock:

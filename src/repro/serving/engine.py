@@ -48,10 +48,11 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..models import (DraftModel, GenerationConfig, GPT2Model,
-                      LogitsProcessor, PREFILL_CHUNK, SpeculativeMetrics,
-                      build_processors, draft_context, select_next_token,
+                      LogitsProcessor, SpeculativeMetrics, build_processors,
+                      draft_context, prefill_prompt, select_next_token,
                       speculative_walk)
 from ..nn import no_grad
+from ..nn.attention import PREFILL_CHUNK
 from ..obs import (MetricsRegistry, Tracer, get_registry, get_tracer)
 from ..resilience import ResilienceConfig
 from ..resilience.faults import fault_check
@@ -108,15 +109,12 @@ class EngineConfig:
     """Serving knobs (independent of per-request decoding knobs)."""
 
     max_batch_size: int = 8
-    prefill_chunk: int = PREFILL_CHUNK
     prefix_cache_bytes: int = 32 * 1024 * 1024
     max_queue: int = 64
 
     def validate(self) -> None:
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if self.prefill_chunk < 1:
-            raise ValueError("prefill_chunk must be >= 1")
         if self.prefix_cache_bytes < 0:
             raise ValueError("prefix_cache_bytes must be >= 0")
         if self.max_queue < 1:
@@ -276,9 +274,6 @@ class _Sequence:
     #: Dropped to 0 permanently once a verify chunk stops fitting the
     #: model's context window (the sequential path slides instead).
     spec_k: int = 0
-    #: The draft model proposing for this request (engine default or a
-    #: per-request instance from ``config.draft``).
-    draft: Optional[DraftModel] = None
     #: Verify results awaiting their acceptance walk at the next step:
     #: ``(proposals, draft_dists, chunk_logits, states)`` where
     #: ``chunk_logits`` is ``(len(proposals) + 1, vocab)`` and
@@ -394,10 +389,8 @@ class InferenceEngine:
         self.config.validate()
         self.resilience = resilience or ResilienceConfig(max_restarts=0)
         self.model = model
-        #: Default draft model for requests with ``speculative_k > 0``;
-        #: a request may override it with a DraftModel in
-        #: ``config.draft``.  ``None`` disables speculation for
-        #: requests that do not carry their own draft.
+        #: The draft model for requests with ``speculative_k > 0``;
+        #: ``None`` disables speculation.
         self.draft = draft
         self.registry = registry if registry is not None else get_registry()
         self.tracer = tracer if tracer is not None else get_tracer()
@@ -406,7 +399,7 @@ class InferenceEngine:
         self._emitted_tokens = 0
         self._decode_forwards = 0
         self.prefix_cache = PrefixCache(self.config.prefix_cache_bytes,
-                                        chunk_size=self.config.prefill_chunk,
+                                        chunk_size=PREFILL_CHUNK,
                                         registry=self.registry)
         self._queue: "queue.Queue[EngineRequest]" = queue.Queue(
             maxsize=self.config.max_queue)
@@ -477,8 +470,7 @@ class InferenceEngine:
         now = self.metrics.clock.now()
         if getattr(config, "mcts_rollout", False):
             strategy_label = "mcts"
-        elif config.speculative_k > 0 and (
-                isinstance(config.draft, DraftModel) or self.draft is not None):
+        elif config.speculative_k > 0 and self.draft is not None:
             strategy_label = "speculative"
         else:
             strategy_label = "plain"
@@ -634,8 +626,7 @@ class InferenceEngine:
             # Size this thread's workspace arenas for a full batch of
             # decode slots up front, so steady-state serving never
             # allocates (see docs/KERNELS.md).
-            kernels.preallocate(self.config.max_batch_size,
-                                chunk=self.config.prefill_chunk)
+            kernels.preallocate(self.config.max_batch_size)
         with no_grad():
             while not self._stop_event.is_set():
                 # One managed kernel step per scheduler iteration: flips
@@ -732,12 +723,6 @@ class InferenceEngine:
             self.metrics.queue_wait_seconds.observe(now - request.submitted_at)
             # A replay: its first token (and TTFT) came before the crash.
             delivered = len(request._generated)
-            # Per-request draft instance wins; a draft *spec string* is
-            # resolved by the serving layer, not here (the engine has
-            # no corpus to fit one on) and falls back to the default.
-            draft = (request.config.draft
-                     if isinstance(request.config.draft, DraftModel)
-                     else self.draft)
             admitted.append(_Sequence(
                 request=request, config=request.config,
                 processors=build_processors(request.config,
@@ -746,8 +731,7 @@ class InferenceEngine:
                 admitted_at=now, skip=delivered,
                 first_token_at=now if delivered else None,
                 spec_k=(request.config.speculative_k
-                        if draft is not None else 0),
-                draft=draft))
+                        if self.draft is not None else 0)))
         if admitted:
             self._prefill_admitted(admitted)
         self._admitting = []
@@ -757,13 +741,14 @@ class InferenceEngine:
     def _prefill_admitted(self, admitted: List[_Sequence]) -> None:
         """Prefill an admission wave, one prompt at a time.
 
-        Chunks end at absolute multiples of ``prefill_chunk`` — the
-        same boundaries :func:`repro.models.prefill_prompt` uses — so a
-        warm run replays exactly the trunk calls of a cold run and the
-        logits match bit for bit.  Each prompt leaves one cache entry;
-        a later prompt resumes from it at full length, or at a chunk
-        boundary cut from it with :meth:`GPT2Model.prefix_state`
-        (:meth:`_store`, :class:`~repro.serving.prefix_cache.PrefixCache`).
+        Each prompt prefills through :func:`repro.models.prefill_prompt`
+        from its cache hit, whose chunks end at absolute multiples of
+        ``PREFILL_CHUNK`` — so a warm run replays exactly the trunk
+        calls of a cold run and the logits match bit for bit.  Each
+        prompt leaves one cache entry; a later prompt resumes from it
+        at full length, or at a chunk boundary cut from it with
+        :meth:`GPT2Model.prefix_state` (:meth:`_store`,
+        :class:`~repro.serving.prefix_cache.PrefixCache`).
         A prefill that raises fails its own request only.
         """
         looked_up = []
@@ -797,18 +782,12 @@ class InferenceEngine:
         """Chunked single-sequence prefill (resuming from a cache hit)."""
         fault_check("model.forward")
         prompt = seq.request.prompt_ids
-        chunk_size = self.config.prefill_chunk
         with self.tracer.span("engine.prefill",
                               request=seq.request.request_id,
                               tokens=len(prompt), cached_tokens=hit_len):
-            position = hit_len
-            while position < len(prompt):
-                chunk_end = min(len(prompt),
-                                (position // chunk_size + 1) * chunk_size)
-                logits, state = self.model.prefill(
-                    np.asarray(prompt[position:chunk_end]), state)
-                position = chunk_end
             if hit_len < len(prompt):
+                logits, state = prefill_prompt(self.model, prompt[hit_len:],
+                                               state, start_position=hit_len)
                 self._store(prompt, logits, state)
         seq.logits = logits[0]
         seq.state = state
@@ -961,13 +940,13 @@ class InferenceEngine:
         k = min(seq.spec_k, remaining - 1) if remaining > 1 else 0
         proposals, dists = [], None
         if k > 0:
-            context = draft_context(seq.draft, seq.request.prompt_ids,
+            context = draft_context(self.draft, seq.request.prompt_ids,
                                     seq.generated)
             if seq.config.strategy == "sample":
-                proposals, dists = seq.draft.propose_sampled(context, k,
-                                                             seq.rng)
+                proposals, dists = self.draft.propose_sampled(context, k,
+                                                              seq.rng)
             else:
-                proposals = seq.draft.propose(context, k)
+                proposals = self.draft.propose(context, k)
         if not self.model.fits(seq.state, len(proposals) + 1):
             seq.spec_k = 0
             return [], None

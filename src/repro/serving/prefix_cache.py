@@ -12,10 +12,10 @@ the numpy/BLAS stack depends on the exact gemm shapes, so a cache hit
 is only *bit-reproducible* if resuming from it issues exactly the same
 trunk calls a cold run would.  :func:`repro.models.prefill_prompt`
 splits prompts at absolute multiples of the chunk size, therefore a
-hit is only eligible when its depth is a chunk multiple — or when a
-stored entry matches the whole query, in which case no prefill runs
-at all.  Construct with ``chunk_size=None`` to disable that gate
-(useful for models whose prefill is an exact per-token loop).
+hit is only eligible when its depth is a multiple of ``chunk_size`` —
+or when a stored entry matches the whole query, in which case no
+prefill runs at all.  ``chunk_size=1`` (the default) makes every depth
+eligible.
 
 One entry per prompt serves its prefixes too: given a ``cut``,
 :meth:`PrefixCache.lookup` answers a query that leaves every stored
@@ -115,12 +115,12 @@ class PrefixCache:
     one the cache keeps only its in-memory :attr:`stats`.
     """
 
-    def __init__(self, max_bytes: int, chunk_size: Optional[int] = None,
+    def __init__(self, max_bytes: int, chunk_size: int = 1,
                  registry: Optional[MetricsRegistry] = None) -> None:
         if max_bytes < 0:
             raise ValueError("max_bytes must be >= 0")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1 or None")
+        if chunk_size < 1:
+            raise ValueError("chunk_size must be >= 1")
         self.max_bytes = max_bytes
         self.chunk_size = chunk_size
         self._root = _Node()
@@ -140,8 +140,6 @@ class PrefixCache:
 
     # ------------------------------------------------------------------
     def _eligible(self, depth: int, query_len: int) -> bool:
-        if self.chunk_size is None:
-            return True
         return depth == query_len or depth % self.chunk_size == 0
 
     def insert(self, tokens: Iterable[int], value: Any, nbytes: int) -> bool:
@@ -192,7 +190,7 @@ class PrefixCache:
         node.  Returns ``(depth, value)``; ``(0, None)`` on a miss.
         """
         key = tuple(int(t) for t in tokens)
-        step = self.chunk_size or 1
+        step = self.chunk_size
         with self._lock:
             self.stats.lookup_tokens += len(key)
             depth, value, source, cut_at = 0, None, None, None

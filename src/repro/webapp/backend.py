@@ -37,16 +37,15 @@ from ..core.pipeline import Ratatouille
 from ..models.gpt2 import GPT2Model
 from ..obs import (MetricsRegistry, Tracer, get_registry, get_tracer,
                    render_json, render_text)
-from ..recipedb import IngredientCatalog, default_catalog
+from ..recipedb import default_catalog
 from ..resilience import (AdmissionController, OverloadShedError,
                           ResilienceConfig)
 from ..serving import InferenceEngine
 from .framework import App, Handler, Request, Response
 from .jobs import SHUTDOWN_ERROR, JobQueue, QueueFullError
 from .service import (ERROR_STATUS, MAX_INGREDIENTS, MAX_MCTS_ROLLOUTS,
-                      MAX_NEW_TOKENS_CAP, MAX_RETRIEVE_K, MAX_SPECULATIVE_K,
-                      GenerationRequest, GenerationService, StartedRequest,
-                      json_object)
+                      MAX_RETRIEVE_K, MAX_SPECULATIVE_K, GenerationRequest,
+                      GenerationService, StartedRequest, json_object)
 
 if TYPE_CHECKING:
     from ..recipedb import PairingGraph
@@ -93,11 +92,8 @@ def _service_errors(handler: Handler) -> Handler:
 
 
 def create_backend(pipeline: Ratatouille,
-                   catalog: Optional[IngredientCatalog] = None,
-                   pairing: Optional[PairingGraph] = None,
                    registry: Optional[MetricsRegistry] = None,
                    tracer: Optional[Tracer] = None,
-                   max_new_tokens_cap: int = MAX_NEW_TOKENS_CAP,
                    resilience: Optional[ResilienceConfig] = None,
                    draft=None,
                    speculative_k: int = 0,
@@ -130,8 +126,9 @@ def create_backend(pipeline: Ratatouille,
     replayed before the app is returned; ``app.shutdown_gracefully``
     rotates and closes it.
     ``speculative_k`` and ``retrieve_k`` are server defaults payloads
-    override; ``max_new_tokens_cap`` and ``max_mcts_rollouts``
-    (``docs/DECODING.md``) cap the payload knobs of the same name.
+    override; ``max_mcts_rollouts`` (``docs/DECODING.md``) caps the
+    payload knob of the same name, and ``MAX_NEW_TOKENS_CAP`` caps
+    ``max_new_tokens``.
     """
     if max_mcts_rollouts < 1:
         raise ValueError("max_mcts_rollouts must be >= 1")
@@ -140,7 +137,7 @@ def create_backend(pipeline: Ratatouille,
                          f"kernels={kernels!r}")
     if isinstance(pipeline.model, GPT2Model):  # the engine refuses others
         pipeline.model.enable_kernels()
-    catalog = catalog or default_catalog()
+    catalog = default_catalog()
     registry = registry if registry is not None else get_registry()
     tracer = tracer if tracer is not None else get_tracer()
     if isinstance(draft, str):
@@ -174,10 +171,8 @@ def create_backend(pipeline: Ratatouille,
             help="Search requests shed by admission control")
     admission: Optional[AdmissionController] = None
     if knobs.shed_watermark_tokens:
-        admission = AdmissionController(
-            knobs.shed_watermark_tokens,
-            tokens_per_second_hint=knobs.tokens_per_second_hint,
-            registry=registry)
+        admission = AdmissionController(knobs.shed_watermark_tokens,
+                                        registry=registry)
     service = GenerationService(
         pipeline, engine, catalog=catalog, registry=registry,
         admission=admission, retrieval_index=retrieval_index,
@@ -187,7 +182,6 @@ def create_backend(pipeline: Ratatouille,
         # silently decode sequentially; zero it so /api/health tells
         # the truth.
         default_speculative_k=speculative_k if draft is not None else 0,
-        max_new_tokens_cap=max_new_tokens_cap,
         max_mcts_rollouts=max_mcts_rollouts)
     app = App(name="ratatouille-backend")
     app.engine = engine
@@ -209,6 +203,7 @@ def create_backend(pipeline: Ratatouille,
     #: fetchable via ``GET /api/job``.
     restored: Dict[str, dict] = {}
     shutdown_summary: Optional[dict] = None
+    pairing: Optional[PairingGraph] = None  # built by the first /api/suggest
 
     @app.route("/api/health")
     def health(request: Request) -> Response:

@@ -90,8 +90,27 @@ def json_object(payload) -> dict:
     return payload
 
 
+def _coerce(name: str, raw, cast):
+    """``cast(raw)``, or a ValueError naming the field.  A JSON boolean
+    is refused, although ``int(True)`` is 1; numeric strings pass."""
+    if not isinstance(raw, bool):
+        try:
+            return cast(raw)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"'{name}' must be a {cast.__name__}, got {raw!r}")
+
+
+def _flag(payload: dict, name: str) -> bool:
+    """A JSON boolean field, false when absent; ``bool("false")`` would
+    be true, so anything else is a ValueError naming the field."""
+    value = payload.get(name, False)
+    if not isinstance(value, bool):
+        raise ValueError(f"'{name}' must be a boolean, got {value!r}")
+    return value
+
+
 def _parse_generation_request(payload: dict,
-                              max_new_tokens_cap: int = MAX_NEW_TOKENS_CAP,
                               default_speculative_k: int = 0,
                               catalog: Optional[IngredientCatalog] = None,
                               max_mcts_rollouts: int = MAX_MCTS_ROLLOUTS
@@ -121,21 +140,16 @@ def _parse_generation_request(payload: dict,
     for name, cast, default in _CONFIG_FIELDS:
         if name == "speculative_k":
             default = default_speculative_k
-        raw = payload.get(name, default)
-        try:
-            values[name] = cast(raw)
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"'{name}' must be a {cast.__name__}, got {raw!r}") from None
+        values[name] = _coerce(name, payload.get(name, default), cast)
     config = GenerationConfig(**values)
     config.validate()
     if config.strategy == "beam":
         raise ValueError(
             "beam search is not served; use greedy, sample or mcts "
             "(beam runs locally: repro generate --strategy beam)")
-    if config.max_new_tokens > max_new_tokens_cap:
+    if config.max_new_tokens > MAX_NEW_TOKENS_CAP:
         raise ValueError(
-            f"max_new_tokens is capped at {max_new_tokens_cap} "
+            f"max_new_tokens is capped at {MAX_NEW_TOKENS_CAP} "
             f"(got {config.max_new_tokens})")
     if config.speculative_k > MAX_SPECULATIVE_K:
         raise ValueError(
@@ -159,7 +173,7 @@ def _parse_generation_request(payload: dict,
         raise ValueError(
             f"mcts_rollouts is capped at {max_mcts_rollouts} "
             f"(got {config.mcts_rollouts})")
-    return names, config, bool(payload.get("checklist", False))
+    return names, config, _flag(payload, "checklist")
 
 
 def _admission_cost(config: GenerationConfig) -> int:
@@ -209,7 +223,6 @@ class GenerationService:
     default_retrieve_k: int = 0
     default_deadline_ms: Optional[float] = None
     default_speculative_k: int = 0
-    max_new_tokens_cap: int = MAX_NEW_TOKENS_CAP
     max_mcts_rollouts: int = MAX_MCTS_ROLLOUTS
     #: Set by graceful shutdown; every later :meth:`admit` refuses.
     draining: bool = False
@@ -228,17 +241,13 @@ class GenerationService:
         defaults; ``retrieve_k: 0`` opts out explicitly.
         """
         names, config, checklist = _parse_generation_request(
-            payload, self.max_new_tokens_cap, self.default_speculative_k,
-            catalog=self.catalog, max_mcts_rollouts=self.max_mcts_rollouts)
+            payload, self.default_speculative_k, catalog=self.catalog,
+            max_mcts_rollouts=self.max_mcts_rollouts)
         deadline_ms = payload.get("deadline_ms")
         if deadline_ms is None:
             deadline_ms = self.default_deadline_ms
         else:
-            try:
-                deadline_ms = float(deadline_ms)
-            except (TypeError, ValueError):
-                raise ValueError("'deadline_ms' must be a number, got "
-                                 f"{deadline_ms!r}") from None
+            deadline_ms = _coerce("deadline_ms", deadline_ms, float)
             if not (math.isfinite(deadline_ms) and deadline_ms > 0):
                 raise ValueError("'deadline_ms' must be a finite number > 0")
         retrieve_k = payload.get("retrieve_k")
@@ -257,7 +266,7 @@ class GenerationService:
                 "(start with repro serve --retrieval)")
         return GenerationRequest(
             names, config, checklist, deadline_ms, retrieve_k,
-            allow_partial=bool(payload.get("partial", False)),
+            allow_partial=_flag(payload, "partial"),
             cost=_admission_cost(config))
 
     def admit(self, cost: int) -> None:

@@ -182,7 +182,7 @@ class TestEveryNamedPoint:
     def test_journal_append_fault_refuses_durably(self, tmp_path):
         from repro.durability import JobJournal, JournalError
 
-        with JobJournal(tmp_path / "journal", fsync=False) as journal:
+        with JobJournal(tmp_path / "journal") as journal:
             injector = FaultInjector(
                 {"journal.append": FaultSpec(schedule={0})})
             with inject_faults(injector):

@@ -11,6 +11,7 @@ import zlib
 
 import pytest
 
+import repro.durability.journal as wal
 from repro.durability import (COMPLETION_STATUSES, JobJournal, JournalError)
 from repro.durability.journal import _HEADER, _MAGIC
 
@@ -19,9 +20,8 @@ pytestmark = pytest.mark.durability
 REQUEST = {"ingredients": ["garlic", "rice"], "max_new_tokens": 8}
 
 
-def _journal(tmp_path, **kwargs):
-    kwargs.setdefault("fsync", False)  # throwaway state; framing unchanged
-    return JobJournal(tmp_path / "journal", **kwargs)
+def _journal(tmp_path):
+    return JobJournal(tmp_path / "journal")
 
 
 class TestAppendAndReplay:
@@ -137,8 +137,9 @@ class TestTornTails:
 
 
 class TestRotation:
-    def test_rotate_compacts_to_live_state(self, tmp_path):
-        with _journal(tmp_path, keep_completed=2) as journal:
+    def test_rotate_compacts_to_live_state(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(wal, "KEEP_COMPLETED", 2)
+        with _journal(tmp_path) as journal:
             for index in range(6):
                 journal.append_accepted(f"job-{index}", REQUEST)
             for index in range(4):
@@ -154,11 +155,13 @@ class TestRotation:
             # Kept completions stay idempotent after the compaction.
             assert journal.append_completed("job-3", "done") is False
 
-    def test_compacted_completions_stay_idempotent(self, tmp_path):
+    def test_compacted_completions_stay_idempotent(self, tmp_path,
+                                                   monkeypatch):
         # Rotation may drop a completion *record* from disk, but the
         # in-memory guard must survive: a late/stale append_completed
         # for a compacted-away job is still a no-op.
-        with _journal(tmp_path, keep_completed=1) as journal:
+        monkeypatch.setattr(wal, "KEEP_COMPLETED", 1)
+        with _journal(tmp_path) as journal:
             journal.append_accepted("old", REQUEST)
             journal.append_accepted("new", REQUEST)
             journal.append_completed("old", "done", result=1)
@@ -184,8 +187,9 @@ class TestRotation:
         assert state.duplicate_completions == 1  # counted, not harmful
         assert state.idempotency == {"k": "a"}
 
-    def test_maybe_rotate_by_size(self, tmp_path):
-        with _journal(tmp_path, rotate_bytes=256) as journal:
+    def test_maybe_rotate_by_size(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(wal, "ROTATE_BYTES", 256)
+        with _journal(tmp_path) as journal:
             assert journal.maybe_rotate() is False
             for index in range(20):
                 journal.append_accepted(f"job-{index}", REQUEST)

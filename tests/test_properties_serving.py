@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.models import (GenerationConfig, distilgpt2, generate,
                           prefill_prompt)
+from repro.nn.attention import PREFILL_CHUNK
 from repro.obs import NullRegistry, NullTracer
 from repro.serving import EngineConfig, InferenceEngine
 
@@ -177,6 +178,6 @@ class TestCutPrefixes:
         made = [id(derived) for _, derived in cuts if derived is not None]
         for query_len, depth, value in hits:
             if value is not None and value[0] is None:   # a cut hit
-                assert depth % engine.config.prefill_chunk == 0
+                assert depth % PREFILL_CHUNK == 0
                 assert 0 < depth < query_len
                 assert id(value) in made

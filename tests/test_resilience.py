@@ -146,8 +146,7 @@ class TestAdmissionController:
         assert gate.queued_tokens == 10
 
     def test_retry_after_scales_with_backlog(self):
-        gate = AdmissionController(100, tokens_per_second_hint=100.0,
-                                   registry=MetricsRegistry())
+        gate = AdmissionController(100, registry=MetricsRegistry())
         gate.try_acquire(100)
         with pytest.raises(OverloadShedError) as small:
             gate.try_acquire(10)
@@ -156,14 +155,6 @@ class TestAdmissionController:
             gate.try_acquire(1000)
         assert small.value.retry_after >= 1
         assert big.value.retry_after >= small.value.retry_after
-
-    def test_would_shed_is_read_only(self):
-        gate = AdmissionController(100, registry=MetricsRegistry())
-        assert not gate.would_shed(1000)  # idle: one oversized admit
-        gate.try_acquire(90)
-        assert gate.would_shed(20)
-        assert not gate.would_shed(10)
-        assert gate.queued_tokens == 90  # probing changed nothing
 
     def test_metrics_and_stats(self):
         registry = MetricsRegistry()
@@ -184,9 +175,6 @@ class TestAdmissionController:
     def test_validation(self):
         with pytest.raises(ValueError):
             AdmissionController(0, registry=MetricsRegistry())
-        with pytest.raises(ValueError):
-            AdmissionController(10, tokens_per_second_hint=0,
-                                registry=MetricsRegistry())
         gate = AdmissionController(10, registry=MetricsRegistry())
         with pytest.raises(ValueError):
             gate.try_acquire(-1)

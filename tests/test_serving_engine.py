@@ -698,8 +698,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             EngineConfig(max_batch_size=0).validate()
         with pytest.raises(ValueError):
-            EngineConfig(prefill_chunk=0).validate()
-        with pytest.raises(ValueError):
             EngineConfig(max_queue=0).validate()
 
     def test_stats_shape(self, model):

@@ -185,7 +185,7 @@ class TestInvariants:
            ops=st.lists(_op, max_size=60))
     @settings(max_examples=120, deadline=None)
     def test_bytes_never_exceed_budget(self, budget, ops):
-        cache = PrefixCache(max_bytes=budget, chunk_size=None)
+        cache = PrefixCache(max_bytes=budget, chunk_size=1)
         for kind, key, nbytes in ops:
             if kind == "insert":
                 accepted = cache.insert(key, tuple(key), nbytes)
@@ -206,7 +206,7 @@ class TestInvariants:
            keys=st.lists(_key, min_size=1, max_size=30))
     @settings(max_examples=100, deadline=None)
     def test_evicted_entries_never_returned(self, budget, keys):
-        cache = PrefixCache(max_bytes=budget, chunk_size=None)
+        cache = PrefixCache(max_bytes=budget, chunk_size=1)
         for key in keys:
             cache.insert(key, tuple(key), nbytes=1)
         # Everything still stored must be retrievable at full depth;
@@ -222,7 +222,7 @@ class TestInvariants:
     @given(keys=st.lists(_key, min_size=1, max_size=20, unique_by=tuple))
     @settings(max_examples=60, deadline=None)
     def test_unbounded_budget_keeps_everything(self, keys):
-        cache = PrefixCache(max_bytes=10**9, chunk_size=None)
+        cache = PrefixCache(max_bytes=10**9, chunk_size=1)
         for key in keys:
             cache.insert(key, tuple(key), nbytes=100)
         for key in keys:

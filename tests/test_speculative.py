@@ -56,8 +56,7 @@ def _prompt(seed, length):
 
 
 def _sequential(model, prompt, config, processors=()):
-    config = GenerationConfig(**{**config.__dict__,
-                                 "speculative_k": 0, "draft": None})
+    config = GenerationConfig(**{**config.__dict__, "speculative_k": 0})
     return generate(model, prompt, config, processors=processors,
                     registry=NullRegistry(), tracer=NullTracer())
 

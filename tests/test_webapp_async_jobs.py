@@ -116,7 +116,7 @@ def _quiesce(registry, timeout=10.0):
 
 
 def _audit(path):
-    with JobJournal(path, fsync=False) as journal:
+    with JobJournal(path) as journal:
         return journal.replay()
 
 

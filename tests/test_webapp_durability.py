@@ -63,7 +63,7 @@ def _backend(pipeline, tmp_path, **kwargs):
 
 
 def _audit(tmp_path):
-    with JobJournal(tmp_path / "journal", fsync=False) as journal:
+    with JobJournal(tmp_path / "journal") as journal:
         return journal.replay()
 
 

@@ -320,12 +320,19 @@ def test_no_model_call_off_the_engine_thread():
 
     def self_attrs(method, through=None):
         """Names ``X`` of every ``self.X``, or with ``through`` of every
-        ``self.<through>.X(...)`` call, in one method body."""
+        ``self.<through>.X(...)`` call and of every ``X(self.<through>,
+        ...)`` call (``prefill_prompt`` runs the model it is handed), in
+        one method body."""
         names = set()
         for node in ast.walk(method):
             if through is not None:
-                if not (isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)):
+                if not isinstance(node, ast.Call):
+                    continue
+                if any(isinstance(arg, ast.Attribute) and arg.attr == through
+                       and isinstance(arg.value, ast.Name)
+                       and arg.value.id == "self" for arg in node.args):
+                    names.add(ast.unparse(node.func))
+                if not isinstance(node.func, ast.Attribute):
                     continue
                 node = node.func
                 if not (isinstance(node.value, ast.Attribute)

@@ -66,10 +66,35 @@ class TestValidation:
         {"ingredients": ["x"], "strategy": "beam"},
         [1],
         "x",
+        {"ingredients": ["x"], "checklist": "false"},
+        {"ingredients": ["x"], "checklist": 1},
+        {"ingredients": ["x"], "max_new_tokens": True},
+        {"ingredients": ["x"], "temperature": False},
+        {"ingredients": ["x"], "seed": True},
     ])
     def test_bad_payloads_are_400(self, payload):
         with pytest.raises(ValueError):
             _parse_generation_request(payload)
+
+    @pytest.mark.parametrize("path, field, payload", [
+        ("/api/generate_async", "partial",
+         {"ingredients": ["garlic"], "partial": "false"}),
+        ("/api/generate_stream", "deadline_ms",
+         {"ingredients": ["garlic"], "deadline_ms": True}),
+    ])
+    def test_non_json_type_is_400_naming_the_field(self, backend, path,
+                                                   field, payload):
+        response = backend.app.dispatch(Request(
+            "POST", path, {}, {}, json.dumps(payload).encode("utf-8")))
+        assert response.status == 400
+        assert f"'{field}'".encode() in response.body
+
+    def test_numeric_strings_are_accepted(self):
+        _, config, checklist = _parse_generation_request(
+            {"ingredients": ["x"], "max_new_tokens": "40",
+             "temperature": "0.5", "checklist": True})
+        assert (config.max_new_tokens, config.temperature) == (40, 0.5)
+        assert checklist is True
 
     @pytest.mark.parametrize("path", [
         "/api/generate", "/api/generate_async", "/api/generate_stream",
