@@ -19,7 +19,7 @@ __all__ = [
     "SpecWalkOutcome", "SpeculativeMetrics",
     "attention_maps", "build_processors", "char_lstm", "distilgpt2",
     "draft_context", "generate", "prefill_prompt",
-    "render_attention_ascii", "resolve_draft", "sampling_distribution",
+    "render_attention_ascii", "sampling_distribution",
     "select_next_token", "speculative_walk", "surprisal",
     "top_next_tokens", "gpt2_medium", "gpt_neo_small", "word_lstm",
 ]
@@ -36,8 +36,7 @@ __getattr__, __dir__ = export_lazily(__name__, {
     "gpt_neo": ("GPTNeoConfig", "GPTNeoModel", "gpt_neo_small"),
     "lstm": ("LSTMConfig", "LSTMLanguageModel", "char_lstm", "word_lstm"),
     "ngram": ("NGramLanguageModel",),
-    "speculative": ("DraftModel", "NGramDraft", "SpeculativeMetrics",
-                    "resolve_draft"),
+    "speculative": ("DraftModel", "NGramDraft", "SpeculativeMetrics"),
     "inspection": ("attention_maps", "render_attention_ascii", "surprisal",
                    "top_next_tokens"),
 })

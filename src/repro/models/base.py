@@ -89,8 +89,8 @@ class LanguageModel(Module):
             next prompt token during prefill).
         state:
             Whatever :meth:`start_state` / the previous call returned
-            (GPT-2 also takes a list of batch-of-one states, one per
-            id: :meth:`repro.models.gpt2.GPT2Model.next_logits`).
+            (GPT-2 also takes a list of KV slot rows, one per id:
+            :meth:`repro.models.gpt2.GPT2Model.next_logits`).
 
         Returns
         -------

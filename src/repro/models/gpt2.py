@@ -21,7 +21,7 @@ import numpy as np
 
 from ..nn import (Dropout, Embedding, KVCache, LayerNorm, ModuleList, Tensor,
                   TransformerBlock, is_grad_enabled)
-from ..nn.attention import linear_rows, padded_head
+from ..nn.attention import KVArena, KVSlot, linear_rows, padded_head
 from ..nn.kernels import InferenceKernels, WeightStore
 from .base import LanguageModel
 
@@ -201,108 +201,117 @@ class GPT2Model(LanguageModel):
         return [KVCache(k=c.keys[:, :, -keep:, :], v=c.values[:, :, -keep:, :])
                 for c in state.caches], keep
 
-    def next_logits(self, ids: np.ndarray,
-                    state: Union[GPT2State, List[GPT2State]]
-                    ) -> Tuple[np.ndarray, Union[GPT2State, List[GPT2State]]]:
-        """One decode step; ``state`` is one state or a list of them.
+    def kv_arena(self, slots: int) -> KVArena:
+        """A :class:`~repro.nn.attention.KVArena` of ``slots`` sequences
+        at the full context length, zero-filled: pages no slot has
+        written cost no memory."""
+        c = self.config
+        shape = (slots, c.num_heads, c.context_length, c.d_model // c.num_heads)
+        zeros = lambda: [np.zeros(shape, np.float32)  # noqa: E731
+                         for _ in self.blocks]
+        return KVArena(zeros(), zeros())
 
-        A **list** holds one batch-of-one state per id; a run of ids
-        sharing one state object is one row carrying that many known
-        tokens (a speculative verify chunk).  All rows — sequences of
-        any, unequal lengths — advance in one forward, returning
-        ``(logits (N, V), [states])`` where ``states[i]`` is its row's
-        state after id ``i``: the position-independent ops (LayerNorm,
-        QKV, out-proj, MLP, tied head) run once over all ids as
-        batch-invariant ``(N, d)`` GEMMs (``docs/KERNELS.md`` §1b), and
-        attention walks each row's own KV cache, so every id gets the
-        bits of a sequential one-token ``next_logits`` walk of its row,
-        in any batch (``docs/SERVING.md`` §2).  A one-token row slides
-        past the context window like a single-state step; a longer row
-        that does not :meth:`fits` raises ``ValueError``.  The states
-        within a row are length-truncated handles onto one appended
-        cache: resume from one of them, and later appends overwrite the
-        rest.  A single state (a batch of one) or a list of one state
-        for one id is that state's own step (same bits, none of the
-        ragged bookkeeping: decode at concurrency 1).
+    def slot_state(self, slot: KVSlot) -> GPT2State:
+        """``slot``'s cache as a state of views onto it: appends through
+        the state (a prefill) write into the slot while it has room."""
+        i, arena = slot.index, slot.arena
+        return GPT2State(caches=[
+            KVCache(k=k[i:i + 1], v=v[i:i + 1], length=slot.length)
+            for k, v in zip(arena.k, arena.v)], position=slot.length)
+
+    def next_logits(self, ids: np.ndarray,
+                    state: Union[GPT2State, List[KVSlot]]
+                    ) -> Tuple[np.ndarray, Union[GPT2State, List[KVSlot]]]:
+        """One decode step.
+
+        ``state`` is one :class:`GPT2State` for one id -- the sequential
+        decoder's step -- or a list of :class:`~repro.nn.attention.KVSlot`
+        rows of one arena, one per id: a run of ids sharing one slot is a
+        row carrying that many known tokens at consecutive positions (a
+        speculative verify chunk).  All rows -- sequences of any, unequal
+        lengths -- advance in one forward, returning ``(logits (N, V),
+        rows)`` with each slot's ``length`` advanced past its tokens: the
+        position-independent ops (LayerNorm, QKV, out-proj, MLP, tied
+        head) run once over all ids as batch-invariant ``(N, d)`` GEMMs
+        (``docs/KERNELS.md`` §1b), and attention walks each row's own
+        slot, so every id gets the bits of a sequential one-token
+        ``next_logits`` walk of its row, in any batch (``docs/SERVING.md``
+        §2).  A one-token row slides past the context window as a state
+        does, shifting its slot in place; a longer row that does not
+        :meth:`fits` raises ``ValueError``.
         """
         ids = np.asarray(ids).reshape(-1, 1)  # (N, 1)
         if isinstance(state, list):
-            if len(state) != 1 or ids.shape[0] != 1:
-                return self._next_logits_rows(ids, state)
-            logits, state = self.next_logits(ids, state[0])
-            return logits, [state]
-        kernels = self._kernels
-        if (kernels is None or ids.shape[0] != 1
-                or state.caches[0].k.shape[0] != 1):
-            # One ragged row; it refuses anything but one id for a
-            # batch-of-one state (ValueError).
-            logits, (state,) = self._next_logits_rows(ids, [state])
-            return logits, state
-        caches, position = self._slide(state)
-        logits, new_caches = kernels.decode_step(ids, caches, position)
-        return logits, GPT2State(caches=new_caches, position=position + 1)
-
-    def _next_logits_rows(self, ids: np.ndarray, states: List[GPT2State]
-                          ) -> Tuple[np.ndarray, List[GPT2State]]:
-        if len(states) != ids.shape[0] or any(
-                state.caches[0].k.shape[0] != 1 for state in states):
+            return self._next_logits_slots(ids, state), state
+        if ids.shape[0] != 1 or state.caches[0].k.shape[0] != 1:
             raise ValueError(
-                f"expected {ids.shape[0]} batch-of-one states, one per id")
-        rows, counts, starts, positions = [], [], [], []
-        for index, state in enumerate(states):
-            if index and state is states[index - 1]:
+                f"a state decodes one id in a batch-of-one cache, not "
+                f"{ids.shape[0]} ids in a batch of "
+                f"{state.caches[0].k.shape[0]}")
+        caches, position = self._slide(state)
+        if self._kernels is None:  # the Tensor path: a one-slot row
+            logits, states = self.verify_chunk(ids.reshape(1, 1),
+                                               GPT2State(caches, position))
+            return logits[0], states[0]
+        logits, caches = self._kernels.decode_step(ids, caches, position)
+        return logits, GPT2State(caches=caches, position=position + 1)
+
+    def _next_logits_slots(self, ids: np.ndarray,
+                           rows: List[KVSlot]) -> np.ndarray:
+        if len(rows) != ids.shape[0]:
+            raise ValueError(f"expected {ids.shape[0]} slot rows, one per id")
+        arena, context = rows[0].arena, self.config.context_length
+        firsts, counts, slots, pasts = [], [], [], []
+        for index, slot in enumerate(rows):
+            if index and slot is rows[index - 1]:
+                past += 1
                 counts[-1] += 1
-                if not self.fits(state, counts[-1]):
-                    raise ValueError(
-                        f"chunk ending at {state.position + counts[-1]} "
-                        f"exceeds context length "
-                        f"{self.config.context_length}")
-                positions.append(positions[-1] + 1)
-                continue
-            caches, position = self._slide(state)
-            rows.append(caches)
-            counts.append(1)
-            starts.append(position)
-            positions.append(position)
-        positions = np.array(positions)
+                if past >= context:
+                    raise ValueError(f"chunk ending at {past + 1} exceeds "
+                                     f"context length {context}")
+            else:
+                if slot.length >= context:  # _slide, in place
+                    for buffer in arena.k + arena.v:
+                        buffer[slot.index, :, :-1] = buffer[slot.index, :, 1:]
+                    slot.length -= 1
+                past = slot.length
+                firsts.append(slot)
+                counts.append(1)
+            slots.append(slot.index)
+            pasts.append(past)
         kernels = self._kernels
         if kernels is not None:
-            logits, new_rows = kernels.decode_rows(ids, rows, positions,
-                                                   counts)
-        else:
-            x = self.drop(self.wte(ids) + self.wpe(positions.reshape(-1, 1)))
-            layers = []
+            logits = kernels.decode_rows(ids, arena, np.array(slots),
+                                         np.array(pasts))
+        else:  # the Tensor path, appending through views onto the slots
+            x = self.drop(self.wte(ids)
+                          + self.wpe(np.array(pasts).reshape(-1, 1)))
+            views = [self.slot_state(slot).caches for slot in firsts]
             for index, block in enumerate(self.blocks):
-                x, new_caches = block.forward_rows(
-                    x, [caches[index] for caches in rows], counts)
-                layers.append(new_caches)
+                x, _ = block.forward_rows(x, [v[index] for v in views],
+                                          counts)
             logits = self._project_rows(self.ln_f(x))
-            new_rows = [list(row) for row in zip(*layers)]
-        new_states = []
-        for caches, count, start in zip(new_rows, counts, starts):
-            new_states += [GPT2State(
-                caches=[KVCache(k=c.k, v=c.v, length=c.length - count + t)
-                        for c in caches], position=start + t)
-                for t in range(1, count)]
-            new_states.append(GPT2State(caches=caches,
-                                        position=start + count))
-        return logits, new_states
+        for slot, past in zip(rows, pasts):
+            slot.length = past + 1
+        return logits
 
-    def fits(self, state: GPT2State, tokens: int) -> bool:
-        """Whether ``tokens`` known tokens decode from ``state`` in one
-        row without sliding: the engine demotes a speculative row
-        exactly when :meth:`verify_chunk` makes the standalone loop
-        fall back."""
-        return state.position + tokens <= self.config.context_length
+    def fits(self, length: int, tokens: int) -> bool:
+        """Whether ``tokens`` known tokens decode after ``length`` cached
+        ones in one row without sliding: the engine demotes a
+        speculative row exactly when :meth:`verify_chunk` makes the
+        standalone loop fall back."""
+        return length + tokens <= self.config.context_length
 
     def verify_chunk(self, ids: np.ndarray, state: GPT2State
                      ) -> Tuple[np.ndarray, List[GPT2State]]:
         """Decode a ``(1, steps)`` chunk of *known* tokens in one call.
 
-        The standalone speculative loop's verify step: one list-form
-        :meth:`next_logits` row, so ``logits[0, t]`` — the score of the
-        token after chunk token ``t`` — is bit-identical to a
-        one-token walk, and ``states[t]`` resumes after chunk tokens
+        The standalone speculative loop's verify step: ``state``'s caches
+        become a one-slot :class:`~repro.nn.attention.KVArena` (copied
+        first when frozen or short of the context length) and the chunk
+        one slot row of :meth:`next_logits`, so ``logits[0, t]`` -- the
+        score of the token after chunk token ``t`` -- is bit-identical
+        to a one-token walk, and ``states[t]`` resumes after chunk tokens
         ``0..t`` (resume from one; later appends overwrite the rest).
         Raises ``ValueError`` when the chunk does not :meth:`fits`: the
         caller falls back to plain decode, which slides.
@@ -310,10 +319,17 @@ class GPT2Model(LanguageModel):
         ids = np.asarray(ids)
         if ids.ndim != 2 or ids.shape[0] != 1 or ids.shape[1] == 0:
             raise ValueError("verify_chunk expects (1, steps) ids")
-        if not self.fits(state, ids.shape[1]):
+        if not self.fits(state.position, ids.shape[1]):
             raise ValueError("verify chunk exceeds the context window")
-        logits, states = self.next_logits(ids[0], [state] * ids.shape[1])
-        return logits[None], states
+        caches = [c.reserved(self.config.context_length)
+                  for c in state.caches]
+        slot = KVArena([c.k for c in caches], [c.v for c in caches]).slots[0]
+        slot.length = state.position
+        logits, _ = self.next_logits(ids[0], [slot] * ids.shape[1])
+        return logits[None], [
+            GPT2State(caches=[KVCache(k=c.k, v=c.v, length=position)
+                              for c in caches], position=position)
+            for position in range(state.position + 1, slot.length + 1)]
 
     def prefill(self, ids: np.ndarray, state: GPT2State
                 ) -> Tuple[np.ndarray, GPT2State]:

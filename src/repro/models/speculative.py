@@ -113,34 +113,6 @@ class NGramDraft(DraftModel):
         return tokens, np.stack(dists, axis=0)
 
 
-def resolve_draft(spec, sequences: Sequence[Sequence[int]],
-                  vocab_size: int) -> DraftModel:
-    """Build a draft model from a config spec.
-
-    ``spec`` is a :class:`DraftModel` (returned as-is), ``"ngram"``, or
-    ``"ngram:<order>"``.  ``sequences`` is the token-id corpus the
-    n-gram counts are fit on.
-    """
-    if isinstance(spec, DraftModel):
-        return spec
-    if not isinstance(spec, str):
-        raise ValueError(f"draft spec must be a DraftModel or str, got "
-                         f"{type(spec).__name__}")
-    name, _, arg = spec.partition(":")
-    if name != "ngram":
-        raise ValueError(f"unknown draft spec {spec!r} (expected 'ngram' or "
-                         f"'ngram:<order>')")
-    order = 3
-    if arg:
-        try:
-            order = int(arg)
-        except ValueError:
-            raise ValueError(f"bad draft order in {spec!r}") from None
-    if order < 1:
-        raise ValueError(f"draft order must be >= 1, got {order}")
-    return NGramDraft.fit(sequences, vocab_size, order=order)
-
-
 class SpeculativeMetrics:
     """Metric handles for the speculative decode path.
 

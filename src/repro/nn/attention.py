@@ -182,19 +182,57 @@ class KVCache:
         append is an in-place write (the steady-state zero-allocation
         fast path).  Values are unaffected — only spare capacity.
         """
-        step = new_k.shape[2]
-        total = self.length + step
-        k, v = self.k, self.v
-        if self.frozen or total > k.shape[2]:
-            shape = list(k.shape)
-            shape[2] = max(total + _CACHE_HEADROOM, reserve)
-            k = np.empty(tuple(shape), dtype=self.k.dtype)
-            v = np.empty(tuple(shape), dtype=self.v.dtype)
-            k[:, :, :self.length] = self.keys
-            v[:, :, :self.length] = self.values
-        k[:, :, self.length:total] = new_k
-        v[:, :, self.length:total] = new_v
-        return KVCache(k=k, v=v, length=total)
+        total = self.length + new_k.shape[2]
+        cache = self
+        if self.frozen or total > self.k.shape[2]:
+            cache = self.reserved(max(total + _CACHE_HEADROOM, reserve))
+        cache.k[:, :, self.length:total] = new_k
+        cache.v[:, :, self.length:total] = new_v
+        return KVCache(k=cache.k, v=cache.v, length=total)
+
+    def reserved(self, capacity: int) -> "KVCache":
+        """This cache, or -- frozen or short of ``capacity`` positions --
+        an owned copy in a buffer of ``capacity``."""
+        if not self.frozen and self.k.shape[2] >= capacity:
+            return self
+        shape = (*self.k.shape[:2], capacity, self.k.shape[3])
+        cache = KVCache(np.empty(shape, np.float32),
+                        np.empty(shape, np.float32), self.length)
+        cache.keys[...], cache.values[...] = self.keys, self.values
+        return cache
+
+
+class KVSlot:
+    """One sequence's cache in a :class:`KVArena`: its slot ``index``
+    and ``length``, the count of its live positions."""
+
+    __slots__ = ("arena", "index", "length")
+
+    def __init__(self, arena: "KVArena", index: int) -> None:
+        self.arena, self.index, self.length = arena, index, 0
+
+
+class KVArena:
+    """Per-layer key and value buffers of shape ``(slots, heads,
+    capacity, head_dim)``, one sequence's cache per slot: position ``t``
+    of a slot holds token ``t``'s key and value, as in a
+    :class:`KVCache`.  A decode step over many sequences takes their
+    :attr:`slots`, not per-row cache handles (``docs/SERVING.md`` §4).
+    """
+
+    def __init__(self, k: List[np.ndarray], v: List[np.ndarray]) -> None:
+        self.k, self.v = k, v
+        self.slots = [KVSlot(self, index) for index in range(k[0].shape[0])]
+
+    def load(self, slot: KVSlot, caches: Sequence[KVCache]) -> None:
+        """Make batch-of-one ``caches`` the slot's contents, copying the
+        live region of each that does not already live in the slot."""
+        i = slot.index
+        for k, v, cache in zip(self.k, self.v, caches):
+            if not np.may_share_memory(cache.k, k[i]):
+                k[i, :, :cache.length] = cache.keys[0]
+                v[i, :, :cache.length] = cache.values[0]
+        slot.length = caches[0].length
 
 
 class CausalSelfAttention(Module):

@@ -41,8 +41,8 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .attention import (KVCache, MASK_VALUE, PREFILL_CHUNK, matmul_rows,
-                        padded_head, row_class_limit)
+from .attention import (KVArena, KVCache, MASK_VALUE, PREFILL_CHUNK,
+                        matmul_rows, padded_head, row_class_limit)
 
 __all__ = [
     "InferenceKernels",
@@ -208,12 +208,15 @@ class _Arena:
 
 
 class _Workspaces(threading.local):
-    """Per-thread double-buffered arenas plus the managed flag."""
+    """Per-thread double-buffered arenas, the managed flag, and the slot
+    step's buffers by row count with the arena they are carved from."""
 
     def __init__(self) -> None:  # called once per thread by threading.local
         self.arenas = (_Arena(), _Arena())
         self.parity = 0
         self.managed = False
+        self.carving = _Arena()  # never reset
+        self.carved: Dict[int, Tuple[Any, ...]] = {}
 
 
 # ----------------------------------------------------------------------
@@ -272,7 +275,8 @@ class InferenceKernels:
         ws.arenas[ws.parity].reset()
 
     def preallocate(self, max_batch: int) -> None:
-        """Prime both arenas for up to ``max_batch`` concurrent slots.
+        """Prime both arenas for up to ``max_batch`` concurrent slots,
+        and carve the decode step's buffers for 1 to ``max_batch`` rows.
 
         Sizes for the worst of a full-context decode step and a
         prefill chunk, so steady-state serving allocates nothing.
@@ -286,15 +290,15 @@ class InferenceKernels:
             arena.reset()
             arena.take(self, need)
             arena.reset()
+        for tokens in range(1, batch + 1):
+            self._slot_buffers(tokens)
 
     def _workspace_floats(self, batch: int, time: int) -> int:
         """Upper bound on arena floats one forward call can consume."""
         d, h, ff = self.d_model, self.num_heads, self.d_ff
         rows = batch * time + 1  # a lone decode row's dummy row
-        # decode_rows keeps its flat scores and their spread side by side.
-        scores = (2 if time == 1 else 1) * self.context_length
         return rows * (9 * d + 2 * ff + 2 + self.store.head.shape[1]
-                       + h * (scores + 2))  # dense/head buffers, scores
+                       + h * (self.context_length + 2))  # dense/head, scores
 
     def _note_alloc(self, nbytes: int) -> None:
         with self._alloc_lock:
@@ -411,24 +415,16 @@ class InferenceKernels:
         np.add(x, self._wpe[position:position + time], out=x)
         return x
 
-    def _rows(self, ids: np.ndarray, pos: np.ndarray
-              ) -> Tuple[np.ndarray, ...]:
-        """A decode step's ``(R, d)`` rows — a lone token carries one zero
-        dummy row, so every dense op is a GEMM of 2 rows (docs/KERNELS.md
-        §1b): ``(x, qkv (N, 1, 3d) view, dense buffers, ctx (N, H, 1,
-        hd), merged (R, d) view of ctx)``."""
+    def _embed_rows(self, ids: np.ndarray, pos: np.ndarray,
+                    x: np.ndarray) -> None:
+        """A decode step's token + position embeddings into its ``(R, d)``
+        rows ``x`` -- a lone token carries one zero dummy row, so every
+        dense op is a GEMM of 2 rows (docs/KERNELS.md §1b)."""
         self._check_ids(ids)
-        tokens, d = ids.shape[0], self.d_model
-        x = self._take((max(tokens, 2), d))
-        live = x[:tokens]
+        live = x[:ids.shape[0]]
         self._wte.take(ids.reshape(-1), 0, live, "clip")
         np.add(live, pos, out=live)
-        x[tokens:] = 0
-        dense = self._dense_buffers(x.shape[0])
-        ctxb = self._take((x.shape[0], self.num_heads, 1, self.head_dim))
-        ctxb[tokens:] = 0
-        return (x, dense[1].reshape(x.shape[0], 1, 3 * d)[:tokens], dense,
-                ctxb[:tokens], ctxb.reshape(x.shape[0], d))
+        x[ids.shape[0]:] = 0
 
     def _head(self, ln: np.ndarray, rows: int) -> np.ndarray:
         """``(rows, V)`` logits of ``ln``'s first ``rows`` of ``R >= 2``:
@@ -468,7 +464,8 @@ class InferenceKernels:
         Transliterates ``GPT2Model._trunk`` op by op: same shapes, same
         strides, same numpy calls — only the output buffers come from
         the arena instead of fresh allocations.  A decode step (one token,
-        caches) runs on :meth:`_rows`, as the Tensor path's rows do.
+        caches) runs on :meth:`decode_rows`' rows, as the Tensor path's
+        rows do.
         """
         batch, time = ids.shape
         if position + time > self.context_length:
@@ -480,7 +477,9 @@ class InferenceKernels:
         total = past + time
 
         if time == 1 and caches is not None:
-            x, qkv3, dense, ctxb, merged = self._rows(ids, self._wpe[position])
+            x, _, dense, ctxb, merged = self._slot_buffers(1)[:5]
+            self._embed_rows(ids, self._wpe[position], x)
+            qkv3, ctxb = dense[1].reshape(2, 1, 3 * d)[:1], ctxb[:1]
         else:
             x = self._embed(ids, position)
             dense = self._dense_buffers(batch, time)
@@ -535,78 +534,48 @@ class InferenceKernels:
         out = self._head(ln, ids.shape[0])
         return (out.copy() if copy else out), new_caches
 
-    def decode_rows(self, ids: np.ndarray,
-                    caches_per_row: Sequence[Sequence[KVCache]],
-                    positions: np.ndarray, counts: Sequence[int]
-                    ) -> Tuple[np.ndarray, List[List[KVCache]]]:
-        """Known tokens for ``B`` sequences of *unequal* length.
+    def decode_rows(self, ids: np.ndarray, arena: KVArena,
+                    slots: np.ndarray, pasts: np.ndarray) -> np.ndarray:
+        """``(N, V)`` logits of known tokens for sequences of *unequal*
+        length, each cached in a slot of ``arena``.
 
-        ``ids`` is ``(N, 1)``: row ``r``'s ``counts[r]`` tokens, rows in
-        order; ``caches_per_row[r]`` is row ``r``'s own per-layer
-        batch-of-one caches, ``positions`` ``(N,)`` each token's
-        position.  The dense ops and the tied head run once over all
-        tokens as batch-invariant ``(N, d)`` GEMMs (docs/KERNELS.md
-        §1b); attention walks the tokens: token ``t`` of row ``r``
-        attends over row ``r``'s cache plus its own tokens ``<= t``, into
-        a slice of one flat scores buffer whose softmax runs once.  So
-        every token gets the bits of its own single-row step, in any
-        batch, and caches are never concatenated.  Returns ``(logits
-        (N, V), new_caches_per_row)``, each row appended by all its
-        tokens.
+        Token ``i`` of ``ids`` ``(N, 1)`` goes to slot ``slots[i]`` at
+        position ``pasts[i]``: a run of consecutive positions in one slot
+        is a row of several tokens (a verify chunk).  The dense ops and
+        the tied head run once over all tokens as batch-invariant GEMMs
+        (docs/KERNELS.md §1b); each layer scatters every token's key and
+        value into the arena at once, then attention walks the tokens,
+        each attending over its slot's positions ``<= pasts[i]`` into a
+        slice of one flat scores buffer whose softmax runs once.  So
+        every token gets the bits of its own single-row step.
         """
         copy = self._enter()
-        tokens = ids.shape[0]
-        d, h, hd = self.d_model, self.num_heads, self.head_dim
-        pos = self._take((tokens, d))
-        self._wpe.take(positions, 0, pos)  # raises out of range
-        x, qkv3, dense, ctxb, merged = self._rows(ids, pos)
+        tokens, h = ids.shape[0], self.num_heads
+        (x, pos, dense, _, merged, k_new, v_new, flat, spread, smax, ssum,
+         static) = self._slot_buffers(tokens)
+        self._wpe.take(pasts, 0, pos)  # raises out of range
+        self._embed_rows(ids, pos, x)
         ln, qkv, mstat, vstat, attn, ff, gelu_ws = dense
-        # Per-token views, built once for all layers: each is what
-        # _forward_cached sees at batch 1 (same strides; a contiguous
-        # (1, H, 1, past + 1) scores slice of one flat buffer).
-        q, k, v = (qkv3[:, :, lo:lo + d].reshape(tokens, 1, h, hd)
-                   .transpose(0, 2, 1, 3) for lo in (0, d, 2 * d))
-        # (N, H, 1, hd) -> (1, H, N, hd): a row appends its token slice.
-        k_all, v_all = k.transpose(2, 1, 0, 3), v.transpose(2, 1, 0, 3)
-        pasts = [caches[0].seq_len + t for caches, count
-                 in zip(caches_per_row, counts) for t in range(count)]
-        lengths = np.add(pasts, 1).repeat(h)  # per (token, head)
+        lengths = (pasts + 1).repeat(h)  # per (token, head)
         starts = lengths.cumsum() - lengths
         spread_at = np.arange(lengths.size).repeat(lengths)
-        flat = self._take((int(lengths.sum()),))
-        spread = self._take(flat.shape)
-        smax = self._take((lengths.size,))
-        ssum = self._take((lengths.size,))
-        rows, start = [], 0
-        for count in counts:
-            end = start + count
-            views = []
-            for i in range(start, end):
-                lo, past = int(starts[i * h]), pasts[i]
-                views.append((past, q[i:i + 1], k[i:i + 1], v[i:i + 1],
-                              flat[lo:lo + h * (past + 1)].reshape(
-                                  1, h, 1, past + 1),
-                              ssum[i * h:(i + 1) * h].reshape(1, h, 1, 1),
-                              ctxb[i:i + 1]))
-            rows.append((k_all[:, :, start:end], v_all[:, :, start:end],
-                         views))
-            start = end
+        total = int(starts[-1] + lengths[-1])
+        flat, spread = flat[:total], spread[:total]
+        rows = [(q_i, flat[lo:lo + h * end].reshape(1, h, 1, end), ssum_i,
+                 ctx_i, slot, end)
+                for (q_i, ssum_i, ctx_i), slot, end, lo
+                in zip(static, slots.tolist(), (pasts + 1).tolist(),
+                       starts[::h].tolist())]
 
-        new_rows: List[List[KVCache]] = [[] for _ in rows]
         for index, bw in enumerate(self._blocks):
             self._layer_norm(x, bw.ln1_w, bw.ln1_b, ln, mstat, vstat)
             self._linear(ln, bw.qkv_w, bw.qkv_b, qkv)
-            views = []
-            for r, (k_row, v_row, row_views) in enumerate(rows):
-                new_cache = caches_per_row[r][index].append(
-                    k_row, v_row, reserve=self.context_length)
-                new_rows[r].append(new_cache)
-                for past, q_i, k_i, v_i, scores, ssum_i, ctx_i in row_views:
-                    if past:
-                        k_i = new_cache.k[:, :, :past + 1]
-                        v_i = new_cache.v[:, :, :past + 1]
-                    np.matmul(q_i, k_i.swapaxes(-1, -2), out=scores)
-                    views.append((scores, ssum_i, v_i, ctx_i))
+            keys, values = arena.k[index], arena.v[index]
+            keys[slots, :, pasts] = k_new
+            values[slots, :, pasts] = v_new
+            for q_i, scores, _, _, slot, end in rows:
+                np.matmul(q_i, keys[slot:slot + 1, :, :end].swapaxes(-1, -2),
+                          out=scores)
             # One softmax pass over every token's scores; only the sums
             # stay per token (reduceat's sum is not pairwise).  A lone
             # score's weight is 1 whatever its mask, so past == 0 needs
@@ -616,19 +585,57 @@ class InferenceKernels:
             smax.take(spread_at, None, spread, "clip")
             np.subtract(flat, spread, out=flat)
             np.exp(flat, out=flat)
-            for scores, ssum_i, _, _ in views:
+            for _, scores, ssum_i, _, _, _ in rows:
                 np.add.reduce(scores, axis=-1, keepdims=True, out=ssum_i)
             ssum.take(spread_at, None, spread, "clip")
             np.divide(flat, spread, out=flat)
-            for scores, _, v_i, ctx_i in views:
-                np.matmul(scores, v_i, out=ctx_i)
+            for _, scores, _, ctx_i, slot, end in rows:
+                np.matmul(scores, values[slot:slot + 1, :, :end], out=ctx_i)
             self._block_tail(bw, x, merged, ln, mstat, vstat, attn, ff,
                              gelu_ws)
 
         self._layer_norm(x, self.store.ln_f_w, self.store.ln_f_b, ln,
                          mstat, vstat)
         out = self._head(ln, tokens)
-        return (out.copy() if copy else out), new_rows
+        return out.copy() if copy else out
+
+    def _slot_buffers(self, tokens: int) -> Tuple[Any, ...]:
+        """:meth:`decode_rows`' buffers and per-token static views at
+        ``tokens`` rows, carved once per thread and row count from an
+        arena that is never reset, so no later :meth:`_take` (a prefill
+        chunk in the same parity) can alias them.  Only the logits come
+        from the step-parity arenas, as :meth:`begin_step` promises."""
+        ws = self._ws
+        carved = ws.carved.get(tokens)
+        if carved is not None:
+            return carved
+        d, h, hd = self.d_model, self.num_heads, self.head_dim
+        arenas, parity = ws.arenas, ws.parity
+        ws.arenas, ws.parity = (ws.carving,), 0
+        try:
+            rows = max(tokens, 2)  # a lone token carries one dummy row
+            x = self._take((rows, d))
+            pos = self._take((tokens, d))
+            dense = self._dense_buffers(rows)
+            ctxb = self._take((rows, h, 1, hd))
+            ctxb[...] = 0  # the dummy row's context stays zero
+            scores = tokens * h * self.context_length
+            flat, spread = self._take((scores,)), self._take((scores,))
+            smax, ssum = self._take((tokens * h,)), self._take((tokens * h,))
+        finally:
+            ws.arenas, ws.parity = arenas, parity
+        # Per-token views, each what _forward_cached sees at batch 1.
+        qkv = dense[1][:tokens]
+        q = (dense[1].reshape(rows, 1, 3 * d)[:tokens, :, :d]
+             .reshape(tokens, 1, h, hd).transpose(0, 2, 1, 3))
+        static = [(q[i:i + 1], ssum[i * h:(i + 1) * h].reshape(1, h, 1, 1),
+                   ctxb[i:i + 1]) for i in range(tokens)]
+        carved = ws.carved[tokens] = (
+            x, pos, dense, ctxb, ctxb.reshape(rows, d),
+            qkv[:, d:2 * d].reshape(tokens, h, hd),
+            qkv[:, 2 * d:].reshape(tokens, h, hd),
+            flat, spread, smax, ssum, static)
+        return carved
 
     def prefill_batch(self, ids: np.ndarray, caches: Sequence[KVCache],
                       position: int

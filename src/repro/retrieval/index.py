@@ -147,12 +147,11 @@ class RecipeIndex:
     def build(cls, texts: Sequence[str],
               doc_ids: Optional[Sequence[int]] = None,
               titles: Optional[Sequence[str]] = None,
-              embedding: Optional[EmbeddingConfig] = None,
               registry: Optional[MetricsRegistry] = None) -> "RecipeIndex":
         """Embed ``texts`` into the searchable matrix."""
         if not texts:
             raise ValueError("cannot build an index over an empty corpus")
-        embedder = TextEmbedder(embedding)
+        embedder = TextEmbedder()
         vectors = embedder.embed_batch(texts)
         doc_ids = list(doc_ids) if doc_ids is not None else list(range(len(texts)))
         titles = list(titles) if titles is not None else [""] * len(texts)
@@ -161,7 +160,6 @@ class RecipeIndex:
 
     @classmethod
     def from_recipes(cls, recipes: Sequence,
-                     embedding: Optional[EmbeddingConfig] = None,
                      registry: Optional[MetricsRegistry] = None
                      ) -> "RecipeIndex":
         """Build from :class:`~repro.recipedb.Recipe` records."""
@@ -170,7 +168,7 @@ class RecipeIndex:
             texts,
             doc_ids=[recipe.recipe_id for recipe in recipes],
             titles=[recipe.title for recipe in recipes],
-            embedding=embedding, registry=registry)
+            registry=registry)
 
     # ------------------------------------------------------------------
     # Search

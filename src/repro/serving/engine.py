@@ -14,8 +14,9 @@ One background thread owns the model and runs a step loop:
    leave the batch mid-flight; their slot is refilled on the next
    admit pass.
 4. **Forward** — every survivor, whatever its length, advances in
-   **one** list-form ``next_logits(ids, [states])`` call: a plain row
-   feeds one token, a speculative row its whole verify chunk.
+   **one** ``next_logits(ids, rows)`` call over the KV slots the engine
+   owns: a plain row feeds one token, a speculative row its whole
+   verify chunk.
 
 The engine serves GPT-2 (:class:`~repro.models.GPT2Model`) and refuses
 any other model at construction: the LSTM baselines and GPT-Neo decode
@@ -26,7 +27,7 @@ Equality contract: for any request, the engine's token stream is
 alone — regardless of what else shares the batch, and regardless of
 prefix-cache hits.  The pieces that make that true: batched transformer
 decode runs its dense ops and tied head as batch-invariant GEMMs and its
-attention row by row over each sequence's own KV cache; prefill
+attention row by row over each sequence's own KV slot; prefill
 chunking is aligned to absolute positions; sampling state is
 per-request.  Property-tested in ``tests/test_properties_serving.py``.
 
@@ -52,7 +53,7 @@ from ..models import (DraftModel, GenerationConfig, GPT2Model,
                       draft_context, prefill_prompt, select_next_token,
                       speculative_walk)
 from ..nn import no_grad
-from ..nn.attention import PREFILL_CHUNK
+from ..nn.attention import PREFILL_CHUNK, KVSlot
 from ..obs import (MetricsRegistry, Tracer, get_registry, get_tracer)
 from ..resilience import ResilienceConfig
 from ..resilience.faults import fault_check
@@ -262,7 +263,9 @@ class _Sequence:
     config: GenerationConfig
     processors: List[LogitsProcessor]
     rng: np.random.Generator
-    state: Any = None
+    #: The sequence's KV cache: a slot of the engine's arena, taken at
+    #: admission and returned by whatever retires the sequence.
+    slot: Optional[KVSlot] = None
     logits: Optional[np.ndarray] = None
     generated: List[int] = field(default_factory=list)
     admitted_at: float = 0.0
@@ -275,9 +278,9 @@ class _Sequence:
     #: model's context window (the sequential path slides instead).
     spec_k: int = 0
     #: Verify results awaiting their acceptance walk at the next step:
-    #: ``(proposals, draft_dists, chunk_logits, states)`` where
-    #: ``chunk_logits`` is ``(len(proposals) + 1, vocab)`` and
-    #: ``states[t]`` resumes after accepting ``t`` proposals.
+    #: ``(proposals, draft_dists, chunk_logits, base)`` where
+    #: ``chunk_logits`` is ``(len(proposals) + 1, vocab)`` and the slot
+    #: resumes after accepting ``t`` proposals at length ``base + t + 1``.
     spec_chunk: Optional[tuple] = None
 
 
@@ -404,6 +407,10 @@ class InferenceEngine:
         self._queue: "queue.Queue[EngineRequest]" = queue.Queue(
             maxsize=self.config.max_queue)
         self._active: List[_Sequence] = []
+        # One zero-filled KV slot per batch row: admission prefills into
+        # a free slot, retirement returns it (docs/SERVING.md §4).
+        self._kv = model.kv_arena(self.config.max_batch_size)
+        self._free: List[KVSlot] = self._kv.slots[::-1]
         # Requests popped from the queue but not yet active: a crash
         # mid-admission must be able to replay or fail them, or they
         # would hang.
@@ -571,7 +578,7 @@ class InferenceEngine:
             failed += self._resolve(request, error=error)
         self._requeued, self._admitting = [], []
         for seq in list(self._active):
-            failed += self._resolve(seq.request, error=error)
+            failed += self._finish(seq, error=error)
         self._active = []
         while True:
             try:
@@ -595,6 +602,8 @@ class InferenceEngine:
             "queue_depth": self._queue.qsize(),
             "max_batch_size": self.config.max_batch_size,
             "prefix_cache": self.prefix_cache.stats_snapshot(),
+            "kv": {"slots": len(self._kv.slots), "free": len(self._free),
+                   "bytes": sum(b.nbytes for b in self._kv.k + self._kv.v)},
             "kernels": None if kernels is None else kernels.stats(),
             "supervisor": {
                 "state": self.state,
@@ -621,6 +630,7 @@ class InferenceEngine:
         anything it raises (e.g. a prefix_cache.get fault during
         admission) is a crash for :meth:`_recover`."""
         self.model.eval()
+        self._free = self._kv.slots[::-1]  # a restart drops no slot
         kernels = self.model.kernels
         if kernels is not None:
             # Size this thread's workspace arenas for a full batch of
@@ -761,15 +771,17 @@ class InferenceEngine:
             if hit_len:
                 self.metrics.cache_hits.inc()
                 self.metrics.cache_hit_tokens.inc(hit_len)
-                # A state object of its own: the step's list-form call
-                # reads a run of one object as one multi-token row.
-                logits, state = (snapshot[0],
-                                 self.model.snapshot_state(snapshot[1]))
             else:
                 self.metrics.cache_misses.inc()
-                logits, state = None, self.model.start_state(1)
-            looked_up.append((seq, logits, state, hit_len))
-        for seq, logits, state, hit_len in looked_up:
+            looked_up.append((seq, snapshot, hit_len))
+        for seq, snapshot, hit_len in looked_up:
+            # The sequence's slot, holding a copy of its cache hit.
+            seq.slot, logits = self._free.pop(), None
+            seq.slot.length = 0
+            if hit_len:
+                logits = snapshot[0]
+                self._kv.load(seq.slot, snapshot[1].caches)
+            state = self.model.slot_state(seq.slot)
             try:
                 self._prefill_one(seq, logits, state, hit_len)
             except BaseException as error:  # noqa: BLE001
@@ -779,7 +791,8 @@ class InferenceEngine:
 
     def _prefill_one(self, seq: _Sequence, logits: Any, state: Any,
                      hit_len: int) -> None:
-        """Chunked single-sequence prefill (resuming from a cache hit)."""
+        """Chunked single-sequence prefill into the sequence's slot
+        (resuming from a cache hit)."""
         fault_check("model.forward")
         prompt = seq.request.prompt_ids
         with self.tracer.span("engine.prefill",
@@ -789,8 +802,9 @@ class InferenceEngine:
                 logits, state = prefill_prompt(self.model, prompt[hit_len:],
                                                state, start_position=hit_len)
                 self._store(prompt, logits, state)
+                # Written in place, unless the prompt slid past the window.
+                self._kv.load(seq.slot, state.caches)
         seq.logits = logits[0]
-        seq.state = state
 
     def _store(self, prompt: List[int], logits: np.ndarray,
                state: Any) -> None:
@@ -875,7 +889,7 @@ class InferenceEngine:
         to plain sequential ``generate``) no matter what shares the
         batch.
         """
-        proposals, dists, chunk_logits, states = seq.spec_chunk
+        proposals, dists, chunk_logits, base = seq.spec_chunk
         seq.spec_chunk = None
         outcome = speculative_walk(
             chunk_logits, proposals, dists, seq.generated, seq.config,
@@ -886,7 +900,7 @@ class InferenceEngine:
         if outcome.done:
             self._finish(seq)
             return True
-        seq.state = states[outcome.accepted]
+        seq.slot.length = base + outcome.accepted + 1
         seq.logits = None  # refreshed by the next forward/verify
         return False
 
@@ -896,9 +910,9 @@ class InferenceEngine:
         A row feeds ``generated[-1]`` — emitted but not yet fed — plus,
         for a speculative row, the draft's proposals (:meth:`_draft`).
         Every row, of any length and any token count, goes into **one**
-        list-form ``next_logits`` call: the flat ids, each row's state
-        repeated once per token.  Every row keeps the bits of its own
-        sequential decode.
+        ``next_logits`` call: the flat ids, each row's slot repeated once
+        per token.  Every row keeps the bits of its own sequential
+        decode.
         """
         if not survivors:
             return
@@ -906,19 +920,19 @@ class InferenceEngine:
         # engine itself keeps serving — plain and verify rows alike.
         fault_check("model.forward")
         plans = [self._draft(seq) for seq in survivors]
-        ids, states = [], []
+        ids, rows = [], []
         for seq, (proposals, _) in zip(survivors, plans):
             ids += [seq.generated[-1], *proposals]
-            states += [seq.state] * (len(proposals) + 1)
-        logits, states = self.model.next_logits(np.asarray(ids), states)
+            rows += [seq.slot] * (len(proposals) + 1)
+        logits, _ = self.model.next_logits(np.asarray(ids), rows)
         start = 0
         for seq, (proposals, dists) in zip(survivors, plans):
             end = start + len(proposals) + 1
-            if seq.spec_k:  # walked next step; states[t] resumes after t
+            if seq.spec_k:  # walked next step, from the chunk's base
                 seq.spec_chunk = (proposals, dists, logits[start:end],
-                                  states[start:end])
+                                  seq.slot.length - (end - start))
             else:
-                seq.logits, seq.state = logits[start], states[start]
+                seq.logits = logits[start]
             start = end
         self._decode_forwards += 1
         self.metrics.decode_forwards.inc()
@@ -947,7 +961,7 @@ class InferenceEngine:
                                                               seq.rng)
             else:
                 proposals = self.draft.propose(context, k)
-        if not self.model.fits(seq.state, len(proposals) + 1):
+        if not self.model.fits(seq.slot.length, len(proposals) + 1):
             seq.spec_k = 0
             return [], None
         return list(proposals), dists
@@ -967,6 +981,10 @@ class InferenceEngine:
 
     def _finish(self, seq: _Sequence,
                 error: Optional[BaseException] = None,
-                outcome: Optional[str] = None) -> None:
-        self._resolve(seq.request, error=error, outcome=outcome,
-                      tokens=len(seq.generated))
+                outcome: Optional[str] = None) -> bool:
+        """Retire ``seq``: resolve its request and return its slot."""
+        if seq.slot is not None:
+            self._free.append(seq.slot)
+            seq.slot = None
+        return self._resolve(seq.request, error=error, outcome=outcome,
+                             tokens=len(seq.generated))

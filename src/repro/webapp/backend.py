@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Dict, Optional
 
 from ..core.pipeline import Ratatouille
 from ..models.gpt2 import GPT2Model
+from ..models.speculative import DraftModel
 from ..obs import (MetricsRegistry, Tracer, get_registry, get_tracer,
                    render_json, render_text)
 from ..recipedb import default_catalog
@@ -116,8 +117,8 @@ def create_backend(pipeline: Ratatouille,
     ``registry``/``tracer`` back ``GET /api/metrics`` and default to the
     process-wide instances.  ``resilience`` (``docs/RESILIENCE.md``)
     sets request deadlines, admission control (``app.admission``) and
-    the restart budget.  ``draft`` (a
-    :class:`~repro.models.DraftModel` or a spec like ``"ngram:3"``) and
+    the restart budget.  ``draft`` (a fitted
+    :class:`~repro.models.DraftModel`) and
     ``speculative_k`` enable speculative decoding (``docs/SERVING.md``).
     ``retrieval_index`` (``docs/RETRIEVAL.md``) enables
     ``POST /api/search``, ``retrieve_k`` exemplars per prompt and a
@@ -140,11 +141,10 @@ def create_backend(pipeline: Ratatouille,
     catalog = default_catalog()
     registry = registry if registry is not None else get_registry()
     tracer = tracer if tracer is not None else get_tracer()
-    if isinstance(draft, str):
-        kind, colon, order = draft.partition(":")
-        if kind != "ngram":
-            raise ValueError(f"unknown draft spec {draft!r}")
-        draft = pipeline.build_draft(order=int(order) if colon else 3)
+    if draft is not None and not isinstance(draft, DraftModel):
+        raise ValueError(f"draft must be a fitted DraftModel (see "
+                         f"Ratatouille.build_draft), not "
+                         f"{type(draft).__name__}")
     if speculative_k < 0 or speculative_k > MAX_SPECULATIVE_K:
         raise ValueError(
             f"speculative_k must be in [0, {MAX_SPECULATIVE_K}]")

@@ -94,8 +94,8 @@ class TestKernelDispatch:
         assert model.kernels is None
 
     def test_a_single_state_decodes_one_row(self):
-        # A batch decodes as a list of batch-of-one states; a state of
-        # batch 2, or two ids for one state, is refused on both paths,
+        # A batch decodes as slot rows of a KV arena; a state of batch
+        # 2, or two ids for one state, is refused on both paths,
         # and so is a prompt prefilled into a state of batch 2.
         for kernels in (False, True):
             model = _model()
@@ -200,10 +200,10 @@ class TestHeadCopy:
     def test_decode_rows_refuses_a_position_past_the_context(self):
         model = _model()
         kernels = model.enable_kernels()
-        caches = model.start_state(1).caches
         with pytest.raises(IndexError):
-            kernels.decode_rows(np.array([[1]]), [caches],
-                                np.array([model.config.context_length]), [1])
+            kernels.decode_rows(np.array([[1]]), model.kv_arena(1),
+                                np.array([0]),
+                                np.array([model.config.context_length]))
 
 
 class TestWorkspaceReuse:
@@ -244,25 +244,25 @@ class TestWorkspaceReuse:
         model = _model()
         kernels = model.enable_kernels()
         rng = np.random.default_rng(0)
+        arena = model.kv_arena(8)
 
-        def fresh_row():
+        def fresh_row(slot):
             length = int(rng.integers(1, 60))
-            return model.prefill(rng.integers(0, VOCAB, size=length),
-                                 model.start_state(1))[1]
+            arena.load(slot, model.prefill(
+                rng.integers(0, VOCAB, size=length),
+                model.start_state(1))[1].caches)
 
-        states = [fresh_row() for _ in range(8)]
+        for slot in arena.slots:
+            fresh_row(slot)
         kernels.preallocate(8)
         settled = kernels.allocation_count
         for step in range(50):
             kernels.begin_step()
             if step % 3 == 0:  # a row retires, another is admitted
-                states[int(rng.integers(0, len(states)))] = fresh_row()
+                fresh_row(arena.slots[int(rng.integers(0, 8))])
             live = [int(r) for r in rng.permutation(8)[:rng.integers(2, 9)]]
-            _, new_states = model.next_logits(
-                rng.integers(0, VOCAB, size=len(live)),
-                [states[r] for r in live])
-            for r, state in zip(live, new_states):
-                states[r] = state
+            model.next_logits(rng.integers(0, VOCAB, size=len(live)),
+                              [arena.slots[r] for r in live])
         assert kernels.allocation_count == settled
 
     @pytest.mark.parametrize("rows", [1, 8])
@@ -277,6 +277,9 @@ class TestWorkspaceReuse:
         states = [model.prefill(rng.integers(0, VOCAB, size=40 + r),
                                 model.start_state(1))[1]
                   for r in range(rows)]
+        arena = model.kv_arena(rows)
+        for slot, state in zip(arena.slots, states):
+            arena.load(slot, state.caches)
         kernels.preallocate(8)
         settled = kernels.allocation_count
         with mock.patch.object(attention, "row_class_limit",
@@ -290,9 +293,8 @@ class TestWorkspaceReuse:
                     continue
                 spec = 5 if step % 2 else 1  # one row verifies 4 drafts
                 ids = rng.integers(0, VOCAB, size=rows - 1 + spec)
-                _, new_states = model.next_logits(
-                    ids, [states[0]] * spec + states[1:])
-                states = [new_states[spec - 1]] + new_states[spec:]
+                model.next_logits(ids, [arena.slots[0]] * spec
+                                  + arena.slots[1:])
         assert kernels.allocation_count == settled
 
 

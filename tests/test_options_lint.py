@@ -43,6 +43,9 @@ CHECKED = {
                                 "Ratatouille.build_draft"),
     "Ratatouille.build_retrieval_index": ("core/pipeline.py",
                                           "Ratatouille.build_retrieval_index"),
+    "RecipeIndex.build": ("retrieval/index.py", "RecipeIndex.build"),
+    "RecipeIndex.from_recipes": ("retrieval/index.py",
+                                 "RecipeIndex.from_recipes"),
 }
 
 #: Options no running caller sets, each with the reason it stays.

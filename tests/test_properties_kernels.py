@@ -95,17 +95,16 @@ class TestKernelsEqualTensorPath:
 
         results = []
         for model in (TENSOR_MODEL, KERNEL_MODEL):
-            rows = []
-            for row in prompts:
-                logits, state = model.prefill(row, model.start_state(1))
-                rows.append(state)
-            # One call, each row's state repeated once per chunk token.
-            logits, states = model.next_logits(
+            rows = _slots(model, [model.prefill(row, model.start_state(1))[1]
+                                  for row in prompts])
+            # One call, each row's slot repeated once per chunk token.
+            logits, _ = model.next_logits(
                 chunk.reshape(-1), [s for s in rows for _ in range(steps)])
-            # Resume from an arbitrary accepted position: the state
+            # Resume from an arbitrary accepted position: the length
             # handoff must also be exact.
-            resumed, _ = model.next_logits(
-                probe, [states[r * steps + accept] for r in range(batch)])
+            for slot in rows:
+                slot.length = prefix + accept + 1
+            resumed, _ = model.next_logits(probe, rows)
             results.append((logits, resumed))
         (expected, expected_resumed), (actual, actual_resumed) = results
         assert np.array_equal(expected, actual)
@@ -122,6 +121,23 @@ class TestKernelsEqualTensorPath:
         handles = [ENGINE.submit(p, c) for p, c in requests]
         actual = [h.result(timeout=120) for h in handles]
         assert actual == expected
+
+
+def _slots(model, states):
+    """A KV arena's slots, one per state, each holding its state."""
+    arena = model.kv_arena(len(states))
+    for slot, state in zip(arena.slots, states):
+        arena.load(slot, state.caches)
+    return arena.slots
+
+
+def _slot_matches(slot, state):
+    """Whether ``slot`` holds exactly ``state``'s live keys and values."""
+    i, n = slot.index, slot.length
+    return n == state.position and all(
+        np.array_equal(k[i, :, :n], c.keys[0])
+        and np.array_equal(v[i, :, :n], c.values[0])
+        for k, v, c in zip(slot.arena.k, slot.arena.v, state.caches))
 
 
 def _ragged_states(model, seed, rows):
@@ -148,28 +164,26 @@ class TestRaggedDecode:
            rows=st.integers(min_value=1, max_value=8))
     @settings(max_examples=20, deadline=None)
     def test_each_row_gets_its_own_single_row_step(self, seed, rows):
-        # next_logits(ids, [s_1 … s_B]) over unequal cache lengths: row
-        # r's logits and cache are those of next_logits(ids[r:r+1], s_r),
-        # on both paths, and the paths agree with each other.
+        # next_logits(ids, [slot_1 … slot_B]) over unequal cache lengths:
+        # row r's logits and cache are those of next_logits(ids[r:r+1],
+        # s_r), on both paths, and the paths agree with each other.
         per_path = []
         for model in (TENSOR_MODEL, KERNEL_MODEL):
-            ragged, frozen = _ragged_states(model, seed, rows)
+            states, frozen = _ragged_states(model, seed, rows)
+            ragged = _slots(model, states)
             alone, _ = _ragged_states(model, seed, rows)
             before = [[(c.keys.copy(), c.values.copy()) for c in s.caches]
                       for s in frozen]
             rng = np.random.default_rng(seed + 1)
-            for _ in range(2):  # the second step resumes the first's states
+            for _ in range(2):  # the second step resumes the first's slots
                 ids = rng.integers(0, VOCAB, size=rows)
-                logits, ragged = model.next_logits(ids, ragged)
+                logits, _ = model.next_logits(ids, ragged)
                 assert logits.shape == (rows, VOCAB)
                 for r in range(rows):
                     single, alone[r] = model.next_logits(ids[r:r + 1],
                                                          alone[r])
                     assert np.array_equal(logits[r], single[0])
-                    assert ragged[r].position == alone[r].position
-                    for a, b in zip(ragged[r].caches, alone[r].caches):
-                        assert np.array_equal(a.keys, b.keys)
-                        assert np.array_equal(a.values, b.values)
+                    assert _slot_matches(ragged[r], alone[r])
             per_path.append(logits)
             # A frozen snapshot is copied on append, never written.
             for state, saved in zip(frozen, before):
@@ -197,24 +211,26 @@ class TestRaggedDecode:
         starts = np.cumsum([0] + counts[:-1])
         per_path = []
         for model in (TENSOR_MODEL, KERNEL_MODEL):
-            ragged, frozen = _ragged_states(model, seed, rows)
+            states, frozen = _ragged_states(model, seed, rows)
+            ragged = _slots(model, states)
             before = [[(c.keys.copy(), c.values.copy()) for c in s.caches]
                       for s in frozen]
-            logits, states = model.next_logits(
+            logits, _ = model.next_logits(
                 np.concatenate(chunks),
-                [state for state, n in zip(ragged, counts)
-                 for _ in range(n)])
+                [slot for slot, n in zip(ragged, counts) for _ in range(n)])
             assert logits.shape == (sum(counts), VOCAB)
+            ends = [slot.length for slot in ragged]
             # Every row resumes from its chosen position, in one call.
-            resumed, _ = model.next_logits(
-                probe, [states[start + t] for start, t in zip(starts, resume)])
+            for slot, state, t in zip(ragged, states, resume):
+                slot.length = state.position + t + 1
+            resumed, _ = model.next_logits(probe, ragged)
             walked, _ = _ragged_states(model, seed, rows)
             for r, (chunk, start) in enumerate(zip(chunks, starts)):
                 state = walked[r]
+                assert ends[r] == state.position + len(chunk)
                 for t, token in enumerate(chunk):
                     single, state = model.next_logits(chunk[t:t + 1], state)
                     assert np.array_equal(logits[start + t], single[0])
-                    assert states[start + t].position == state.position
                     if t == resume[r]:
                         # Copies the frozen KV, so the walk goes on intact.
                         want, _ = model.next_logits(
@@ -254,13 +270,10 @@ class TestBatchInvariance:
             ids = [rng.integers(0, VOCAB, size=n) for n in counts]
             alone, after = model.next_logits(
                 ids[target], model.snapshot_state(states[target]))
-            logits, batch_states = model.next_logits(
+            slots = _slots(model, states)
+            logits, _ = model.next_logits(
                 np.concatenate(ids),
-                [model.snapshot_state(state) if r == target else state
-                 for r, (state, n) in enumerate(zip(states, counts))
-                 for _ in range(n)])
+                [slot for slot, n in zip(slots, counts) for _ in range(n)])
         row = sum(counts[:target])
         assert np.array_equal(logits[row], alone[0])
-        for mine, solo in zip(batch_states[row].caches, after.caches):
-            assert np.array_equal(mine.keys, solo.keys)
-            assert np.array_equal(mine.values, solo.values)
+        assert _slot_matches(slots[target], after)

@@ -77,7 +77,7 @@ class TestSpeculativeGreedyIsLossless:
 
 
 class TestSpeculativeGreedyOnTransformer:
-    """``verify_chunk`` as one list-form call, against the real model."""
+    """``verify_chunk`` as one slot-row call, against the real model."""
 
     @given(seed=st.integers(min_value=0, max_value=50),
            k=st.integers(min_value=1, max_value=8),

@@ -192,9 +192,8 @@ def _mid_batch_kill(model):
 def _gated(model, at_call):
     """Hold the engine's ``at_call``-th decode call until ``proceed`` is
     set.  GPT-2 prefills through ``prefill``, so only decode steps
-    count: one list-form ``next_logits`` call per step, made after
-    delivering that step's token (a lone row's call re-enters
-    ``next_logits`` with its bare state, which is not counted)."""
+    count: one list-form ``next_logits`` call per step (its slot rows),
+    made after delivering that step's token."""
     forward = model.next_logits
     reached, proceed = threading.Event(), threading.Event()
     calls = [0]

@@ -45,6 +45,11 @@ def _assert_serves_frozen_kernels(app):
             {"ingredients": ["egg"], "max_new_tokens": 8,
              "seed": 0}).encode("utf-8")))
     assert response.status == 200
+    # The served request returned its KV slot.
+    kv = json.loads(app.dispatch(
+        Request("GET", "/api/engine", {}, {})).body)["kv"]
+    assert kv["free"] == kv["slots"] == app.engine.config.max_batch_size
+    assert kv["bytes"] > 0
 
 
 def test_a_default_backend_serves_frozen_kernels(checkpoint):
@@ -71,3 +76,12 @@ def test_the_kernels_cannot_be_turned_off(checkpoint):
     with pytest.raises(ValueError, match="fp32 kernels only"):
         create_backend(Ratatouille.load(checkpoint), kernels=None,
                        registry=MetricsRegistry())
+
+
+def test_a_draft_must_be_a_fitted_draft_model(checkpoint):
+    # The draft spec strings ("ngram:3") went: `repro serve` fits the
+    # draft itself and passes the DraftModel.
+    for draft in ("ngram:3", 3):
+        with pytest.raises(ValueError, match="fitted DraftModel"):
+            create_backend(Ratatouille.load(checkpoint), draft=draft,
+                           registry=MetricsRegistry())

@@ -335,9 +335,8 @@ class TestPrefixCache:
 
     def test_one_entry_resumed_twice_in_one_wave(self):
         # Two requests for one cached prompt resume from one stored
-        # entry.  Each must decode from a state object of its own: the
-        # step's list-form call reads a run of one object as one
-        # multi-token row.
+        # entry.  Each must decode from a KV slot of its own: the
+        # step's call reads a run of one slot as one multi-token row.
         model = distilgpt2(vocab_size=VOCAB, context_length=128)
         model.eval()
         prompt = _prompt(710, 20)

@@ -178,9 +178,8 @@ class TestEngineDeathMidRequest:
     admission is lookup #1 on the injector's index stream, where the
     fault crashes the loop — with the victim ``at_call`` tokens in.
     GPT-2 prefills through ``prefill``, so only decode steps count: one
-    list-form ``next_logits`` call per step, after that step's token is
-    delivered (a lone row's call re-enters ``next_logits`` with its
-    bare state, which is not counted).
+    list-form ``next_logits`` call per step (its slot rows), after that
+    step's token is delivered.
     """
 
     VICTIM = {"ingredients": ["garlic", "onion"], "strategy": "greedy",
